@@ -104,21 +104,33 @@ double records_per_flow(const ChunkInfo& c) {
                            static_cast<double>(c.real_flows));
 }
 
-// Number of flows to request in one deficit-loop round. The first round
-// sizes by the real records-per-flow ratio; later rounds request one flow
-// per missing record (each sample yields >= 1 record), guaranteeing
-// completion.
-std::size_t round_flows(std::size_t deficit, double rpf, bool first) {
-  return first ? std::max<std::size_t>(
-                     8, static_cast<std::size_t>(
-                            static_cast<double>(deficit) / rpf) + 1)
-               : std::max<std::size_t>(8, deficit);
+// Margin over the observed yield when sizing a top-up round: one top-up
+// usually closes the deficit while the trimmed surplus stays near 10%.
+constexpr double kTopUpMargin = 1.1;
+
+// Number of series to request in one deficit-loop round. Round 0
+// (sampled == 0) sizes by the real records-per-flow ratio. Later rounds size
+// by the model's own yield so far (decoded / sampled records per series)
+// times kTopUpMargin, capped at one series per missing record. Every round
+// asks for >= 8 series and every series decodes to >= 1 record, so the loop
+// terminates.
+std::size_t round_series(std::size_t deficit, double rpf, std::size_t sampled,
+                         std::size_t decoded) {
+  const auto d = static_cast<double>(deficit);
+  if (sampled == 0) {
+    return std::max<std::size_t>(8, static_cast<std::size_t>(d / rpf) + 1);
+  }
+  const double yield =
+      static_cast<double>(decoded) / static_cast<double>(sampled);
+  const auto want = static_cast<std::size_t>(d / yield * kTopUpMargin) + 1;
+  return std::max<std::size_t>(8, std::min(want, deficit));
 }
 
 // Deficit-loop sampling + decode for one chunk. The result is a pure
 // function of (chunk index, target, seed) — the sampler draws from
-// counter-based per-(chunk, series) streams and the decoder is const — so
-// batch and streaming schedules produce bitwise-identical sub-traces.
+// counter-based per-(chunk, series) streams, the decoder is const, and each
+// round's size depends only on this chunk's earlier rounds — so batch,
+// streaming and served schedules produce bitwise-identical sub-traces.
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
                        std::size_t target, std::uint64_t seed,
@@ -130,19 +142,20 @@ void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
   out = TraceT{};
   const double rpf = std::min(records_per_flow(chunks[c]),
                               static_cast<double>(config.max_seq_len));
-  bool first = true;
-  std::size_t series_at = 0;  // keeps stream indices unique across rounds
+  std::size_t sampled = 0;  // series so far; keeps stream indices unique
   gan::GeneratedSeries series;
   while (out.size() < target) {
-    const std::size_t flows = round_flows(target - out.size(), rpf, first);
-    first = false;
-    trainer.sample_chunk_into(c, flows, seed, series_at, series);
-    series_at += flows;
+    const std::size_t n =
+        round_series(target - out.size(), rpf, sampled, out.size());
+    trainer.sample_chunk_into(c, n, seed, sampled, series);
+    sampled += n;
     const TraceT decoded = decode(series, c);
     records_of(out).insert(records_of(out).end(), records_of(decoded).begin(),
                            records_of(decoded).end());
   }
-  trainer.note_generate_seconds(c, sw.seconds());
+  TELEM_COUNT_N("generate.records_decoded", out.size());
+  trainer.note_generate(c, sw.seconds(), sampled, out.size(),
+                        std::min(out.size(), target));
 }
 
 // Export step for one chunk: order its sub-trace and trim the deficit-loop
@@ -152,6 +165,7 @@ void export_chunk_part(std::size_t target, const RecordsOf& records_of,
                        TraceT& part) {
   part.sort_by_time();
   if (part.size() > target) records_of(part).resize(target);
+  TELEM_COUNT_N("generate.records_kept", part.size());
 }
 
 // Final merge: concatenate the per-chunk sub-traces in chunk order, order
@@ -172,8 +186,8 @@ TraceT merge_chunk_parts(std::vector<TraceT>& parts, std::size_t n,
 
 // Fills each target chunk's sub-trace in parallel across chunk workers,
 // splitting the thread budget like ChunkedTrainer::fit. Any worker count
-// produces bitwise-identical traces (see sample_chunk_part); serial
-// generation is just workers == 1.
+// and task order produce bitwise-identical traces (see sample_chunk_part);
+// serial generation is just workers == 1.
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
                       const std::vector<std::size_t>& targets, std::size_t n,
@@ -184,6 +198,7 @@ TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     if (targets[c] > 0 && trainer.has_model(c)) active.push_back(c);
   }
+  largest_first(active, targets);
   std::vector<TraceT> parts(chunks.size());
   const std::size_t budget =
       parallel_phase_budget(std::max<std::size_t>(1, config.threads));

@@ -51,6 +51,13 @@ void run_parallel_tasks(std::size_t workers, std::size_t tasks,
   pool.parallel_for(tasks, fn);
 }
 
+void largest_first(std::vector<std::size_t>& ids,
+                   const std::vector<std::size_t>& size) {
+  std::stable_sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
+    return size[a] > size[b];
+  });
+}
+
 std::size_t num_ranges(std::size_t workers, std::size_t n) {
   if (n == 0) return 0;
   return std::max<std::size_t>(1, std::min(workers, n));

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "ml/kernels.hpp"
 
@@ -41,6 +42,12 @@ PhaseBudget split_phase_budget(std::size_t budget, std::size_t tasks,
 // per index.
 void run_parallel_tasks(std::size_t workers, std::size_t tasks,
                         const std::function<void(std::size_t)>& fn);
+
+// Orders task ids by size[id], largest first (ties keep their order). The
+// pool's queue is FIFO, so the longest task then starts at once and the
+// phase takes about as long as it, not a short task plus it.
+void largest_first(std::vector<std::size_t>& ids,
+                   const std::vector<std::size_t>& size);
 
 // Runs fn(range_index, begin, end) over up to `workers` contiguous, disjoint
 // ranges covering [0, n); serial when workers <= 1. Range boundaries and

@@ -189,8 +189,15 @@ void ChunkedTrainer::train_finetune(std::size_t c,
   r.train_sec = sw.seconds();
 }
 
-void ChunkedTrainer::note_generate_seconds(std::size_t c, double sec) {
-  if (c < report_.chunks.size()) report_.chunks[c].generate_sec = sec;
+void ChunkedTrainer::note_generate(std::size_t c, double sec,
+                                   std::size_t series, std::size_t records,
+                                   std::size_t kept) {
+  if (c >= report_.chunks.size()) return;
+  ChunkTrainReport& r = report_.chunks[c];
+  r.generate_sec = sec;
+  r.generate_series = series;
+  r.generate_records = records;
+  r.generate_kept = kept;
 }
 
 void ChunkedTrainer::restore_chunk(std::size_t c,
@@ -305,6 +312,7 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
       sample_chunk_into(c, 0, seed, 0, out[c]);
     }
   }
+  largest_first(active, counts);
   const std::size_t budget = parallel_phase_budget(
       thread_budget == 0 ? std::max<std::size_t>(1, config_.threads)
                          : thread_budget);
@@ -320,7 +328,9 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
     // One model per task: sample_into is not thread-safe per instance, but
     // distinct chunk models share no mutable state (per-model Workspace).
     sample_chunk_into(c, counts[c], seed, 0, out[c]);
-    note_generate_seconds(c, sw.seconds());
+    std::size_t records = 0;
+    for (std::size_t len : out[c].lengths) records += len;
+    note_generate(c, sw.seconds(), counts[c], records, records);
   });
 }
 

@@ -38,8 +38,14 @@ struct ChunkTrainReport {
   // Per-chunk stage wall-clock: chunks complete out of lockstep under the
   // streaming pipeline, so aggregate stage seconds no longer tell the story.
   double train_sec = 0.0;     // train_seed / train_finetune (incl. resume)
-  double generate_sec = 0.0;  // sampling + decode, via note_generate_seconds
-  std::string error;          // failure detail when status == kSeedFallback
+  // The chunk's last generate, via note_generate: wall seconds of sampling +
+  // decode, series sampled, records those series decoded to, and records
+  // left after the trim to the chunk's target (decoded / kept is the waste).
+  double generate_sec = 0.0;
+  std::size_t generate_series = 0;
+  std::size_t generate_records = 0;
+  std::size_t generate_kept = 0;
+  std::string error;  // failure detail when status == kSeedFallback
 };
 
 const char* to_string(ChunkTrainReport::Status status);
@@ -82,9 +88,11 @@ class ChunkedTrainer {
   std::size_t seed_chunk() const { return seed_chunk_; }
   void train_seed(const gan::TimeSeriesDataset& data);
   void train_finetune(std::size_t c, const gan::TimeSeriesDataset& data);
-  // Records chunk c's generate-stage wall seconds in report(). Safe for
-  // concurrent distinct chunks.
-  void note_generate_seconds(std::size_t c, double sec);
+  // Records chunk c's generate-stage wall seconds, series sampled, records
+  // decoded and records kept in report(). Safe for concurrent distinct
+  // chunks.
+  void note_generate(std::size_t c, double sec, std::size_t series,
+                     std::size_t records, std::size_t kept);
 
   // --- serving path (DESIGN.md §13) ---
   // Installs chunk c's model directly from a flat parameter snapshot, no

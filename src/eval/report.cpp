@@ -59,16 +59,33 @@ void print_train_report(std::ostream& out, const core::TrainReport& report) {
   print_banner(out, "Training report");
   // Per-chunk stage timings: chunks complete out of lockstep under the
   // streaming pipeline, so aggregate stage seconds alone hide the overlap.
+  // gen_series / gen_records / gen_kept: the generate deficit loop's
+  // sampled series, decoded records and records left after the trim.
   TextTable table({"chunk", "role", "status", "attempts", "rollbacks",
-                   "train_s", "gen_s", "detail"});
+                   "train_s", "gen_s", "gen_series", "gen_records", "gen_kept",
+                   "detail"});
+  std::size_t decoded = 0, kept = 0;
   for (std::size_t c = 0; c < report.chunks.size(); ++c) {
     const core::ChunkTrainReport& r = report.chunks[c];
     table.add_row({std::to_string(c), r.is_seed ? "seed" : "fine-tune",
                    core::to_string(r.status), std::to_string(r.attempts),
                    std::to_string(r.rollbacks), format_double(r.train_sec, 3),
-                   format_double(r.generate_sec, 3), r.error});
+                   format_double(r.generate_sec, 3),
+                   std::to_string(r.generate_series),
+                   std::to_string(r.generate_records),
+                   std::to_string(r.generate_kept), r.error});
+    decoded += r.generate_records;
+    kept += r.generate_kept;
   }
   table.print(out);
+  if (kept > 0) {
+    out << "generate: " << decoded << " records decoded, " << kept
+        << " kept (decoded/kept "
+        << format_double(static_cast<double>(decoded) /
+                             static_cast<double>(kept),
+                         2)
+        << ")\n";
+  }
   const auto fallbacks =
       report.count(core::ChunkTrainReport::Status::kSeedFallback);
   out << report.count(core::ChunkTrainReport::Status::kTrained)

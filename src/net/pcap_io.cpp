@@ -15,6 +15,9 @@ namespace {
 
 constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr std::uint32_t kLinktypeRaw = 101;       // raw IPv4/IPv6
+// Largest record body read_pcap allocates, whatever the header's snaplen
+// says (libpcap's own MAXIMUM_SNAPLEN).
+constexpr std::uint32_t kMaxCaplen = 262144;
 
 // pcap is host-endian by convention; we fix little-endian on the wire for
 // portability of generated files.
@@ -114,26 +117,43 @@ PacketTrace read_pcap(std::istream& in) {
     throw std::runtime_error("read_pcap: bad magic (expect LE microsecond pcap)");
   }
   in.ignore(2 + 2 + 4 + 4);  // version, thiszone, sigfigs
-  (void)get_le32(in);        // snaplen
+  const std::uint32_t max_caplen = std::min(get_le32(in), kMaxCaplen);
   const std::uint32_t linktype = get_le32(in);
   if (linktype != kLinktypeRaw) {
     throw std::runtime_error("read_pcap: unsupported linktype");
   }
 
   PacketTrace trace;
-  for (;;) {
+  for (std::size_t index = 0;; ++index) {
     const std::uint32_t sec = get_le32(in);
     if (!in) break;  // clean EOF
     const std::uint32_t usec = get_le32(in);
     const std::uint32_t caplen = get_le32(in);
     const std::uint32_t wirelen = get_le32(in);
     if (!in) throw std::runtime_error("read_pcap: truncated record header");
+    // Checked before allocating: caplen comes straight from the file.
+    if (caplen > max_caplen) {
+      throw std::runtime_error(
+          "read_pcap: record " + std::to_string(index) + " caplen " +
+          std::to_string(caplen) + " exceeds the limit " +
+          std::to_string(max_caplen) + " (min of snaplen and " +
+          std::to_string(kMaxCaplen) + ")");
+    }
 
     std::vector<std::uint8_t> bytes(caplen);
     in.read(reinterpret_cast<char*>(bytes.data()), caplen);
     if (!in) throw std::runtime_error("read_pcap: truncated record body");
 
     Ipv4Header ip = Ipv4Header::parse(bytes.data(), bytes.size());
+    // The L4 header starts after the IP options: IHL counts 32-bit words.
+    const std::size_t l4_off = std::size_t{ip.ihl} * 4;
+    if (ip.ihl < 5 || l4_off > bytes.size()) {
+      throw std::runtime_error(
+          "read_pcap: record " + std::to_string(index) + " IHL " +
+          std::to_string(ip.ihl) + " gives a " + std::to_string(l4_off) +
+          "-byte IP header (need 20 to caplen " + std::to_string(caplen) +
+          ")");
+    }
     PacketRecord rec;
     rec.timestamp = static_cast<double>(sec) + static_cast<double>(usec) * 1e-6;
     rec.size = std::max(wirelen, static_cast<std::uint32_t>(ip.total_length));
@@ -141,7 +161,6 @@ PacketTrace read_pcap(std::istream& in) {
     rec.key.src_ip = ip.src;
     rec.key.dst_ip = ip.dst;
     rec.key.protocol = ip.protocol;
-    const std::size_t l4_off = Ipv4Header::kSize;
     if ((ip.protocol == Protocol::kTcp || ip.protocol == Protocol::kUdp) &&
         bytes.size() >= l4_off + 4) {
       rec.key.src_port =

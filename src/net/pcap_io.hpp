@@ -21,7 +21,10 @@ void write_pcap_file(const PacketTrace& trace, const std::string& path,
                      std::uint32_t snaplen = 96);
 
 // Reads a pcap file produced by write_pcap (LINKTYPE_RAW, microsecond
-// timestamps). Throws std::runtime_error on malformed input.
+// timestamps). Ports are read after the IP options (IHL). Throws
+// std::runtime_error on malformed input, naming the record index for a
+// record whose caplen exceeds min(snaplen, 262144) (checked before any
+// allocation) or whose IHL is below 5 or runs past caplen.
 PacketTrace read_pcap(std::istream& in);
 PacketTrace read_pcap_file(const std::string& path);
 

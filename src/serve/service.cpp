@@ -344,7 +344,10 @@ std::vector<Service::PendingPtr> Service::next_batch_locked() {
       t.deficit -= cost;
       batch.push_back(std::move(t.queue.front()));
       t.queue.pop_front();
-      rr_next_ = (ti + 1) % T;
+      // Unwrapped: tenants only ever append to rr_order_, so when this was
+      // the last one the next scan starts at a tenant registered meanwhile
+      // instead of wrapping back to the tenant just served.
+      rr_next_ = ti + 1;
       break;
     }
     if (!batch.empty() || starved.empty()) break;

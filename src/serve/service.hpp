@@ -244,7 +244,7 @@ class Service {
 
   std::map<std::string, Tenant> tenants_;
   std::vector<std::string> rr_order_;  // tenant visit order (first-seen)
-  std::size_t rr_next_ = 0;
+  std::size_t rr_next_ = 0;  // scan start, taken modulo rr_order_.size()
   std::set<const LoadedModel*> busy_models_;
   std::size_t queued_ = 0;
   std::size_t running_ = 0;

@@ -1,5 +1,6 @@
 // Shared serving-test fixture: one tiny offline-trained NetShare model,
-// snapshotted to disk, plus the Service/Socket harnesses built on it. Used
+// snapshotted to disk, the Service/Socket harnesses built on it, and a
+// worker gate that holds a sampling batch at a point a test controls. Used
 // by test_serve.cpp (functional), test_resilience.cpp (deadlines, rate
 // limits, retry, watchdog, chaos) and test_soak.cpp (chaos soak), so every
 // suite serves bitwise-identical models without re-deriving the setup.
@@ -12,16 +13,19 @@
 
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/netshare.hpp"
 #include "datagen/presets.hpp"
+#include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
@@ -126,6 +130,40 @@ struct ServiceHarness {
   std::unique_ptr<serve::Service> service;
   std::unique_ptr<serve::ServeClient> client;
 };
+
+// A ChaosPlan::worker_hook gate: blocks the first sampling call until
+// release(), so tests hold a batch stuck at a point they control.
+struct WorkerGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+
+  void hook(std::size_t /*chunk*/, std::size_t /*job*/) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (released) return;
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  }
+  void await_entered() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
+// A chaos plan whose only effect is `gate` on the worker hook; arm it with
+// serve::ScopedChaosPlan for as long as the gate lives.
+inline serve::ChaosPlan gate_plan(WorkerGate& gate) {
+  serve::ChaosPlan plan;
+  plan.worker_hook = [&gate](std::size_t c, std::size_t j) { gate.hook(c, j); };
+  return plan;
+}
 
 // ServiceHarness plus the AF_UNIX daemon front-end.
 struct SocketHarness : ServiceHarness {

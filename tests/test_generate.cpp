@@ -275,6 +275,105 @@ TEST(GeneratePackets, RepeatDeterministicWithSameSeed) {
   EXPECT_EQ(a.packets, b.packets);
 }
 
+// The deficit loop: top-up rounds sized by the model's observed yield,
+// chunks scheduled largest first. A CAIDA packet model at max_seq_len 16
+// trained long enough that its series run shorter than the real 7-17
+// records per flow: with one series per missing record in every top-up
+// round, it decodes 3.3x the records it keeps.
+core::NetShareConfig caida16_config(std::size_t threads) {
+  core::NetShareConfig cfg = tiny_config();
+  cfg.max_seq_len = 16;
+  cfg.seed_iterations = 40;
+  cfg.finetune_iterations = 15;
+  cfg.threads = threads;
+  return cfg;
+}
+
+const net::PacketTrace& caida16_trace() {
+  static const net::PacketTrace* trace = new net::PacketTrace(
+      datagen::make_dataset(datagen::DatasetId::kCaida, 2000, 21).packets);
+  return *trace;
+}
+
+core::NetShare& caida16_model() {
+  static core::NetShare* model = [] {
+    auto* m = new core::NetShare(caida16_config(4), nullptr);
+    m->fit(caida16_trace());
+    return m;
+  }();
+  return *model;
+}
+
+std::size_t promised_packets(std::size_t n) {
+  const core::NetShareConfig cfg = caida16_config(4);  // enc keeps &cfg
+  core::PacketEncoder enc(cfg, nullptr);
+  enc.fit(caida16_trace());
+  std::size_t sum = 0;
+  for (std::size_t t : core::chunk_record_targets(enc.chunks(), n)) sum += t;
+  return std::min(n, sum);
+}
+
+TEST(DeficitLoop, DecodesAtMostHalfAgainTheTargets) {
+  core::NetShare& model = caida16_model();
+  Rng rng(9);
+  const net::PacketTrace out = model.generate_packets(3000, rng);
+  std::size_t decoded = 0, kept = 0, series = 0;
+  for (const auto& r : model.train_report().chunks) {
+    decoded += r.generate_records;
+    kept += r.generate_kept;
+    series += r.generate_series;
+  }
+  EXPECT_EQ(out.size(), promised_packets(3000));
+  EXPECT_GE(kept, out.size());
+  EXPECT_GT(series, 0u);
+  EXPECT_LE(static_cast<double>(decoded), 1.5 * static_cast<double>(kept))
+      << decoded << " records decoded to keep " << kept;
+}
+
+TEST(DeficitLoop, TinyRequestsTerminateWithThePromisedCount) {
+  core::NetShare& model = caida16_model();
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}}) {
+    Rng rng(3);
+    EXPECT_EQ(model.generate_packets(n, rng).size(), promised_packets(n))
+        << "n = " << n;
+  }
+}
+
+TEST(DeficitLoop, PacketsBitwiseEqualAcrossThreadCounts) {
+  Rng rng(17);
+  const net::PacketTrace base = caida16_model().generate_packets(2000, rng);
+  ASSERT_EQ(base.size(), promised_packets(2000));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    core::NetShare model(caida16_config(threads), nullptr);
+    model.fit(caida16_trace());
+    Rng r(17);
+    EXPECT_EQ(model.generate_packets(2000, r).packets, base.packets)
+        << threads << " threads";
+  }
+}
+
+TEST(DeficitLoop, FlowsBitwiseEqualAcrossThreadCounts) {
+  const net::FlowTrace real =
+      datagen::make_dataset(datagen::DatasetId::kUgr16, 600, 23).flows;
+  net::FlowTrace base;
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    core::NetShareConfig cfg = tiny_config();
+    cfg.num_chunks = 5;
+    cfg.threads = threads;
+    core::NetShare model(cfg, nullptr);
+    model.fit(real);
+    Rng rng(29);
+    const net::FlowTrace out = model.generate_flows(1500, rng);
+    if (threads == 1) {
+      EXPECT_GT(out.size(), 1400u);
+      base = out;
+    } else {
+      EXPECT_EQ(out.records, base.records) << threads << " threads";
+    }
+  }
+}
+
 TEST(ParallelPhaseBudget, ClampsToOneInsideWorkerThread) {
   // At top level the budget is capped only by the physical core count.
   const std::size_t cores = std::thread::hardware_concurrency();

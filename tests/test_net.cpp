@@ -2,6 +2,7 @@
 // traces, pcap/netflow IO, and the NetFlow collector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "net/checksum.hpp"
@@ -231,6 +232,100 @@ TEST(PcapIo, RejectsBadMagic) {
   std::stringstream ss;
   ss << "not a pcap file at all";
   EXPECT_THROW(read_pcap(ss), std::runtime_error);
+}
+
+// Hand-built LINKTYPE_RAW pcap bytes (little-endian, microsecond magic).
+struct PcapBytes {
+  std::string s;
+  void u8(std::uint8_t v) { s.push_back(static_cast<char>(v)); }
+  void le16(std::uint16_t v) {
+    u8(v & 0xff);
+    u8(v >> 8);
+  }
+  void le32(std::uint32_t v) {
+    le16(v & 0xffff);
+    le16(v >> 16);
+  }
+  void be16(std::uint16_t v) {
+    u8(v >> 8);
+    u8(v & 0xff);
+  }
+  explicit PcapBytes(std::uint32_t snaplen) {
+    for (std::uint32_t v : {0xa1b2c3d4u, 0x00040002u, 0u, 0u, snaplen, 101u}) {
+      le32(v);  // magic, version 2.4, thiszone, sigfigs, snaplen, linktype
+    }
+  }
+  void record_header(std::uint32_t caplen) {
+    for (std::uint32_t v : {1u, 0u, caplen, caplen}) le32(v);
+  }
+  // IPv4 (IHL words, NOP options) + 4 bytes of TCP ports. The base header
+  // is always written, so IHL < 5 makes a 24-byte record.
+  void tcp_packet(std::uint8_t ihl, std::uint16_t sport, std::uint16_t dport) {
+    const std::uint32_t ip_len = std::max<std::uint32_t>(20, ihl * 4u);
+    record_header(ip_len + 4);
+    u8(static_cast<std::uint8_t>(0x40 | ihl));
+    u8(0);
+    be16(static_cast<std::uint16_t>(ip_len + 20));
+    le32(0);           // identification, flags/fragment
+    u8(64);            // ttl
+    u8(6);             // protocol TCP
+    le16(0);           // checksum
+    le32(0x0100000a);  // 10.0.0.1
+    le32(0x0200000a);  // 10.0.0.2
+    for (std::uint32_t i = 20; i < ip_len; ++i) u8(1);  // NOP options
+    be16(sport);
+    be16(dport);
+  }
+};
+
+TEST(PcapIo, ReadsPortsAfterIpOptions) {
+  PcapBytes b(96);
+  b.tcp_packet(5, 1111, 22);
+  b.tcp_packet(7, 1234, 80);  // 8 bytes of options
+  std::stringstream ss(b.s);
+  const PacketTrace t = read_pcap(ss);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.packets[0].key.src_port, 1111);
+  EXPECT_EQ(t.packets[0].key.dst_port, 22);
+  EXPECT_EQ(t.packets[1].key.src_port, 1234);
+  EXPECT_EQ(t.packets[1].key.dst_port, 80);
+  EXPECT_EQ(t.packets[1].key.protocol, Protocol::kTcp);
+}
+
+std::string read_pcap_error(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    read_pcap(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PcapIo, RejectsOversizedCaplenBeforeAllocating) {
+  // Past snaplen: record 1 names a 1 GiB body the file does not hold.
+  PcapBytes b(96);
+  b.tcp_packet(5, 1, 2);
+  b.record_header(1u << 30);
+  const std::string msg = read_pcap_error(b.s);
+  EXPECT_NE(msg.find("record 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("caplen"), std::string::npos) << msg;
+  // A huge snaplen still caps caplen at 262144.
+  PcapBytes big(0xffffffff);
+  big.record_header(262145);
+  EXPECT_NE(read_pcap_error(big.s).find("record 0"), std::string::npos);
+}
+
+TEST(PcapIo, RejectsBadIhl) {
+  PcapBytes short_ihl(96);
+  short_ihl.tcp_packet(4, 1, 2);
+  EXPECT_NE(read_pcap_error(short_ihl.s).find("IHL 4"), std::string::npos);
+  // IHL 15 claims a 60-byte header; the record holds 24 bytes.
+  PcapBytes past_caplen(96);
+  past_caplen.tcp_packet(5, 1, 2);
+  past_caplen.s[24 + 16] = static_cast<char>(0x4f);  // record 0's first byte
+  EXPECT_NE(read_pcap_error(past_caplen.s).find("record 0 IHL 15"),
+            std::string::npos);
 }
 
 TEST(NetflowIo, CsvRoundTrip) {

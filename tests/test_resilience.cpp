@@ -46,32 +46,6 @@ bool eventually(Pred pred) {
   return pred();
 }
 
-// A worker_hook gate: blocks the first sampling call until release(), so
-// tests hold a batch stuck at a point they control.
-struct WorkerGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool released = false;
-
-  void hook(std::size_t /*chunk*/, std::size_t /*job*/) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (released) return;
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return released; });
-  }
-  void await_entered() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  void release() {
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Token buckets and the tenant rate limiter (pure state, explicit clock).
 // ---------------------------------------------------------------------------
@@ -206,9 +180,7 @@ TEST(Resilience, QueuedJobPastDeadlineIsReapedTyped) {
   cfg.max_coalesce = 1;       // the second job must queue, not coalesce
   cfg.watchdog_poll_ms = 20;  // the nudge is what reaps with no traffic
   WorkerGate gate;
-  ChaosPlan plan;
-  plan.worker_hook = [&](std::size_t c, std::size_t j) { gate.hook(c, j); };
-  ScopedChaosPlan chaos(plan);
+  ScopedChaosPlan chaos(gate_plan(gate));
   ServiceHarness h(cfg);
 
   // Job 1 occupies the model, stuck inside the gate.
@@ -440,9 +412,7 @@ TEST(Resilience, WatchdogReportsStuckBatchOnceAndRecovers) {
   cfg.watchdog_poll_ms = 20;    // real-time poll pacing
   cfg.watchdog_stall_ms = 300;  // manual-clock stall window
   WorkerGate gate;
-  ChaosPlan plan;
-  plan.worker_hook = [&](std::size_t c, std::size_t j) { gate.hook(c, j); };
-  ScopedChaosPlan chaos(plan);
+  ScopedChaosPlan chaos(gate_plan(gate));
   ServiceHarness h(cfg);
 
   auto job = h.client->submit("m", "t", 40, 5);

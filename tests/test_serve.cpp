@@ -645,13 +645,17 @@ TEST(ServeService, PerTenantInflightCapShedsOnlyTheNoisyTenant) {
   cfg.workers = 1;
   cfg.max_coalesce = 1;
   cfg.tenant_inflight_cap = 2;
+  WorkerGate gate;  // holds a1 running until the shed is observed
+  ScopedChaosPlan chaos(gate_plan(gate));
   ServiceHarness h(cfg);
   auto a1 = h.client->submit("m", "noisy", 150, 1);
+  gate.await_entered();
   auto a2 = h.client->submit("m", "noisy", 30, 2);
   const ClientResult shed = h.client->generate("m", "noisy", 30, 3);
   EXPECT_FALSE(shed.ok);
   EXPECT_EQ(shed.code, ErrorCode::kOverloaded);
   auto b1 = h.client->submit("m", "quiet", 30, 4);  // other tenants unharmed
+  gate.release();
   EXPECT_TRUE(a1->wait().ok);
   EXPECT_TRUE(a2->wait().ok);
   EXPECT_TRUE(b1->wait().ok);
@@ -668,6 +672,8 @@ TEST(ServeService, DrrInterleavesTenantsInsteadOfFifoWithinOne) {
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.max_coalesce = 1;
+  WorkerGate gate;
+  ScopedChaosPlan chaos(gate_plan(gate));
   ServiceHarness h(cfg);
   std::mutex order_mu;
   std::vector<std::string> order;
@@ -683,12 +689,15 @@ TEST(ServeService, DrrInterleavesTenantsInsteadOfFifoWithinOne) {
         h.service->submit(GenerateJob{"m", tenant, n, seed}, std::move(cbs));
     ASSERT_TRUE(sr.accepted) << sr.message;
   };
-  // The first job pins the worker long enough for the backlog to form.
-  tracked("A", 250, 1);
+  // The lead job holds the only worker inside the gate until the whole
+  // backlog has queued behind it.
+  tracked("A", 20, 1);
+  gate.await_entered();
   tracked("A", 20, 2);
   tracked("A", 20, 3);
   tracked("B", 20, 4);
   tracked("B", 20, 5);
+  gate.release();
   h.service->drain();
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order[0], "A");

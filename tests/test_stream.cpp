@@ -372,19 +372,27 @@ TEST(StreamPipeline, ReportCarriesPerChunkStageTimings) {
   cfg.stream_workers = 2;
   core::NetShare model(cfg, nullptr);
   Rng rng(31);
-  model.fit_generate_packets(caida_bundle().packets, 60, rng);
+  const net::PacketTrace out_trace =
+      model.fit_generate_packets(caida_bundle().packets, 60, rng);
   const core::TrainReport& report = model.train_report();
   bool any_train = false, any_generate = false;
+  std::size_t kept = 0;
   for (const auto& r : report.chunks) {
     if (r.train_sec > 0.0) any_train = true;
     if (r.generate_sec > 0.0) any_generate = true;
+    EXPECT_GE(r.generate_records, r.generate_kept);
+    EXPECT_GE(r.generate_records, r.generate_series);
+    kept += r.generate_kept;
   }
   EXPECT_TRUE(any_train);
   EXPECT_TRUE(any_generate);
+  EXPECT_GE(kept, out_trace.size());
+  EXPECT_GT(out_trace.size(), 0u);
   std::ostringstream out;
   eval::print_train_report(out, report);
   EXPECT_NE(out.str().find("train_s"), std::string::npos) << out.str();
   EXPECT_NE(out.str().find("gen_s"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("decoded/kept"), std::string::npos) << out.str();
 }
 
 }  // namespace
