@@ -3,9 +3,8 @@
 // comparison of the generate stage on the new path (length-adaptive
 // sampling, chunk-parallel on the thread budget) against the serial
 // reference path (full-unroll sampler, one chunk at a time, one kernel
-// thread), and of the end-to-end run on the streaming stage graph
-// (DESIGN.md 11) against the stage-lockstep batch path — both bitwise
-// identical. Emits BENCH_pipeline.json (path overridable via argv[1]); the
+// thread) — bitwise identical. Emits BENCH_pipeline.json (path overridable
+// via argv[1]); the
 // committed baseline at the repo root is gated by
 // scripts/check_bench_regression (see EXPERIMENTS.md).
 //
@@ -32,10 +31,8 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "core/netshare.hpp"
 #include "core/postprocess.hpp"
 #include "core/preprocess.hpp"
-#include "core/stream.hpp"
 #include "core/train.hpp"
 #include "datagen/presets.hpp"
 #include "eval/report.hpp"
@@ -204,56 +201,6 @@ int main(int argc, char** argv) {
   }
   const double speedup = serial_gen_sec / parallel_gen_sec;
 
-  // End-to-end batch vs streaming dataflow through the NetShare facade
-  // (DESIGN.md 11): the same encode -> train -> sample -> export work, once
-  // with the stage-lockstep batch path and once with the chunk-streaming
-  // stage graph. Both paths are bitwise identical (asserted below and in
-  // tests/test_stream.cpp), so the delta is pure scheduling. Streaming runs
-  // at >= 2 workers even on a 1-core host — there overlap is time-sliced
-  // rather than parallel, so the gate in scripts/check_bench_regression
-  // only demands stream <= batch outright when the host has >= 2 cores.
-  const std::size_t kE2eTarget = 600;
-  const std::size_t stream_workers = std::max<std::size_t>(2, config.threads);
-  core::NetShareConfig e2e_cfg = config;
-  net::PacketTrace batch_out, stream_out;
-  core::StreamStats stream_stats{};
-  double e2e_batch_sec = 1e100;
-  double e2e_stream_sec = 1e100;
-  for (int rep = 0; rep < 2; ++rep) {  // best-of-2 rides out core sharing
-    {
-      core::NetShareConfig c = e2e_cfg;
-      c.streaming = false;
-      core::NetShare model(c, nullptr);
-      Rng rng(1234);
-      sw.reset();
-      net::PacketTrace out =
-          model.fit_generate_packets(bundle.packets, kE2eTarget, rng);
-      e2e_batch_sec = std::min(e2e_batch_sec, sw.seconds());
-      batch_out = std::move(out);
-    }
-    {
-      core::NetShareConfig c = e2e_cfg;
-      c.streaming = true;
-      c.stream_workers = stream_workers;
-      core::NetShare model(c, nullptr);
-      Rng rng(1234);
-      core::StreamStats stats{};
-      sw.reset();
-      net::PacketTrace out =
-          model.fit_generate_packets(bundle.packets, kE2eTarget, rng, &stats);
-      e2e_stream_sec = std::min(e2e_stream_sec, sw.seconds());
-      stream_out = std::move(out);
-      stream_stats = stats;
-    }
-  }
-  if (!(batch_out.packets == stream_out.packets)) {
-    std::fprintf(stderr,
-                 "ERROR: streaming pipeline produced %zu packets, batch "
-                 "produced %zu (or contents differ) — paths diverged\n",
-                 stream_out.size(), batch_out.size());
-    return 1;
-  }
-
   // Informational micro numbers on the seed-chunk model, plus the
   // zero-allocation assertion on the adaptive path.
   std::size_t c0 = 0;
@@ -301,11 +248,6 @@ int main(int argc, char** argv) {
               "(%+.2f%%)\n",
               kGuardIters, train_guard_on_sec, train_guard_off_sec,
               100.0 * train_guard_overhead_frac);
-  std::printf("e2e: batch %.3fs vs streaming %.3fs @%zu workers "
-              "(overlap %.1f%%, peak %zu chunks in flight, %zu parks)\n",
-              e2e_batch_sec, e2e_stream_sec, stream_workers,
-              100.0 * stream_stats.overlap_frac, stream_stats.peak_in_flight,
-              stream_stats.backpressure_parks);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -338,16 +280,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"repair_total\": %zu,\n", repair.total_repairs());
   std::fprintf(f, "  \"repair_checksum_failures\": %zu,\n",
                repair.checksum_failures);
-  std::fprintf(f, "  \"e2e_records_target\": %zu,\n", kE2eTarget);
-  std::fprintf(f, "  \"e2e_batch_sec\": %.4f,\n", e2e_batch_sec);
-  std::fprintf(f, "  \"e2e_stream_sec\": %.4f,\n", e2e_stream_sec);
-  std::fprintf(f, "  \"stream_workers\": %zu,\n", stream_workers);
-  std::fprintf(f, "  \"stream_overlap_frac\": %.4f,\n",
-               stream_stats.overlap_frac);
-  std::fprintf(f, "  \"stream_peak_in_flight\": %zu,\n",
-               stream_stats.peak_in_flight);
-  std::fprintf(f, "  \"stream_backpressure_parks\": %zu,\n",
-               stream_stats.backpressure_parks);
   // Honest after the clamp above: the emitted thread budget never exceeds
   // the core count (threads_requested records what was asked for).
   std::fprintf(f, "  \"thread_counts_exceed_cores\": %s\n",

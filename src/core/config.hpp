@@ -24,9 +24,6 @@ struct NetShareConfig {
   // into shared tail buckets so million-IP vocabularies stay bounded.
   std::size_t ip2vec_max_ip_slots = 0;
   std::size_t ip2vec_tail_buckets = 256;
-  // Coefficient-phase fan-out of IP2Vec training (0 = hardware concurrency).
-  // Speed only: embeddings are bitwise identical at any worker count.
-  std::size_t ip2vec_workers = 1;
 
   // --- Insight 3: chunked fine-tuning ---
   std::size_t num_chunks = 5;     // M evenly time-spaced chunks
@@ -66,18 +63,6 @@ struct NetShareConfig {
   // disk are restored instead of retrained, so a killed fit restarts from
   // where it died. Invalid/corrupt checkpoints are diagnosed and retrained.
   std::string checkpoint_dir;
-
-  // --- streaming dataflow (DESIGN.md §11) ---
-  // NetShare::fit_generate_* with streaming=true runs the chunk-granular
-  // stage graph (core/stream.hpp): chunk k generates while chunk k+1 still
-  // trains, under the same `threads` budget, with at most stream_max_in_flight
-  // chunks' buffers alive at once. Output is bitwise identical to the batch
-  // path at any worker count; streaming=false keeps the batch pipeline as
-  // the oracle.
-  bool streaming = false;
-  std::size_t stream_workers = 0;         // stage-task workers; 0 -> threads
-  std::size_t stream_max_in_flight = 2;   // admitted-chunk bound (memory)
-  std::size_t stream_queue_capacity = 1;  // per-stage handoff queue bound
 
   std::uint64_t seed = 42;
 };

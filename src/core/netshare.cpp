@@ -1,7 +1,6 @@
 #include "core/netshare.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "common/stopwatch.hpp"
@@ -15,8 +14,7 @@ namespace netshare::core {
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(std::uint64_t seed,
                                                   std::size_t records,
                                                   std::size_t dim,
-                                                  embed::VocabConfig vocab,
-                                                  std::size_t workers) {
+                                                  embed::VocabConfig vocab) {
   const auto pub = datagen::make_dataset(datagen::DatasetId::kCaidaPub,
                                          records, seed);
   auto sentences = embed::sentences_from_packets(pub.packets);
@@ -36,7 +34,6 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(std::uint64_t seed,
   cfg.dim = dim;
   cfg.epochs = 3;
   cfg.vocab = vocab;
-  cfg.workers = workers;
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   model->train(sentences, cfg, rng);
   return model;
@@ -47,8 +44,7 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(
   embed::VocabConfig vocab;
   vocab.max_ip_slots = config.ip2vec_max_ip_slots;
   vocab.ip_tail_buckets = config.ip2vec_tail_buckets;
-  return make_public_ip2vec(seed, records, config.ip2vec_dim, vocab,
-                            config.ip2vec_workers);
+  return make_public_ip2vec(seed, records, config.ip2vec_dim, vocab);
 }
 
 NetShare::NetShare(NetShareConfig config, std::shared_ptr<embed::Ip2Vec> ip2vec)
@@ -129,8 +125,8 @@ std::size_t round_series(std::size_t deficit, double rpf, std::size_t sampled,
 // Deficit-loop sampling + decode for one chunk. The result is a pure
 // function of (chunk index, target, seed) — the sampler draws from
 // counter-based per-(chunk, series) streams, the decoder is const, and each
-// round's size depends only on this chunk's earlier rounds — so batch,
-// streaming and served schedules produce bitwise-identical sub-traces.
+// round's size depends only on this chunk's earlier rounds — so offline and
+// served schedules produce bitwise-identical sub-traces.
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
                        std::size_t target, std::uint64_t seed,
@@ -214,96 +210,6 @@ TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
   return merge_chunk_parts(parts, n, records_of);
 }
 
-// Streaming end-to-end driver (DESIGN.md §11): encoder fit + split plan up
-// front (both need the whole trace), then every chunk flows
-// preprocess -> train -> generate -> export through the stage graph. The
-// only cross-chunk edge is train(c) -> train(seed chunk): fine-tunes
-// warm-start from the seed snapshot. Each stage body computes exactly what
-// the batch path computes for that chunk — shared code paths, pure
-// per-chunk functions — so the merged output is bitwise identical to
-// fit() + generate_*() at any worker count.
-template <typename TraceT, typename EncoderT, typename RecordsOf,
-          typename DecodeFn>
-TraceT stream_generate(EncoderT& encoder, const TraceT& giant, std::size_t n,
-                       std::uint64_t seed, const NetShareConfig& config,
-                       std::unique_ptr<ChunkedTrainer>& trainer,
-                       const RecordsOf& records_of, const DecodeFn& decode,
-                       StreamStats* stats_out) {
-  encoder.fit(giant);
-  const auto plan = encoder.plan(giant);
-  trainer = std::make_unique<ChunkedTrainer>(encoder.spec(), config);
-  const auto& chunks = encoder.chunks();
-  const std::size_t M = chunks.size();
-  const std::vector<std::size_t> targets = record_targets(chunks, n);
-  std::vector<std::size_t> samples(M);
-  for (std::size_t c = 0; c < M; ++c) samples[c] = plan.chunk_samples(c);
-  trainer->begin_fit(samples);
-  const std::size_t seed_chunk = trainer->seed_chunk();
-
-  std::vector<gan::TimeSeriesDataset> datasets(M);
-  std::vector<TraceT> parts(M);
-
-  StreamOptions opts;
-  opts.workers = std::max<std::size_t>(
-      1, config.stream_workers != 0 ? config.stream_workers : config.threads);
-  opts.max_in_flight = config.stream_max_in_flight;
-  opts.queue_capacity = config.stream_queue_capacity;
-
-  // One kernel budget for the whole run: stage tasks on pool workers
-  // dispatch kernels serially anyway (nested-parallelism clamp), so the
-  // split only matters for the inline workers==1 path, which gets the whole
-  // budget like the batch seed phase. Kernel thread count never changes
-  // results.
-  const std::size_t budget = std::max<std::size_t>(1, config.threads);
-  ml::kernels::KernelConfig kernel_cfg = config.kernels;
-  if (kernel_cfg.threads == 0) {
-    kernel_cfg.threads =
-        opts.workers <= 1 ? budget
-                          : std::max<std::size_t>(1, budget / opts.workers);
-  }
-  ml::kernels::ConfigOverride kernel_budget(kernel_cfg);
-
-  std::array<StreamExecutor::Body, kNumStreamStages> bodies;
-  bodies[static_cast<std::size_t>(StreamStage::kPreprocess)] =
-      [&](std::size_t c) {
-        if (samples[c] == 0) return;  // empty chunk: no model, no records
-        datasets[c] = encoder.encode_chunk(plan, c);
-      };
-  bodies[static_cast<std::size_t>(StreamStage::kTrain)] = [&](std::size_t c) {
-    if (samples[c] == 0) return;
-    if (c == seed_chunk) {
-      trainer->train_seed(datasets[c]);
-    } else {
-      trainer->train_finetune(c, datasets[c]);
-    }
-    // Release the encoded chunk: peak dataset memory is bounded by
-    // chunks-in-flight, not by the trace.
-    datasets[c] = gan::TimeSeriesDataset{};
-  };
-  bodies[static_cast<std::size_t>(StreamStage::kGenerate)] =
-      [&](std::size_t c) {
-        if (targets[c] == 0 || !trainer->has_model(c)) return;
-        sample_chunk_part(chunks, c, targets[c], seed, config, *trainer,
-                          records_of, decode, parts[c]);
-      };
-  bodies[static_cast<std::size_t>(StreamStage::kExport)] = [&](std::size_t c) {
-    export_chunk_part(targets[c], records_of, parts[c]);
-  };
-
-  StreamExecutor exec(M, std::move(bodies), opts);
-  for (std::size_t c = 0; c < M; ++c) {
-    // The seed chunk is the FIRST non-empty chunk, so chunks admitted before
-    // it are no-op chains — this edge never points at an unadmitted chunk
-    // and the graph is deadlock-free at any max_in_flight >= 1.
-    if (c == seed_chunk || samples[c] == 0) continue;
-    exec.add_dependency(StreamStage::kTrain, c, StreamStage::kTrain,
-                        seed_chunk);
-  }
-  exec.run();
-  if (stats_out) *stats_out = exec.stats();
-  return merge_chunk_parts(parts, n, records_of);
-}
-
 }  // namespace
 
 std::vector<std::size_t> chunk_record_targets(
@@ -360,44 +266,6 @@ net::PacketTrace NetShare::generate_packets(std::size_t n, Rng& rng) {
       [&](const gan::GeneratedSeries& series, std::size_t c) {
         return packet_encoder_->decode(series, c);
       });
-}
-
-net::FlowTrace NetShare::fit_generate_flows(const net::FlowTrace& trace,
-                                            std::size_t n, Rng& rng,
-                                            StreamStats* stats) {
-  if (stats) *stats = StreamStats{};
-  if (!config_.streaming) {
-    fit(trace);
-    return generate_flows(n, rng);
-  }
-  flow_encoder_.emplace(config_, ip2vec_.get());
-  packet_encoder_.reset();
-  return stream_generate<net::FlowTrace>(
-      *flow_encoder_, trace, n, rng.engine()(), config_, trainer_,
-      [](auto& t) -> auto& { return t.records; },
-      [&](const gan::GeneratedSeries& series, std::size_t c) {
-        return flow_encoder_->decode(series, c);
-      },
-      stats);
-}
-
-net::PacketTrace NetShare::fit_generate_packets(const net::PacketTrace& trace,
-                                                std::size_t n, Rng& rng,
-                                                StreamStats* stats) {
-  if (stats) *stats = StreamStats{};
-  if (!config_.streaming) {
-    fit(trace);
-    return generate_packets(n, rng);
-  }
-  packet_encoder_.emplace(config_, ip2vec_.get());
-  flow_encoder_.reset();
-  return stream_generate<net::PacketTrace>(
-      *packet_encoder_, trace, n, rng.engine()(), config_, trainer_,
-      [](auto& t) -> auto& { return t.packets; },
-      [&](const gan::GeneratedSeries& series, std::size_t c) {
-        return packet_encoder_->decode(series, c);
-      },
-      stats);
 }
 
 double NetShare::train_cpu_seconds() const {

@@ -14,18 +14,16 @@
 
 #include "core/config.hpp"
 #include "core/preprocess.hpp"
-#include "core/stream.hpp"
 #include "core/train.hpp"
 
 namespace netshare::core {
 
 // Trains an IP2Vec embedding on the public backbone preset (CAIDA Chicago
 // 2015-like), per Insight 2's privacy argument. Deterministic in `seed`
-// (and in nothing else: vocab/workers only bound table size / speed).
+// (and in nothing else: vocab only bounds table size).
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(
     std::uint64_t seed = 2015, std::size_t records = 4000,
-    std::size_t dim = 4, embed::VocabConfig vocab = {},
-    std::size_t workers = 1);
+    std::size_t dim = 4, embed::VocabConfig vocab = {});
 
 // Same, with the scalability knobs taken from a NetShareConfig.
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(
@@ -75,20 +73,6 @@ class NetShare {
   void fit(const net::PacketTrace& trace);
   void fit(const std::vector<net::PacketTrace>& epochs);
   net::PacketTrace generate_packets(std::size_t n, Rng& rng);
-
-  // --- streaming end-to-end (DESIGN.md §11) ---
-  // One-shot fit + generate. With config.streaming set, runs the
-  // chunk-granular stage graph (core/stream.hpp) so chunk k generates while
-  // chunk k+1 still trains; bitwise identical to fit() + generate_*() at
-  // any stream_workers count. With streaming unset this IS the batch path
-  // (the oracle the streaming output is tested against). `stats`, when
-  // non-null, receives the stream run's overlap/backpressure numbers
-  // (zeroed on the batch path).
-  net::FlowTrace fit_generate_flows(const net::FlowTrace& trace, std::size_t n,
-                                    Rng& rng, StreamStats* stats = nullptr);
-  net::PacketTrace fit_generate_packets(const net::PacketTrace& trace,
-                                        std::size_t n, Rng& rng,
-                                        StreamStats* stats = nullptr);
 
   // Total training cost in thread-CPU seconds (Fig. 4).
   double train_cpu_seconds() const;

@@ -36,11 +36,11 @@ struct ChunkSample {
   std::vector<bool> presence;
 };
 
-// The splitting pass of encode(), reified so the streaming pipeline
-// (core/stream.hpp) can encode one chunk at a time: the sorted giant trace
-// plus the per-chunk flow samples. encode_chunk(plan, c) is bitwise
-// identical to encode(giant)[c], but the encoded matrices' memory is then
-// bounded by chunks-in-flight instead of the whole trace.
+// The splitting pass of encode(), reified so callers can encode one chunk at
+// a time: the sorted giant trace plus the per-chunk flow samples. encode()
+// maps encode_chunk over every chunk of a plan; the serve registry uses plan()
+// alone to size a sampling-only trainer. encode_chunk(plan, c) is bitwise
+// identical to encode(giant)[c].
 template <typename TraceT>
 struct EncodePlan {
   TraceT sorted;
@@ -126,7 +126,7 @@ class FlowEncoder {
   std::vector<gan::TimeSeriesDataset> encode(const net::FlowTrace& giant) const;
 
   // Sorts and splits the giant trace into per-chunk flow samples without
-  // encoding anything yet (the streaming pipeline's stage-0 input).
+  // encoding anything yet.
   FlowEncodePlan plan(const net::FlowTrace& giant) const;
   // Encodes one chunk of a plan; bitwise identical to encode(giant)[c].
   gan::TimeSeriesDataset encode_chunk(const FlowEncodePlan& plan,

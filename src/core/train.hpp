@@ -35,8 +35,8 @@ struct ChunkTrainReport {
   bool is_seed = false;  // this chunk trained the seed model
   int attempts = 0;      // training attempts (1 + in-fit rollback retries)
   int rollbacks = 0;     // health-guard rollback-and-retry recoveries
-  // Per-chunk stage wall-clock: chunks complete out of lockstep under the
-  // streaming pipeline, so aggregate stage seconds no longer tell the story.
+  // Per-chunk stage wall-clock: chunks train and generate in parallel, so
+  // aggregate stage seconds alone do not show the critical path.
   double train_sec = 0.0;     // train_seed / train_finetune (incl. resume)
   // The chunk's last generate, via note_generate: wall seconds of sampling +
   // decode, series sampled, records those series decoded to, and records
@@ -75,14 +75,14 @@ class ChunkedTrainer {
   // and valid checkpoints found on entry are resumed instead of retrained.
   void fit(const std::vector<gan::TimeSeriesDataset>& chunks);
 
-  // --- chunk-granular API (streaming dataflow, DESIGN.md §11) ---
-  // fit() is exactly these calls composed, so the batch and streaming paths
-  // share one training code path and stay bitwise identical by construction.
+  // --- chunk-granular API ---
+  // fit() is exactly these calls composed; the serve registry (begin_fit +
+  // restore_chunk) and perfbench's traced run call them directly, so every
+  // caller shares one training code path.
   //
   // begin_fit validates the per-chunk sample counts, sizes the run, picks
   // the seed chunk, and prepares the checkpoint directory. train_seed must
-  // complete before any train_finetune (the stream graph encodes this as a
-  // train(c) -> train(seed) edge); train_finetune is safe to call
+  // complete before any train_finetune; train_finetune is safe to call
   // concurrently for distinct chunks (disjoint models_/report_ slots).
   void begin_fit(const std::vector<std::size_t>& chunk_samples);
   std::size_t seed_chunk() const { return seed_chunk_; }

@@ -5,9 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
-#include "common/thread_pool.hpp"
 #include "ml/kernels.hpp"
 
 namespace netshare::embed {
@@ -124,16 +122,6 @@ void Ip2Vec::train(const std::vector<std::vector<Token>>& sentences,
   const std::uint64_t batch =
       std::max<std::uint64_t>(1, config.batch_interactions);
 
-  std::size_t workers = config.workers;
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (ThreadPool::on_worker_thread() || ml::kernels::in_kernel_task()) {
-    workers = 1;  // already inside a parallel context: don't oversubscribe
-  }
-  workers = static_cast<std::size_t>(
-      std::min<std::uint64_t>(workers, std::max<std::uint64_t>(1, total_inter)));
-
   // Row-pointer caches: one indirection per interaction instead of a
   // kind-offset scan. Valid for the duration of this call (blocks are not
   // resized during training).
@@ -153,17 +141,15 @@ void Ip2Vec::train(const std::vector<std::vector<Token>>& sentences,
   const double lr = config.lr;
   const std::size_t dim = dim_;
 
-  // Phase A for interactions [k0, k1) of the batch starting at `bs`:
-  // resolve each interaction to (center, other, label) and compute its
-  // coefficient lr * (label − σ(u·v)) against the pre-batch tables. Pure
-  // reads with one independent rounding chain per interaction, so the
-  // partition into ranges cannot affect any value.
+  // Phase A for the batch of interactions [bs, be): resolve each
+  // interaction to (center, other, label) and compute its coefficient
+  // lr * (label − σ(u·v)) against the pre-batch tables.
   auto coefficients = [&](std::uint64_t epoch, std::uint64_t bs,
-                          std::uint64_t k0, std::uint64_t k1) {
+                          std::uint64_t be) {
     std::uint64_t s = static_cast<std::uint64_t>(
-        std::upper_bound(ts.pair_begin.begin(), ts.pair_begin.end(), k0 / ipp) -
+        std::upper_bound(ts.pair_begin.begin(), ts.pair_begin.end(), bs / ipp) -
         ts.pair_begin.begin() - 1);
-    for (std::uint64_t k = k0; k < k1; ++k) {
+    for (std::uint64_t k = bs; k < be; ++k) {
       const std::uint64_t p = k / ipp;
       const std::uint64_t r = k % ipp;
       while (p >= ts.pair_begin[s + 1]) ++s;
@@ -192,26 +178,13 @@ void Ip2Vec::train(const std::vector<std::vector<Token>>& sentences,
     }
   };
 
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-
   for (std::uint64_t epoch = 0;
        epoch < static_cast<std::uint64_t>(std::max(0, config.epochs));
        ++epoch) {
     for (std::uint64_t bs = 0; bs < total_inter; bs += batch) {
       const std::uint64_t be = std::min(bs + batch, total_inter);
       const std::uint64_t len = be - bs;
-      if (pool && len > 1) {
-        const std::uint64_t nr = std::min<std::uint64_t>(workers, len);
-        const std::uint64_t chunk = (len + nr - 1) / nr;
-        pool->parallel_for(static_cast<std::size_t>(nr), [&](std::size_t r) {
-          const std::uint64_t k0 = bs + static_cast<std::uint64_t>(r) * chunk;
-          const std::uint64_t k1 = std::min(k0 + chunk, be);
-          if (k0 < k1) coefficients(epoch, bs, k0, k1);
-        });
-      } else {
-        coefficients(epoch, bs, bs, be);
-      }
+      coefficients(epoch, bs, be);
       // Apply serially in interaction order — the same update rule as the
       // legacy per-pair SGD, so batch_interactions == 1 reproduces it.
       for (std::uint64_t k = 0; k < len; ++k) {

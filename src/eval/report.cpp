@@ -57,8 +57,8 @@ void print_banner(std::ostream& out, const std::string& title) {
 
 void print_train_report(std::ostream& out, const core::TrainReport& report) {
   print_banner(out, "Training report");
-  // Per-chunk stage timings: chunks complete out of lockstep under the
-  // streaming pipeline, so aggregate stage seconds alone hide the overlap.
+  // Per-chunk stage timings: chunks train and generate in parallel, so
+  // aggregate stage seconds alone hide the critical path.
   // gen_series / gen_records / gen_kept: the generate deficit loop's
   // sampled series, decoded records and records left after the trim.
   TextTable table({"chunk", "role", "status", "attempts", "rollbacks",

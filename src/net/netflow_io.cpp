@@ -1,11 +1,15 @@
 #include "net/netflow_io.hpp"
 
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace netshare::net {
@@ -14,6 +18,9 @@ namespace {
 constexpr char kHeader[] =
     "start_time,duration,src_ip,dst_ip,src_port,dst_port,protocol,packets,"
     "bytes,label,attack_type";
+constexpr std::array<const char*, 11> kColumns = {
+    "start_time", "duration", "src_ip",  "dst_ip", "src_port",   "dst_port",
+    "protocol",   "packets",  "bytes",   "label",  "attack_type"};
 
 std::vector<std::string> split_csv_row(const std::string& line) {
   std::vector<std::string> fields;
@@ -28,6 +35,30 @@ Protocol protocol_from_string(const std::string& s) {
   if (s == "UDP") return Protocol::kUdp;
   if (s == "ICMP") return Protocol::kIcmp;
   throw std::runtime_error("netflow csv: unknown protocol '" + s + "'");
+}
+
+// Parses numeric column `col` of a row, naming the line and column on any
+// failure. The whole field must be the number (no trailing bytes; unsigned
+// fields take no sign, so "-1" is rejected instead of wrapping), integers
+// must fit T (a port above 65535 is out of range), and times must be finite
+// and non-negative.
+template <typename T>
+T parse_field(const std::vector<std::string>& fields, std::size_t col,
+              std::size_t line_no) {
+  const std::string& s = fields[col];
+  const auto fail = [&](const char* why) {
+    throw std::runtime_error("netflow csv: line " + std::to_string(line_no) +
+                             ", column " + kColumns[col] + ": " + why +
+                             " '" + s + "'");
+  };
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc::result_out_of_range) fail("out of range");
+  if (ec != std::errc{} || end != s.data() + s.size()) fail("not a number");
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v) || v < 0) fail("not a finite non-negative time");
+  }
+  return v;
 }
 }  // namespace
 
@@ -66,15 +97,15 @@ FlowTrace read_netflow_csv(std::istream& in) {
                                std::to_string(line_no));
     }
     FlowRecord r;
-    r.start_time = std::stod(f[0]);
-    r.duration = std::stod(f[1]);
+    r.start_time = parse_field<double>(f, 0, line_no);
+    r.duration = parse_field<double>(f, 1, line_no);
     r.key.src_ip = Ipv4Address::parse(f[2]);
     r.key.dst_ip = Ipv4Address::parse(f[3]);
-    r.key.src_port = static_cast<std::uint16_t>(std::stoul(f[4]));
-    r.key.dst_port = static_cast<std::uint16_t>(std::stoul(f[5]));
+    r.key.src_port = parse_field<std::uint16_t>(f, 4, line_no);
+    r.key.dst_port = parse_field<std::uint16_t>(f, 5, line_no);
     r.key.protocol = protocol_from_string(f[6]);
-    r.packets = std::stoull(f[7]);
-    r.bytes = std::stoull(f[8]);
+    r.packets = parse_field<std::uint64_t>(f, 7, line_no);
+    r.bytes = parse_field<std::uint64_t>(f, 8, line_no);
     r.is_attack = f[9] == "1";
     r.attack_type = attack_type_from_name(f[10]);
     trace.records.push_back(r);

@@ -354,6 +354,61 @@ TEST(NetflowIo, RejectsMissingHeader) {
   EXPECT_THROW(read_netflow_csv(ss), std::runtime_error);
 }
 
+// Reads a header, one valid row, then `row`; returns the error message.
+std::string read_netflow_error(const std::string& row) {
+  std::stringstream ss;
+  ss << "start_time,duration,src_ip,dst_ip,src_port,dst_port,protocol,"
+        "packets,bytes,label,attack_type\n"
+     << "0.5,1.25,10.0.0.1,10.0.0.2,1234,80,TCP,3,180,0,none\n"
+     << row << "\n";
+  try {
+    read_netflow_csv(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NetflowIo, RejectsNonNumericFieldNamingLineAndColumn) {
+  const std::string msg =
+      read_netflow_error("0.5,abc,10.0.0.1,10.0.0.2,1234,80,TCP,3,180,0,none");
+  EXPECT_NE(msg.find("line 3, column duration"), std::string::npos) << msg;
+  EXPECT_NE(read_netflow_error(
+                "0.5,1.25,10.0.0.1,10.0.0.2,1234,80,TCP,3x,180,0,none")
+                .find("line 3, column packets"),
+            std::string::npos);
+}
+
+TEST(NetflowIo, RejectsPortAbove65535) {
+  const std::string msg = read_netflow_error(
+      "0.5,1.25,10.0.0.1,10.0.0.2,1234,65536,TCP,3,180,0,none");
+  EXPECT_NE(msg.find("line 3, column dst_port: out of range"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(NetflowIo, RejectsNegativeCount) {
+  const std::string msg = read_netflow_error(
+      "0.5,1.25,10.0.0.1,10.0.0.2,1234,80,TCP,-1,180,0,none");
+  EXPECT_NE(msg.find("line 3, column packets"), std::string::npos) << msg;
+}
+
+TEST(NetflowIo, RejectsNanTime) {
+  const std::string msg = read_netflow_error(
+      "nan,1.25,10.0.0.1,10.0.0.2,1234,80,TCP,3,180,0,none");
+  EXPECT_NE(msg.find("line 3, column start_time: not a finite"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(NetflowIo, RejectsNegativeTime) {
+  const std::string msg = read_netflow_error(
+      "0.5,-1.25,10.0.0.1,10.0.0.2,1234,80,TCP,3,180,0,none");
+  EXPECT_NE(msg.find("line 3, column duration: not a finite"),
+            std::string::npos)
+      << msg;
+}
+
 TEST(FlowCollector, SinglePacketMakesSingleRecord) {
   PacketTrace t;
   FiveTuple f{Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2), 1, 2,

@@ -17,6 +17,7 @@
 
 #include "core/netshare.hpp"
 #include "core/train.hpp"
+#include "datagen/presets.hpp"
 #include "eval/report.hpp"
 #include "gan/doppelganger.hpp"
 #include "gan/tabular_gan.hpp"
@@ -416,6 +417,35 @@ TEST(ChunkFaults, ReportRendersEveryStatus) {
        {"seed", "fine-tune", "trained", "empty", "resumed", "seed-fallback",
         "training diverged", "1 trained, 1 resumed, 1 seed-fallback, 1 empty"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
+  }
+
+  // A real fit + generate fills the per-chunk stage columns: every trained
+  // chunk has its train time, every generated chunk its generate time and
+  // deficit-loop counts.
+  core::NetShare model(tiny_trainer_config(), nullptr);
+  model.fit(datagen::make_dataset(datagen::DatasetId::kCaida, 200, 21).packets);
+  Rng rng(31);
+  const net::PacketTrace trace = model.generate_packets(60, rng);
+  ASSERT_GT(trace.size(), 0u);
+  std::size_t generated = 0, kept = 0;
+  for (const auto& r : model.train_report().chunks) {
+    if (r.status == core::ChunkTrainReport::Status::kTrained) {
+      EXPECT_GT(r.train_sec, 0.0);
+    }
+    if (r.generate_series > 0) {
+      ++generated;
+      EXPECT_GT(r.generate_sec, 0.0);
+    }
+    EXPECT_GE(r.generate_records, r.generate_kept);
+    EXPECT_GE(r.generate_records, r.generate_series);
+    kept += r.generate_kept;
+  }
+  EXPECT_GT(generated, 0u);
+  EXPECT_GE(kept, trace.size());
+  std::ostringstream fitted;
+  eval::print_train_report(fitted, model.train_report());
+  for (const char* needle : {"train_s", "gen_s", "decoded/kept"}) {
+    EXPECT_NE(fitted.str().find(needle), std::string::npos) << fitted.str();
   }
 }
 
