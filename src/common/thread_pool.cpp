@@ -1,7 +1,9 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 #include "telemetry/telemetry.hpp"
 
@@ -9,9 +11,50 @@ namespace netshare {
 
 namespace {
 thread_local bool tl_pool_worker = false;
+
+// One caller-participating parallel_for, shared with its helpers by
+// shared_ptr. `fn` is read only for a claimed index below n, and the caller
+// cannot return before every such index has finished, so a late helper
+// never dereferences it.
+struct Loop {
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::size_t n = 0;
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t finished = 0;
+  std::exception_ptr first;
+
+  // Claims and runs indices until none is left. Never throws: a task's
+  // exception is kept for the caller.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      std::exception_ptr err;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (err && !first) first = err;
+      if (++finished == n) cv.notify_all();
+    }
+  }
+};
+
 }  // namespace
 
 bool ThreadPool::on_worker_thread() { return tl_pool_worker; }
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool* const pool = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return new ThreadPool(hw > 1 ? hw - 1 : 1);
+  }();
+  return *pool;
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
@@ -67,6 +110,31 @@ void ThreadPool::parallel_for(std::size_t n,
     }
   }
   if (first) std::rethrow_exception(first);
+}
+
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t max_parallel) {
+  if (n == 0) return;
+  const std::size_t helpers =
+      std::min({std::max<std::size_t>(1, max_parallel), n, size() + 1}) - 1;
+  TELEM_SPAN("threadpool.parallel_for",
+             {"tasks", static_cast<long long>(n)});
+  auto loop = std::make_shared<Loop>();
+  loop->fn = &fn;
+  loop->n = n;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    submit([loop] { loop->run(); });
+  }
+  // Beside helpers the caller counts as a worker too (it may already be
+  // one); run() catches every task exception, so the flag is restored.
+  const bool was_worker = tl_pool_worker;
+  tl_pool_worker = was_worker || helpers > 0;
+  loop->run();
+  tl_pool_worker = was_worker;
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->cv.wait(lock, [&] { return loop->finished == n; });
+  if (loop->first) std::rethrow_exception(loop->first);
 }
 
 void ThreadPool::worker_loop() {

@@ -1,6 +1,9 @@
-// Minimal fixed-size thread pool used for parallel chunk fine-tuning
-// (NetShare Insight 3), the blocked matmul kernels (ml/kernels.hpp), and
-// multi-run evaluation harnesses.
+// Fixed-size thread pool. One process-wide instance, ThreadPool::shared(),
+// is the executor for every coarse parallel phase (DESIGN.md §7): chunk
+// fine-tuning and sampling (NetShare Insight 3), the parallel postprocess
+// ranges, and the per-chunk fan-out of served batches. The blocked matmul
+// kernels (ml/kernels.hpp) and the service's batch workers still own
+// separate pools.
 //
 // Exception semantics: a throwing task never kills its worker — the
 // exception is captured in the task's future and rethrown from get().
@@ -35,6 +38,24 @@ class ThreadPool {
   // any invocation throws, every task still runs to completion (they share
   // caller stack state) and the first exception is rethrown afterwards.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  // Runs fn(i) for i in [0, n) with at most `max_parallel` indices in flight
+  // (0 is read as 1): the calling thread claims indices in ascending order
+  // alongside up to max_parallel - 1 pool helpers. The caller only ever
+  // waits for indices that have already started, so the call cannot
+  // deadlock — when every worker is busy (or blocked, or this is a nested
+  // call from a worker) the caller simply runs every index itself. A helper
+  // dequeued after the loop has finished finds no index left and touches
+  // only ref-counted state. While it runs indices beside helpers the caller
+  // counts as a worker for on_worker_thread(). Exceptions as above: all n
+  // indices run, then the first exception is rethrown.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t max_parallel);
+
+  // The process-wide executor: hardware_concurrency() - 1 workers (at least
+  // one), built on first use and never destroyed, so it stays valid for
+  // work submitted during static destruction.
+  static ThreadPool& shared();
 
   std::size_t size() const { return workers_.size(); }
 

@@ -47,8 +47,7 @@ void run_parallel_tasks(std::size_t workers, std::size_t tasks,
     for (std::size_t i = 0; i < tasks; ++i) fn(i);
     return;
   }
-  ThreadPool pool(std::min(workers, tasks));
-  pool.parallel_for(tasks, fn);
+  ThreadPool::shared().parallel_for(tasks, fn, workers);
 }
 
 void largest_first(std::vector<std::size_t>& ids,
@@ -73,12 +72,14 @@ void parallel_ranges(
     return;
   }
   const std::size_t chunk = (n + ntasks - 1) / ntasks;
-  ThreadPool pool(ntasks);
-  pool.parallel_for(ntasks, [&](std::size_t t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin < end) fn(t, begin, end);
-  });
+  ThreadPool::shared().parallel_for(
+      ntasks,
+      [&](std::size_t t) {
+        const std::size_t begin = t * chunk;
+        const std::size_t end = std::min(n, begin + chunk);
+        if (begin < end) fn(t, begin, end);
+      },
+      ntasks);
 }
 
 }  // namespace netshare::core

@@ -38,21 +38,23 @@ PhaseBudget split_phase_budget(std::size_t budget, std::size_t tasks,
                                const ml::kernels::KernelConfig& base);
 
 // Runs fn(i) for i in [0, tasks): on the calling thread when workers <= 1,
-// otherwise across a ThreadPool of `workers`. fn must write disjoint state
-// per index.
+// otherwise on the shared executor with the calling thread taking part and
+// at most `workers` tasks in flight (ThreadPool::parallel_for). fn must
+// write disjoint state per index.
 void run_parallel_tasks(std::size_t workers, std::size_t tasks,
                         const std::function<void(std::size_t)>& fn);
 
-// Orders task ids by size[id], largest first (ties keep their order). The
-// pool's queue is FIFO, so the longest task then starts at once and the
-// phase takes about as long as it, not a short task plus it.
+// Orders task ids by size[id], largest first (ties keep their order). Tasks
+// are claimed in index order, so the longest task then starts at once and
+// the phase takes about as long as it, not a short task plus it.
 void largest_first(std::vector<std::size_t>& ids,
                    const std::vector<std::size_t>& size);
 
 // Runs fn(range_index, begin, end) over up to `workers` contiguous, disjoint
-// ranges covering [0, n); serial when workers <= 1. Range boundaries and
-// indices depend only on (workers, n), never on scheduling, so per-range
-// partial results indexed by range_index merge deterministically.
+// ranges covering [0, n) on the shared executor; serial when workers <= 1.
+// Range boundaries and indices depend only on (workers, n), never on
+// scheduling, so per-range partial results indexed by range_index merge
+// deterministically.
 void parallel_ranges(
     std::size_t workers, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);

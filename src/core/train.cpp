@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/parallel.hpp"
 #include "ml/serialize.hpp"
 #include "telemetry/telemetry.hpp"
@@ -252,8 +251,7 @@ void ChunkedTrainer::fit(const std::vector<gan::TimeSeriesDataset>& chunks) {
   ml::kernels::ConfigOverride finetune_budget(split.kernel_cfg);
   TELEM_SPAN("train.finetune",
              {"chunks", static_cast<long long>(todo.size())});
-  ThreadPool pool(split.workers);
-  pool.parallel_for(todo.size(), [&](std::size_t i) {
+  run_parallel_tasks(split.workers, todo.size(), [&](std::size_t i) {
     train_finetune(todo[i], chunks[todo[i]]);
   });
 }

@@ -2,31 +2,21 @@
 
 namespace netshare::ml {
 
-namespace {
-std::uint64_t shape_key(std::size_t rows, std::size_t cols) {
-  return (static_cast<std::uint64_t>(rows) << 32) |
-         static_cast<std::uint64_t>(cols & 0xffffffffu);
-}
-}  // namespace
-
 Matrix& Workspace::get(std::size_t rows, std::size_t cols) {
-  Pool& pool = pools_[shape_key(rows, cols)];
-  if (pool.next < pool.buffers.size()) {
-    return *pool.buffers[pool.next++];
+  if (next_ == slots_.size()) {
+    slots_.push_back(std::make_unique<Matrix>(rows, cols));
+    return *slots_[next_++];
   }
-  pool.buffers.push_back(std::make_unique<Matrix>(rows, cols));
-  ++pool.next;
-  return *pool.buffers.back();
-}
-
-void Workspace::reset() {
-  for (auto& [key, pool] : pools_) pool.next = 0;
-}
-
-std::size_t Workspace::pooled_buffers() const {
-  std::size_t n = 0;
-  for (const auto& [key, pool] : pools_) n += pool.buffers.size();
-  return n;
+  Matrix& m = *slots_[next_++];
+  // A slot that must grow is rebuilt at exactly the new size: growing it in
+  // place would let std::vector round the capacity up past the largest
+  // shape this slot is ever asked for.
+  if (rows * cols > m.data().capacity()) {
+    m = Matrix(rows, cols);
+  } else {
+    m.resize(rows, cols);
+  }
+  return m;
 }
 
 kernels::TunePlan Workspace::tune_plan(kernels::TuneOp op, std::size_t rows,
@@ -47,9 +37,7 @@ kernels::TunePlan Workspace::tune_plan(kernels::TuneOp op, std::size_t rows,
 
 std::size_t Workspace::pooled_doubles() const {
   std::size_t n = 0;
-  for (const auto& [key, pool] : pools_) {
-    for (const auto& m : pool.buffers) n += m->size();
-  }
+  for (const auto& m : slots_) n += m->data().capacity();
   return n;
 }
 

@@ -1,4 +1,4 @@
-// Shape-keyed pool of reusable Matrix buffers — the allocation arena for the
+// Pool of reusable Matrix buffers — the allocation arena for the
 // steady-state-zero-allocation training hot path (DESIGN.md §6).
 //
 // Ownership model: one Workspace per model instance (DoppelGanger owns one;
@@ -10,11 +10,15 @@
 // Usage pattern: call reset() at the top of each training update, then
 // get(rows, cols) for every temporary. get() returns a buffer of exactly
 // that shape whose *contents are unspecified* (stale values from the
-// previous iteration) — callers overwrite or fill(). Within one
-// reset-epoch, successive get() calls for the same shape return *distinct*
-// buffers (a cursor walks the pool), so a deterministic call sequence maps
-// each temporary to the same pooled buffer every iteration. After the first
-// iteration warms the pool, get() performs no heap allocation.
+// previous iteration) — callers overwrite or fill(). Slots are handed out in
+// call order within one reset-epoch: the k-th get() of an epoch always
+// returns the k-th pooled buffer, reshaped to the requested shape with a
+// capacity-keeping Matrix::resize. So a deterministic call sequence maps
+// each temporary to the same buffer every iteration and, once the first
+// iteration has warmed the pool, get() performs no heap allocation; a
+// sequence whose shapes vary (decode batches of varying size) reuses the
+// same slots instead of growing a pool per distinct shape, and the footprint
+// stays at the largest epoch's.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +40,11 @@ class Workspace {
 
   // Marks every pooled buffer reusable. No memory is released; the next
   // epoch's get() calls re-issue the same buffers in call order.
-  void reset();
+  void reset() { next_ = 0; }
 
-  // Observability (bench / tests): pool footprint.
-  std::size_t pooled_buffers() const;
+  // Observability (bench / tests): pool footprint — buffers, and the
+  // element capacity they hold.
+  std::size_t pooled_buffers() const { return slots_.size(); }
   std::size_t pooled_doubles() const;
 
   // Per-model snapshot of the kernel autotuner (DESIGN.md §10): delegates to
@@ -52,11 +57,8 @@ class Workspace {
   std::size_t cached_plans() const { return plans_.size(); }
 
  private:
-  struct Pool {
-    std::vector<std::unique_ptr<Matrix>> buffers;
-    std::size_t next = 0;
-  };
-  std::unordered_map<std::uint64_t, Pool> pools_;
+  std::vector<std::unique_ptr<Matrix>> slots_;
+  std::size_t next_ = 0;  // next slot get() hands out this epoch
   std::unordered_map<std::uint64_t, kernels::TunePlan> plans_;
 };
 

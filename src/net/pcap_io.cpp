@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "telemetry/telemetry.hpp"
+
 namespace netshare::net {
 
 namespace {
@@ -140,10 +142,23 @@ PacketTrace read_pcap(std::istream& in) {
           std::to_string(kMaxCaplen) + ")");
     }
 
+    if (caplen < Ipv4Header::kSize) {
+      throw std::runtime_error(
+          "read_pcap: record " + std::to_string(index) + " caplen " +
+          std::to_string(caplen) + " is shorter than the " +
+          std::to_string(Ipv4Header::kSize) + "-byte IPv4 header");
+    }
+
     std::vector<std::uint8_t> bytes(caplen);
     in.read(reinterpret_cast<char*>(bytes.data()), caplen);
     if (!in) throw std::runtime_error("read_pcap: truncated record body");
 
+    // LINKTYPE_RAW also carries IPv6: such records are skipped and counted,
+    // not parsed as IPv4.
+    if ((bytes[0] >> 4) != 4) {
+      TELEM_COUNT("net.pcap.skipped_non_ipv4");
+      continue;
+    }
     Ipv4Header ip = Ipv4Header::parse(bytes.data(), bytes.size());
     // The L4 header starts after the IP options: IHL counts 32-bit words.
     const std::size_t l4_off = std::size_t{ip.ihl} * 4;

@@ -21,10 +21,13 @@ void write_pcap_file(const PacketTrace& trace, const std::string& path,
                      std::uint32_t snaplen = 96);
 
 // Reads a pcap file produced by write_pcap (LINKTYPE_RAW, microsecond
-// timestamps). Ports are read after the IP options (IHL). Throws
+// timestamps). Ports are read after the IP options (IHL). Records whose IP
+// version is not 4 (LINKTYPE_RAW also carries IPv6) are skipped and counted
+// in the telemetry counter `net.pcap.skipped_non_ipv4`. Throws
 // std::runtime_error on malformed input, naming the record index for a
 // record whose caplen exceeds min(snaplen, 262144) (checked before any
-// allocation) or whose IHL is below 5 or runs past caplen.
+// allocation) or is below the 20-byte IPv4 header, or whose IHL is below 5
+// or runs past caplen.
 PacketTrace read_pcap(std::istream& in);
 PacketTrace read_pcap_file(const std::string& path);
 

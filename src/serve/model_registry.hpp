@@ -35,10 +35,11 @@ struct ModelSpec {
 // as shared_ptr: holders may sample from it for as long as they keep the
 // reference, regardless of later publishes.
 //
-// Thread-safety: sampling reuses per-chunk scratch workspaces, so the
-// scheduler serializes batches per LoadedModel instance; distinct instances
-// (hot-swapped versions, different models) sample concurrently without
-// sharing any mutable state.
+// Thread-safety: sampling reuses per-chunk scratch workspaces, so one chunk
+// may be sampled by one thread at a time; distinct chunks of one instance,
+// and distinct instances (hot-swapped versions, different models), sample
+// concurrently without sharing any mutable state. The scheduler serializes
+// batches per LoadedModel instance and gives each chunk one task.
 class LoadedModel {
  public:
   // Fits the encoder on spec.reference and restores one model per non-empty
@@ -68,8 +69,8 @@ class LoadedModel {
 
   // Samples + exports chunk c's sub-trace toward `target` records. Pure
   // function of (published weights, config, seed, c, target) — the unit the
-  // service coalesces across jobs. NOT safe for concurrent calls on the
-  // same instance (shared per-chunk scratch); the scheduler serializes.
+  // service coalesces across jobs. Concurrent calls must target distinct
+  // chunks (shared per-chunk scratch).
   void sample_part(std::size_t c, std::size_t target, std::uint64_t seed,
                    net::FlowTrace& out);
 

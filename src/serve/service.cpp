@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "common/clock.hpp"
@@ -255,6 +256,9 @@ void Service::scheduler_loop() {
     // then accounting settles under it.
     std::vector<PendingPtr> expired = reap_expired_locked(mono_now_ms());
     if (!expired.empty()) {
+      // Counted as running until settled, so drain() cannot return while
+      // their callbacks fire and before their accounting lands.
+      running_ += expired.size();
       lock.unlock();
       for (const PendingPtr& p : expired) {
         if (p->callbacks.on_error) {
@@ -266,6 +270,7 @@ void Service::scheduler_loop() {
       for (const PendingPtr& p : expired) {
         finish_job_locked(*p, ErrorCode::kDeadlineExceeded, false, 0);
       }
+      running_ -= expired.size();
       progress_seq_.fetch_add(1, std::memory_order_relaxed);
       drain_cv_.notify_all();
       continue;  // state changed; re-scan before blocking
@@ -378,70 +383,164 @@ std::vector<Service::PendingPtr> Service::next_batch_locked() {
   return batch;
 }
 
+namespace {
+
+// One job's state inside a running batch, guarded by the batch's mutex.
+// Chunk tasks run concurrently, so parts may be exported out of order;
+// `next` is the lowest chunk not yet delivered, and whichever task exports
+// that chunk delivers it plus every already-exported part after it.
+struct JobRun {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  std::vector<std::size_t> targets;
+  std::vector<net::FlowTrace> parts;  // exported, awaiting delivery
+  std::vector<char> exported;         // part c is final (maybe empty)
+  std::size_t next = 0;
+  bool delivering = false;  // one task at a time runs on_chunk for the job
+  // Lowest failed chunk: delivery stops before it and higher chunks are
+  // not sampled. kNone while the job is healthy.
+  std::size_t fail_at = kNone;
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  std::uint64_t records = 0;
+
+  void fail(std::size_t c, ErrorCode why, std::string what) {
+    if (c >= fail_at) return;
+    fail_at = c;
+    code = why;
+    message = std::move(what);
+  }
+};
+
+bool past_deadline(std::uint64_t deadline_at_ms) {
+  return deadline_at_ms != 0 && mono_now_ms() >= deadline_at_ms;
+}
+
+std::string mid_batch_expiry(std::size_t c) {
+  return "deadline expired mid-batch at chunk " + std::to_string(c);
+}
+
+}  // namespace
+
 void Service::run_batch(std::vector<PendingPtr> batch) {
   LoadedModel& model = *batch.front()->model;
   const std::size_t M = model.num_chunks();
-  std::vector<std::vector<std::size_t>> targets(batch.size());
-  std::vector<std::uint64_t> records(batch.size(), 0);
-  std::vector<char> failed(batch.size(), 0);
-  std::vector<ErrorCode> errcode(batch.size(), ErrorCode::kInternal);
-  std::vector<std::string> errmsg(batch.size());
+  std::vector<JobRun> runs(batch.size());
+  std::vector<std::size_t> chunk_tasks;  // chunks some job needs parts from
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    targets[i] = model.record_targets(batch[i]->job.n_flows);
-  }
-  {
-    TELEM_SPAN("serve.batch",
-               {"jobs", static_cast<long long>(batch.size())});
-    // Chunk-major: each chunk's model warms once per batch, and every job's
-    // chunk part streams out the moment it is exported. Each part draws only
-    // from the job's own seed streams, so this order — and the batch
-    // composition itself — cannot leak into any job's bytes.
-    net::FlowTrace part;
+    JobRun& r = runs[i];
+    r.targets = model.record_targets(batch[i]->job.n_flows);
+    r.parts.resize(M);
+    r.exported.resize(M);
     for (std::size_t c = 0; c < M; ++c) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (failed[i] || targets[i][c] == 0 || !model.has_chunk_model(c)) {
-          continue;
-        }
-        // Deadline enforcement between coalesced batch parts: a job whose
-        // budget ran out abandons its remaining chunks; its batch-mates are
-        // untouched (their bytes never depended on it).
-        const std::uint64_t dl = batch[i]->deadline_at_ms;
-        if (dl != 0 && mono_now_ms() >= dl) {
-          failed[i] = 1;
-          errcode[i] = ErrorCode::kDeadlineExceeded;
-          errmsg[i] = "deadline expired mid-batch at chunk " +
-                      std::to_string(c);
-          continue;
-        }
-        if (chaos_armed()) chaos_worker_chunk(c, i);
-        try {
-          model.sample_part(c, targets[i][c], batch[i]->job.seed, part);
-          records[i] += part.records.size();
-          progress_seq_.fetch_add(1, std::memory_order_relaxed);
-          if (!part.records.empty() && batch[i]->callbacks.on_chunk) {
-            batch[i]->callbacks.on_chunk(c, std::move(part));
-            part = net::FlowTrace{};
-          }
-        } catch (const std::exception& e) {
-          failed[i] = 1;
-          errcode[i] = ErrorCode::kInternal;
-          errmsg[i] = e.what();
-        }
+      if (!model.has_chunk_model(c)) r.targets[c] = 0;
+      r.exported[c] = r.targets[c] == 0;
+    }
+  }
+  for (std::size_t c = 0; c < M; ++c) {
+    for (const JobRun& r : runs) {
+      if (r.targets[c] != 0) {
+        chunk_tasks.push_back(c);
+        break;
       }
     }
   }
+  std::mutex mu;  // guards every JobRun
+
+  // Delivers job i's parts in chunk order from `next` up to the first part
+  // not yet exported (or the failed chunk). Called with `lock` held; drops
+  // it around each on_chunk, and `delivering` keeps a second task from
+  // overtaking this one meanwhile.
+  const auto deliver = [&](std::size_t i, std::unique_lock<std::mutex>& lock) {
+    JobRun& r = runs[i];
+    if (r.delivering) return;
+    r.delivering = true;
+    while (r.next < std::min(M, r.fail_at) && r.exported[r.next]) {
+      const std::size_t c = r.next++;
+      net::FlowTrace part = std::move(r.parts[c]);
+      r.records += part.records.size();
+      if (part.records.empty() || !batch[i]->callbacks.on_chunk) continue;
+      lock.unlock();
+      std::optional<std::string> error;
+      try {
+        batch[i]->callbacks.on_chunk(c, std::move(part));
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+      lock.lock();
+      if (error) r.fail(c, ErrorCode::kInternal, std::move(*error));
+    }
+    r.delivering = false;
+  };
+
+  // One task per chunk: each walks the batch's jobs in order, so a chunk's
+  // model is only ever driven by one thread, and distinct chunks share no
+  // mutable state. Every part draws only from its job's own seed streams,
+  // so neither the interleaving nor the batch composition can leak into any
+  // job's bytes.
+  const auto chunk_task = [&](std::size_t t) {
+    const std::size_t c = chunk_tasks[t];
+    net::FlowTrace part;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t target = runs[i].targets[c];
+      if (target == 0) continue;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (c > runs[i].fail_at) continue;  // a lower chunk already failed
+      }
+      // Deadline enforcement around each part: a job whose budget runs out
+      // before or while its part is made abandons it and every higher
+      // chunk; its batch-mates are untouched (their bytes never depended
+      // on it).
+      const std::uint64_t dl = batch[i]->deadline_at_ms;
+      ErrorCode why = ErrorCode::kDeadlineExceeded;
+      std::optional<std::string> error;
+      if (past_deadline(dl)) {
+        error = mid_batch_expiry(c);
+      } else {
+        try {
+          if (chaos_armed()) chaos_worker_chunk(c, i);
+          model.sample_part(c, target, batch[i]->job.seed, part);
+          progress_seq_.fetch_add(1, std::memory_order_relaxed);
+          if (past_deadline(dl)) error = mid_batch_expiry(c);
+        } catch (const std::exception& e) {
+          why = ErrorCode::kInternal;
+          error = e.what();
+        }
+      }
+      std::unique_lock<std::mutex> lock(mu);
+      if (error) {
+        runs[i].fail(c, why, std::move(*error));
+      } else {
+        runs[i].parts[c] = std::move(part);
+        part = net::FlowTrace{};
+        runs[i].exported[c] = 1;
+        deliver(i, lock);
+      }
+    }
+  };
+
+  {
+    TELEM_SPAN("serve.batch",
+               {"jobs", static_cast<long long>(batch.size())});
+    ThreadPool::shared().parallel_for(chunk_tasks.size(), chunk_task,
+                                      chunk_tasks.size());
+  }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const JobCallbacks& cb = batch[i]->callbacks;
-    if (failed[i]) {
-      if (cb.on_error) cb.on_error(errcode[i], errmsg[i]);
+    const JobRun& r = runs[i];
+    if (r.fail_at != JobRun::kNone) {
+      if (cb.on_error) cb.on_error(r.code, r.message);
     } else if (cb.on_done) {
-      cb.on_done(records[i], model.version());
+      cb.on_done(r.records, model.version());
     }
   }
   progress_seq_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    finish_job_locked(*batch[i], errcode[i], failed[i] == 0, records[i]);
+    const JobRun& r = runs[i];
+    finish_job_locked(*batch[i], r.code, r.fail_at == JobRun::kNone,
+                      r.records);
   }
   busy_models_.erase(&model);
   running_ -= batch.size();

@@ -11,12 +11,15 @@
 //    charge their n_flows against it. Record-weighted fair shares, not
 //    job-count shares.
 //  - Coalescing: compatible queued jobs (same LoadedModel instance, i.e.
-//    same model_id + version + config hash) dispatch as one batch that walks
-//    the model's chunks once, chunk-major, streaming each job's chunk part
-//    the moment it is exported. Batches for the same model serialize (the
-//    sampler reuses per-chunk scratch); different models — including the old
-//    and new version across a hot-swap — run concurrently on the worker
-//    pool.
+//    same model_id + version + config hash) dispatch as one batch. The
+//    batch fans out one task per chunk on the shared executor
+//    (ThreadPool::shared(); the batch's worker thread takes part); each task
+//    walks the batch's jobs in order, so every chunk model is driven by one
+//    thread at a time. A job's parts stream out in ascending chunk order as
+//    soon as each part and all lower ones are exported. Batches for the same
+//    model serialize (the sampler reuses per-chunk scratch); different
+//    models — including the old and new version across a hot-swap — run
+//    concurrently, one batch per worker.
 //
 // Determinism contract: a job's streamed parts are a pure function of
 // (published snapshot, model config, job seed) — each part is sampled from
@@ -48,7 +51,9 @@
 namespace netshare::serve {
 
 struct ServiceConfig {
-  std::size_t workers = 2;          // sampling worker threads
+  // Batches in flight: each worker thread runs one batch at a time and
+  // fans its chunks out on the shared executor, taking part itself.
+  std::size_t workers = 2;
   std::size_t queue_capacity = 64;  // queued jobs across all tenants
   std::size_t max_coalesce = 4;     // jobs per dispatched batch
   std::size_t tenant_inflight_cap = 8;  // queued + running jobs per tenant
@@ -91,9 +96,14 @@ struct GenerateJob {
   std::uint64_t deadline_ms = 0;
 };
 
-// Per-job result delivery, invoked from worker threads (never under the
-// service lock, never from inside submit()). on_chunk streams one non-empty
-// chunk part (ascending chunk index); then exactly one of on_done/on_error.
+// Per-job result delivery, invoked from worker and executor threads (never
+// under the service lock, never from inside submit()). on_chunk streams one
+// non-empty chunk part; one job's on_chunk calls come in ascending chunk
+// index and never overlap, though different jobs' calls may run
+// concurrently. A part is delivered once it and every lower chunk's part are
+// exported; a part that fails or passes the deadline drops the job's higher
+// chunks. Then, after all of the job's chunk tasks have finished, exactly one
+// of on_done/on_error.
 struct JobCallbacks {
   std::function<void(std::size_t chunk_index, net::FlowTrace part)> on_chunk;
   std::function<void(std::uint64_t records, std::uint64_t model_version)>
@@ -133,7 +143,7 @@ struct TenantStatsSnapshot {
 struct ServiceStatsSnapshot {
   bool draining = false;
   std::size_t queue_depth = 0;   // queued, not yet dispatched
-  std::size_t running = 0;       // dispatched, not yet completed
+  std::size_t running = 0;       // dispatched (or expiring), not settled
   std::size_t models_loaded = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;

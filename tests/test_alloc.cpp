@@ -6,6 +6,7 @@
 // moment someone reintroduces a per-iteration temporary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gan/doppelganger.hpp"
@@ -55,6 +56,26 @@ TEST(Workspace, ReissuesSameBuffersInCallOrderAfterReset) {
   EXPECT_EQ(&ws.get(3, 4), &b);
   EXPECT_EQ(&ws.get(2, 2), &c);
   EXPECT_EQ(alloc_counter::count(), 0u);
+  EXPECT_EQ(ws.pooled_buffers(), 3u);
+}
+
+TEST(Workspace, DistinctShapesStayWithinTheLargestEpochFootprint) {
+  // The nearest_batch pattern: per epoch a query panel, a capped score
+  // panel and per-row minima, all sized by a decode batch n that differs
+  // every epoch. Slots are reissued in call order, so 200 distinct sizes
+  // leave three buffers holding no more than the largest epoch needed.
+  Workspace ws;
+  std::size_t largest = 0;
+  for (std::size_t k = 0; k < 200; ++k) {
+    const std::size_t n = 1 + (k * 77) % 200;  // a permutation of 1..200
+    ws.reset();
+    ws.get(n, 8);
+    ws.get(std::min<std::size_t>(n, 64), 300);
+    ws.get(n, 4);
+    largest = std::max(largest, n * 8 + std::min<std::size_t>(n, 64) * 300 +
+                                    n * 4);
+    EXPECT_LE(ws.pooled_doubles(), largest) << "epoch " << k << " n " << n;
+  }
   EXPECT_EQ(ws.pooled_buffers(), 3u);
 }
 

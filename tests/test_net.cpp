@@ -12,6 +12,7 @@
 #include "net/pcap_io.hpp"
 #include "net/ports.hpp"
 #include "net/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace netshare::net {
 namespace {
@@ -326,6 +327,41 @@ TEST(PcapIo, RejectsBadIhl) {
   past_caplen.s[24 + 16] = static_cast<char>(0x4f);  // record 0's first byte
   EXPECT_NE(read_pcap_error(past_caplen.s).find("record 0 IHL 15"),
             std::string::npos);
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& [n, v] : telemetry::snapshot_metrics().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+TEST(PcapIo, SkipsNonIpv4RecordsAndCountsThem) {
+  const std::uint64_t before = counter_value("net.pcap.skipped_non_ipv4");
+  PcapBytes b(96);
+  b.tcp_packet(5, 1111, 22);
+  b.record_header(40);  // an IPv6 header (version nibble 6), no payload
+  b.u8(0x60);
+  for (int i = 1; i < 40; ++i) b.u8(0);
+  b.tcp_packet(5, 3333, 443);
+  std::stringstream ss(b.s);
+  const PacketTrace t = read_pcap(ss);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.packets[0].key.src_port, 1111);
+  EXPECT_EQ(t.packets[1].key.src_port, 3333);
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(counter_value("net.pcap.skipped_non_ipv4"), before + 1);
+  }
+}
+
+TEST(PcapIo, RejectsCaplenBelowIpv4HeaderNamingTheRecord) {
+  PcapBytes b(96);
+  b.tcp_packet(5, 1, 2);
+  b.record_header(12);
+  b.u8(0x45);
+  for (int i = 1; i < 12; ++i) b.u8(0);
+  const std::string msg = read_pcap_error(b.s);
+  EXPECT_NE(msg.find("record 1 caplen 12"), std::string::npos) << msg;
 }
 
 TEST(NetflowIo, CsvRoundTrip) {

@@ -211,8 +211,8 @@ TEST(Resilience, RunningJobPastDeadlineAbandonsRemainingChunks) {
   ScopedManualClock mc;
   ServiceConfig cfg;
   cfg.workers = 1;
-  // The hook burns the whole budget "inside" chunk 0; the between-parts
-  // check at the next chunk abandons the rest of the job.
+  // The hook burns the whole budget "inside" chunk 0; the check after its
+  // part fails it, which abandons the rest of the job.
   ChaosPlan plan;
   plan.worker_hook = [&](std::size_t chunk, std::size_t /*job*/) {
     if (chunk == 0) mc.clock().advance_ms(1000);
@@ -225,6 +225,57 @@ TEST(Resilience, RunningJobPastDeadlineAbandonsRemainingChunks) {
   EXPECT_EQ(r.code, ErrorCode::kDeadlineExceeded);
   EXPECT_NE(r.message.find("mid-batch"), std::string::npos) << r.message;
   h.service->drain();  // settle accounting before reading counters
+  EXPECT_EQ(h.service->stats().deadline_exceeded, 1u);
+}
+
+TEST(Resilience, DeadlineExpiringMidBatchDeliversOnlyAPrefixOfChunks) {
+  // Chunks run in parallel, so the budget is burnt inside chunk 1 only once
+  // chunk 0 has been delivered: chunk 0 streams, chunk 1 expires, and
+  // nothing above it may be delivered even if its part was already made.
+  ScopedManualClock mc;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> delivered;
+  bool released = false;
+  ChaosPlan plan;
+  plan.worker_hook = [&](std::size_t chunk, std::size_t /*job*/) {
+    if (chunk != 1) return;
+    std::unique_lock<std::mutex> lock(mu);
+    released = cv.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return !delivered.empty(); });
+    mc.clock().advance_ms(1000);
+  };
+  ScopedChaosPlan chaos(plan);
+  ServiceHarness h(cfg);
+
+  std::atomic<int> errors{0};
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  JobCallbacks cbs;
+  cbs.on_chunk = [&](std::size_t c, net::FlowTrace) {
+    std::lock_guard<std::mutex> lock(mu);
+    delivered.push_back(c);
+    cv.notify_all();
+  };
+  cbs.on_done = [](std::uint64_t, std::uint64_t) { ADD_FAILURE(); };
+  cbs.on_error = [&](ErrorCode c, const std::string& m) {
+    code = c;
+    message = m;
+    ++errors;
+  };
+  ASSERT_TRUE(
+      h.service->submit({"m", "t", 90, 3, /*deadline_ms=*/500}, std::move(cbs))
+          .accepted);
+  h.service->drain();
+
+  EXPECT_TRUE(released) << "chunk 0 was never delivered";
+  EXPECT_EQ(delivered, std::vector<std::size_t>{0});
+  EXPECT_EQ(errors.load(), 1);
+  EXPECT_EQ(code, ErrorCode::kDeadlineExceeded);
+  EXPECT_NE(message.find("mid-batch at chunk 1"), std::string::npos)
+      << message;
   EXPECT_EQ(h.service->stats().deadline_exceeded, 1u);
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -421,6 +422,86 @@ TEST(ServeService, CoalescedConcurrentBitwiseEqualsSerialOracleAtAnyWorkers) {
     EXPECT_EQ(stats.completed, job_mix().size());
     EXPECT_EQ(stats.errors, 0u);
   }
+}
+
+TEST(ServeService, ChunkFanOutEqualsLoadedModelGenerateAtOneAndTwoWorkers) {
+  // Each batch samples its chunks in parallel on the shared executor; every
+  // job must still equal the serial whole-job oracle on the same handle.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.max_coalesce = 4;
+    ServiceHarness h(cfg);
+    // The oracle runs first: sampling one chunk from two threads at once
+    // is not allowed, and the service owns the model once jobs are queued.
+    const std::shared_ptr<LoadedModel> model = h.registry.acquire("m");
+    ASSERT_GT(model->num_chunks(), 1u);
+    std::vector<net::FlowTrace> oracle;
+    for (const JobSpec& j : job_mix()) {
+      oracle.push_back(model->generate(j.n, j.seed));
+    }
+    std::vector<std::shared_ptr<ServeClient::PendingJob>> jobs;
+    for (const JobSpec& j : job_mix()) {
+      jobs.push_back(h.client->submit("m", j.tenant, j.n, j.seed));
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const ClientResult r = jobs[i]->wait();
+      ASSERT_TRUE(r.ok) << r.message;
+      EXPECT_EQ(r.trace.records, oracle[i].records)
+          << "job " << i << " at " << workers << " workers";
+    }
+  }
+}
+
+TEST(ServeService, OnChunkIsAscendingAndNeverOverlapsWithinAJob) {
+  // Chunk tasks of one batch run on different threads; per job, parts must
+  // still arrive one at a time in ascending chunk order. The callback holds
+  // an in-callback flag across a short sleep to widen any overlap window.
+  struct Seen {
+    std::atomic<bool> in_callback{false};
+    std::atomic<int> overlaps{0};
+    std::atomic<int> out_of_order{0};
+    std::atomic<int> parts{0};
+    std::atomic<long long> last_chunk{-1};
+    std::atomic<bool> done{false};
+  };
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.max_coalesce = 8;
+  ServiceHarness h(cfg);
+  const std::size_t chunks = h.registry.acquire("m")->num_chunks();
+  std::vector<Seen> seen(2 * job_mix().size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const JobSpec& j = job_mix()[i % job_mix().size()];
+    Seen* s = &seen[i];
+    JobCallbacks cbs;
+    cbs.on_chunk = [s](std::size_t c, net::FlowTrace) {
+      if (s->in_callback.exchange(true)) ++s->overlaps;
+      if (static_cast<long long>(c) <= s->last_chunk.load()) ++s->out_of_order;
+      s->last_chunk = static_cast<long long>(c);
+      ++s->parts;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      s->in_callback = false;
+    };
+    cbs.on_done = [s](std::uint64_t, std::uint64_t) {
+      if (s->in_callback.load()) ++s->overlaps;
+      s->done = true;
+    };
+    cbs.on_error = [](ErrorCode, const std::string& m) { ADD_FAILURE() << m; };
+    ASSERT_TRUE(h.service->submit({"m", j.tenant, 2 * j.n, j.seed + i, 0},
+                                  std::move(cbs))
+                    .accepted);
+  }
+  h.service->drain();
+  int multi_part_jobs = 0;
+  for (const Seen& s : seen) {
+    EXPECT_TRUE(s.done.load());
+    EXPECT_EQ(s.overlaps.load(), 0);
+    EXPECT_EQ(s.out_of_order.load(), 0);
+    EXPECT_LT(s.last_chunk.load(), static_cast<long long>(chunks));
+    if (s.parts.load() > 1) ++multi_part_jobs;
+  }
+  EXPECT_GT(multi_part_jobs, 0) << "jobs must stream more than one part";
 }
 
 TEST(ServeService, ForcedCoalescingStillBitwiseEqual) {

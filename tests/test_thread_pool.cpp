@@ -1,12 +1,19 @@
 // ThreadPool hardening tests: exception propagation through submit and
 // parallel_for, zero-task and fewer-tasks-than-threads edge cases, worker
-// survival after a throwing task, and destruction with queued work.
+// survival after a throwing task, destruction with queued work, and the
+// caller-participating parallel_for of the shared executor (nesting while
+// every worker is blocked, the max_parallel cap, exception order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/parallel.hpp"
@@ -123,6 +130,133 @@ TEST(ThreadPool, OversubscriptionClampIsCountedOnDiagChannel) {
   const std::size_t top = core::parallel_phase_budget(2);
   EXPECT_GE(top, 1u);
   EXPECT_EQ(telemetry::diag_count("core.parallel.oversubscribed"), before + 1);
+}
+
+// Parks every worker of `pool` inside a task until release().
+struct BlockedWorkers {
+  explicit BlockedWorkers(ThreadPool& pool) {
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      done.push_back(pool.submit([this] {
+        std::unique_lock<std::mutex> lock(mu);
+        ++parked;
+        cv.notify_all();
+        cv.wait(lock, [this] { return released; });
+      }));
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == pool.size(); });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    for (auto& f : done) f.get();
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t parked = 0;
+  bool released = false;
+  std::vector<std::future<void>> done;
+};
+
+TEST(ThreadPool, SharedExecutorLeavesACoreForTheCaller) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(ThreadPool::shared().size(), hw > 1 ? hw - 1 : 1u);
+  EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
+}
+
+TEST(ThreadPool, NestedCallerParallelForFinishesWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(2);
+  BlockedWorkers blocked(pool);
+  // No worker can pick up a helper, so the caller must run every index of
+  // both loops itself instead of waiting on queued helpers.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  std::atomic<int> elsewhere{0};
+  pool.parallel_for(
+      4,
+      [&](std::size_t) {
+        pool.parallel_for(
+            8,
+            [&](std::size_t) {
+              if (std::this_thread::get_id() != caller) ++elsewhere;
+              ++ran;
+            },
+            3);
+      },
+      3);
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(elsewhere.load(), 0);
+  blocked.release();  // the stale helpers then find nothing left to run
+}
+
+TEST(ThreadPool, CallerParallelForNeverExceedsMaxParallel) {
+  ThreadPool pool(4);
+  for (std::size_t cap : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    std::atomic<std::size_t> active{0};
+    std::atomic<std::size_t> peak{0};
+    std::atomic<int> ran{0};
+    pool.parallel_for(
+        40,
+        [&](std::size_t) {
+          const std::size_t now = ++active;
+          std::size_t seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          --active;
+          ++ran;
+        },
+        cap);
+    EXPECT_EQ(ran.load(), 40);
+    EXPECT_LE(peak.load(), cap) << "max_parallel " << cap;
+  }
+}
+
+TEST(ThreadPool, CallerParallelForRethrowsFirstExceptionAfterAllTasksRan) {
+  ThreadPool pool(3);
+  // Serial claim order: index 3 fails first, and indices past it still run.
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(
+        10,
+        [&](std::size_t i) {
+          ++ran;
+          if (i == 3 || i == 5) throw std::runtime_error(std::to_string(i));
+        },
+        1);
+    ADD_FAILURE() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+  EXPECT_EQ(ran.load(), 10);
+
+  // Parallel: every task has finished by the time the exception surfaces.
+  ran = 0;
+  EXPECT_THROW(pool.parallel_for(
+                   64,
+                   [&](std::size_t i) {
+                     std::this_thread::sleep_for(std::chrono::microseconds(50));
+                     ++ran;
+                     if (i % 7 == 3) throw std::out_of_range("bad index");
+                   },
+                   4),
+               std::out_of_range);
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, SharedExecutorTasksCountAsPoolWorkers) {
+  // The caller runs indices beside the helpers, so it must count as a
+  // worker while it does: the oversubscription clamp then applies to every
+  // task, exactly as when all of them ran on dedicated pool threads.
+  std::vector<std::size_t> budgets(6, 0);
+  core::run_parallel_tasks(3, budgets.size(), [&](std::size_t i) {
+    budgets[i] = core::parallel_phase_budget(4);
+  });
+  for (std::size_t b : budgets) EXPECT_EQ(b, 1u);
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 }  // namespace
