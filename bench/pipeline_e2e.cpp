@@ -114,6 +114,21 @@ int main(int argc, char** argv) {
   const double train_guard_overhead_frac =
       (train_guard_on_sec - train_guard_off_sec) / train_guard_off_sec;
 
+  // Seed-chunk DoppelGanger::fit throughput at kernel budget 1 and at the
+  // core count (informational, not gated): how far the iteration's task
+  // graph and the kernels' row panels scale with the budget.
+  const auto fit_iters_per_s = [&](std::size_t threads) {
+    ml::kernels::KernelConfig kc = config.kernels;
+    kc.threads = threads;
+    ml::kernels::ConfigOverride budget(kc);
+    gan::DoppelGanger model(encoder.spec(), config.dg, config.seed);
+    model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
+    return kGuardIters /
+           time_best([&] { model.fit(datasets[seed_c], kGuardIters); }, 1.2);
+  };
+  const double dg_fit_iters_per_s_1t = fit_iters_per_s(1);
+  const double dg_fit_iters_per_s_nt = fit_iters_per_s(cores);
+
   // Stage 3: generate — chunk-parallel batched sampling, then decode.
   const auto& chunks = encoder.chunks();
   std::vector<std::size_t> counts(chunks.size(), 0);
@@ -238,6 +253,10 @@ int main(int argc, char** argv) {
               generate_sec, sample_sec, decode_sec, synth.size(),
               postprocess_sec, repair.total_repairs(),
               repair.checksum_failures);
+  std::printf("seed-chunk fit: %.1f iters/s at 1 kernel thread, %.1f at "
+              "%zu (%.2fx)\n",
+              dg_fit_iters_per_s_1t, dg_fit_iters_per_s_nt, cores,
+              dg_fit_iters_per_s_nt / dg_fit_iters_per_s_1t);
   std::printf("generate stage: serial reference %.4fs, adaptive+parallel "
               "%.4fs (%.2fx), %zu packets\n",
               serial_gen_sec, parallel_gen_sec, speedup, parallel_gen_packets);
@@ -269,13 +288,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"train_guard_off_sec\": %.6f,\n", train_guard_off_sec);
   std::fprintf(f, "  \"train_guard_overhead_frac\": %.4f,\n",
                train_guard_overhead_frac);
+  std::fprintf(f, "  \"dg_fit_iters_per_s_1t\": %.2f,\n",
+               dg_fit_iters_per_s_1t);
+  std::fprintf(f, "  \"dg_fit_iters_per_s_nt\": %.2f,\n",
+               dg_fit_iters_per_s_nt);
   std::fprintf(f, "  \"generate_serial_sec\": %.6f,\n", serial_gen_sec);
   std::fprintf(f, "  \"generate_parallel_sec\": %.6f,\n", parallel_gen_sec);
   std::fprintf(f, "  \"generate_sample_batched_sec\": %.6f,\n", batched_sec);
   std::fprintf(f, "  \"generate_sample_per_series_sec\": %.6f,\n",
                per_series_sec);
   std::fprintf(f, "  \"generate_decode_sec\": %.4f,\n", decode_sec);
-  std::fprintf(f, "  \"generate_speedup_4t\": %.3f,\n", speedup);
+  std::fprintf(f, "  \"generate_adaptive_speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"generate_allocs_per_batch\": %.1f,\n", allocs_per_batch);
   std::fprintf(f, "  \"repair_total\": %zu,\n", repair.total_repairs());
   std::fprintf(f, "  \"repair_checksum_failures\": %zu,\n",

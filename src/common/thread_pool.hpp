@@ -1,9 +1,10 @@
 // Fixed-size thread pool. One process-wide instance, ThreadPool::shared(),
-// is the executor for every coarse parallel phase (DESIGN.md §7): chunk
-// fine-tuning and sampling (NetShare Insight 3), the parallel postprocess
-// ranges, and the per-chunk fan-out of served batches. The blocked matmul
-// kernels (ml/kernels.hpp) and the service's batch workers still own
-// separate pools.
+// is the executor for every parallel phase (DESIGN.md §7): chunk
+// fine-tuning and sampling (NetShare Insight 3), the task graph of a
+// DoppelGANger training iteration and its BPTT fan-out, the blocked matmul
+// kernels' row panels (ml/kernels.hpp), the parallel postprocess ranges, and
+// the per-chunk fan-out of served batches. Only the service's batch workers
+// still own a separate pool.
 //
 // Exception semantics: a throwing task never kills its worker — the
 // exception is captured in the task's future and rethrown from get().
@@ -49,8 +50,20 @@ class ThreadPool {
   // only ref-counted state. While it runs indices beside helpers the caller
   // counts as a worker for on_worker_thread(). Exceptions as above: all n
   // indices run, then the first exception is rethrown.
+  //
+  // An index may block waiting for a *lower* index of the same call (a task
+  // graph whose edges point downwards): indices are claimed in ascending
+  // order, so a lower index has always been claimed by a running thread, and
+  // the call completes at any max_parallel, 1 included.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t max_parallel);
+
+  // CPU-seconds that pool helpers have spent running indices of the calling
+  // thread's caller-participating parallel_for calls (nested calls included,
+  // since a helper's own tally is folded into the loop it helped). The
+  // caller's own share is already in its thread_cpu_seconds(), so the sum of
+  // the two deltas is the whole CPU cost of a fanned-out computation.
+  static double helper_cpu_seconds();
 
   // The process-wide executor: hardware_concurrency() - 1 workers (at least
   // one), built on first use and never destroyed, so it stays valid for

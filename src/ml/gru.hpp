@@ -20,6 +20,12 @@ namespace netshare::ml {
 // matmul + add + bias + activation composition.
 class Gru {
  public:
+  // Caller-owned scratch of one forward-only step (gate activations, r ⊙ h
+  // and the fused gate's second-product buffer).
+  struct StepScratch {
+    Matrix z, r, c, rh, gate;
+  };
+
   Gru(std::size_t input_dim, std::size_t hidden_dim, Rng& rng);
 
   // Runs the full sequence; returns hidden states h_1..h_T and caches
@@ -27,17 +33,24 @@ class Gru {
   const std::vector<Matrix>& forward(const std::vector<Matrix>& xs);
 
   // BPTT. grad_hs[t] is dLoss/dh_t (zero matrices allowed). Accumulates
-  // parameter gradients and returns dLoss/dx_t for each step.
+  // parameter gradients and returns dLoss/dx_t for each step. Consumes the
+  // forward caches (each step's gate gradients are written over its dead
+  // gate activations), so every backward() needs a fresh forward(). After
+  // the serial recurrence, the parameter-gradient products and the input
+  // gradients fan out over ThreadPool::shared(), kernels::effective_threads()
+  // wide; each parameter still accumulates over t in descending order, so
+  // the result is bitwise identical at every width.
   const std::vector<Matrix>& backward(const std::vector<Matrix>& grad_hs);
 
-  // Forward-only single step for generation: h_out = GRU(x, h_prev), using
-  // exactly the same fused-gate kernel calls as forward(), so a step's
-  // output row is bitwise identical to the corresponding row of a full
-  // forward() unroll. Does not touch the BPTT caches (a training forward()
-  // /backward() pair stays valid across step_into calls). `h_out` must not
-  // alias `h_prev`; uses dedicated step scratch, zero-allocation once
-  // capacities are warm.
-  void step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out);
+  // Forward-only single step: h_out = GRU(x, h_prev), using exactly the
+  // same fused-gate kernel calls as forward(), so a step's output row is
+  // bitwise identical to the corresponding row of a full forward() unroll.
+  // Reads only the weights and writes only h_out and `s`, so it may run on
+  // several threads at once (distinct scratch) and beside a training
+  // forward()/backward() pair. `h_out` must not alias `h_prev`;
+  // zero-allocation once the scratch capacities are warm.
+  void step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
+                 StepScratch& s) const;
 
   std::vector<Parameter*> parameters();
   void zero_grad();
@@ -46,6 +59,8 @@ class Gru {
   std::size_t hidden_dim() const { return hidden_dim_; }
 
  private:
+  // z, r and c hold the gate activations after forward() and the matching
+  // pre-activation gradients (daz, dar, dac) after backward()'s recurrence.
   struct StepCache {
     Matrix x, h_prev, z, r, c;
     Matrix rh;  // r ⊙ h_prev, reused by backward's candidate-path grads
@@ -65,13 +80,12 @@ class Gru {
   std::vector<Matrix> hs_;  // returned hidden states h_1..h_T
   Matrix h0_;               // zero initial state
   Matrix gate_scratch_;     // second-product scratch for gru_gate_into
-  // step_into scratch (kept apart from cache_ so generation never clobbers
-  // a pending backward pass).
-  Matrix step_z_, step_r_, step_c_, step_rh_;
-  // Backward buffers (see backward() for roles).
+  // Backward buffers (see backward() for roles): recurrence scratch, then
+  // one bias-sum buffer per bias task and one product buffer per
+  // input-gradient task of the fan-out.
   std::vector<Matrix> grad_xs_;
-  Matrix dh_, daz_, dac_, dar_, dhp_, drh_, dh_carry_;
-  Matrix bg_, mm_;
+  Matrix dh_, dhp_, drh_, dh_carry_, mm_;
+  std::vector<Matrix> bias_sums_, dx_mm_;
 };
 
 }  // namespace netshare::ml

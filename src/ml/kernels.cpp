@@ -12,10 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <future>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
@@ -32,11 +29,9 @@ namespace {
 
 std::mutex g_mutex;
 KernelConfig g_config;
-std::shared_ptr<ThreadPool> g_pool;  // lazily sized to effective_threads - 1
 
-// Set while a worker (or the caller) executes a panel; a kernel invoked from
-// inside a kernel task must not re-enter the pool (its tasks would queue
-// behind the panel that is waiting on them), so nested dispatch runs serial.
+// Set while a thread executes a panel; a kernel invoked from inside a panel
+// runs serially instead of fanning out again.
 thread_local bool tl_in_kernel_task = false;
 
 struct PanelFlag {
@@ -62,25 +57,16 @@ std::size_t resolve_threads(const KernelConfig& cfg) {
   return hw > 0 ? hw : 1;
 }
 
-// Callers hold their own shared_ptr so a concurrent set_config resize can
-// never destroy a pool that still has panels in flight.
-std::shared_ptr<ThreadPool> acquire_pool(std::size_t workers) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (!g_pool || g_pool->size() != workers) {
-    g_pool = std::make_shared<ThreadPool>(workers);
-  }
-  return g_pool;
-}
-
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
 // Splits [0, rows) into contiguous panels and runs body(begin, end) on the
-// calling thread plus the shared pool. body must touch only output rows
-// [begin, end): that disjointness is the whole determinism argument — the
-// partition can change with the thread count without changing any element's
-// reduction order.
+// shared executor, the calling thread taking part. body must touch only
+// output rows [begin, end): that disjointness is the whole determinism
+// argument — the partition can change with the thread count without
+// changing any element's reduction order. parallel_for waits for every panel
+// (they reference this frame) and rethrows the first panel exception.
 template <typename Body>
 void run_row_panels(std::size_t rows, std::size_t flops, const Body& body) {
   if (rows == 0) return;
@@ -98,50 +84,17 @@ void run_row_panels(std::size_t rows, std::size_t flops, const Body& body) {
     return;
   }
   TELEM_COUNT("kernels.dispatch_parallel");
-  auto pool = acquire_pool(ntasks - 1);
   const std::size_t chunk = (rows + ntasks - 1) / ntasks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(ntasks - 1);
-  for (std::size_t t = 1; t < ntasks; ++t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin >= end) break;
-    futures.push_back(pool->submit([&body, begin, end] {
-      PanelFlag flag;
-      body(begin, end);
-    }));
-  }
-  {
-    PanelFlag flag;
-    body(std::size_t{0}, std::min(rows, chunk));
-  }
-  // Wait for every panel before returning (or rethrowing): the panels
-  // reference stack state of this frame. Only the first exception can
-  // propagate; later ones are reported through the diag channel instead of
-  // vanishing silently.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) {
-        first = std::current_exception();
-      } else {
-        try {
-          std::rethrow_exception(std::current_exception());
-        } catch (const std::exception& e) {
-          TELEM_DIAG(::netshare::telemetry::Severity::kError,
-                     "kernels.panel_exception_dropped",
-                     "secondary panel exception not rethrown: %s", e.what());
-        } catch (...) {
-          TELEM_DIAG(::netshare::telemetry::Severity::kError,
-                     "kernels.panel_exception_dropped",
-                     "secondary non-std panel exception not rethrown");
-        }
-      }
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  ThreadPool::shared().parallel_for(
+      ntasks,
+      [&body, rows, chunk](std::size_t t) {
+        const std::size_t begin = t * chunk;
+        const std::size_t end = std::min(rows, begin + chunk);
+        if (begin >= end) return;
+        PanelFlag flag;
+        body(begin, end);
+      },
+      ntasks);
 }
 
 // --- SIMD tier resolution --------------------------------------------------

@@ -1,4 +1,4 @@
-// Cache-blocked, thread-pool-parallel matmul kernels — the hot path under
+// Cache-blocked, row-panel-parallel matmul kernels — the hot path under
 // every GAN training step (GRU BPTT, MLP discriminators, baselines).
 //
 // Determinism contract (see DESIGN.md §5): for every output element the
@@ -34,7 +34,12 @@ SimdTier active_tier();
 // Recognized "off" spellings: "off", "scalar", "0".
 void reload_simd_env();
 
-// Process-wide kernel tuning. `threads == 0` resolves, in order, to the
+// Process-wide kernel tuning. `threads` is the thread budget of the current
+// phase: the most row panels one product is split into, and also the width
+// of the coarse task fan-out inside a DoppelGANger training iteration
+// (DESIGN.md §5). Both run on the shared executor (ThreadPool::shared()),
+// the calling thread taking part, so the budget caps concurrency but never
+// creates threads. `threads == 0` resolves, in order, to the
 // NETSHARE_KERNEL_THREADS environment variable and then to
 // std::thread::hardware_concurrency(). Products whose flop count
 // (2*rows*inner*cols) falls below `min_parallel_flops` run serially on the
@@ -77,9 +82,8 @@ struct TunePlan {
 TunePlan tuned_plan(TuneOp op, std::size_t rows, std::size_t inner,
                     std::size_t cols);
 
-// Reads / replaces the process-wide config. Replacing the thread count lazily
-// rebuilds the shared worker pool on the next parallel dispatch; in-flight
-// kernels keep the pool they started with.
+// Reads / replaces the process-wide config. A new thread count applies from
+// the next dispatch on; in-flight kernels keep the split they started with.
 KernelConfig config();
 void set_config(const KernelConfig& cfg);
 

@@ -8,6 +8,10 @@
 
 namespace netshare::ml {
 
+void Module::forward_into(const Matrix&, Matrix&) const {
+  throw std::logic_error("Module::forward_into: no forward-only path");
+}
+
 Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
     : w_(Matrix::randn(in, out, rng, std::sqrt(2.0 / static_cast<double>(in)))),
       b_(Matrix::zeros(1, out)) {}
@@ -20,6 +24,10 @@ const Matrix& Linear::forward(const Matrix& x) {
   // caller passes this layer's own previous output.
   kernels::matmul_bias_into(x_cache_, w_.value, b_.value, y_);
   return y_;
+}
+
+void Linear::forward_into(const Matrix& x, Matrix& y) const {
+  kernels::matmul_bias_into(x, w_.value, b_.value, y);
 }
 
 const Matrix& Linear::backward(const Matrix& grad_out) {
@@ -37,23 +45,32 @@ const Matrix& ActivationLayer::forward(const Matrix& x) {
     x_cache_ = x;  // only the relu family needs pre-activations in backward
   }
   y_cache_ = x;
+  activate(y_cache_);
+  return y_cache_;
+}
+
+void ActivationLayer::forward_into(const Matrix& x, Matrix& y) const {
+  y = x;
+  activate(y);
+}
+
+void ActivationLayer::activate(Matrix& y) const {
   switch (kind_) {
     case Activation::kRelu:
-      for (auto& v : y_cache_.data()) v = v > 0 ? v : 0.0;
+      for (auto& v : y.data()) v = v > 0 ? v : 0.0;
       break;
     case Activation::kLeakyRelu:
-      for (auto& v : y_cache_.data()) v = v > 0 ? v : slope_ * v;
+      for (auto& v : y.data()) v = v > 0 ? v : slope_ * v;
       break;
     case Activation::kTanh:
-      tanh_inplace(y_cache_);
+      tanh_inplace(y);
       break;
     case Activation::kSigmoid:
-      sigmoid_inplace(y_cache_);
+      sigmoid_inplace(y);
       break;
     case Activation::kIdentity:
       break;
   }
-  return y_cache_;
 }
 
 const Matrix& ActivationLayer::backward(const Matrix& grad_out) {
@@ -113,8 +130,20 @@ const Matrix& MixedHead::forward(const Matrix& x) {
   if (x.cols() != width()) {
     throw std::invalid_argument("MixedHead::forward: width mismatch");
   }
-  Matrix& y = y_cache_;
+  y_cache_ = x;
+  activate(y_cache_);
+  return y_cache_;
+}
+
+void MixedHead::forward_into(const Matrix& x, Matrix& y) const {
+  if (x.cols() != width()) {
+    throw std::invalid_argument("MixedHead::forward_into: width mismatch");
+  }
   y = x;
+  activate(y);
+}
+
+void MixedHead::activate(Matrix& y) const {
   for (std::size_t i = 0; i < y.rows(); ++i) {
     double* row = y.row_ptr(i);
     std::size_t at = 0;
@@ -146,7 +175,6 @@ const Matrix& MixedHead::forward(const Matrix& x) {
       at += seg.width;
     }
   }
-  return y_cache_;
 }
 
 const Matrix& MixedHead::backward(const Matrix& grad_out) {

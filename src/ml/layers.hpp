@@ -12,6 +12,12 @@
 // copy it (`Matrix y = m.forward(x)`); the training hot path chains the
 // references without copying. After a one-iteration warm-up with stable
 // shapes these calls perform no heap allocation.
+//
+// forward_into() is the forward-only twin: same kernels in the same order,
+// so its output is bitwise identical to forward()'s, but it reads only the
+// parameters and writes only the caller-owned `y` — no caches. Several
+// threads may run it on one module at once (each with its own `y`), and
+// beside a forward()/backward() pair on another thread (DESIGN.md §6).
 #pragma once
 
 #include <memory>
@@ -37,6 +43,9 @@ class Module {
   virtual const Matrix& forward(const Matrix& x) = 0;
   virtual const Matrix& backward(const Matrix& grad_out) = 0;
   virtual std::vector<Parameter*> parameters() { return {}; }
+  // Forward-only pass into caller-owned `y` (must not alias `x`). Composite
+  // modules need scratch per layer and offer their own overload instead.
+  virtual void forward_into(const Matrix& x, Matrix& y) const;
 
   void zero_grad() {
     for (Parameter* p : parameters()) p->zero_grad();
@@ -51,6 +60,7 @@ class Linear : public Module {
   const Matrix& forward(const Matrix& x) override;
   const Matrix& backward(const Matrix& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
+  void forward_into(const Matrix& x, Matrix& y) const override;
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
@@ -73,8 +83,11 @@ class ActivationLayer : public Module {
 
   const Matrix& forward(const Matrix& x) override;
   const Matrix& backward(const Matrix& grad_out) override;
+  void forward_into(const Matrix& x, Matrix& y) const override;
 
  private:
+  void activate(Matrix& y) const;  // in place
+
   Activation kind_;
   double slope_;
   Matrix y_cache_;  // activations; doubles as the forward output buffer
@@ -101,11 +114,14 @@ class MixedHead : public Module {
 
   const Matrix& forward(const Matrix& x) override;
   const Matrix& backward(const Matrix& grad_out) override;
+  void forward_into(const Matrix& x, Matrix& y) const override;
 
   std::size_t width() const;
   const std::vector<OutputSegment>& segments() const { return segments_; }
 
  private:
+  void activate(Matrix& y) const;  // in place, row by row
+
   std::vector<OutputSegment> segments_;
   Matrix y_cache_;  // activations; doubles as the forward output buffer
   Matrix g_;        // backward output buffer

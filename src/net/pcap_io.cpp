@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -16,6 +18,7 @@ namespace netshare::net {
 namespace {
 
 constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
+constexpr std::uint32_t kPcapNanoMagic = 0xa1b23c4d;  // nanosecond timestamps
 constexpr std::uint32_t kLinktypeRaw = 101;       // raw IPv4/IPv6
 // Largest record body read_pcap allocates, whatever the header's snaplen
 // says (libpcap's own MAXIMUM_SNAPLEN).
@@ -33,12 +36,27 @@ void put_le16(std::ostream& out, std::uint16_t v) {
   out.write(b.data(), b.size());
 }
 
-std::uint32_t get_le32(std::istream& in) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
+std::uint32_t from_le(const std::array<unsigned char, 4>& b) {
   return std::uint32_t{b[0]} | (std::uint32_t{b[1]} << 8) |
          (std::uint32_t{b[2]} << 16) | (std::uint32_t{b[3]} << 24);
 }
+
+// Reads the 32-bit header fields of a file in the byte order its magic
+// announced.
+struct FieldReader {
+  std::istream& in;
+  bool big_endian = false;
+
+  std::uint32_t u32() {
+    std::array<unsigned char, 4> b{};
+    in.read(reinterpret_cast<char*>(b.data()), b.size());
+    if (big_endian) {
+      std::swap(b[0], b[3]);
+      std::swap(b[1], b[2]);
+    }
+    return from_le(b);
+  }
+};
 
 // Builds the on-wire bytes for one record: IPv4 header + minimal L4 header,
 // zero payload up to min(total_length, snaplen).
@@ -115,23 +133,39 @@ void write_pcap_file(const PacketTrace& trace, const std::string& path,
 }
 
 PacketTrace read_pcap(std::istream& in) {
-  if (get_le32(in) != kPcapMagic) {
-    throw std::runtime_error("read_pcap: bad magic (expect LE microsecond pcap)");
+  // The magic gives the writer's byte order (it reads as itself or
+  // byte-swapped) and the timestamp resolution.
+  std::array<unsigned char, 4> magic{};
+  in.read(reinterpret_cast<char*>(magic.data()), magic.size());
+  const std::uint32_t le = from_le(magic);
+  const std::uint32_t be = from_le({magic[3], magic[2], magic[1], magic[0]});
+  FieldReader field{in, be == kPcapMagic || be == kPcapNanoMagic};
+  const std::uint32_t m = field.big_endian ? be : le;
+  if (m != kPcapMagic && m != kPcapNanoMagic) {
+    char hex[16];
+    std::snprintf(hex, sizeof hex, "%02x %02x %02x %02x", magic[0], magic[1],
+                  magic[2], magic[3]);
+    throw std::runtime_error(
+        std::string("read_pcap: bad magic bytes ") + hex +
+        (in ? "" : " (file shorter than 4 bytes)") +
+        "; expect a pcap magic (a1b2c3d4 microsecond or a1b23c4d "
+        "nanosecond, in either byte order)");
   }
+  const double sub_unit = m == kPcapNanoMagic ? 1e-9 : 1e-6;
   in.ignore(2 + 2 + 4 + 4);  // version, thiszone, sigfigs
-  const std::uint32_t max_caplen = std::min(get_le32(in), kMaxCaplen);
-  const std::uint32_t linktype = get_le32(in);
+  const std::uint32_t max_caplen = std::min(field.u32(), kMaxCaplen);
+  const std::uint32_t linktype = field.u32();
   if (linktype != kLinktypeRaw) {
     throw std::runtime_error("read_pcap: unsupported linktype");
   }
 
   PacketTrace trace;
   for (std::size_t index = 0;; ++index) {
-    const std::uint32_t sec = get_le32(in);
+    const std::uint32_t sec = field.u32();
     if (!in) break;  // clean EOF
-    const std::uint32_t usec = get_le32(in);
-    const std::uint32_t caplen = get_le32(in);
-    const std::uint32_t wirelen = get_le32(in);
+    const std::uint32_t sub = field.u32();  // µs or ns, per the magic
+    const std::uint32_t caplen = field.u32();
+    const std::uint32_t wirelen = field.u32();
     if (!in) throw std::runtime_error("read_pcap: truncated record header");
     // Checked before allocating: caplen comes straight from the file.
     if (caplen > max_caplen) {
@@ -170,7 +204,7 @@ PacketTrace read_pcap(std::istream& in) {
           ")");
     }
     PacketRecord rec;
-    rec.timestamp = static_cast<double>(sec) + static_cast<double>(usec) * 1e-6;
+    rec.timestamp = static_cast<double>(sec) + static_cast<double>(sub) * sub_unit;
     rec.size = std::max(wirelen, static_cast<std::uint32_t>(ip.total_length));
     rec.ttl = ip.ttl;
     rec.key.src_ip = ip.src;

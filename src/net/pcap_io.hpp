@@ -20,8 +20,12 @@ void write_pcap(const PacketTrace& trace, std::ostream& out,
 void write_pcap_file(const PacketTrace& trace, const std::string& path,
                      std::uint32_t snaplen = 96);
 
-// Reads a pcap file produced by write_pcap (LINKTYPE_RAW, microsecond
-// timestamps). Ports are read after the IP options (IHL). Records whose IP
+// Reads a LINKTYPE_RAW pcap file, such as write_pcap produces. The magic
+// selects byte order and timestamp unit: a1b2c3d4 (microseconds) and
+// a1b23c4d (nanoseconds) are accepted as written by either a little- or a
+// big-endian host, and the byte order then applies to every header field;
+// any other magic is a std::runtime_error naming the four bytes read. Ports
+// are read after the IP options (IHL). Records whose IP
 // version is not 4 (LINKTYPE_RAW also carries IPv6) are skipped and counted
 // in the telemetry counter `net.pcap.skipped_non_ipv4`. Throws
 // std::runtime_error on malformed input, naming the record index for a

@@ -235,9 +235,12 @@ TEST(PcapIo, RejectsBadMagic) {
   EXPECT_THROW(read_pcap(ss), std::runtime_error);
 }
 
-// Hand-built LINKTYPE_RAW pcap bytes (little-endian, microsecond magic).
+// Hand-built LINKTYPE_RAW pcap bytes. Header fields are written in the
+// byte order given at construction (little-endian by default); packet bytes
+// are the same either way.
 struct PcapBytes {
   std::string s;
+  bool big_endian = false;
   void u8(std::uint8_t v) { s.push_back(static_cast<char>(v)); }
   void le16(std::uint16_t v) {
     u8(v & 0xff);
@@ -251,19 +254,32 @@ struct PcapBytes {
     u8(v >> 8);
     u8(v & 0xff);
   }
-  explicit PcapBytes(std::uint32_t snaplen) {
-    for (std::uint32_t v : {0xa1b2c3d4u, 0x00040002u, 0u, 0u, snaplen, 101u}) {
-      le32(v);  // magic, version 2.4, thiszone, sigfigs, snaplen, linktype
+  void field32(std::uint32_t v) {
+    if (!big_endian) return le32(v);
+    be16(static_cast<std::uint16_t>(v >> 16));
+    be16(v & 0xffff);
+  }
+  void field16(std::uint16_t v) { big_endian ? be16(v) : le16(v); }
+  explicit PcapBytes(std::uint32_t snaplen, std::uint32_t magic = 0xa1b2c3d4u,
+                     bool big = false)
+      : big_endian(big) {
+    field32(magic);
+    field16(2);  // version 2.4
+    field16(4);
+    for (std::uint32_t v : {0u, 0u, snaplen, 101u}) {
+      field32(v);  // thiszone, sigfigs, snaplen, linktype
     }
   }
-  void record_header(std::uint32_t caplen) {
-    for (std::uint32_t v : {1u, 0u, caplen, caplen}) le32(v);
+  void record_header(std::uint32_t caplen, std::uint32_t sec = 1,
+                     std::uint32_t sub = 0) {
+    for (std::uint32_t v : {sec, sub, caplen, caplen}) field32(v);
   }
   // IPv4 (IHL words, NOP options) + 4 bytes of TCP ports. The base header
   // is always written, so IHL < 5 makes a 24-byte record.
-  void tcp_packet(std::uint8_t ihl, std::uint16_t sport, std::uint16_t dport) {
+  void tcp_packet(std::uint8_t ihl, std::uint16_t sport, std::uint16_t dport,
+                  std::uint32_t sec = 1, std::uint32_t sub = 0) {
     const std::uint32_t ip_len = std::max<std::uint32_t>(20, ihl * 4u);
-    record_header(ip_len + 4);
+    record_header(ip_len + 4, sec, sub);
     u8(static_cast<std::uint8_t>(0x40 | ihl));
     u8(0);
     be16(static_cast<std::uint16_t>(ip_len + 20));
@@ -293,6 +309,30 @@ TEST(PcapIo, ReadsPortsAfterIpOptions) {
   EXPECT_EQ(t.packets[1].key.protocol, Protocol::kTcp);
 }
 
+TEST(PcapIo, ReadsEitherByteOrderAndBothTimestampUnits) {
+  struct Case {
+    std::uint32_t magic;
+    bool big_endian;
+    std::uint32_t sub;
+    double timestamp;
+  };
+  for (const Case& c : {Case{0xa1b2c3d4u, true, 250000, 7.25},
+                        Case{0xa1b23c4du, false, 123456789, 7.123456789},
+                        Case{0xa1b23c4du, true, 5, 7.000000005}}) {
+    PcapBytes b(96, c.magic, c.big_endian);
+    b.tcp_packet(5, 1111, 22, 7, c.sub);
+    b.tcp_packet(6, 2222, 443, 9, 0);
+    std::stringstream ss(b.s);
+    const PacketTrace t = read_pcap(ss);
+    ASSERT_EQ(t.size(), 2u) << std::hex << c.magic << " be " << c.big_endian;
+    EXPECT_DOUBLE_EQ(t.packets[0].timestamp, c.timestamp);
+    EXPECT_DOUBLE_EQ(t.packets[1].timestamp, 9.0);
+    EXPECT_EQ(t.packets[0].key.src_port, 1111);
+    EXPECT_EQ(t.packets[1].key.dst_port, 443);
+    EXPECT_EQ(t.packets[1].ttl, 64);
+  }
+}
+
 std::string read_pcap_error(const std::string& bytes) {
   std::stringstream ss(bytes);
   try {
@@ -301,6 +341,18 @@ std::string read_pcap_error(const std::string& bytes) {
     return e.what();
   }
   return "";
+}
+
+TEST(PcapIo, RejectsUnknownMagicNamingItsBytes) {
+  std::string msg = read_pcap_error("not a pcap file at all");
+  EXPECT_NE(msg.find("bad magic bytes 6e 6f 74 20"), std::string::npos) << msg;
+  // A big-endian file whose caplen check still works after the swap.
+  PcapBytes big(96, 0xa1b2c3d4u, true);
+  big.record_header(1u << 30);
+  msg = read_pcap_error(big.s);
+  EXPECT_NE(msg.find("record 0 caplen 1073741824"), std::string::npos) << msg;
+  msg = read_pcap_error("\xd4\xc3");
+  EXPECT_NE(msg.find("shorter than 4 bytes"), std::string::npos) << msg;
 }
 
 TEST(PcapIo, RejectsOversizedCaplenBeforeAllocating) {

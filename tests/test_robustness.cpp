@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -251,9 +252,32 @@ TEST(Restore, MismatchLeavesModelUntouchedAndNamesSizes) {
 // ---------------------------------------------------------------------------
 
 TEST(HealthGuard, InjectedNanRollsBackAndRecovers) {
-  gan::DoppelGanger model(tiny_spec(), tiny_dg(), 4321);
+  // The rollback path is the same at every fan-out width: the recovered
+  // weights at width 4 match width 1 bit for bit.
   FaultPlan plan;
   plan.nan_at_step = 8;  // detected by the step-10 check (check_every = 5)
+  std::vector<double> serial;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    ml::kernels::KernelConfig kc;
+    kc.threads = width;
+    ml::kernels::ConfigOverride budget(kc);
+    gan::DoppelGanger m(tiny_spec(), tiny_dg(), 4321);
+    ScopedFaultPlan arm(plan);
+    m.fit(tiny_data(64, 78), 20);
+    EXPECT_GE(m.health_stats().rollbacks, 1) << "width " << width;
+    const std::vector<double> w = m.snapshot();
+    if (width == 1) {
+      serial = w;
+    } else {
+      ASSERT_EQ(w.size(), serial.size());
+      EXPECT_EQ(std::memcmp(w.data(), serial.data(),
+                            w.size() * sizeof(double)),
+                0)
+          << "recovered weights differ at width 4";
+    }
+  }
+
+  gan::DoppelGanger model(tiny_spec(), tiny_dg(), 4321);
   {
     ScopedFaultPlan arm(plan);
     model.fit(tiny_data(64, 78), 20);

@@ -2,7 +2,8 @@
 // parallel_for, zero-task and fewer-tasks-than-threads edge cases, worker
 // survival after a throwing task, destruction with queued work, and the
 // caller-participating parallel_for of the shared executor (nesting while
-// every worker is blocked, the max_parallel cap, exception order).
+// every worker is blocked, tasks waiting on lower indices, the max_parallel
+// cap, exception order, helper CPU accounting).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,11 +11,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/parallel.hpp"
 #include "telemetry/telemetry.hpp"
@@ -160,6 +163,57 @@ struct BlockedWorkers {
   bool released = false;
   std::vector<std::future<void>> done;
 };
+
+TEST(ThreadPool, TaskWaitingOnALowerIndexCompletesAtEveryWidth) {
+  // Each index blocks until the one below it has finished (the DoppelGANger
+  // iteration graph's dependency rule). Indices are claimed in ascending
+  // order, so the awaited index is always running somewhere: the loop must
+  // finish at every width, with the workers free or all parked elsewhere.
+  ThreadPool pool(3);
+  for (const bool park : {false, true}) {
+    for (std::size_t width = 1; width <= 4; ++width) {
+      std::optional<BlockedWorkers> blocked;
+      if (park) blocked.emplace(pool);
+      std::mutex mu;
+      std::condition_variable cv;
+      std::vector<bool> done(6, false);
+      pool.parallel_for(
+          done.size(),
+          [&](std::size_t i) {
+            std::unique_lock<std::mutex> lock(mu);
+            if (i > 0) cv.wait(lock, [&] { return done[i - 1]; });
+            done[i] = true;
+            cv.notify_all();
+          },
+          width);
+      EXPECT_TRUE(std::all_of(done.begin(), done.end(), [](bool d) { return d; }))
+          << "width " << width << " parked " << park;
+      if (blocked) blocked->release();
+    }
+  }
+}
+
+TEST(ThreadPool, HelperCpuIsCreditedToTheCaller) {
+  // Work a helper runs for this thread's loop shows up in the caller's
+  // helper_cpu_seconds(); the caller's own share does not (it is already in
+  // the caller's thread CPU time).
+  ThreadPool pool(2);
+  const auto spin = [] {
+    const double t0 = thread_cpu_seconds();
+    while (thread_cpu_seconds() - t0 < 0.02) {
+    }
+  };
+  const double serial0 = ThreadPool::helper_cpu_seconds();
+  pool.parallel_for(3, [&](std::size_t) { spin(); }, 1);
+  EXPECT_EQ(ThreadPool::helper_cpu_seconds(), serial0);
+
+  const double before = ThreadPool::helper_cpu_seconds();
+  const double own0 = thread_cpu_seconds();
+  pool.parallel_for(6, [&](std::size_t) { spin(); }, 3);
+  const double helpers = ThreadPool::helper_cpu_seconds() - before;
+  const double own = thread_cpu_seconds() - own0;
+  EXPECT_GE(own + helpers, 6 * 0.02 * 0.9);
+}
 
 TEST(ThreadPool, SharedExecutorLeavesACoreForTheCaller) {
   const unsigned hw = std::thread::hardware_concurrency();
