@@ -343,6 +343,63 @@ TEST(GradCheck, GruBatchedForwardBackwardBitwiseStableAcrossThreads) {
   }
 }
 
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// The forward-only twins read only the weights and write caller-owned
+// scratch, with the same kernels in the same order as forward().
+TEST(ForwardInto, MatchesForwardBitwise) {
+  Rng rng(31);
+  const Matrix x = Matrix::randn(7, 6, rng);
+  Matrix y;
+  Linear lin(6, 5, rng);
+  lin.forward_into(x, y);
+  EXPECT_TRUE(bitwise_equal(y, lin.forward(x)));
+  for (Activation kind : {Activation::kRelu, Activation::kLeakyRelu,
+                          Activation::kTanh, Activation::kSigmoid}) {
+    ActivationLayer act(kind);
+    act.forward_into(x, y);
+    EXPECT_TRUE(bitwise_equal(y, act.forward(x)));
+  }
+  MixedHead head({{OutputSegment::Kind::kSoftmax, 3},
+                  {OutputSegment::Kind::kSigmoid, 2},
+                  {OutputSegment::Kind::kTanh, 1}});
+  head.forward_into(x, y);
+  EXPECT_TRUE(bitwise_equal(y, head.forward(x)));
+  Mlp mlp({6, 8, 8, 4}, Activation::kRelu,
+          {{OutputSegment::Kind::kSoftmax, 3},
+           {OutputSegment::Kind::kSigmoid, 1}},
+          rng);
+  std::vector<Matrix> bufs;
+  EXPECT_TRUE(bitwise_equal(mlp.forward_into(x, bufs), mlp.forward(x)));
+
+  // One GRU step from a zero state equals the first step of the unroll, and
+  // leaves a pending forward()/backward() pair's caches alone.
+  Rng ra(5), rb(5);
+  Gru gru(6, 4, ra), twin(6, 4, rb);
+  const std::vector<Matrix> xs = {x, Matrix::randn(7, 6, rng)};
+  const Matrix h1 = gru.forward(xs)[0];
+  twin.forward(xs);
+  Gru::StepScratch scratch;
+  Matrix h_out;
+  gru.step_into(x, Matrix::zeros(7, 4), h_out, scratch);
+  EXPECT_TRUE(bitwise_equal(h_out, h1));
+  const std::vector<Matrix> grads(2, Matrix(7, 4, 1.0));
+  const std::vector<Matrix>& gx = gru.backward(grads);
+  const std::vector<Matrix>& gx_twin = twin.backward(grads);
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_TRUE(bitwise_equal(gx[t], gx_twin[t])) << "step " << t;
+  }
+  for (std::size_t p = 0; p < gru.parameters().size(); ++p) {
+    EXPECT_TRUE(bitwise_equal(gru.parameters()[p]->grad,
+                              twin.parameters()[p]->grad))
+        << "parameter " << p;
+  }
+}
+
 TEST(Losses, MseGradientMatchesFiniteDifference) {
   Rng rng(16);
   const Matrix pred = Matrix::randn(3, 2, rng);
