@@ -2,8 +2,10 @@
 // common::Stopwatch so the benches and the library agree on one clock.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/stopwatch.hpp"
 
@@ -40,6 +42,27 @@ inline double gflops_of(std::size_t rows, std::size_t inner,
                         std::size_t cols, const std::function<void()>& fn,
                         double min_seconds = 0.3) {
   return gflops(rows, inner, cols, time_best(fn, min_seconds));
+}
+
+// Median and interquartile range of repeated measurements. Quartiles use
+// the exclusive method, as perfbench/stats.py (statistics.quantiles, n=4)
+// does, so both harnesses report the same spread for the same samples.
+struct MedianIqr {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+inline MedianIqr median_iqr(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  if (n == 0) return {};
+  if (n == 1) return {v[0], 0.0};
+  const auto quartile = [&](std::size_t i) {
+    const std::size_t m = n + 1;
+    const std::size_t j = std::clamp<std::size_t>(i * m / 4, 1, n - 1);
+    const double delta = static_cast<double>(i * m) - 4.0 * j;
+    return (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0;
+  };
+  return {quartile(2), quartile(3) - quartile(1)};
 }
 
 }  // namespace netshare::bench

@@ -126,26 +126,34 @@ gan::TimeSeriesDataset toy_data(std::size_t n) {
 }
 
 struct DgResult {
-  double iters_per_sec;
-  double allocs_per_iter;  // steady-state Matrix allocations per iteration
+  bench::MedianIqr iters_per_sec;  // over the reps
+  double allocs_per_iter;  // worst rep's steady-state Matrix allocs per iter
 };
 
+// Each rep trains a fresh model: `warmup` iterations populate its workspace
+// pools, module buffers and the autotuner's shape memos, then `iterations`
+// are timed. A single cold sample per row mostly measured which rep the
+// host's scheduler happened to favour; the median of several reps, each
+// after its own warm-up, measures the width.
 DgResult bench_dg_iters_per_sec(ml::kernels::SimdTier tier,
                                 std::size_t threads, int warmup,
-                                int iterations) {
+                                int iterations, int reps) {
   ml::kernels::ConfigOverride guard(tier_cfg(tier, threads));
   const gan::TimeSeriesDataset data = toy_data(256);
   gan::DgConfig dg;  // paper-shaped defaults: rnn 48, disc {96,96}
-  gan::DoppelGanger model(data.spec, dg, 99);
-  // Warm-up iterations populate the workspace pools, module buffers, and
-  // the autotuner's shape memos so the timed window measures steady state.
-  model.fit(data, warmup);
-  ml::alloc_counter::reset();
-  Stopwatch sw;
-  model.fit(data, iterations);
-  const double s = sw.seconds();
-  return {iterations / s,
-          static_cast<double>(ml::alloc_counter::count()) / iterations};
+  std::vector<double> ips;
+  double allocs = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    gan::DoppelGanger model(data.spec, dg, 99);
+    model.fit(data, warmup);
+    ml::alloc_counter::reset();
+    Stopwatch sw;
+    model.fit(data, iterations);
+    ips.push_back(iterations / sw.seconds());
+    allocs = std::max(allocs, static_cast<double>(ml::alloc_counter::count()) /
+                                  iterations);
+  }
+  return {bench::median_iqr(ips), allocs};
 }
 
 // Fused GRU gate vs the unfused matmul + add + bias + activation
@@ -201,8 +209,9 @@ const char* tier_name(ml::kernels::SimdTier t) {
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
-  const int dg_warmup = 3;
-  const int dg_iterations = 20;
+  const int dg_warmup = 5;
+  const int dg_iterations = 40;
+  const int dg_reps = 5;
 
   const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<std::size_t> threads = clamped_thread_counts();
@@ -254,18 +263,22 @@ int main(int argc, char** argv) {
               gate_unfused, gate_fused, gate_fused / gate_unfused,
               gate_fused_scalar);
 
-  std::vector<double> dg_ips, dg_allocs, dg_scalar_ips;
+  std::vector<double> dg_ips, dg_iqr, dg_allocs, dg_scalar_ips, dg_scalar_iqr;
   for (const std::size_t t : threads) {
-    const DgResult r = bench_dg_iters_per_sec(ml::kernels::SimdTier::kAvx2, t,
-                                              dg_warmup, dg_iterations);
+    const DgResult r = bench_dg_iters_per_sec(
+        ml::kernels::SimdTier::kAvx2, t, dg_warmup, dg_iterations, dg_reps);
     const DgResult rs = bench_dg_iters_per_sec(
-        ml::kernels::SimdTier::kScalar, t, dg_warmup, dg_iterations);
-    dg_ips.push_back(r.iters_per_sec);
+        ml::kernels::SimdTier::kScalar, t, dg_warmup, dg_iterations, dg_reps);
+    dg_ips.push_back(r.iters_per_sec.median);
+    dg_iqr.push_back(r.iters_per_sec.iqr);
     dg_allocs.push_back(r.allocs_per_iter);
-    dg_scalar_ips.push_back(rs.iters_per_sec);
-    std::printf("doppelganger @%zu threads: %.2f iters/sec (scalar tier "
-                "%.2f), %.1f allocs/iter\n",
-                t, r.iters_per_sec, rs.iters_per_sec, r.allocs_per_iter);
+    dg_scalar_ips.push_back(rs.iters_per_sec.median);
+    dg_scalar_iqr.push_back(rs.iters_per_sec.iqr);
+    std::printf("doppelganger @%zu threads: %.2f iters/sec (IQR %.2f; scalar "
+                "tier %.2f, IQR %.2f), %.1f allocs/iter, median of %d reps\n",
+                t, r.iters_per_sec.median, r.iters_per_sec.iqr,
+                rs.iters_per_sec.median, rs.iters_per_sec.iqr,
+                r.allocs_per_iter, dg_reps);
   }
 
   // Autotune transparency: the plans the benches above converged on, read
@@ -338,9 +351,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"doppelganger_iters_per_sec\": {\"iterations\": %d, "
-               "\"warmup_iterations\": %d, \"kernel\": %s, \"scalar\": %s},\n",
-               dg_iterations, dg_warmup, json_array(dg_ips).c_str(),
-               json_array(dg_scalar_ips).c_str());
+               "\"warmup_iterations\": %d, \"reps\": %d, \"kernel\": %s, "
+               "\"kernel_iqr\": %s, \"scalar\": %s, \"scalar_iqr\": %s},\n",
+               dg_iterations, dg_warmup, dg_reps, json_array(dg_ips).c_str(),
+               json_array(dg_iqr).c_str(), json_array(dg_scalar_ips).c_str(),
+               json_array(dg_scalar_iqr).c_str());
   std::fprintf(f, "  \"doppelganger_allocs_per_iter\": %s\n",
                json_array(dg_allocs).c_str());
   std::fprintf(f, "}\n");

@@ -142,15 +142,18 @@ static void BM_DoppelGangerSample(benchmark::State& state) {
   cfg.threads = static_cast<std::size_t>(state.range(1));
   cfg.min_parallel_flops = 0;
   ml::kernels::ConfigOverride guard(cfg);
-  gan::DoppelGanger& model = trained_sampler();
+  const gan::DoppelGanger& model = trained_sampler();
   constexpr std::size_t kSeries = 64;
+  gan::SampleScratch scratch;
   gan::GeneratedSeries out;
-  model.sample_into(batched ? kSeries : 1, 7, 0, out);  // warm-up
+  model.sample_into(batched ? kSeries : 1, 7, 0, out, scratch);  // warm-up
   for (auto _ : state) {
     if (batched) {
-      model.sample_into(kSeries, 7, 0, out);
+      model.sample_into(kSeries, 7, 0, out, scratch);
     } else {
-      for (std::size_t i = 0; i < kSeries; ++i) model.sample_into(1, 7, i, out);
+      for (std::size_t i = 0; i < kSeries; ++i) {
+        model.sample_into(1, 7, i, out, scratch);
+      }
     }
     benchmark::DoNotOptimize(out.lengths.data());
   }

@@ -197,13 +197,14 @@ int main(int argc, char** argv) {
   telemetry::set_enabled(true);
 
   std::vector<gan::GeneratedSeries> ref_series(chunks.size());
+  gan::SampleScratch scratch;
   const double serial_gen_sec = time_best([&] {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 1;
     ml::kernels::ConfigOverride guard(cfg);
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       trainer.sample_chunk_reference_into(c, counts[c], 1234, 0,
-                                          ref_series[c]);
+                                          ref_series[c], scratch);
     }
     decode_all(ref_series);
   });
@@ -227,12 +228,13 @@ int main(int argc, char** argv) {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 1;
     ml::kernels::ConfigOverride guard(cfg);
-    trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf);  // warm-up
+    trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);  // warm-up
     ml::alloc_counter::reset();
-    trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf);
+    trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);
     allocs_per_batch = static_cast<double>(ml::alloc_counter::count());
-    batched_sec = time_best(
-        [&] { trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf); });
+    batched_sec = time_best([&] {
+      trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);
+    });
   }
   double per_series_sec = 0.0;
   {
@@ -241,7 +243,7 @@ int main(int argc, char** argv) {
     ml::kernels::ConfigOverride guard(cfg);
     per_series_sec = time_best([&] {
       for (std::size_t i = 0; i < kSampleBatch; ++i) {
-        trainer.sample_chunk_into(c0, 1, 7, i, buf);
+        trainer.sample_chunk_into(c0, 1, 7, i, buf, scratch);
       }
     });
   }

@@ -122,32 +122,49 @@ std::size_t round_series(std::size_t deficit, double rpf, std::size_t sampled,
   return std::max<std::size_t>(8, std::min(want, deficit));
 }
 
-// Deficit-loop sampling + decode for one chunk. The result is a pure
+// Deficit-loop sampling + decode for one chunk. Each round's series are cut
+// into trainer.slice_series() slices; a slice is sampled and decoded as one
+// task on the shared executor, up to `width` at once, and the slices'
+// records are appended in ascending slice order. The result is a pure
 // function of (chunk index, target, seed) — the sampler draws from
-// counter-based per-(chunk, series) streams, the decoder is const, and each
-// round's size depends only on this chunk's earlier rounds — so offline and
-// served schedules produce bitwise-identical sub-traces.
+// counter-based per-(chunk, series) streams, the decoder is const and works
+// series by series, and each round's size depends only on this chunk's
+// earlier rounds — so offline and served schedules produce
+// bitwise-identical sub-traces at any width once export_chunk_part has
+// ordered them: each slice comes back time-sorted, and a stable sort of the
+// concatenated slices equals a stable sort of the whole round, because
+// records with equal timestamps keep their series order either way.
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
                        std::size_t target, std::uint64_t seed,
                        const NetShareConfig& config, ChunkedTrainer& trainer,
                        const RecordsOf& records_of, const DecodeFn& decode,
-                       TraceT& out) {
+                       std::size_t width, TraceT& out) {
   Stopwatch sw;
   TELEM_SPAN("generate.chunk", {"chunk", static_cast<long long>(c)});
   out = TraceT{};
   const double rpf = std::min(records_per_flow(chunks[c]),
                               static_cast<double>(config.max_seq_len));
+  const std::size_t S = trainer.slice_series();
   std::size_t sampled = 0;  // series so far; keeps stream indices unique
-  gan::GeneratedSeries series;
+  std::vector<TraceT> decoded;
   while (out.size() < target) {
     const std::size_t n =
         round_series(target - out.size(), rpf, sampled, out.size());
-    trainer.sample_chunk_into(c, n, seed, sampled, series);
+    decoded.resize((n + S - 1) / S);
+    run_parallel_tasks(width, decoded.size(), [&](std::size_t k) {
+      const std::size_t first = k * S;
+      SliceBuffers& buf = thread_slice_buffers();
+      trainer.sample_chunk_into(c, std::min(S, n - first), seed,
+                                sampled + first, buf.series, buf.scratch);
+      decoded[k] = decode(buf.series, c);
+    });
     sampled += n;
-    const TraceT decoded = decode(series, c);
-    records_of(out).insert(records_of(out).end(), records_of(decoded).begin(),
-                           records_of(decoded).end());
+    for (TraceT& slice : decoded) {
+      records_of(out).insert(records_of(out).end(), records_of(slice).begin(),
+                             records_of(slice).end());
+      slice = TraceT{};
+    }
   }
   TELEM_COUNT_N("generate.records_decoded", out.size());
   trainer.note_generate(c, sw.seconds(), sampled, out.size(),
@@ -180,10 +197,13 @@ TraceT merge_chunk_parts(std::vector<TraceT>& parts, std::size_t n,
   return out;
 }
 
-// Fills each target chunk's sub-trace in parallel across chunk workers,
-// splitting the thread budget like ChunkedTrainer::fit. Any worker count
-// and task order produce bitwise-identical traces (see sample_chunk_part);
-// serial generation is just workers == 1.
+// Fills each target chunk's sub-trace, largest chunk first, with one task
+// per chunk on the shared executor and each chunk's slices fanned out the
+// full phase budget wide (passed down explicitly: inside a chunk task the
+// kernel config's width is the per-chunk split). Slice helpers queue on the
+// same executor, so a core that finishes a small chunk picks up slices of
+// the largest one. Any budget and task order produce bitwise-identical
+// traces (see sample_chunk_part).
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
                       const std::vector<std::size_t>& targets, std::size_t n,
@@ -204,7 +224,7 @@ TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
   run_parallel_tasks(split.workers, active.size(), [&](std::size_t ai) {
     const std::size_t c = active[ai];
     sample_chunk_part(chunks, c, targets[c], seed, config, trainer, records_of,
-                      decode, parts[c]);
+                      decode, budget, parts[c]);
     export_chunk_part(targets[c], records_of, parts[c]);
   });
   return merge_chunk_parts(parts, n, records_of);
@@ -221,13 +241,14 @@ void sample_flow_chunk_part(const std::vector<ChunkInfo>& chunks,
                             std::size_t c, std::size_t target,
                             std::uint64_t seed, const NetShareConfig& config,
                             ChunkedTrainer& trainer,
-                            const FlowEncoder& encoder, net::FlowTrace& out) {
+                            const FlowEncoder& encoder, std::size_t width,
+                            net::FlowTrace& out) {
   sample_chunk_part(chunks, c, target, seed, config, trainer,
                     [](auto& trace) -> auto& { return trace.records; },
                     [&](const gan::GeneratedSeries& series, std::size_t cc) {
                       return encoder.decode(series, cc);
                     },
-                    out);
+                    width, out);
 }
 
 void export_flow_chunk_part(std::size_t target, net::FlowTrace& part) {

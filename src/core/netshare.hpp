@@ -43,12 +43,16 @@ std::vector<std::size_t> chunk_record_targets(
     const std::vector<ChunkInfo>& chunks, std::size_t n);
 
 // Deficit-loop sampling + decode of chunk c's sub-trace toward `target`
-// records (overshoot is trimmed by export_flow_chunk_part).
+// records (overshoot is trimmed by export_flow_chunk_part). Each round's
+// series are sampled and decoded in ChunkedTrainer::slice_series() slices,
+// up to `width` slices at once on the shared executor; the exported part is
+// bitwise identical at every width.
 void sample_flow_chunk_part(const std::vector<ChunkInfo>& chunks,
                             std::size_t c, std::size_t target,
                             std::uint64_t seed, const NetShareConfig& config,
                             ChunkedTrainer& trainer,
-                            const FlowEncoder& encoder, net::FlowTrace& out);
+                            const FlowEncoder& encoder, std::size_t width,
+                            net::FlowTrace& out);
 
 // Orders a chunk's sub-trace and trims the deficit-loop overshoot.
 void export_flow_chunk_part(std::size_t target, net::FlowTrace& part);

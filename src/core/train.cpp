@@ -1,5 +1,6 @@
 #include "core/train.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -256,41 +257,29 @@ void ChunkedTrainer::fit(const std::vector<gan::TimeSeriesDataset>& chunks) {
   });
 }
 
-gan::GeneratedSeries ChunkedTrainer::sample_chunk(std::size_t c, std::size_t n,
-                                                  Rng& rng) {
-  gan::GeneratedSeries out;
-  sample_chunk_into(c, n, rng.engine()(), 0, out);
-  return out;
-}
-
 void ChunkedTrainer::sample_chunk_into(std::size_t c, std::size_t n,
                                        std::uint64_t seed,
                                        std::size_t first_series,
-                                       gan::GeneratedSeries& out) {
+                                       gan::GeneratedSeries& out,
+                                       gan::SampleScratch& scratch) const {
   if (!has_model(c)) {
-    out.spec = spec_;
-    out.attributes.resize(0, spec_.attribute_dim());
-    out.features.resize(spec_.max_len);
-    for (auto& step : out.features) step.resize(0, spec_.feature_dim());
-    out.lengths.clear();
+    out.reset(spec_, 0);
     return;
   }
-  models_[c]->sample_into(n, mix_seed(seed, c), first_series, out);
+  models_[c]->sample_into(n, mix_seed(seed, c), first_series, out, scratch);
 }
 
 void ChunkedTrainer::sample_chunk_reference_into(std::size_t c, std::size_t n,
                                                  std::uint64_t seed,
                                                  std::size_t first_series,
-                                                 gan::GeneratedSeries& out) {
+                                                 gan::GeneratedSeries& out,
+                                                 gan::SampleScratch& scratch) {
   if (!has_model(c)) {
-    out.spec = spec_;
-    out.attributes.resize(0, spec_.attribute_dim());
-    out.features.resize(spec_.max_len);
-    for (auto& step : out.features) step.resize(0, spec_.feature_dim());
-    out.lengths.clear();
+    out.reset(spec_, 0);
     return;
   }
-  models_[c]->sample_reference_into(n, mix_seed(seed, c), first_series, out);
+  models_[c]->sample_reference_into(n, mix_seed(seed, c), first_series, out,
+                                    scratch);
 }
 
 void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
@@ -301,35 +290,53 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
     throw std::invalid_argument(
         "ChunkedTrainer::sample_chunks: counts size != num_chunks");
   }
+  Stopwatch sw;
   out.resize(models_.size());
   std::vector<std::size_t> active;
   for (std::size_t c = 0; c < models_.size(); ++c) {
-    if (counts[c] > 0 && has_model(c)) {
-      active.push_back(c);
-    } else {
-      sample_chunk_into(c, 0, seed, 0, out[c]);
-    }
+    const bool sampled = counts[c] > 0 && has_model(c);
+    out[c].reset(spec_, sampled ? counts[c] : 0);
+    if (sampled) active.push_back(c);
   }
   largest_first(active, counts);
+  // Slices of every chunk, largest chunk first: idle threads pick up slices
+  // of the largest chunk instead of waiting on it.
+  struct Slice {
+    std::size_t c, first, n;
+    double end_sec = 0.0;  // phase-relative time the slice finished
+  };
+  std::vector<Slice> slices;
+  const std::size_t S = slice_series();
+  for (const std::size_t c : active) {
+    for (std::size_t first = 0; first < counts[c]; first += S) {
+      slices.push_back({c, first, std::min(S, counts[c] - first)});
+    }
+  }
   const std::size_t budget = parallel_phase_budget(
       thread_budget == 0 ? std::max<std::size_t>(1, config_.threads)
                          : thread_budget);
   const PhaseBudget split =
-      split_phase_budget(budget, active.size(), config_.kernels);
+      split_phase_budget(budget, slices.size(), config_.kernels);
   ml::kernels::ConfigOverride guard(split.kernel_cfg);
-  TELEM_SPAN("generate.sample_chunks",
-             {"chunks", static_cast<long long>(active.size())});
-  run_parallel_tasks(split.workers, active.size(), [&](std::size_t i) {
-    const std::size_t c = active[i];
-    Stopwatch sw;
-    TELEM_SPAN("generate.chunk", {"chunk", static_cast<long long>(c)});
-    // One model per task: sample_into is not thread-safe per instance, but
-    // distinct chunk models share no mutable state (per-model Workspace).
-    sample_chunk_into(c, counts[c], seed, 0, out[c]);
+  {
+    TELEM_SPAN("generate.sample_chunks",
+               {"chunks", static_cast<long long>(active.size())});
+    run_parallel_tasks(split.workers, slices.size(), [&](std::size_t i) {
+      Slice& s = slices[i];
+      SliceBuffers& buf = thread_slice_buffers();
+      sample_chunk_into(s.c, s.n, seed, s.first, buf.series, buf.scratch);
+      out[s.c].put_rows(s.first, buf.series);
+      s.end_sec = sw.seconds();
+    });
+  }
+  // A chunk's generate time is when its last slice finished.
+  std::vector<double> end_sec(models_.size(), 0.0);
+  for (const Slice& s : slices) end_sec[s.c] = std::max(end_sec[s.c], s.end_sec);
+  for (const std::size_t c : active) {
     std::size_t records = 0;
     for (std::size_t len : out[c].lengths) records += len;
-    note_generate(c, sw.seconds(), counts[c], records, records);
-  });
+    note_generate(c, end_sec[c], counts[c], records, records);
+  }
 }
 
 double ChunkedTrainer::train_cpu_seconds() const {
@@ -345,6 +352,11 @@ std::vector<double> ChunkedTrainer::seed_snapshot() {
     throw std::logic_error("ChunkedTrainer::seed_snapshot: not trained");
   }
   return models_[seed_chunk_]->snapshot();
+}
+
+SliceBuffers& thread_slice_buffers() {
+  thread_local SliceBuffers buffers;
+  return buffers;
 }
 
 std::size_t ChunkedTrainer::total_dp_steps() const {

@@ -107,33 +107,43 @@ class ChunkedTrainer {
   // Per-chunk outcome of the last fit() (empty before the first fit).
   const TrainReport& report() const { return report_; }
 
-  // Samples n series from chunk c's model; returns an empty series (0 rows)
-  // if the chunk had no data.
-  gan::GeneratedSeries sample_chunk(std::size_t c, std::size_t n, Rng& rng);
-
   // Deterministic stream-seeded sampling into caller-owned buffers: series
   // `first_series + i` of chunk c draws from the counter-based stream
   // (mix_seed(seed, c), first_series + i), so the output is a pure function
   // of (c, seed, series index) — independent of batching, of call
-  // partitioning, and of worker/kernel thread counts. Zero steady-state
-  // Matrix allocations after a same-shape warm-up call.
+  // partitioning, and of worker/kernel thread counts. A chunk without a
+  // model (no data) yields an empty series (0 rows). Zero steady-state
+  // Matrix allocations after a same-shape warm-up call with the same
+  // scratch. Concurrent calls, for one chunk or several, each need their
+  // own scratch.
   void sample_chunk_into(std::size_t c, std::size_t n, std::uint64_t seed,
-                         std::size_t first_series, gan::GeneratedSeries& out);
+                         std::size_t first_series, gan::GeneratedSeries& out,
+                         gan::SampleScratch& scratch) const;
 
   // Same contract through the full-unroll reference sampler
   // (DoppelGanger::sample_reference_into): bitwise identical to
   // sample_chunk_into, kept as the serial baseline for bench/pipeline_e2e
-  // and the oracle in tests.
+  // and the oracle in tests. One caller per chunk at a time.
   void sample_chunk_reference_into(std::size_t c, std::size_t n,
                                    std::uint64_t seed,
                                    std::size_t first_series,
-                                   gan::GeneratedSeries& out);
+                                   gan::GeneratedSeries& out,
+                                   gan::SampleScratch& scratch);
 
-  // Samples counts[c] series from every chunk model, splitting the thread
-  // budget between chunk workers and per-worker kernel threads exactly like
-  // fit() (see parallel_phase_budget / split_phase_budget). Chunks without a
-  // model (or with counts[c] == 0) yield empty series. `thread_budget` == 0
-  // uses config.threads; any value produces bitwise-identical output.
+  // Series per generation slice: the unit one sampling task draws (and, in
+  // core/netshare.cpp's deficit loop, decodes). A fixed multiple of the
+  // sampler's batch size, so a slice runs whole batches.
+  std::size_t slice_series() const {
+    return kSliceBatches * config_.dg.batch_size;
+  }
+
+  // Samples counts[c] series from every chunk model. Each chunk's range is
+  // cut into slice_series() slices, and the slices of all chunks (largest
+  // chunk first) run as tasks on ThreadPool::shared(), up to the phase
+  // budget wide (see parallel_phase_budget / split_phase_budget). Chunks
+  // without a model (or with counts[c] == 0) yield empty series.
+  // `thread_budget` == 0 uses config.threads; any value produces
+  // bitwise-identical output.
   void sample_chunks(const std::vector<std::size_t>& counts, std::uint64_t seed,
                      std::vector<gan::GeneratedSeries>& out,
                      std::size_t thread_budget = 0);
@@ -152,6 +162,8 @@ class ChunkedTrainer {
   std::size_t total_dp_steps() const;
 
  private:
+  static constexpr std::size_t kSliceBatches = 4;
+
   gan::DgConfig chunk_config() const;
   std::string checkpoint_path(std::size_t c) const;
   // Restores chunk c's model from its on-disk checkpoint if one exists and
@@ -171,5 +183,15 @@ class ChunkedTrainer {
   std::vector<double> seed_snapshot_;
   TrainReport report_;
 };
+
+// The calling thread's buffers for one generation slice: the sampler's
+// scratch and the slice's series. Thread-local, so any executor thread can
+// run any chunk's slice without sharing mutable state, and the footprint
+// stays at one slice per thread.
+struct SliceBuffers {
+  gan::SampleScratch scratch;
+  gan::GeneratedSeries series;
+};
+SliceBuffers& thread_slice_buffers();
 
 }  // namespace netshare::core

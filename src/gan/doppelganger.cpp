@@ -213,7 +213,7 @@ void DoppelGanger::generator_backward(
       for (std::size_t j = 0; j < A; ++j) dst[j] += src[j];
     }
   }
-  attr_gen_->backward(attr_total);
+  attr_gen_->backward_params(attr_total);  // its input is noise
 }
 
 void DoppelGanger::disc_input_into(const Matrix& attr,
@@ -409,7 +409,8 @@ void DoppelGanger::critic_step(const TimeSeriesDataset& data,
     last_d_loss_ = (fake_mean - real_mean) * inv_b;
     TELEM_GAUGE_SET("gan.train.d_loss", last_d_loss_);
   }
-  disc_->backward(gs);
+  // The critic input is data: only the parameter gradients are read.
+  disc_->backward_params(gs);
 
   // Auxiliary critic on attributes only.
   interpolate(real_.attributes, cs.fake_attr, cs.aux_eps, a1_, a2_, adist_);
@@ -425,7 +426,7 @@ void DoppelGanger::critic_step(const TimeSeriesDataset& data,
   }
   add_lipschitz_grads(ascores, 2 * B, 3 * B, B, adist_,
                       config_.lipschitz_weight * config_.aux_weight, gas);
-  aux_disc_->backward(gas);
+  aux_disc_->backward_params(gas);
 
   // clip_grad_norm returns the PRE-clip norm; the post-clip norm the guard
   // checks is min(norm, clip) for finite norms and the norm itself when
@@ -469,7 +470,7 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
     gs(0, 0) = -1.0;
     gs(1, 0) = 1.0;
     add_lipschitz_grads(scores, 2, 3, 1, dist_, config_.lipschitz_weight, gs);
-    disc_->backward(gs);
+    disc_->backward_params(gs);
 
     slice_rows_into(fake_.attributes, i, i + 1, fa_row_);
     draw_interp_weights(1, rng, eps_);
@@ -483,7 +484,7 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
     gas(1, 0) = config_.aux_weight;
     add_lipschitz_grads(ascores, 2, 3, 1, adist_,
                         config_.lipschitz_weight * config_.aux_weight, gas);
-    aux_disc_->backward(gas);
+    aux_disc_->backward_params(gas);
 
     dp_agg_->accumulate_example();
   }
@@ -507,9 +508,11 @@ void DoppelGanger::generator_step() {
     last_g_loss_ = -fake_mean * inv_b;
     TELEM_GAUGE_SET("gan.train.g_loss", last_g_loss_);
   }
+  // The generator step reads only the critics' input gradients; the next
+  // critic step zeroes their parameter gradients before anything reads them.
   Matrix& gseed = ws_.get(B, 1);
   gseed.fill(-inv_b);
-  const Matrix& gin = disc_->backward(gseed);
+  const Matrix& gin = disc_->backward_input(gseed);
 
   // Split the critic's input gradient into attribute / per-step pieces by
   // direct column copies (same elements as the old split_cols chain, without
@@ -533,7 +536,7 @@ void DoppelGanger::generator_step() {
   aux_disc_->forward(fake_.attributes);
   Matrix& gaseed = ws_.get(B, 1);
   gaseed.fill(-config_.aux_weight * inv_b);
-  attr_grad += aux_disc_->backward(gaseed);
+  attr_grad += aux_disc_->backward_input(gaseed);
 
   for (ml::Parameter* p : generator_params()) p->zero_grad();
   generator_backward(attr_grad, fgrads_);
@@ -628,112 +631,108 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
       thread_cpu_seconds() + ThreadPool::helper_cpu_seconds() - cpu0;
 }
 
-GeneratedSeries DoppelGanger::sample(std::size_t n, Rng& rng) {
+GeneratedSeries DoppelGanger::sample(std::size_t n, Rng& rng) const {
   GeneratedSeries out;
-  sample_into(n, rng.engine()(), 0, out);
+  SampleScratch scratch;
+  sample_into(n, rng.engine()(), 0, out, scratch);
   return out;
 }
 
-Matrix& DoppelGanger::stage_attr_noise(std::size_t b,
-                                       std::uint64_t stream_seed,
-                                       std::size_t first_series) {
+void DoppelGanger::stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
+                                    std::size_t first_series,
+                                    SampleScratch& s) const {
   // Stage each series' noise from its own counter-based stream, in the
   // fixed draw order (attribute noise, then z_t per step): row i's noise
   // depends only on stream_seed and its global series index, never on the
   // batch it landed in.
-  Matrix& za = ws_.get(b, config_.attr_noise_dim);
-  samp_noise_.clear();
-  samp_noise_.reserve(b);
+  s.za.resize(b, config_.attr_noise_dim);
+  s.noise.clear();
+  s.noise.reserve(b);
   for (std::size_t i = 0; i < b; ++i) {
-    samp_noise_.emplace_back(stream_seed, first_series + i);
-    double* zrow = za.row_ptr(i);
+    s.noise.emplace_back(stream_seed, first_series + i);
+    double* zrow = s.za.row_ptr(i);
     for (std::size_t j = 0; j < config_.attr_noise_dim; ++j) {
-      zrow[j] = samp_noise_.back().normal();
+      zrow[j] = s.noise.back().normal();
     }
   }
-  return za;
 }
 
 void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
-                               std::size_t first_series, GeneratedSeries& out) {
-  TELEM_SPAN("gan.sample", {"series", static_cast<long long>(n)});
+                               std::size_t first_series, GeneratedSeries& out,
+                               SampleScratch& scratch) const {
+  TELEM_COUNT_N("gan.sample.series", n);
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
   const std::size_t A = spec_.attribute_dim();
   const std::size_t H = rnn_->hidden_dim();
   const std::size_t Z = config_.feat_noise_dim;
-  out.spec = spec_;
-  out.attributes.resize(n, A);
-  out.features.resize(T);
-  for (Matrix& step : out.features) {
-    step.resize(n, F);
-    step.fill(0.0);  // rows beyond a series' length read as zero
-  }
-  out.lengths.assign(n, T);
+  out.reset(spec_, n);
+  GenScratch& g = scratch.gen;
+  std::vector<std::size_t>& live = scratch.live;
+  // Live rows summed over every RNN step of the call, and the steps run.
+  std::size_t row_steps = 0, steps = 0;
 
   std::size_t done = 0;
   while (done < n) {
     const std::size_t b = std::min(config_.batch_size, n - done);
-    ws_.reset();
-    Matrix& za = stage_attr_noise(b, stream_seed, first_series + done);
-    const Matrix& attr = attr_gen_->forward_into(za, samp_.attr);
+    stage_attr_noise(b, stream_seed, first_series + done, scratch);
+    const Matrix& attr = attr_gen_->forward_into(scratch.za, g.attr);
     for (std::size_t i = 0; i < b; ++i) {
       const double* asrc = attr.row_ptr(i);
       std::copy(asrc, asrc + A, out.attributes.row_ptr(done + i));
     }
 
     // Length-adaptive unroll: step the RNN one step at a time over the live
-    // sub-batch only. Row j of samp_.h/samp_attr_ belongs to series
-    // live_[j]; a series whose alive flag drops below 0.5 is emitted with
-    // length max(1, t) — the same rule the reference full unroll applies
-    // after the fact — and leaves the batch. Every kernel in the step
-    // (fused GRU gates, linear, MixedHead) is row-wise, so dropping dead
-    // rows never changes the surviving rows' values, and the output stays
-    // bitwise identical to sample_reference_into.
-    samp_attr_ = attr;
-    samp_.h.resize(b, H);
-    samp_.h.fill(0.0);
-    live_.resize(b);
-    for (std::size_t i = 0; i < b; ++i) live_[i] = i;
+    // sub-batch only. Row j of g.h / scratch.attr belongs to series live[j];
+    // a series whose alive flag drops below 0.5 is emitted with length
+    // max(1, t) — the same rule the reference full unroll applies after the
+    // fact — and leaves the batch. Every kernel in the step (fused GRU
+    // gates, linear, MixedHead) is row-wise, so dropping dead rows never
+    // changes the surviving rows' values, and the output stays bitwise
+    // identical to sample_reference_into.
+    scratch.attr = attr;
+    g.h.resize(b, H);
+    g.h.fill(0.0);
+    live.resize(b);
+    for (std::size_t i = 0; i < b; ++i) live[i] = i;
 
-    for (std::size_t t = 0; t < T && !live_.empty(); ++t) {
-      const std::size_t m = live_.size();
-      // Live sub-batch size: how much the length-adaptive compaction shrinks
-      // the step's work relative to the full unroll's constant b rows.
-      TELEM_GAUGE_SET("gan.sample.live_rows", m);
+    for (std::size_t t = 0; t < T && !live.empty(); ++t) {
+      const std::size_t m = live.size();
+      row_steps += m;
+      ++steps;
       // Gather [z_t | attr] rows, matching generator_tail's concat layout.
       // z_t is drawn lazily, only for series still alive at this step: each
       // series' stream is private and its draw order fixed, so skipping the
       // dead series' later draws never changes the values live series see.
-      samp_.x.resize(m, Z + A);
+      g.x.resize(m, Z + A);
       for (std::size_t j = 0; j < m; ++j) {
-        double* xrow = samp_.x.row_ptr(j);
-        NoiseStream& ns = samp_noise_[live_[j]];
+        double* xrow = g.x.row_ptr(j);
+        NoiseStream& ns = scratch.noise[live[j]];
         for (std::size_t q = 0; q < Z; ++q) xrow[q] = ns.normal();
-        const double* asrc = samp_attr_.row_ptr(j);
+        const double* asrc = scratch.attr.row_ptr(j);
         std::copy(asrc, asrc + A, xrow + Z);
       }
-      const Matrix& y = gen_step(samp_);
+      const Matrix& y = gen_step(g);
 
-      // Shape the compacted buffers before filling them (samp_.h's h_{t-1}
+      // Shape the compacted buffers before filling them (g.h's h_{t-1}
       // contents were consumed by gen_step above).
       std::size_t k = 0;
       for (std::size_t j = 0; j < m; ++j) {
         if (y(j, F) >= 0.5) ++k;
       }
-      samp_.h.resize(k, H);
-      samp_attr_next_.resize(k, A);
+      g.h.resize(k, H);
+      scratch.attr_next.resize(k, A);
       std::size_t w = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t row = done + live_[j];
+        const std::size_t row = done + live[j];
         const double* ysrc = y.row_ptr(j);
         if (ysrc[F] >= 0.5) {
           std::copy(ysrc, ysrc + F, out.features[t].row_ptr(row));
-          const double* hsrc = samp_.h_next.row_ptr(j);
-          std::copy(hsrc, hsrc + H, samp_.h.row_ptr(w));
-          std::copy(samp_attr_.row_ptr(j), samp_attr_.row_ptr(j) + A,
-                    samp_attr_next_.row_ptr(w));
-          live_[w] = live_[j];
+          const double* hsrc = g.h_next.row_ptr(j);
+          std::copy(hsrc, hsrc + H, g.h.row_ptr(w));
+          std::copy(scratch.attr.row_ptr(j), scratch.attr.row_ptr(j) + A,
+                    scratch.attr_next.row_ptr(w));
+          live[w] = live[j];
           ++w;
         } else {
           out.lengths[row] = std::max<std::size_t>(1, t);
@@ -742,12 +741,19 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
           }
         }
       }
-      live_.resize(k);
-      std::swap(samp_attr_, samp_attr_next_);
+      live.resize(k);
+      std::swap(scratch.attr, scratch.attr_next);
     }
     done += b;
   }
   if (telemetry::kCompiledIn && telemetry::enabled()) {
+    // Mean live sub-batch per RNN step: how much the length-adaptive
+    // compaction shrinks the work relative to the full unroll's batch rows.
+    if (steps > 0) {
+      TELEM_GAUGE_SET("gan.sample.live_rows",
+                      static_cast<double>(row_steps) /
+                          static_cast<double>(steps));
+    }
     for (const std::size_t len : out.lengths) {
       TELEM_HIST("gan.sample.emitted_len", len, 1, 2, 4, 8, 16, 32, 64, 128);
     }
@@ -757,29 +763,22 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
 void DoppelGanger::sample_reference_into(std::size_t n,
                                          std::uint64_t stream_seed,
                                          std::size_t first_series,
-                                         GeneratedSeries& out) {
+                                         GeneratedSeries& out,
+                                         SampleScratch& scratch) {
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
-  out.spec = spec_;
-  out.attributes.resize(n, spec_.attribute_dim());
-  out.features.resize(T);
-  for (Matrix& step : out.features) {
-    step.resize(n, F);
-    step.fill(0.0);  // rows beyond a series' length read as zero
-  }
-  out.lengths.assign(n, T);
+  out.reset(spec_, n);
 
   std::size_t done = 0;
   while (done < n) {
     const std::size_t b = std::min(config_.batch_size, n - done);
-    ws_.reset();
-    Matrix& za = stage_attr_noise(b, stream_seed, first_series + done);
+    stage_attr_noise(b, stream_seed, first_series + done, scratch);
     zts_.resize(T);
     for (std::size_t t = 0; t < T; ++t) {
       zts_[t].resize(b, config_.feat_noise_dim);
     }
     for (std::size_t i = 0; i < b; ++i) {
-      NoiseStream& ns = samp_noise_[i];
+      NoiseStream& ns = scratch.noise[i];
       for (std::size_t t = 0; t < T; ++t) {
         double* trow = zts_[t].row_ptr(i);
         for (std::size_t j = 0; j < config_.feat_noise_dim; ++j) {
@@ -787,7 +786,7 @@ void DoppelGanger::sample_reference_into(std::size_t n,
         }
       }
     }
-    generator_tail(za, fake_);
+    generator_tail(scratch.za, fake_);
     const GenOutput& gen = fake_;
     for (std::size_t i = 0; i < b; ++i) {
       const std::size_t row = done + i;

@@ -51,6 +51,29 @@ struct DgConfig {
   ml::health::HealthConfig health;
 };
 
+// Scratch of the forward-only generator path: the attribute MLP's two
+// ping-pong buffers, one GRU step's scratch, the hidden-state pair, the step
+// input [z_t | attr] and the output layer's two buffers. Each concurrent
+// user owns one.
+struct GenScratch {
+  std::vector<ml::Matrix> attr;
+  ml::Gru::StepScratch gru;
+  ml::Matrix h, h_next, x, lin, head;
+};
+
+// Caller-owned state of one sampler (DoppelGanger::sample_into): the
+// forward-only generator scratch (whose h is the live sub-batch's hidden
+// state), the batch's attribute noise, the compacting double buffers for
+// the live attribute rows, the surviving series' batch indices and the
+// per-series noise streams. One per concurrent sampler; after a warm-up
+// call with the same n, sampling through it allocates no Matrix storage.
+struct SampleScratch {
+  GenScratch gen;
+  ml::Matrix za, attr, attr_next;
+  std::vector<std::size_t> live;
+  std::vector<NoiseStream> noise;
+};
+
 class DoppelGanger {
  public:
   DoppelGanger(TimeSeriesSpec spec, DgConfig config, std::uint64_t seed);
@@ -66,7 +89,7 @@ class DoppelGanger {
   void fit(const TimeSeriesDataset& data, int iterations);
 
   // Samples n synthetic series.
-  GeneratedSeries sample(std::size_t n, Rng& rng);
+  GeneratedSeries sample(std::size_t n, Rng& rng) const;
 
   // Batched zero-allocation sampling into caller-owned buffers (the
   // generation twin of the DESIGN.md §6 training hot path). Series
@@ -75,16 +98,18 @@ class DoppelGanger {
   // forward pass is row-wise, so each output row is a pure function of its
   // own stream: results are bitwise independent of the batch size, of how
   // callers partition [0, n) across calls, and of the kernel thread count.
-  // After a warm-up call with the same n, repeated calls perform zero
-  // Matrix heap allocations (asserted in tests/test_generate.cpp). Not
-  // thread-safe per model instance: concurrent callers must use distinct
-  // models (as ChunkedTrainer's chunk-parallel sampling does).
+  // After a warm-up call with the same n and scratch, repeated calls perform
+  // zero Matrix heap allocations (asserted in tests/test_generate.cpp). The
+  // sampler reads only the weights and writes only `out` and `scratch`, so
+  // several threads may sample one model at once, each with its own scratch
+  // (core/netshare.cpp samples slices of one chunk's round that way).
   // The fast path is length-adaptive: the generator is stepped one RNN step
   // at a time and series whose alive flag has dropped leave the batch, so
   // compute is proportional to the total emitted length rather than
   // n * max_len (generated series are usually much shorter than max_len).
   void sample_into(std::size_t n, std::uint64_t stream_seed,
-                   std::size_t first_series, GeneratedSeries& out);
+                   std::size_t first_series, GeneratedSeries& out,
+                   SampleScratch& scratch) const;
 
   // Reference sampler: the training-path full unroll (every series runs all
   // max_len steps through generator_tail, then lengths are read off the
@@ -92,9 +117,10 @@ class DoppelGanger {
   // series' length were computed and discarded here, skipped there — and
   // kept as the oracle for tests and the serial baseline for
   // bench/pipeline_e2e. Same stream/zero-allocation contract as
-  // sample_into.
+  // sample_into, but it runs on the training buffers: one caller per model.
   void sample_reference_into(std::size_t n, std::uint64_t stream_seed,
-                             std::size_t first_series, GeneratedSeries& out);
+                             std::size_t first_series, GeneratedSeries& out,
+                             SampleScratch& scratch);
 
   // Warm-start support (Insights 3 and 4).
   std::vector<double> snapshot();
@@ -120,16 +146,6 @@ class DoppelGanger {
   struct GenOutput {
     ml::Matrix attributes;             // B x A
     std::vector<ml::Matrix> features;  // T of B x (F+2), incl. gen flags
-  };
-
-  // Scratch of the forward-only generator path: the attribute MLP's two
-  // ping-pong buffers, one GRU step's scratch, the hidden-state pair, the
-  // step input [z_t | attr] and the output layer's two buffers. Each
-  // concurrent user owns one.
-  struct GenScratch {
-    std::vector<ml::Matrix> attr;
-    ml::Gru::StepScratch gru;
-    ml::Matrix h, h_next, x, lin, head;
   };
 
   // One critic step of an iteration: the draws staged for it (minibatch
@@ -168,15 +184,14 @@ class DoppelGanger {
   // Builds a critic step's fake batch (all max_len steps) from its staged
   // noise on the forward-only path, straight into critic input rows.
   void fake_batch_into(CriticStep& cs) const;
-  // Builds one batch of per-series counter-based noise streams
-  // (samp_noise_), fills za (a ws_ cursor) with each series' attribute
-  // noise, and returns za. Draw order per series is fixed — attribute
-  // noise, then z_0, z_1, ... — so the adaptive sampler (which draws z_t
-  // lazily, only for series still alive at step t) sees exactly the same
-  // prefix of each stream as the reference sampler (which drains all
-  // max_len steps).
-  ml::Matrix& stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
-                               std::size_t first_series);
+  // Builds one batch of per-series counter-based noise streams (s.noise)
+  // and fills s.za with each series' attribute noise. Draw order per series
+  // is fixed — attribute noise, then z_0, z_1, ... — so the adaptive sampler
+  // (which draws z_t lazily, only for series still alive at step t) sees
+  // exactly the same prefix of each stream as the reference sampler (which
+  // drains all max_len steps).
+  void stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
+                        std::size_t first_series, SampleScratch& s) const;
   // Backprop through the generator given dLoss/d(attr) and dLoss/d(features).
   void generator_backward(const ml::Matrix& attr_grad,
                           const std::vector<ml::Matrix>& feature_grads);
@@ -220,10 +235,10 @@ class DoppelGanger {
   std::unique_ptr<privacy::DpSgdAggregator> dp_agg_;
 
   // Per-model allocation arena (DESIGN.md §6): reset at the top of every
-  // critic step, generator step and sampling batch; owned by the model so
-  // chunk-parallel fine-tuning (core/train.cpp) never shares buffers across
-  // threads. The generator forward, which runs beside the critic steps,
-  // takes nothing from it.
+  // critic step and generator step; owned by the model so chunk-parallel
+  // fine-tuning (core/train.cpp) never shares buffers across threads. The
+  // generator forward, which runs beside the critic steps, and the
+  // samplers take nothing from it.
   ml::Workspace ws_;
   // Persistent batch buffers reused across iterations.
   GenOutput real_, fake_;
@@ -237,14 +252,6 @@ class DoppelGanger {
   ml::Matrix xr_, xf_, x1_, x2_, a1_, a2_, fa_row_;
   std::vector<double> dist_, adist_, eps_;
   std::vector<std::size_t> rows_, row1_;
-  // Length-adaptive sampling state (sample_into): the forward-only scratch
-  // (whose h is the live sub-batch's hidden state), compacting double
-  // buffers for the live attribute rows, and the surviving series' original
-  // batch indices.
-  GenScratch samp_;
-  ml::Matrix samp_attr_, samp_attr_next_;
-  std::vector<std::size_t> live_;
-  std::vector<NoiseStream> samp_noise_;  // per-series streams for one batch
 
   double train_cpu_seconds_ = 0.0;
   std::size_t dp_steps_ = 0;

@@ -40,6 +40,13 @@ struct TimeSeriesDataset {
 
   // Row-subset view used for minibatching.
   TimeSeriesDataset take(const std::vector<std::size_t>& rows) const;
+
+  // Reshapes to n samples of `s`, all-zero and of length max_len, keeping
+  // the buffers' capacity.
+  void reset(const TimeSeriesSpec& s, std::size_t n);
+  // Copies every sample of `src` (same spec) into samples
+  // [row0, row0 + src.num_samples()).
+  void put_rows(std::size_t row0, const TimeSeriesDataset& src);
 };
 
 // Generator output in the same shape.

@@ -31,11 +31,19 @@ void Linear::forward_into(const Matrix& x, Matrix& y) const {
 }
 
 const Matrix& Linear::backward(const Matrix& grad_out) {
+  backward_params(grad_out);
+  return backward_input(grad_out);
+}
+
+void Linear::backward_params(const Matrix& grad_out) {
   // The accumulating kernel keeps the gradient rounding sequence of the
   // scratch-then-`grad += product` path it replaces.
   kernels::matmul_trans_a_acc_into(x_cache_, grad_out, w_.grad);
   sum_rows_into(grad_out, gb_);
   b_.grad += gb_;
+}
+
+const Matrix& Linear::backward_input(const Matrix& grad_out) {
   kernels::matmul_trans_b_into(grad_out, w_.value, gx_);
   return gx_;
 }

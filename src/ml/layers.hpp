@@ -47,6 +47,16 @@ class Module {
   // modules need scratch per layer and offer their own overload instead.
   virtual void forward_into(const Matrix& x, Matrix& y) const;
 
+  // The two halves of backward(), for callers that read only one of them:
+  // backward_input() returns the input gradient without accumulating
+  // parameter gradients, backward_params() accumulates the parameter
+  // gradients without forming the input gradient. Each computes bitwise the
+  // values backward() does. The defaults run the whole backward().
+  virtual const Matrix& backward_input(const Matrix& grad_out) {
+    return backward(grad_out);
+  }
+  virtual void backward_params(const Matrix& grad_out) { backward(grad_out); }
+
   void zero_grad() {
     for (Parameter* p : parameters()) p->zero_grad();
   }
@@ -61,6 +71,8 @@ class Linear : public Module {
   const Matrix& backward(const Matrix& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   void forward_into(const Matrix& x, Matrix& y) const override;
+  const Matrix& backward_input(const Matrix& grad_out) override;
+  void backward_params(const Matrix& grad_out) override;
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }

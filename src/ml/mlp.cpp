@@ -60,6 +60,22 @@ const Matrix& Mlp::backward(const Matrix& grad_out) {
   return *cur;
 }
 
+const Matrix& Mlp::backward_input(const Matrix& grad_out) {
+  const Matrix* cur = &grad_out;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    cur = &(*it)->backward_input(*cur);
+  }
+  return *cur;
+}
+
+void Mlp::backward_params(const Matrix& grad_out) {
+  const Matrix* cur = &grad_out;
+  for (std::size_t k = layers_.size(); k-- > 1;) {
+    cur = &layers_[k]->backward(*cur);
+  }
+  layers_.front()->backward_params(*cur);
+}
+
 std::vector<Parameter*> Mlp::parameters() {
   std::vector<Parameter*> params;
   params.reserve(layers_.size() * 2);  // Linear contributes {W, b}

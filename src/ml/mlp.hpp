@@ -23,6 +23,11 @@ class Mlp : public Module {
 
   const Matrix& forward(const Matrix& x) override;
   const Matrix& backward(const Matrix& grad_out) override;
+  // Input gradient only: no layer accumulates parameter gradients.
+  const Matrix& backward_input(const Matrix& grad_out) override;
+  // Parameter gradients only: backward() without the first layer's input
+  // gradient (the product nothing reads when the input is data or noise).
+  void backward_params(const Matrix& grad_out) override;
   std::vector<Parameter*> parameters() override;
 
   // Forward-only pass (ml/layers.hpp) with caller-owned scratch: layer k

@@ -35,8 +35,9 @@ struct ModelSpec {
 // as shared_ptr: holders may sample from it for as long as they keep the
 // reference, regardless of later publishes.
 //
-// Thread-safety: sampling reuses per-chunk scratch workspaces, so one chunk
-// may be sampled by one thread at a time; distinct chunks of one instance,
+// Thread-safety: the sampler keeps its scratch per thread, but each part
+// records its generate stats in the chunk's report slot, so one chunk may
+// be sampled by one thread at a time; distinct chunks of one instance,
 // and distinct instances (hot-swapped versions, different models), sample
 // concurrently without sharing any mutable state. The scheduler serializes
 // batches per LoadedModel instance and gives each chunk one task.
@@ -70,7 +71,7 @@ class LoadedModel {
   // Samples + exports chunk c's sub-trace toward `target` records. Pure
   // function of (published weights, config, seed, c, target) — the unit the
   // service coalesces across jobs. Concurrent calls must target distinct
-  // chunks (shared per-chunk scratch).
+  // chunks (per-chunk report slot).
   void sample_part(std::size_t c, std::size_t target, std::uint64_t seed,
                    net::FlowTrace& out);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <thread>
 #include <vector>
@@ -93,12 +94,13 @@ gan::DoppelGanger& tiny_trained_model() {
 }
 
 TEST(SampleInto, BatchedEqualsPerSeriesBitwise) {
-  gan::DoppelGanger& model = tiny_trained_model();
+  const gan::DoppelGanger& model = tiny_trained_model();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries batched, one;
-  model.sample_into(24, 99, 0, batched);
+  model.sample_into(24, 99, 0, batched, scratch);
   ASSERT_EQ(batched.attributes.rows(), 24u);
   for (std::size_t i = 0; i < 24; ++i) {
-    model.sample_into(1, 99, i, one);
+    model.sample_into(1, 99, i, one, scratch);
     EXPECT_EQ(one.lengths[0], batched.lengths[i]) << "series " << i;
     for (std::size_t c = 0; c < batched.attributes.cols(); ++c) {
       EXPECT_EQ(one.attributes(0, c), batched.attributes(i, c))
@@ -118,20 +120,22 @@ TEST(SampleInto, AdaptiveMatchesFullUnrollReferenceBitwise) {
   // unroll exactly: the reference computes every step for every series and
   // discards those at or past the sampled length, the fast path skips them.
   gan::DoppelGanger& model = tiny_trained_model();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries fast, reference;
   for (std::uint64_t seed : {3u, 99u, 1234u}) {
-    model.sample_into(37, seed, 0, fast);
-    model.sample_reference_into(37, seed, 0, reference);
+    model.sample_into(37, seed, 0, fast, scratch);
+    model.sample_reference_into(37, seed, 0, reference, scratch);
     EXPECT_TRUE(series_eq(fast, reference)) << "seed " << seed;
   }
 }
 
 TEST(SampleInto, PartitionInvariant) {
-  gan::DoppelGanger& model = tiny_trained_model();
+  const gan::DoppelGanger& model = tiny_trained_model();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries whole, head, tail;
-  model.sample_into(5, 7, 0, whole);
-  model.sample_into(3, 7, 0, head);
-  model.sample_into(2, 7, 3, tail);
+  model.sample_into(5, 7, 0, whole, scratch);
+  model.sample_into(3, 7, 0, head, scratch);
+  model.sample_into(2, 7, 3, tail, scratch);
   for (std::size_t i = 0; i < 5; ++i) {
     const gan::GeneratedSeries& part = i < 3 ? head : tail;
     const std::size_t j = i < 3 ? i : i - 3;
@@ -143,20 +147,21 @@ TEST(SampleInto, PartitionInvariant) {
 }
 
 TEST(SampleInto, KernelThreadCountInvariant) {
-  gan::DoppelGanger& model = tiny_trained_model();
+  const gan::DoppelGanger& model = tiny_trained_model();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries serial, parallel;
   {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 1;
     ml::kernels::ConfigOverride guard(cfg);
-    model.sample_into(32, 5, 0, serial);
+    model.sample_into(32, 5, 0, serial, scratch);
   }
   {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 4;
     cfg.min_parallel_flops = 0;
     ml::kernels::ConfigOverride guard(cfg);
-    model.sample_into(32, 5, 0, parallel);
+    model.sample_into(32, 5, 0, parallel, scratch);
   }
   EXPECT_TRUE(series_eq(serial, parallel));
 }
@@ -167,22 +172,64 @@ TEST(SampleInto, ZeroSteadyStateAllocations) {
     cfg.threads = threads;
     cfg.min_parallel_flops = 0;
     ml::kernels::ConfigOverride guard(cfg);
-    gan::DoppelGanger& model = tiny_trained_model();
-    gan::GeneratedSeries out;
-    model.sample_into(32, 11, 0, out);  // warm-up populates pools
-    ml::alloc_counter::reset();
-    model.sample_into(32, 11, 0, out);
-    model.sample_into(32, 12, 0, out);
-    EXPECT_EQ(ml::alloc_counter::count(), 0u)
-        << "batched sampling allocated Matrix storage in steady state at "
-        << threads << " kernel thread(s)";
+    const gan::DoppelGanger& model = tiny_trained_model();
+    // Each scratch warms up on its own; a second, fresh scratch must reach
+    // the same steady state.
+    for (int k = 0; k < 2; ++k) {
+      gan::SampleScratch scratch;
+      gan::GeneratedSeries out;
+      model.sample_into(32, 11, 0, out, scratch);  // warm-up sizes buffers
+      ml::alloc_counter::reset();
+      model.sample_into(32, 11, 0, out, scratch);
+      model.sample_into(32, 12, 0, out, scratch);
+      EXPECT_EQ(ml::alloc_counter::count(), 0u)
+          << "batched sampling allocated Matrix storage in steady state at "
+          << threads << " kernel thread(s), scratch " << k;
+    }
   }
 }
 
+TEST(SampleInto, ConcurrentSlicesOfOneModelMatchOneCall) {
+  // The sampler is const over caller-owned scratch: threads sampling
+  // disjoint series ranges of one model, each with its own scratch, must
+  // reproduce one whole call byte for byte.
+  const gan::DoppelGanger& model = tiny_trained_model();
+  constexpr std::size_t kThreads = 4, kPer = 23;  // not a batch multiple
+  gan::SampleScratch whole_scratch;
+  gan::GeneratedSeries whole;
+  model.sample_into(kThreads * kPer, 77, 5, whole, whole_scratch);
+  gan::GeneratedSeries joined;
+  joined.reset(model.spec(), kThreads * kPer);
+  std::vector<gan::GeneratedSeries> parts(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      gan::SampleScratch scratch;
+      for (int rep = 0; rep < 3; ++rep) {
+        model.sample_into(kPer, 77, 5 + k * kPer, parts[k], scratch);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < kThreads; ++k) joined.put_rows(k * kPer, parts[k]);
+  const auto same_bytes = [](const ml::Matrix& a, const ml::Matrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.rows() * a.cols() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bytes(joined.attributes, whole.attributes));
+  ASSERT_EQ(joined.features.size(), whole.features.size());
+  for (std::size_t t = 0; t < whole.features.size(); ++t) {
+    EXPECT_TRUE(same_bytes(joined.features[t], whole.features[t])) << t;
+  }
+  EXPECT_EQ(joined.lengths, whole.lengths);
+}
+
 TEST(SampleInto, ZeroSeriesYieldsEmptyOutput) {
-  gan::DoppelGanger& model = tiny_trained_model();
+  const gan::DoppelGanger& model = tiny_trained_model();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries out;
-  model.sample_into(0, 1, 0, out);
+  model.sample_into(0, 1, 0, out, scratch);
   EXPECT_EQ(out.attributes.rows(), 0u);
   EXPECT_EQ(out.lengths.size(), 0u);
   ASSERT_EQ(out.features.size(), tiny_spec().max_len);
@@ -215,13 +262,22 @@ core::ChunkedTrainer& tiny_trainer_with_empty_chunk() {
 
 TEST(SampleChunks, BitwiseEqualAcrossWorkerCounts) {
   core::ChunkedTrainer& trainer = tiny_trainer_with_empty_chunk();
-  const std::vector<std::size_t> counts{20, 0, 17};
+  // Chunk 0 spans three slices (the last one partial), chunk 2 one.
+  const std::vector<std::size_t> counts{150, 0, 17};
+  ASSERT_GT(counts[0], 2 * trainer.slice_series());
   std::vector<gan::GeneratedSeries> baseline;
   trainer.sample_chunks(counts, 424242, baseline, 1);
   ASSERT_EQ(baseline.size(), 3u);
-  EXPECT_EQ(baseline[0].attributes.rows(), 20u);
+  EXPECT_EQ(baseline[0].attributes.rows(), 150u);
   EXPECT_EQ(baseline[1].attributes.rows(), 0u);
   EXPECT_EQ(baseline[2].attributes.rows(), 17u);
+  {
+    // Slicing is invisible: one whole call per chunk gives the same series.
+    gan::SampleScratch scratch;
+    gan::GeneratedSeries whole;
+    trainer.sample_chunk_into(0, 150, 424242, 0, whole, scratch);
+    EXPECT_TRUE(series_eq(whole, baseline[0]));
+  }
   for (std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     std::vector<gan::GeneratedSeries> out;
     trainer.sample_chunks(counts, 424242, out, workers);
@@ -236,8 +292,9 @@ TEST(SampleChunks, BitwiseEqualAcrossWorkerCounts) {
 TEST(SampleChunks, ChunkWithoutModelYieldsEmptySeries) {
   core::ChunkedTrainer& trainer = tiny_trainer_with_empty_chunk();
   EXPECT_FALSE(trainer.has_model(1));
+  gan::SampleScratch scratch;
   gan::GeneratedSeries out;
-  trainer.sample_chunk_into(1, 10, 7, 0, out);
+  trainer.sample_chunk_into(1, 10, 7, 0, out, scratch);
   EXPECT_EQ(out.attributes.rows(), 0u);
   EXPECT_EQ(out.lengths.size(), 0u);
 }
@@ -249,11 +306,12 @@ TEST(SampleChunks, RejectsCountSizeMismatch) {
 }
 
 TEST(SampleChunks, ChunkStreamPartitionInvariant) {
-  core::ChunkedTrainer& trainer = tiny_trainer_with_empty_chunk();
+  const core::ChunkedTrainer& trainer = tiny_trainer_with_empty_chunk();
+  gan::SampleScratch scratch;
   gan::GeneratedSeries whole, head, tail;
-  trainer.sample_chunk_into(2, 5, 31, 0, whole);
-  trainer.sample_chunk_into(2, 3, 31, 0, head);
-  trainer.sample_chunk_into(2, 2, 31, 3, tail);
+  trainer.sample_chunk_into(2, 5, 31, 0, whole, scratch);
+  trainer.sample_chunk_into(2, 3, 31, 0, head, scratch);
+  trainer.sample_chunk_into(2, 2, 31, 3, tail, scratch);
   for (std::size_t i = 0; i < 5; ++i) {
     const gan::GeneratedSeries& part = i < 3 ? head : tail;
     const std::size_t j = i < 3 ? i : i - 3;
@@ -370,6 +428,156 @@ TEST(DeficitLoop, FlowsBitwiseEqualAcrossThreadCounts) {
       base = out;
     } else {
       EXPECT_EQ(out.records, base.records) << threads << " threads";
+    }
+  }
+}
+
+// The deficit loop as it ran before rounds were sliced: each round sampled
+// and decoded whole on the calling thread, then the part was ordered and
+// trimmed. Kept as the oracle of the sliced loop in core/netshare.cpp.
+std::size_t oracle_round_series(std::size_t deficit, double rpf,
+                                std::size_t sampled, std::size_t decoded) {
+  const auto d = static_cast<double>(deficit);
+  if (sampled == 0) {
+    return std::max<std::size_t>(8, static_cast<std::size_t>(d / rpf) + 1);
+  }
+  const double yield =
+      static_cast<double>(decoded) / static_cast<double>(sampled);
+  const auto want = static_cast<std::size_t>(d / yield * 1.1) + 1;
+  return std::max<std::size_t>(8, std::min(want, deficit));
+}
+
+double oracle_rpf(const core::ChunkInfo& chunk, std::size_t max_seq_len) {
+  const double rpf =
+      chunk.real_flows == 0
+          ? 1.0
+          : std::max(1.0, static_cast<double>(chunk.real_records) /
+                              static_cast<double>(chunk.real_flows));
+  return std::min(rpf, static_cast<double>(max_seq_len));
+}
+
+template <typename TraceT, typename Encoder, typename RecordsOf>
+TraceT oracle_part(const Encoder& enc, const core::ChunkedTrainer& trainer,
+                   std::size_t max_seq_len, std::size_t c, std::size_t target,
+                   std::uint64_t seed, const RecordsOf& records_of) {
+  const double rpf = oracle_rpf(enc.chunks()[c], max_seq_len);
+  TraceT out;
+  gan::SampleScratch scratch;
+  gan::GeneratedSeries series;
+  std::size_t sampled = 0;
+  while (out.size() < target) {
+    const std::size_t n =
+        oracle_round_series(target - out.size(), rpf, sampled, out.size());
+    trainer.sample_chunk_into(c, n, seed, sampled, series, scratch);
+    sampled += n;
+    const TraceT decoded = enc.decode(series, c);
+    records_of(out).insert(records_of(out).end(), records_of(decoded).begin(),
+                           records_of(decoded).end());
+  }
+  out.sort_by_time();
+  if (out.size() > target) records_of(out).resize(target);
+  return out;
+}
+
+// Smallest target whose first deficit-loop round asks for exactly `series`
+// series of chunk c (0 if none below the search bound).
+std::size_t target_for_round(const core::ChunkInfo& chunk,
+                             std::size_t max_seq_len, std::size_t series) {
+  const double rpf = oracle_rpf(chunk, max_seq_len);
+  for (std::size_t t = 1; t < 100 * series; ++t) {
+    if (oracle_round_series(t, rpf, 0, 0) == series) return t;
+  }
+  return 0;
+}
+
+TEST(DeficitLoop, SlicedPartsEqualUnslicedOracle) {
+  const net::FlowTrace real =
+      datagen::make_dataset(datagen::DatasetId::kUgr16, 600, 23).flows;
+  core::NetShareConfig cfg = tiny_config();
+  cfg.num_chunks = 2;
+  core::FlowEncoder enc(cfg, nullptr);
+  enc.fit(real);
+  core::ChunkedTrainer trainer(enc.spec(), cfg);
+  trainer.fit(enc.encode(real));
+  const std::size_t S = trainer.slice_series();
+  ASSERT_EQ(S, 4 * cfg.dg.batch_size);
+  const auto records = [](auto& trace) -> auto& { return trace.records; };
+  const std::uint64_t seed = 4141;
+  for (std::size_t c = 0; c < enc.chunks().size(); ++c) {
+    ASSERT_TRUE(trainer.has_model(c));
+    // First rounds of: less than one slice, exactly 2 slices, 2 slices plus
+    // one series.
+    for (const std::size_t round : {S / 2, 2 * S, 2 * S + 1}) {
+      const std::size_t target =
+          target_for_round(enc.chunks()[c], cfg.max_seq_len, round);
+      ASSERT_GT(target, 0u) << "round " << round;
+      const net::FlowTrace oracle = oracle_part<net::FlowTrace>(
+          enc, trainer, cfg.max_seq_len, c, target, seed, records);
+      ASSERT_EQ(oracle.size(), target);
+      for (const std::size_t width :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        net::FlowTrace part;
+        core::sample_flow_chunk_part(enc.chunks(), c, target, seed, cfg,
+                                     trainer, enc, width, part);
+        core::export_flow_chunk_part(target, part);
+        EXPECT_EQ(part.records, oracle.records)
+            << "chunk " << c << ", round " << round << ", width " << width;
+      }
+    }
+  }
+
+  // Packets through the facade, whose slice width is the phase budget.
+  const net::PacketTrace packets =
+      datagen::make_dataset(datagen::DatasetId::kCaida, 300, 21).packets;
+  core::NetShareConfig pcfg = tiny_config();
+  core::PacketEncoder penc(pcfg, nullptr);
+  penc.fit(packets);
+  core::ChunkedTrainer ptrainer(penc.spec(), pcfg);
+  ptrainer.fit(penc.encode(packets));
+  // Request sizes whose largest chunk's first round is under one slice,
+  // exactly 2 slices, and 2 slices plus one series.
+  const auto& pchunks = penc.chunks();
+  std::size_t big = 0;
+  for (std::size_t c = 0; c < pchunks.size(); ++c) {
+    if (pchunks[c].real_records > pchunks[big].real_records) big = c;
+  }
+  const double big_rpf = oracle_rpf(pchunks[big], pcfg.max_seq_len);
+  std::vector<std::size_t> requests;
+  for (const std::size_t round : {S / 2, 2 * S, 2 * S + 1}) {
+    for (std::size_t n = 1; n < 200 * S; ++n) {
+      const std::size_t t = core::chunk_record_targets(pchunks, n)[big];
+      if (oracle_round_series(t, big_rpf, 0, 0) == round) {
+        requests.push_back(n);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(requests.size(), 3u);
+  const auto pkts = [](auto& trace) -> auto& { return trace.packets; };
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    core::NetShareConfig mcfg = pcfg;
+    mcfg.threads = threads;
+    core::NetShare model(mcfg, nullptr);
+    model.fit(packets);
+    for (const std::size_t n : requests) {
+      Rng rng(n);
+      const net::PacketTrace got = model.generate_packets(n, rng);
+      const std::uint64_t gen_seed = Rng(n).engine()();
+      const std::vector<std::size_t> targets =
+          core::chunk_record_targets(pchunks, n);
+      net::PacketTrace want;
+      for (std::size_t c = 0; c < pchunks.size(); ++c) {
+        if (targets[c] == 0 || !ptrainer.has_model(c)) continue;
+        const net::PacketTrace part = oracle_part<net::PacketTrace>(
+            penc, ptrainer, pcfg.max_seq_len, c, targets[c], gen_seed, pkts);
+        want.packets.insert(want.packets.end(), part.packets.begin(),
+                            part.packets.end());
+      }
+      want.sort_by_time();
+      if (want.size() > n) want.packets.resize(n);
+      EXPECT_EQ(got.packets, want.packets)
+          << "n " << n << ", " << threads << " threads";
     }
   }
 }

@@ -288,8 +288,9 @@ TEST(HealthGuard, InjectedNanRollsBackAndRecovers) {
   EXPECT_GE(stats.last_bad_step, plan.nan_at_step);
   EXPECT_FALSE(stats.last_issue.empty());
   // The recovered model is usable: every sampled value is finite.
+  gan::SampleScratch scratch;
   gan::GeneratedSeries out;
-  model.sample_into(16, 7, 0, out);
+  model.sample_into(16, 7, 0, out, scratch);
   ASSERT_EQ(out.attributes.rows(), 16u);
   for (std::size_t r = 0; r < out.attributes.rows(); ++r) {
     for (std::size_t c = 0; c < out.attributes.cols(); ++c) {
@@ -413,13 +414,14 @@ TEST(ChunkFaults, UnrecoverableChunkFallsBackToSeedSnapshot) {
   }
   // The fallback model is the seed snapshot: present and sampling cleanly.
   ASSERT_TRUE(trainer.has_model(2));
+  gan::SampleScratch scratch;
   gan::GeneratedSeries out;
-  trainer.sample_chunk_into(2, 10, 7, 0, out);
+  trainer.sample_chunk_into(2, 10, 7, 0, out, scratch);
   EXPECT_EQ(out.attributes.rows(), 10u);
   gan::GeneratedSeries seed_out;
   gan::DoppelGanger seed_copy(tiny_spec(), cfg.dg, cfg.seed + 1000 + 2);
   seed_copy.restore(trainer.seed_snapshot());
-  seed_copy.sample_into(10, mix_seed(7, 2), 0, seed_out);
+  seed_copy.sample_into(10, mix_seed(7, 2), 0, seed_out, scratch);
   EXPECT_TRUE(series_eq(out, seed_out));
 }
 
