@@ -65,4 +65,17 @@ inline MedianIqr median_iqr(std::vector<double> v) {
   return {quartile(2), quartile(3) - quartile(1)};
 }
 
+// Median and IQR of `reps` repetitions of a throughput: each rep is
+// `per_call` (GFLOP per call for a GFLOP/s row, 1 for calls/s) over the
+// best per-call seconds of its own time_best window of `min_seconds`, so
+// the spread shows how far the host moved while the row was measured.
+inline MedianIqr rate_reps(double per_call, const std::function<void()>& fn,
+                           int reps = 5, double min_seconds = 0.06) {
+  std::vector<double> rates;
+  for (int r = 0; r < reps; ++r) {
+    rates.push_back(per_call / time_best(fn, min_seconds));
+  }
+  return median_iqr(rates);
+}
+
 }  // namespace netshare::bench

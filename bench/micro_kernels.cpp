@@ -1,6 +1,7 @@
 // Micro-benchmark of the kernel layer: serial reference vs the scalar tier
 // vs the dispatched (SIMD where supported) tier, plus end-to-end
-// DoppelGANger training throughput. The thread sweep is clamped to
+// DoppelGANger training throughput. Every row is the median of several
+// repetitions, with its IQR recorded beside it. The thread sweep is clamped to
 // hardware_concurrency — thread counts beyond the machine's cores measure
 // oversubscription, not scaling — with the requested sweep and the clamp
 // recorded in the JSON for transparency. Emits BENCH_kernels.json (path
@@ -8,6 +9,7 @@
 // the committed baseline, comparing only like-for-like thread counts.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -22,8 +24,8 @@
 #include "ml/workspace.hpp"
 
 using namespace netshare;
-using bench::gflops;
-using bench::time_best;
+using bench::MedianIqr;
+using bench::rate_reps;
 using ml::Matrix;
 
 namespace {
@@ -52,13 +54,33 @@ ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
   return cfg;
 }
 
+// Repetitions behind every kernel row: each is a best-of window, and a row
+// reports their median with the IQR beside it.
+constexpr int kKernelReps = 5;
+
 // One throughput row: serial reference plus, per benched thread count, the
 // dispatched tier ("kernel") and the pinned scalar tier ("scalar").
 struct TierRow {
-  double reference = 0.0;
-  std::vector<double> kernel;
-  std::vector<double> scalar;
+  MedianIqr reference;
+  std::vector<MedianIqr> kernel;
+  std::vector<MedianIqr> scalar;
 };
+
+MedianIqr gflops_reps(std::size_t n, const std::function<void()>& fn) {
+  return rate_reps(2.0 * n * n * n / 1e9, fn, kKernelReps);
+}
+
+std::vector<double> medians(const std::vector<MedianIqr>& v) {
+  std::vector<double> out;
+  for (const MedianIqr& m : v) out.push_back(m.median);
+  return out;
+}
+
+std::vector<double> iqrs(const std::vector<MedianIqr>& v) {
+  std::vector<double> out;
+  for (const MedianIqr& m : v) out.push_back(m.iqr);
+  return out;
+}
 
 enum class Op { kMatmul, kTransA, kTransB };
 
@@ -75,7 +97,7 @@ TierRow bench_op(Op op, std::size_t n,
       case Op::kTransB: ml::reference::matmul_trans_b(a, b); break;
     }
   };
-  row.reference = gflops(n, n, n, time_best(run_ref));
+  row.reference = gflops_reps(n, run_ref);
   const auto run_kernel = [&] {
     switch (op) {
       case Op::kMatmul: ml::matmul(a, b); break;
@@ -87,12 +109,12 @@ TierRow bench_op(Op op, std::size_t n,
     {
       ml::kernels::ConfigOverride guard(
           tier_cfg(ml::kernels::SimdTier::kAvx2, t));
-      row.kernel.push_back(gflops(n, n, n, time_best(run_kernel)));
+      row.kernel.push_back(gflops_reps(n, run_kernel));
     }
     {
       ml::kernels::ConfigOverride guard(
           tier_cfg(ml::kernels::SimdTier::kScalar, t));
-      row.scalar.push_back(gflops(n, n, n, time_best(run_kernel)));
+      row.scalar.push_back(gflops_reps(n, run_kernel));
     }
   }
   return row;
@@ -159,7 +181,7 @@ DgResult bench_dg_iters_per_sec(ml::kernels::SimdTier tier,
 // Fused GRU gate vs the unfused matmul + add + bias + activation
 // composition, at the paper-shaped GRU step (batch 64, input 12, hidden 48).
 // fused_scalar pins the scalar tier for the SIMD-vs-scalar delta.
-double bench_gate(bool fused, ml::kernels::SimdTier tier) {
+MedianIqr bench_gate(bool fused, ml::kernels::SimdTier tier) {
   ml::kernels::ConfigOverride guard(tier_cfg(tier, 1));
   Rng rng(5);
   const Matrix x = Matrix::randn(64, 12, rng);
@@ -168,7 +190,7 @@ double bench_gate(bool fused, ml::kernels::SimdTier tier) {
   const Matrix wh = Matrix::randn(48, 48, rng);
   const Matrix bias = Matrix::randn(1, 48, rng);
   Matrix scratch, out;
-  const double sec = time_best([&] {
+  return rate_reps(1.0, [&] {  // gates/sec
     if (fused) {
       ml::kernels::gru_gate_into(x, wx, h, wh, bias,
                                  ml::kernels::GateAct::kSigmoid, scratch, out);
@@ -177,8 +199,7 @@ double bench_gate(bool fused, ml::kernels::SimdTier tier) {
       ml::add_row_broadcast_inplace(u, bias);
       ml::sigmoid_inplace(u);
     }
-  });
-  return 1.0 / sec;  // gates/sec
+  }, kKernelReps);
 }
 
 std::string json_array(const std::vector<double>& v) {
@@ -237,31 +258,35 @@ int main(int argc, char** argv) {
   std::vector<TierRow> mm;
   for (std::size_t n : mm_sizes) {
     mm.push_back(bench_op(Op::kMatmul, n, threads));
+    const TierRow& r = mm.back();
     std::printf("matmul %zu^3: ref %.2f, scalar@1t %.2f, kernel@1t %.2f "
-                "GFLOP/s (simd/scalar %.2fx)\n",
-                n, mm.back().reference, mm.back().scalar[0],
-                mm.back().kernel[0], mm.back().kernel[0] / mm.back().scalar[0]);
+                "(IQR %.2f) GFLOP/s (simd/scalar %.2fx), median of %d reps\n",
+                n, r.reference.median, r.scalar[0].median, r.kernel[0].median,
+                r.kernel[0].iqr, r.kernel[0].median / r.scalar[0].median,
+                kKernelReps);
   }
   const TierRow ta = bench_op(Op::kTransA, 256, threads);
   const TierRow tb = bench_op(Op::kTransB, 256, threads);
   for (const auto* row : {&ta, &tb}) {
-    std::printf("%s 256: ref %.2f, scalar@1t %.2f, kernel@1t %.2f GFLOP/s "
-                "(simd/scalar %.2fx, kernel/ref %.2fx)\n",
+    std::printf("%s 256: ref %.2f, scalar@1t %.2f, kernel@1t %.2f (IQR "
+                "%.2f) GFLOP/s (simd/scalar %.2fx, kernel/ref %.2fx)\n",
                 row == &ta ? "matmul_trans_a" : "matmul_trans_b",
-                row->reference, row->scalar[0], row->kernel[0],
-                row->kernel[0] / row->scalar[0],
-                row->kernel[0] / row->reference);
+                row->reference.median, row->scalar[0].median,
+                row->kernel[0].median, row->kernel[0].iqr,
+                row->kernel[0].median / row->scalar[0].median,
+                row->kernel[0].median / row->reference.median);
   }
 
-  const double gate_unfused =
+  const MedianIqr gate_unfused =
       bench_gate(false, ml::kernels::SimdTier::kAvx2);
-  const double gate_fused = bench_gate(true, ml::kernels::SimdTier::kAvx2);
-  const double gate_fused_scalar =
+  const MedianIqr gate_fused = bench_gate(true, ml::kernels::SimdTier::kAvx2);
+  const MedianIqr gate_fused_scalar =
       bench_gate(true, ml::kernels::SimdTier::kScalar);
-  std::printf("gru gate 64x12x48: unfused %.0f/s, fused %.0f/s (%.2fx), "
-              "fused_scalar %.0f/s\n",
-              gate_unfused, gate_fused, gate_fused / gate_unfused,
-              gate_fused_scalar);
+  std::printf("gru gate 64x12x48: unfused %.0f/s (IQR %.0f), fused %.0f/s "
+              "(IQR %.0f, %.2fx), fused_scalar %.0f/s\n",
+              gate_unfused.median, gate_unfused.iqr, gate_fused.median,
+              gate_fused.iqr, gate_fused.median / gate_unfused.median,
+              gate_fused_scalar.median);
 
   std::vector<double> dg_ips, dg_iqr, dg_allocs, dg_scalar_ips, dg_scalar_iqr;
   for (const std::size_t t : threads) {
@@ -311,32 +336,44 @@ int main(int argc, char** argv) {
                clamped ? "true" : "false");
   std::fprintf(f, "  \"simd\": {\"supported\": %s, \"active\": \"%s\"},\n",
                simd_supported ? "true" : "false", simd_active);
+  // Kernel rows: medians under the old keys, each IQR beside it.
+  std::fprintf(f, "  \"kernel_reps\": %d,\n", kKernelReps);
   std::fprintf(f, "  \"matmul_gflops\": [\n");
   for (std::size_t i = 0; i < mm.size(); ++i) {
     std::fprintf(f,
-                 "    {\"size\": %zu, \"reference\": %.3f, \"kernel\": %s, "
-                 "\"scalar\": %s, \"simd_speedup_1t\": %.3f}%s\n",
-                 mm_sizes[i], mm[i].reference,
-                 json_array(mm[i].kernel).c_str(),
-                 json_array(mm[i].scalar).c_str(),
-                 mm[i].kernel[0] / mm[i].scalar[0],
+                 "    {\"size\": %zu, \"reference\": %.3f, "
+                 "\"reference_iqr\": %.3f, \"kernel\": %s, \"kernel_iqr\": %s, "
+                 "\"scalar\": %s, \"scalar_iqr\": %s, "
+                 "\"simd_speedup_1t\": %.3f}%s\n",
+                 mm_sizes[i], mm[i].reference.median, mm[i].reference.iqr,
+                 json_array(medians(mm[i].kernel)).c_str(),
+                 json_array(iqrs(mm[i].kernel)).c_str(),
+                 json_array(medians(mm[i].scalar)).c_str(),
+                 json_array(iqrs(mm[i].scalar)).c_str(),
+                 mm[i].kernel[0].median / mm[i].scalar[0].median,
                  i + 1 < mm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   for (const auto* row : {&ta, &tb}) {
     std::fprintf(f,
                  "  \"matmul_trans_%s_256_gflops\": {\"reference\": %.3f, "
-                 "\"kernel\": %s, \"scalar\": %s, "
+                 "\"reference_iqr\": %.3f, \"kernel\": %s, "
+                 "\"kernel_iqr\": %s, \"scalar\": %s, \"scalar_iqr\": %s, "
                  "\"simd_speedup_1t\": %.3f},\n",
-                 row == &ta ? "a" : "b", row->reference,
-                 json_array(row->kernel).c_str(),
-                 json_array(row->scalar).c_str(),
-                 row->kernel[0] / row->scalar[0]);
+                 row == &ta ? "a" : "b", row->reference.median,
+                 row->reference.iqr, json_array(medians(row->kernel)).c_str(),
+                 json_array(iqrs(row->kernel)).c_str(),
+                 json_array(medians(row->scalar)).c_str(),
+                 json_array(iqrs(row->scalar)).c_str(),
+                 row->kernel[0].median / row->scalar[0].median);
   }
   std::fprintf(f,
-               "  \"gru_gate_per_sec\": {\"unfused\": %.1f, \"fused\": %.1f, "
-               "\"fused_scalar\": %.1f},\n",
-               gate_unfused, gate_fused, gate_fused_scalar);
+               "  \"gru_gate_per_sec\": {\"unfused\": %.1f, "
+               "\"unfused_iqr\": %.1f, \"fused\": %.1f, \"fused_iqr\": %.1f, "
+               "\"fused_scalar\": %.1f, \"fused_scalar_iqr\": %.1f},\n",
+               gate_unfused.median, gate_unfused.iqr, gate_fused.median,
+               gate_fused.iqr, gate_fused_scalar.median,
+               gate_fused_scalar.iqr);
   std::fprintf(f, "  \"autotune_plans\": [\n");
   for (std::size_t i = 0; i < std::size(queries); ++i) {
     const PlanQuery& q = queries[i];

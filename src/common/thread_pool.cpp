@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <exception>
 #include <memory>
 
@@ -53,7 +55,170 @@ struct Loop {
   }
 };
 
+// Spin budget of a region's waits before parking: long enough to cover the
+// serial work between two stages (a clip-norm sum, the loss seeds).
+constexpr auto kRegionSpin = std::chrono::microseconds(100);
+
+// Spins on `ready` for up to kRegionSpin; true once it holds.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto until = std::chrono::steady_clock::now() + kRegionSpin;
+  for (unsigned k = 0;; ++k) {
+    if (ready()) return true;
+    if ((k & 63) == 63 && std::chrono::steady_clock::now() > until) {
+      return false;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+}
+
 }  // namespace
+
+// Stage hand-off. `ticket` packs the stage number (high 32 bits) with the
+// next index to claim (low 32 bits), so a claim names its stage; fn and n
+// live in a slot per stage parity. The caller publishes stage s + 1 only
+// after stage s has finished and no helper is between its claim and the
+// end of the index it claimed (`active` == 0), so the slot a helper reads
+// is never the one being rewritten.
+struct ThreadPool::Region::State {
+  std::atomic<std::uint64_t> ticket{0};
+  const std::function<void(std::size_t)>* fn[2] = {nullptr, nullptr};
+  std::size_t n[2] = {0, 0};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<int> active{0};    // helpers between a claim and its end
+  std::atomic<int> inside{0};    // helpers that have joined and not left
+  std::atomic<int> sleepers{0};  // helpers parked on cv
+  std::atomic<bool> caller_parked{false};
+  std::atomic<bool> ended{false};
+  std::mutex mu;
+  std::condition_variable cv, done_cv;
+  std::exception_ptr first;  // guarded by mu
+  double helper_cpu = 0.0;   // guarded by mu
+
+  static std::uint32_t stage_of(std::uint64_t t) {
+    return static_cast<std::uint32_t>(t >> 32);
+  }
+
+  // Claims and runs indices of the current stage until none is left.
+  void claim_all() {
+    for (;;) {
+      active.fetch_add(1);
+      const std::uint64_t t = ticket.fetch_add(1);
+      const std::uint32_t s = stage_of(t);
+      const std::size_t i = static_cast<std::uint32_t>(t);
+      if (i >= n[s & 1]) {
+        active.fetch_sub(1);
+        return;
+      }
+      std::exception_ptr err;
+      try {
+        (*fn[s & 1])(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      if (err) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first) first = err;
+      }
+      const bool last = finished.fetch_add(1) + 1 == n[s & 1];
+      active.fetch_sub(1);
+      if (last && caller_parked.load()) {
+        std::lock_guard<std::mutex> lock(mu);
+        done_cv.notify_all();
+      }
+    }
+  }
+
+  void helper() {
+    inside.fetch_add(1);
+    const double cpu0 = thread_cpu_seconds() + tl_helper_cpu;
+    std::uint32_t seen = 0;  // stage 0 is "none yet"
+    for (;;) {
+      const auto moved = [&] {
+        return ended.load() || stage_of(ticket.load()) != seen;
+      };
+      if (!spin_until(moved)) {
+        std::unique_lock<std::mutex> lock(mu);
+        sleepers.fetch_add(1);
+        cv.wait(lock, moved);
+        sleepers.fetch_sub(1);
+      }
+      if (ended.load()) break;
+      seen = stage_of(ticket.load());
+      claim_all();
+    }
+    const double cpu = thread_cpu_seconds() + tl_helper_cpu - cpu0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      helper_cpu += cpu;
+    }
+    inside.fetch_sub(1);
+  }
+};
+
+ThreadPool::Region::Region(ThreadPool& pool, std::size_t width)
+    : state_(std::make_shared<State>()), was_worker_(tl_pool_worker) {
+  const std::size_t helpers =
+      std::min(std::max<std::size_t>(1, width), pool.size() + 1) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([st = state_] { st->helper(); });
+  }
+  // Beside helpers the caller counts as a worker, as in parallel_for.
+  tl_pool_worker = was_worker_ || helpers > 0;
+}
+
+ThreadPool::Region::~Region() {
+  State& st = *state_;
+  st.ended.store(true);
+  if (st.sleepers.load() > 0) {
+    std::lock_guard<std::mutex> lock(st.mu);
+    st.cv.notify_all();
+  }
+  // A helper still queued finds the region ended and leaves at once; one
+  // inside is at most finishing its spin.
+  while (st.inside.load() > 0) std::this_thread::yield();
+  std::lock_guard<std::mutex> lock(st.mu);
+  tl_helper_cpu += st.helper_cpu;
+  tl_pool_worker = was_worker_;
+}
+
+void ThreadPool::Region::run(std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  State& st = *state_;
+  // The previous stage has finished; wait out helpers still between a
+  // claim past its end and their next look at the ticket.
+  while (st.active.load() > 0) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  const std::uint32_t s = State::stage_of(st.ticket.load()) + 1;
+  st.fn[s & 1] = &fn;
+  st.n[s & 1] = n;
+  st.finished.store(0);
+  st.ticket.store(static_cast<std::uint64_t>(s) << 32);
+  if (st.sleepers.load() > 0) {
+    std::lock_guard<std::mutex> lock(st.mu);
+    st.cv.notify_all();
+  }
+  st.claim_all();
+  const auto done = [&] { return st.finished.load() == n; };
+  if (!spin_until(done)) {
+    std::unique_lock<std::mutex> lock(st.mu);
+    st.caller_parked.store(true);
+    st.done_cv.wait(lock, done);
+    st.caller_parked.store(false);
+  }
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    std::swap(err, st.first);
+  }
+  if (err) std::rethrow_exception(err);
+}
 
 bool ThreadPool::on_worker_thread() { return tl_pool_worker; }
 

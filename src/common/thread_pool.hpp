@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -57,6 +58,31 @@ class ThreadPool {
   // the call completes at any max_parallel, 1 included.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t max_parallel);
+
+  // A parallel region for a sequence of short stages (DESIGN.md §7): up to
+  // width - 1 pool helpers join the calling thread once and stay until the
+  // region ends, so a stage costs no wake-up (on a VM a parked worker can
+  // take hundreds of microseconds to answer). run(n, fn) is one stage:
+  // fn(i) for i in [0, n), the caller claiming indices beside whichever
+  // helpers have joined so far, returning once all n have finished (then
+  // rethrowing the first exception). The caller never waits for a helper to
+  // arrive, so a region completes at any width and with every worker busy.
+  // Between stages the helpers spin briefly, then park. Only the thread
+  // that built the region may call run(). Helper CPU — spin included — is
+  // credited to that thread like parallel_for's.
+  class Region {
+   public:
+    Region(ThreadPool& pool, std::size_t width);
+    ~Region();
+    Region(const Region&) = delete;
+    Region& operator=(const Region&) = delete;
+    void run(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+   private:
+    struct State;
+    std::shared_ptr<State> state_;
+    bool was_worker_;
+  };
 
   // CPU-seconds that pool helpers have spent running indices of the calling
   // thread's caller-participating parallel_for calls (nested calls included,

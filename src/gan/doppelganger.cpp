@@ -1,10 +1,9 @@
 #include "gan/doppelganger.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 
 #include "common/stopwatch.hpp"
@@ -16,13 +15,47 @@
 namespace netshare::gan {
 
 using ml::Matrix;
-using ml::concat_cols_into;
+using ml::copy_rows_into;
 using ml::randn_fill;
 using ml::slice_rows_into;
 using ml::stack_rows_into;
 
 namespace {
 constexpr std::size_t kFlagDims = 2;  // alive / done softmax
+// Floor on a row slice's height: thinner slices cost more in fork-join and
+// per-call overhead than they save.
+constexpr std::size_t kMinSliceRows = 8;
+// Floor on an Adam task's element range, for the same reason.
+constexpr std::size_t kMinAdamElements = 8192;
+
+// `rows` rows cut into min(width, rows / kMinSliceRows) contiguous slices
+// (at least one); slice k is [begin(k), end(k)).
+struct RowSlices {
+  RowSlices(std::size_t rows, std::size_t width)
+      : rows(rows),
+        count(std::max<std::size_t>(
+            1, std::min(width, rows / kMinSliceRows))) {}
+  std::size_t begin(std::size_t k) const { return k * rows / count; }
+  std::size_t end(std::size_t k) const { return (k + 1) * rows / count; }
+  std::size_t rows, count;
+};
+
+// Row i of x as [a row i | b row i] (concat_cols_into's layout), rows
+// [r0, r1) of an x already shaped.
+void concat_cols_rows(const Matrix& a, const Matrix& b, Matrix& x,
+                      std::size_t r0, std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* xrow = x.row_ptr(i);
+    std::copy(a.row_ptr(i), a.row_ptr(i) + a.cols(), xrow);
+    std::copy(b.row_ptr(i), b.row_ptr(i) + b.cols(), xrow + a.cols());
+  }
+}
+
+// Rows [r0, r1) of src into dst starting at row `at` + r0.
+void copy_rows_at(const Matrix& src, Matrix& dst, std::size_t at,
+                  std::size_t r0, std::size_t r1) {
+  std::copy(src.row_ptr(r0), src.row_ptr(r1), dst.row_ptr(at + r0));
+}
 
 void random_rows_into(std::size_t n, std::size_t batch, Rng& rng,
                       std::vector<std::size_t>& rows) {
@@ -108,50 +141,156 @@ std::vector<ml::Parameter*> DoppelGanger::all_params() {
 
 std::size_t DoppelGanger::flag_offset() const { return spec_.feature_dim(); }
 
-void DoppelGanger::stage_generator_noise(std::size_t batch, Rng& rng) {
-  gen_za_.resize(batch, config_.attr_noise_dim);
-  randn_fill(gen_za_, rng);
-  zts_.resize(spec_.max_len);
-  for (Matrix& z : zts_) {
+void DoppelGanger::draw_generator_noise(std::size_t batch, Rng& rng,
+                                        Matrix& za,
+                                        std::vector<Matrix>& zts) const {
+  za.resize(batch, config_.attr_noise_dim);
+  randn_fill(za, rng);
+  zts.resize(spec_.max_len);
+  for (Matrix& z : zts) {
     z.resize(batch, config_.feat_noise_dim);
     randn_fill(z, rng);
   }
 }
 
-void DoppelGanger::stage_critic_step(std::size_t num_samples,
-                                     CriticStep& cs) {
+void DoppelGanger::draw_critic_step(std::size_t num_samples,
+                                    CriticDraws& d) {
   const std::size_t B = std::min(config_.batch_size, num_samples);
-  random_rows_into(num_samples, B, rng_, cs.rows);
-  cs.za.resize(B, config_.attr_noise_dim);
-  randn_fill(cs.za, rng_);
-  cs.zts.resize(spec_.max_len);
-  for (Matrix& z : cs.zts) {
+  random_rows_into(num_samples, B, rng_, d.rows);
+  d.za.resize(B, config_.attr_noise_dim);
+  randn_fill(d.za, rng_);
+  d.zts.resize(spec_.max_len);
+  for (Matrix& z : d.zts) {
     z.resize(B, config_.feat_noise_dim);
     randn_fill(z, rng_);
   }
-  draw_interp_weights(B, rng_, cs.eps);
-  draw_interp_weights(B, rng_, cs.aux_eps);
-  cs.ready = false;
-  cs.built = false;
+  draw_interp_weights(B, rng_, d.eps);
+  draw_interp_weights(B, rng_, d.aux_eps);
 }
 
-void DoppelGanger::generator_tail(const Matrix& za, GenOutput& out) {
+void DoppelGanger::draw_iteration(std::size_t num_samples, Draws& d) {
+  d.critic.resize(static_cast<std::size_t>(std::max(0, config_.d_steps_per_g)));
+  for (CriticDraws& c : d.critic) draw_critic_step(num_samples, c);
+  draw_generator_noise(config_.batch_size, rng_, d.za, d.zts);
+}
+
+template <typename Fn>
+void DoppelGanger::run_stage(Stage stage, std::size_t n, const Fn& fn) {
+  const auto run = [&](const std::function<void(std::size_t)>& task) {
+    if (region_ != nullptr) {
+      region_->run(n, task);
+    } else {
+      ThreadPool::shared().parallel_for(n, task, stage_width_);
+    }
+  };
+  if (!profile_) {
+    run(fn);
+    return;
+  }
+  // Cores in use: the stage's summed task time over its wall time.
+  std::atomic<double> busy{0.0};
+  Stopwatch wall;
+  run([&](std::size_t k) {
+    Stopwatch task;
+    fn(k);
+    busy.fetch_add(task.seconds(), std::memory_order_relaxed);
+  });
+  stage_clock_[stage].wall += wall.seconds();
+  stage_clock_[stage].busy += busy.load();
+}
+
+void DoppelGanger::generator_forward(const Matrix& za,
+                                     const std::vector<Matrix>& zts,
+                                     GenOutput& out, std::size_t fake_batches,
+                                     const std::function<void()>& beside) {
   const std::size_t T = spec_.max_len;
-  const std::size_t batch = za.rows();
-  out.attributes = attr_gen_->forward(za);
-
+  const std::size_t B = za.rows();
+  const std::size_t A = spec_.attribute_dim();
+  const std::size_t H = rnn_->hidden_dim();
+  const std::size_t Z = config_.feat_noise_dim;
+  const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
+  // Every buffer a slice writes is shaped here, on the calling thread.
+  attr_gen_->prepare_forward(B, za.cols());
+  out.attributes.resize(B, A);
   xs_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    concat_cols_into(zts_[t], out.attributes, xs_[t]);
-  }
-  const std::vector<Matrix>& hs = rnn_->forward(xs_);
-  stack_rows_into(hs, stacked_);  // [T*B, H], t-major
-  const Matrix& heads = out_head_->forward(out_linear_->forward(stacked_));
-
+  for (Matrix& x : xs_) x.resize(B, Z + A);
+  rnn_->prepare_forward(T, B);
+  stacked_.resize(T * B, H);  // [T*B, H], t-major
+  out_linear_->prepare_forward(T * B, H);
+  out_head_->prepare_forward(T * B, step_dim);
   out.features.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    slice_rows_into(heads, t * batch, (t + 1) * batch, out.features[t]);
+  for (Matrix& f : out.features) f.resize(B, step_dim);
+  std::size_t tasks = RowSlices(B, slice_width_).count;
+  for (std::size_t d = 0; d < fake_batches; ++d) {
+    CriticStep& cs = critic_steps_[d];
+    GenScratch& g = cs.gen;
+    const Matrix& fake_za = draws_.critic[d].za;
+    const std::size_t b = fake_za.rows();
+    attr_gen_->prepare_forward_into(b, fake_za.cols(), g.attr);
+    cs.fake_attr.resize(b, A);
+    cs.xf.resize(b, A + T * step_dim);
+    for (Matrix* m : {&g.h, &g.h_next, &g.gru.z, &g.gru.r, &g.gru.c,
+                      &g.gru.rh, &g.gru.gate}) {
+      m->resize(b, H);
+    }
+    g.x.resize(b, Z + A);
+    g.lin.resize(b, step_dim);
+    g.head.resize(b, step_dim);
+    tasks += RowSlices(b, slice_width_).count;
   }
+
+  // Generator-step rows [r0, r1), with caches: every stage is row-wise, so
+  // the rows match a whole-batch pass bitwise.
+  const auto generator_rows = [&](std::size_t r0, std::size_t r1) {
+    attr_gen_->forward_rows(za, r0, r1);
+    copy_rows_into(attr_gen_->output(), out.attributes, r0, r1);
+    for (std::size_t t = 0; t < T; ++t) {
+      concat_cols_rows(zts[t], out.attributes, xs_[t], r0, r1);
+    }
+    rnn_->forward_rows(xs_, r0, r1);
+    for (std::size_t t = 0; t < T; ++t) {
+      copy_rows_at(rnn_->hidden()[t], stacked_, t * B, r0, r1);
+      out_linear_->forward_rows(stacked_, t * B + r0, t * B + r1);
+      out_head_->forward_rows(out_linear_->output(), t * B + r0, t * B + r1);
+      const Matrix& heads = out_head_->output();
+      std::copy(heads.row_ptr(t * B + r0), heads.row_ptr(t * B + r1),
+                out.features[t].row_ptr(r0));
+    }
+  };
+  // The task beside the slices goes first: it is the longest one. The last
+  // task shapes and packs what the generator step's backward slices need:
+  // the generator's weights do not change before then, and no forward
+  // slice touches those buffers.
+  const std::size_t first = beside ? 1 : 0;
+  run_stage(kGenForward, first + tasks + 1, [&](std::size_t k) {
+    if (k < first) {
+      beside();
+      return;
+    }
+    k -= first;
+    if (k == tasks) {
+      out_head_->prepare_backward();
+      out_linear_->prepare_backward();
+      rnn_->prepare_backward();
+      attr_gen_->prepare_backward(false);  // its input is noise
+      return;
+    }
+    const RowSlices gen(B, slice_width_);
+    if (k < gen.count) {
+      generator_rows(gen.begin(k), gen.end(k));
+      return;
+    }
+    k -= gen.count;
+    for (std::size_t d = 0; d < fake_batches; ++d) {
+      const CriticDraws& draws = draws_.critic[d];
+      const RowSlices fake(draws.za.rows(), slice_width_);
+      if (k < fake.count) {
+        fake_batch_rows(draws, critic_steps_[d], fake.begin(k), fake.end(k));
+        return;
+      }
+      k -= fake.count;
+    }
+  });
 }
 
 const Matrix& DoppelGanger::gen_step(GenScratch& s) const {
@@ -161,72 +300,50 @@ const Matrix& DoppelGanger::gen_step(GenScratch& s) const {
   return s.head;
 }
 
-void DoppelGanger::fake_batch_into(CriticStep& cs) const {
+void DoppelGanger::fake_batch_rows(const CriticDraws& d, CriticStep& cs,
+                                   std::size_t r0, std::size_t r1) const {
   GenScratch& s = cs.gen;
-  const std::size_t B = cs.za.rows();
   const std::size_t A = spec_.attribute_dim();
   const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
-  const Matrix& attr = attr_gen_->forward_into(cs.za, s.attr);
-  cs.fake_attr = attr;
+  const Matrix& attr = attr_gen_->forward_rows_into(d.za, s.attr, r0, r1);
+  copy_rows_into(attr, cs.fake_attr, r0, r1);
   // Rows laid out as disc_input_into assembles them: [attr | y_0 | y_1 ...].
-  cs.xf.resize(B, A + spec_.max_len * step_dim);
-  for (std::size_t i = 0; i < B; ++i) {
+  for (std::size_t i = r0; i < r1; ++i) {
     std::copy(attr.row_ptr(i), attr.row_ptr(i) + A, cs.xf.row_ptr(i));
   }
-  s.h.resize(B, rnn_->hidden_dim());
-  s.h.fill(0.0);
+  std::fill(s.h.row_ptr(r0), s.h.row_ptr(r1), 0.0);
   for (std::size_t t = 0; t < spec_.max_len; ++t) {
-    concat_cols_into(cs.zts[t], attr, s.x);
-    const Matrix& y = gen_step(s);
-    for (std::size_t i = 0; i < B; ++i) {
-      std::copy(y.row_ptr(i), y.row_ptr(i) + step_dim,
+    // The hidden state alternates between s.h and s.h_next by step parity.
+    const Matrix& h = t % 2 == 0 ? s.h : s.h_next;
+    Matrix& h_next = t % 2 == 0 ? s.h_next : s.h;
+    concat_cols_rows(d.zts[t], attr, s.x, r0, r1);
+    rnn_->step_rows_into(s.x, h, h_next, s.gru, r0, r1);
+    out_linear_->forward_rows_into(h_next, s.lin, r0, r1);
+    out_head_->forward_rows_into(s.lin, s.head, r0, r1);
+    for (std::size_t i = r0; i < r1; ++i) {
+      std::copy(s.head.row_ptr(i), s.head.row_ptr(i) + step_dim,
                 cs.xf.row_ptr(i) + A + t * step_dim);
     }
-    std::swap(s.h, s.h_next);
   }
-}
-
-void DoppelGanger::generator_backward(
-    const Matrix& attr_grad, const std::vector<Matrix>& feature_grads) {
-  const std::size_t T = spec_.max_len;
-  const std::size_t batch = attr_grad.rows();
-  const std::size_t A = spec_.attribute_dim();
-  Matrix& g_stacked = ws_.get(T * batch, feature_grads[0].cols());
-  stack_rows_into(feature_grads, g_stacked);  // [T*B, F+2]
-  const Matrix& gh = out_linear_->backward(out_head_->backward(g_stacked));
-
-  ghs_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    slice_rows_into(gh, t * batch, (t + 1) * batch, ghs_[t]);
-  }
-  const std::vector<Matrix>& gxs = rnn_->backward(ghs_);
-
-  // Accumulate the attribute columns of every step's input gradient; same
-  // element order (and rounding) as split_cols + operator+=, no temporaries.
-  Matrix& attr_total = ws_.get(batch, A);
-  attr_total = attr_grad;
-  const std::size_t nz = config_.feat_noise_dim;
-  for (const Matrix& gx : gxs) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      const double* src = gx.row_ptr(i) + nz;
-      double* dst = attr_total.row_ptr(i);
-      for (std::size_t j = 0; j < A; ++j) dst[j] += src[j];
-    }
-  }
-  attr_gen_->backward_params(attr_total);  // its input is noise
 }
 
 void DoppelGanger::disc_input_into(const Matrix& attr,
                                    const std::vector<Matrix>& feats,
                                    Matrix& x) const {
+  std::size_t width = attr.cols();
+  for (const Matrix& f : feats) width += f.cols();
+  x.resize(attr.rows(), width);
+  disc_input_rows(attr, feats, x, 0, attr.rows());
+}
+
+void DoppelGanger::disc_input_rows(const Matrix& attr,
+                                   const std::vector<Matrix>& feats,
+                                   Matrix& x, std::size_t r0,
+                                   std::size_t r1) const {
   // Direct row assembly: the old concat_cols chain re-copied the growing
   // prefix for every step (O(T^2) bytes); this writes each row once.
-  const std::size_t B = attr.rows();
   const std::size_t A = attr.cols();
-  std::size_t width = A;
-  for (const Matrix& f : feats) width += f.cols();
-  x.resize(B, width);
-  for (std::size_t i = 0; i < B; ++i) {
+  for (std::size_t i = r0; i < r1; ++i) {
     double* dst = x.row_ptr(i);
     const double* asrc = attr.row_ptr(i);
     std::copy(asrc, asrc + A, dst);
@@ -242,19 +359,28 @@ void DoppelGanger::disc_input_into(const Matrix& attr,
 void DoppelGanger::real_batch_into(const TimeSeriesDataset& data,
                                    const std::vector<std::size_t>& rows,
                                    GenOutput& out) const {
-  const std::size_t T = spec_.max_len;
-  const std::size_t F = spec_.feature_dim();
   out.attributes.resize(rows.size(), data.attributes.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  out.features.resize(spec_.max_len);
+  for (Matrix& step : out.features) {
+    step.resize(rows.size(), spec_.feature_dim() + kFlagDims);
+  }
+  real_batch_rows(data, rows, out, 0, rows.size());
+}
+
+void DoppelGanger::real_batch_rows(const TimeSeriesDataset& data,
+                                   const std::vector<std::size_t>& rows,
+                                   GenOutput& out, std::size_t r0,
+                                   std::size_t r1) const {
+  const std::size_t F = spec_.feature_dim();
+  for (std::size_t i = r0; i < r1; ++i) {
     const double* src = data.attributes.row_ptr(rows[i]);
     std::copy(src, src + data.attributes.cols(), out.attributes.row_ptr(i));
   }
-  out.features.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
+  for (std::size_t t = 0; t < spec_.max_len; ++t) {
     Matrix& step = out.features[t];
-    step.resize(rows.size(), F + kFlagDims);
-    step.fill(0.0);  // dead steps must read as zero features
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    // Dead steps must read as zero features.
+    std::fill(step.row_ptr(r0), step.row_ptr(r1), 0.0);
+    for (std::size_t i = r0; i < r1; ++i) {
       const std::size_t r = rows[i];
       const bool alive = t < data.lengths[r];
       if (alive && t < data.features.size()) {
@@ -312,82 +438,120 @@ void interpolate(const Matrix& xr, const Matrix& xf,
     dist[i] = std::sqrt(d2);
   }
 }
+
+// interpolate() on the blocks of a stacked critic batch: for rows i in
+// [r0, r1), the real row i and the fake row batch + i give x1 at row
+// 2*batch + i and x2 at row 3*batch + i, and dist[i].
+void interpolate_rows(Matrix& big, std::size_t batch,
+                      const std::vector<double>& eps, std::vector<double>& dist,
+                      std::size_t r0, std::size_t r1) {
+  const std::size_t cols = big.cols();
+  for (std::size_t i = r0; i < r1; ++i) {
+    const double e1 = eps[2 * i];
+    const double e2 = eps[2 * i + 1];
+    const double* xr = big.row_ptr(i);
+    const double* xf = big.row_ptr(batch + i);
+    double* x1 = big.row_ptr(2 * batch + i);
+    double* x2 = big.row_ptr(3 * batch + i);
+    double d2 = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double r = xr[j], f = xf[j];
+      x1[j] = e1 * r + (1.0 - e1) * f;
+      x2[j] = e2 * r + (1.0 - e2) * f;
+      const double d = x1[j] - x2[j];
+      d2 += d * d;
+    }
+    dist[i] = std::sqrt(d2);
+  }
+}
 }  // namespace
 
-void DoppelGanger::forward_phase(const TimeSeriesDataset& data) {
-  // A model's first iteration allocates every buffer the graph's tasks
-  // reuse from then on; it runs on the calling thread alone, so those
-  // buffers come from the owner's heap arena rather than each helper's.
-  const std::size_t width =
-      critic_steps_.empty() ? 1 : ml::kernels::effective_threads();
+void DoppelGanger::iteration(const TimeSeriesDataset& data, bool predraw) {
   // Stage every draw of the iteration in the order the sequential loop made
-  // them, so rng_ yields the same sequence and each task reads fixed inputs.
-  critic_steps_.resize(static_cast<std::size_t>(
-      std::max(0, config_.d_steps_per_g)));
-  for (CriticStep& cs : critic_steps_) {
-    stage_critic_step(data.num_samples(), cs);
+  // them, so rng_ yields the same sequence and each stage reads fixed inputs.
+  std::size_t fake_batches = 0;
+  if (config_.dp) {
+    for (int d = 0; d < config_.d_steps_per_g; ++d) {
+      discriminator_update_dp(data, rng_);
+    }
+    draw_generator_noise(config_.batch_size, rng_, draws_.za, draws_.zts);
+  } else {
+    if (predrawn_) {
+      std::swap(draws_, next_draws_);
+    } else {
+      draw_iteration(data.num_samples(), draws_);
+    }
+    // The first iteration gives the next draws their capacity, on this
+    // thread, so drawing into them later allocates nothing.
+    if (!warmed_) next_draws_ = draws_;
+    fake_batches = draws_.critic.size();
+    critic_steps_.resize(fake_batches);
   }
-  stage_generator_noise(config_.batch_size, rng_);
+  predrawn_ = false;
+  // Nothing below draws from rng_, so the next iteration's draws (which
+  // read nothing this one computes) run as one more task of the first
+  // stage, beside the generator forwards.
+  predraw = predraw && !config_.dp;
+  const auto draw_next = [&] { draw_iteration(data.num_samples(), next_draws_); };
 
-  // Task graph. The critic steps only move the critics' weights, so all
-  // three generator forwards read the same generator weights:
-  //   0        the generator step's forward, with caches, on the modules;
-  //   1..D     critic step k-1's fake batch, on the forward-only path;
-  //   D+1      the critic steps in order, each once its fake batch exists.
-  // Outputs are disjoint, and a task only ever waits on a lower index, which
-  // parallel_for has always started: no deadlock at any width.
-  const std::size_t D = critic_steps_.size();
-  std::mutex mu;
-  std::condition_variable cv;
-  ThreadPool::shared().parallel_for(
-      D + 2,
-      [&](std::size_t k) {
-        if (k == 0) {
-          generator_tail(gen_za_, fake_);
-        } else if (k <= D) {
-          CriticStep& cs = critic_steps_[k - 1];
-          std::exception_ptr err;
-          try {
-            fake_batch_into(cs);
-          } catch (...) {
-            err = std::current_exception();
-          }
-          {
-            // A failed batch still wakes the critic chain, which then stops;
-            // parallel_for rethrows the error.
-            std::lock_guard<std::mutex> lock(mu);
-            cs.built = !err;
-            cs.ready = true;
-            cv.notify_all();
-          }
-          if (err) std::rethrow_exception(err);
-        } else {
-          for (CriticStep& cs : critic_steps_) {
-            {
-              std::unique_lock<std::mutex> lock(mu);
-              cv.wait(lock, [&] { return cs.ready; });
-              if (!cs.built) return;
-            }
-            critic_step(data, cs);
-          }
-        }
-      },
-      width);
+  // The stages run in one region, so the helpers join once per iteration.
+  ThreadPool::Region region(ThreadPool::shared(), stage_width_);
+  struct Leave {
+    ThreadPool::Region*& at;
+    ~Leave() { at = nullptr; }
+  } leave{region_ = &region};
+  // The critic steps move only the critics' weights, so all three
+  // generator forwards read the same generator weights and run as one stage.
+  generator_forward(draws_.za, draws_.zts, fake_, fake_batches,
+                    predraw ? std::function<void()>(draw_next) : nullptr);
+  predrawn_ = predraw;
+  for (std::size_t d = 0; d < fake_batches; ++d) {
+    critic_step(data, draws_.critic[d], critic_steps_[d]);
+  }
+  generator_step();
 }
 
 void DoppelGanger::critic_step(const TimeSeriesDataset& data,
-                               CriticStep& cs) {
+                               const CriticDraws& d, CriticStep& cs) {
   ws_.reset();
-  const std::size_t B = cs.rows.size();
-  real_batch_into(data, cs.rows, real_);
-  disc_input_into(real_.attributes, real_.features, xr_);
-  interpolate(xr_, cs.xf, cs.eps, x1_, x2_, dist_);
+  const std::size_t B = d.rows.size();
+  const std::size_t A = spec_.attribute_dim();
+  const std::size_t W = cs.xf.cols();
+  // One batched pass per critic over [real; fake; x1; x2], block q holding
+  // rows q*B + i; everything the slices write is shaped here.
+  real_.attributes.resize(B, A);
+  real_.features.resize(spec_.max_len);
+  for (Matrix& step : real_.features) {
+    step.resize(B, spec_.feature_dim() + kFlagDims);
+  }
+  Matrix& big = ws_.get(4 * B, W);
+  Matrix& abig = ws_.get(4 * B, A);
+  dist_.resize(B);
+  adist_.resize(B);
+  disc_->prepare_forward(4 * B, W);
+  aux_disc_->prepare_forward(4 * B, A);
+  // The critic input is data: only the parameter gradients are read.
+  disc_->prepare_backward(false);
+  aux_disc_->prepare_backward(false);
 
-  // One batched critic pass over [real; fake; x1; x2].
-  Matrix& big = ws_.get(4 * B, xr_.cols());
-  stack_rows_into({&xr_, &cs.xf, &x1_, &x2_}, big);
-  disc_->zero_grad();
-  const Matrix& scores = disc_->forward(big);
+  const RowSlices slices(B, slice_width_);
+  run_stage(kCriticForward, slices.count, [&](std::size_t k) {
+    const std::size_t r0 = slices.begin(k), r1 = slices.end(k);
+    real_batch_rows(data, d.rows, real_, r0, r1);
+    disc_input_rows(real_.attributes, real_.features, big, r0, r1);
+    copy_rows_at(cs.xf, big, B, r0, r1);
+    interpolate_rows(big, B, d.eps, dist_, r0, r1);
+    copy_rows_at(real_.attributes, abig, 0, r0, r1);
+    copy_rows_at(cs.fake_attr, abig, B, r0, r1);
+    interpolate_rows(abig, B, d.aux_eps, adist_, r0, r1);
+    for (std::size_t q = 0; q < 4; ++q) {
+      disc_->forward_rows(big, q * B + r0, q * B + r1);
+      aux_disc_->forward_rows(abig, q * B + r0, q * B + r1);
+    }
+  });
+
+  // Loss seeds and Lipschitz terms, serially over the whole batch.
+  const Matrix& scores = disc_->output();
   Matrix& gs = ws_.get(4 * B, 1);
   gs.fill(0.0);
   const double inv_b = 1.0 / static_cast<double>(B);
@@ -409,15 +573,8 @@ void DoppelGanger::critic_step(const TimeSeriesDataset& data,
     last_d_loss_ = (fake_mean - real_mean) * inv_b;
     TELEM_GAUGE_SET("gan.train.d_loss", last_d_loss_);
   }
-  // The critic input is data: only the parameter gradients are read.
-  disc_->backward_params(gs);
-
   // Auxiliary critic on attributes only.
-  interpolate(real_.attributes, cs.fake_attr, cs.aux_eps, a1_, a2_, adist_);
-  Matrix& abig = ws_.get(4 * B, real_.attributes.cols());
-  stack_rows_into({&real_.attributes, &cs.fake_attr, &a1_, &a2_}, abig);
-  aux_disc_->zero_grad();
-  const Matrix& ascores = aux_disc_->forward(abig);
+  const Matrix& ascores = aux_disc_->output();
   Matrix& gas = ws_.get(4 * B, 1);
   gas.fill(0.0);
   for (std::size_t i = 0; i < B; ++i) {
@@ -426,15 +583,92 @@ void DoppelGanger::critic_step(const TimeSeriesDataset& data,
   }
   add_lipschitz_grads(ascores, 2 * B, 3 * B, B, adist_,
                       config_.lipschitz_weight * config_.aux_weight, gas);
-  aux_disc_->backward_params(gas);
 
-  // clip_grad_norm returns the PRE-clip norm; the post-clip norm the guard
-  // checks is min(norm, clip) for finite norms and the norm itself when
-  // non-finite (clipping is a no-op then, which is exactly the signal).
-  const double norm = ml::clip_grad_norm(discriminator_params(),
-                                         config_.grad_clip);
+  run_stage(kCriticDelta, slices.count, [&](std::size_t k) {
+    const std::size_t r0 = slices.begin(k), r1 = slices.end(k);
+    for (std::size_t q = 0; q < 4; ++q) {
+      disc_->backward_delta_rows(gs, q * B + r0, q * B + r1);
+      aux_disc_->backward_delta_rows(gas, q * B + r0, q * B + r1);
+    }
+  });
+
+  // The post-clip norm the guard checks is min(norm, clip) for finite
+  // norms and the norm itself when non-finite (clipping is a no-op then,
+  // which is exactly the signal).
+  const std::size_t nd = disc_->grad_tasks();
+  const double norm = update(
+      discriminator_params(), *d_opt_, kCriticGrads, kCriticAdam,
+      [&](std::size_t) { return 4.0 * static_cast<double>(B); },
+      [&](std::size_t i, std::size_t r0, std::size_t r1) {
+        if (i < nd) {
+          disc_->grad_task(i, gs, r0, r1);
+        } else {
+          aux_disc_->grad_task(i - nd, gas, r0, r1);
+        }
+      });
   last_d_grad_norm_ = std::min(norm, config_.grad_clip);
-  d_opt_->step();
+}
+
+template <typename Rows, typename Run>
+double DoppelGanger::update(const std::vector<ml::Parameter*>& params,
+                            ml::Adam& opt, Stage grads, Stage adam,
+                            const Rows& batch_rows, const Run& run) {
+  // One task per parameter gradient. A large one is cut by its own output
+  // rows (never by batch rows) so it does not hold the stage up alone, and
+  // the costliest tasks are claimed first.
+  const auto cost = [&](std::size_t i) {
+    return batch_rows(i) * static_cast<double>(params[i]->grad.size());
+  };
+  double total = 0.0;
+  for (std::size_t i = 0; i < params.size(); ++i) total += cost(i);
+  pieces_.clear();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Matrix& g = params[i]->grad;
+    const double c = cost(i);
+    const std::size_t most = std::max<std::size_t>(1, g.rows() / kMinSliceRows);
+    const auto want = static_cast<std::size_t>(
+        total > 0.0 ? 2.0 * static_cast<double>(slice_width_) * c / total
+                    : 1.0);
+    const std::size_t parts = std::clamp<std::size_t>(want, 1, most);
+    for (std::size_t p = 0; p < parts; ++p) {
+      pieces_.push_back({i, p * g.rows() / parts, (p + 1) * g.rows() / parts,
+                         c / static_cast<double>(parts)});
+    }
+  }
+  std::sort(pieces_.begin(), pieces_.end(),
+            [](const ParamPiece& a, const ParamPiece& b) {
+              if (a.cost != b.cost) return a.cost > b.cost;
+              return a.param != b.param ? a.param < b.param
+                                        : a.begin < b.begin;
+            });
+  // Each task zeroes its rows, then accumulates them: zero_grad() and a
+  // whole-batch backward, bitwise.
+  run_stage(grads, pieces_.size(), [&](std::size_t k) {
+    const ParamPiece& t = pieces_[k];
+    Matrix& g = params[t.param]->grad;
+    std::fill(g.row_ptr(t.begin), g.row_ptr(t.end), 0.0);
+    run(t.param, t.begin, t.end);
+  });
+  // clip_grad_norm's one serial sum, then its scaling beside Adam, a large
+  // parameter in element ranges.
+  const double norm = ml::grad_norm(params);
+  const double scale = ml::clip_scale(norm, config_.grad_clip);
+  pieces_.clear();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::size_t n = params[i]->grad.size();
+    const std::size_t parts = std::clamp<std::size_t>(
+        n / kMinAdamElements, 1, slice_width_);
+    for (std::size_t p = 0; p < parts; ++p) {
+      pieces_.push_back({i, p * n / parts, (p + 1) * n / parts, 0.0});
+    }
+  }
+  opt.begin_step();
+  run_stage(adam, pieces_.size(), [&](std::size_t k) {
+    const ParamPiece& t = pieces_[k];
+    ml::scale_grad(*params[t.param], scale, t.begin, t.end);
+    opt.step_param(t.param, t.begin, t.end);
+  });
+  return norm;
 }
 
 void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
@@ -445,8 +679,8 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
   ws_.reset();
   const std::size_t B = std::min(config_.batch_size, data.num_samples());
   random_rows_into(data.num_samples(), B, rng, rows_);
-  stage_generator_noise(B, rng);
-  generator_tail(gen_za_, fake_);
+  draw_generator_noise(B, rng, draws_.za, draws_.zts);
+  generator_forward(draws_.za, draws_.zts, fake_, 0, nullptr);
   Matrix& xf_all = ws_.get(B, spec_.attribute_dim() +
                                   spec_.max_len *
                                       (spec_.feature_dim() + kFlagDims));
@@ -495,54 +729,109 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
 
 void DoppelGanger::generator_step() {
   ws_.reset();
-  const std::size_t B = config_.batch_size;
-  disc_input_into(fake_.attributes, fake_.features, xf_);
-
-  const Matrix& fscores = disc_->forward(xf_);
+  const std::size_t B = fake_.attributes.rows();
+  const std::size_t T = spec_.max_len;
+  const std::size_t A = spec_.attribute_dim();
+  const std::size_t H = rnn_->hidden_dim();
+  const std::size_t nz = config_.feat_noise_dim;
+  const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
+  // Everything the slices write is shaped here. The generator step reads
+  // only the critics' input gradients; the next critic step zeroes their
+  // parameter gradients before anything reads them.
+  xf_.resize(B, A + T * step_dim);
+  disc_->prepare_forward(B, xf_.cols());
+  disc_->prepare_backward(true);
+  aux_disc_->prepare_forward(B, A);
+  aux_disc_->prepare_backward(true);
   const double inv_b = 1.0 / static_cast<double>(B);
+  Matrix& gseed = ws_.get(B, 1);
+  gseed.fill(-inv_b);
+  Matrix& gaseed = ws_.get(B, 1);
+  gaseed.fill(-config_.aux_weight * inv_b);
+  Matrix& attr_grad = ws_.get(B, A);
+  Matrix& g_stacked = ws_.get(T * B, step_dim);  // [T*B, F+2], t-major
+  // generator_forward prepared the generator's own modules.
+  ghs_.resize(T);
+  for (Matrix& g : ghs_) g.resize(B, H);
+  Matrix& attr_total = ws_.get(B, A);
+
+  // Everything up to the parameter gradients works on one row at a time:
+  // the critic pass over the fake batch, the split of the critic's input
+  // gradient into attribute and per-step pieces, the aux critic, the
+  // output layer, the BPTT recurrence and the attribute MLP.
+  const RowSlices slices(B, slice_width_);
+  run_stage(kGenBackward, slices.count, [&](std::size_t k) {
+    const std::size_t r0 = slices.begin(k), r1 = slices.end(k);
+    disc_input_rows(fake_.attributes, fake_.features, xf_, r0, r1);
+    disc_->forward_rows(xf_, r0, r1);
+    disc_->backward_input_rows(gseed, r0, r1);
+    const Matrix& gin = disc_->input_grad();
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* src = gin.row_ptr(i);
+      std::copy(src, src + A, attr_grad.row_ptr(i));
+      for (std::size_t t = 0; t < T; ++t) {
+        const double* seg = src + A + t * step_dim;
+        std::copy(seg, seg + step_dim, g_stacked.row_ptr(t * B + i));
+      }
+    }
+    aux_disc_->forward_rows(fake_.attributes, r0, r1);
+    aux_disc_->backward_input_rows(gaseed, r0, r1);
+    const Matrix& aux_in = aux_disc_->input_grad();
+    for (std::size_t i = r0 * A; i < r1 * A; ++i) {
+      attr_grad.data()[i] += aux_in.data()[i];
+    }
+    for (std::size_t t = 0; t < T; ++t) {
+      out_head_->backward_input_rows(g_stacked, t * B + r0, t * B + r1);
+      out_linear_->backward_input_rows(out_head_->input_grad(), t * B + r0,
+                                       t * B + r1);
+      const Matrix& gh = out_linear_->input_grad();
+      std::copy(gh.row_ptr(t * B + r0), gh.row_ptr(t * B + r1),
+                ghs_[t].row_ptr(r0));
+    }
+    rnn_->backward_rows(ghs_, r0, r1);
+    // The attribute columns of every step's input gradient, summed over t
+    // in ascending order onto the critics' attribute gradient.
+    copy_rows_into(attr_grad, attr_total, r0, r1);
+    for (const Matrix& gx : rnn_->input_grads()) {
+      for (std::size_t i = r0; i < r1; ++i) {
+        const double* src = gx.row_ptr(i) + nz;
+        double* dst = attr_total.row_ptr(i);
+        for (std::size_t j = 0; j < A; ++j) dst[j] += src[j];
+      }
+    }
+    attr_gen_->backward_delta_rows(attr_total, r0, r1);
+  });
+
   // Generator objective is to maximize mean D(fake): record -mean as g_loss
   // (health-guard divergence signal as well as a telemetry gauge).
   {
+    const Matrix& fscores = disc_->output();
     double fake_mean = 0.0;
     for (std::size_t i = 0; i < B; ++i) fake_mean += fscores(i, 0);
     last_g_loss_ = -fake_mean * inv_b;
     TELEM_GAUGE_SET("gan.train.g_loss", last_g_loss_);
   }
-  // The generator step reads only the critics' input gradients; the next
-  // critic step zeroes their parameter gradients before anything reads them.
-  Matrix& gseed = ws_.get(B, 1);
-  gseed.fill(-inv_b);
-  const Matrix& gin = disc_->backward_input(gseed);
 
-  // Split the critic's input gradient into attribute / per-step pieces by
-  // direct column copies (same elements as the old split_cols chain, without
-  // re-copying the shrinking remainder O(T) times).
-  const std::size_t A = spec_.attribute_dim();
-  const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
-  Matrix& attr_grad = ws_.get(B, A);
-  fgrads_.resize(spec_.max_len);
-  for (std::size_t t = 0; t < spec_.max_len; ++t) {
-    fgrads_[t].resize(B, step_dim);
-  }
-  for (std::size_t i = 0; i < B; ++i) {
-    const double* src = gin.row_ptr(i);
-    std::copy(src, src + A, attr_grad.row_ptr(i));
-    for (std::size_t t = 0; t < spec_.max_len; ++t) {
-      const double* seg = src + A + t * step_dim;
-      std::copy(seg, seg + step_dim, fgrads_[t].row_ptr(i));
-    }
-  }
-
-  aux_disc_->forward(fake_.attributes);
-  Matrix& gaseed = ws_.get(B, 1);
-  gaseed.fill(-config_.aux_weight * inv_b);
-  attr_grad += aux_disc_->backward_input(gaseed);
-
-  for (ml::Parameter* p : generator_params()) p->zero_grad();
-  generator_backward(attr_grad, fgrads_);
-  const double norm = ml::clip_grad_norm(generator_params(), config_.grad_clip);
+  // generator_params(): the attribute MLP's, the GRU's, the output layer's.
+  const std::size_t na = attr_gen_->grad_tasks();
+  const std::size_t nr = ml::Gru::kGradTasks;
+  const double norm = update(
+      generator_params(), *g_opt_, kGenGrads, kGenAdam,
+      [&](std::size_t i) {
+        return static_cast<double>(i < na ? B : T * B);
+      },
+      [&](std::size_t i, std::size_t r0, std::size_t r1) {
+        if (i < na) {
+          attr_gen_->grad_task(i, attr_total, r0, r1);
+        } else if (i < na + nr) {
+          rnn_->grad_task(i - na, r0, r1);
+        } else if (i == na + nr) {
+          out_linear_->weight_grad_rows(out_head_->input_grad(), r0, r1);
+        } else {
+          out_linear_->bias_grad(out_head_->input_grad());
+        }
+      });
   last_g_grad_norm_ = std::min(norm, config_.grad_clip);
-  g_opt_->step();
 }
 
 void DoppelGanger::fit(const TimeSeriesDataset& data) {
@@ -558,6 +847,10 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   }
   const double cpu0 = thread_cpu_seconds() + ThreadPool::helper_cpu_seconds();
   Stopwatch wall;
+  profile_ = telemetry::kCompiledIn && telemetry::enabled() && iterations > 0;
+  predrawn_ = false;
+  for (StageClock& c : stage_clock_) c = StageClock{};
+  int runs = 0;  // iterations run, rolled-back ones included
   const ml::health::HealthConfig& hc = config_.health;
   const bool guarded = hc.enabled && iterations > 0;
   if (guarded) {
@@ -575,16 +868,15 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   int attempt = 0;
   int it = 0;
   while (it < iterations) {
-    if (config_.dp) {
-      for (int d = 0; d < config_.d_steps_per_g; ++d) {
-        discriminator_update_dp(data, rng_);
-      }
-      stage_generator_noise(config_.batch_size, rng_);
-      generator_tail(gen_za_, fake_);
-    } else {
-      forward_phase(data);
-    }
-    generator_step();
+    // A model's first iteration shapes every buffer the stages reuse from
+    // then on; it runs on the calling thread alone, so they come from the
+    // owner's heap arena rather than each helper's. The row slices are cut
+    // for the budget either way.
+    slice_width_ = std::max<std::size_t>(1, ml::kernels::effective_threads());
+    stage_width_ = warmed_ ? slice_width_ : 1;
+    iteration(data, it + 1 < iterations);
+    warmed_ = true;
+    ++runs;
     ++it;
     TELEM_COUNT("gan.train.iterations");
     if (!guarded) continue;
@@ -621,14 +913,46 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
       d_opt_->set_lr(lr);
       rng_ = Rng(mix_seed(seed_, 0x52455452u + static_cast<std::uint64_t>(
                                                    attempt)));
+      predrawn_ = false;  // the retry draws from the reseeded stream
     }
   }
-  if (telemetry::kCompiledIn && telemetry::enabled() && iterations > 0) {
-    const double secs = wall.seconds();
-    if (secs > 0.0) TELEM_GAUGE_SET("gan.train.iters_per_sec", iterations / secs);
-  }
-  train_cpu_seconds_ +=
+  const double secs = wall.seconds();
+  const double cpu =
       thread_cpu_seconds() + ThreadPool::helper_cpu_seconds() - cpu0;
+  train_cpu_seconds_ += cpu;
+  if (profile_ && secs > 0.0) {
+    TELEM_GAUGE_SET("gan.train.iters_per_sec", iterations / secs);
+    publish_profile(runs, secs, cpu);
+  }
+}
+
+void DoppelGanger::publish_profile(int runs, double wall, double cpu) const {
+  // Per stage, mean wall ms per iteration and cores in use (CPU over wall).
+  // Each gauge needs its own literal name at its own call site.
+  const double per_iter = 1e3 / runs;
+  const auto cores = [](const StageClock& c) {
+    return c.wall > 0.0 ? c.busy / c.wall : 0.0;
+  };
+#define NETSHARE_STAGE_GAUGES(stage, name)                             \
+  TELEM_GAUGE_SET("gan.stage." name ".ms",                             \
+                  stage_clock_[stage].wall * per_iter);                \
+  TELEM_GAUGE_SET("gan.stage." name ".cores", cores(stage_clock_[stage]))
+  NETSHARE_STAGE_GAUGES(kGenForward, "gen_forward");
+  NETSHARE_STAGE_GAUGES(kCriticForward, "critic_forward");
+  NETSHARE_STAGE_GAUGES(kCriticDelta, "critic_delta");
+  NETSHARE_STAGE_GAUGES(kCriticGrads, "critic_grads");
+  NETSHARE_STAGE_GAUGES(kCriticAdam, "critic_adam");
+  NETSHARE_STAGE_GAUGES(kGenBackward, "gen_backward");
+  NETSHARE_STAGE_GAUGES(kGenGrads, "gen_grads");
+  NETSHARE_STAGE_GAUGES(kGenAdam, "gen_adam");
+#undef NETSHARE_STAGE_GAUGES
+  // Whatever ran between the stages on the calling thread alone: draws,
+  // shaping, loss seeds, clip norms, the DP critic and the health guard.
+  double staged = 0.0;
+  for (const StageClock& c : stage_clock_) staged += c.wall;
+  TELEM_GAUGE_SET("gan.stage.serial.ms", (wall - staged) * per_iter);
+  TELEM_GAUGE_SET("gan.stage.iteration.ms", wall * per_iter);
+  TELEM_GAUGE_SET("gan.stage.iteration.cores", cpu / wall);
 }
 
 GeneratedSeries DoppelGanger::sample(std::size_t n, Rng& rng) const {
@@ -768,25 +1092,28 @@ void DoppelGanger::sample_reference_into(std::size_t n,
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
   out.reset(spec_, n);
+  // The serial reference: one slice, on the calling thread.
+  slice_width_ = stage_width_ = 1;
 
   std::size_t done = 0;
   while (done < n) {
     const std::size_t b = std::min(config_.batch_size, n - done);
     stage_attr_noise(b, stream_seed, first_series + done, scratch);
-    zts_.resize(T);
+    std::vector<Matrix>& zts = draws_.zts;
+    zts.resize(T);
     for (std::size_t t = 0; t < T; ++t) {
-      zts_[t].resize(b, config_.feat_noise_dim);
+      zts[t].resize(b, config_.feat_noise_dim);
     }
     for (std::size_t i = 0; i < b; ++i) {
       NoiseStream& ns = scratch.noise[i];
       for (std::size_t t = 0; t < T; ++t) {
-        double* trow = zts_[t].row_ptr(i);
+        double* trow = zts[t].row_ptr(i);
         for (std::size_t j = 0; j < config_.feat_noise_dim; ++j) {
           trow[j] = ns.normal();
         }
       }
     }
-    generator_tail(scratch.za, fake_);
+    generator_forward(scratch.za, zts, fake_, 0, nullptr);
     const GenOutput& gen = fake_;
     for (std::size_t i = 0; i < b; ++i) {
       const std::size_t row = done + i;

@@ -9,11 +9,13 @@
 // penalizes the same constraint without second-order backprop.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gan/timeseries.hpp"
 #include "ml/gru.hpp"
 #include "ml/health.hpp"
@@ -80,10 +82,10 @@ class DoppelGanger {
 
   // Trains (or, when called on a restored model, fine-tunes) for
   // config.iterations on `data`. Outside DP mode each iteration runs as a
-  // task graph on ThreadPool::shared(), kernels::effective_threads() wide
-  // (DESIGN.md §5): the generator step's forward beside the critic steps,
-  // then the generator backward with its BPTT fan-out. The weights are
-  // bitwise identical at every width.
+  // fixed sequence of row-sliced stages on ThreadPool::shared(),
+  // kernels::effective_threads() wide (DESIGN.md §5): the generator
+  // forwards, then each critic step, then the generator step. The weights
+  // are bitwise identical at every width.
   void fit(const TimeSeriesDataset& data);
   // Same, with an explicit iteration count (fine-tuning uses fewer).
   void fit(const TimeSeriesDataset& data, int iterations);
@@ -112,7 +114,7 @@ class DoppelGanger {
                    SampleScratch& scratch) const;
 
   // Reference sampler: the training-path full unroll (every series runs all
-  // max_len steps through generator_tail, then lengths are read off the
+  // max_len steps through generator_forward, then lengths are read off the
   // alive flags). Bitwise identical to sample_into — steps at or past a
   // series' length were computed and discarded here, skipped there — and
   // kept as the oracle for tests and the serial baseline for
@@ -148,42 +150,85 @@ class DoppelGanger {
     std::vector<ml::Matrix> features;  // T of B x (F+2), incl. gen flags
   };
 
-  // One critic step of an iteration: the draws staged for it (minibatch
-  // rows, attribute and per-step noise, the (e1, e2) interpolation weights
-  // per row of the critic and of the aux critic), the fake batch its graph
-  // task builds, and that task's generator scratch. `ready` (guarded by the
-  // iteration's graph mutex) is set once the fake batch task has ended;
-  // `built` says whether it succeeded.
-  struct CriticStep {
+  // The draws one critic step consumes, staged in the order it consumes
+  // them: minibatch rows, attribute and per-step noise, and the (e1, e2)
+  // interpolation weights per row of the critic and of the aux critic.
+  struct CriticDraws {
     std::vector<std::size_t> rows;
     ml::Matrix za;
     std::vector<ml::Matrix> zts;
     std::vector<double> eps, aux_eps;
+  };
+  // Every draw of an iteration: the critic steps' in order, then the
+  // generator step's noise.
+  struct Draws {
+    std::vector<CriticDraws> critic;
+    ml::Matrix za;
+    std::vector<ml::Matrix> zts;
+  };
+  // A critic step's fake batch, which the generator-forward stage builds on
+  // the forward-only path, and that path's scratch.
+  struct CriticStep {
     GenScratch gen;
     ml::Matrix fake_attr, xf;  // fake attributes and critic input rows
-    bool ready = false;
-    bool built = false;
   };
 
-  // Draws the generator step's noise into gen_za_ and zts_.
-  void stage_generator_noise(std::size_t batch, Rng& rng);
-  // Draws one critic step's rows, noise and interpolation weights from rng_,
-  // in the order the step consumes them.
-  void stage_critic_step(std::size_t num_samples, CriticStep& cs);
-  // Noise-independent generator forward pass with the caches backward
-  // needs (attribute MLP, per-step concat, GRU unroll, MixedHead): consumes
-  // `za` and the per-step noise already staged in zts_. Used by training
-  // and by sample_reference_into.
-  void generator_tail(const ml::Matrix& za, GenOutput& out);
+  // The stages of an iteration, for the profile (DESIGN.md §8).
+  enum Stage : std::size_t {
+    kGenForward,      // every generator forward of the iteration
+    kCriticForward,   // critic and aux-critic forward slices
+    kCriticDelta,     // their input-gradient slices
+    kCriticGrads,     // one task per parameter gradient (or row part)
+    kCriticAdam,      // clip scaling and Adam per parameter
+    kGenBackward,     // critic pass, head, BPTT and attribute-MLP slices
+    kGenGrads,
+    kGenAdam,
+    kStageCount
+  };
+  struct StageClock {
+    double wall = 0.0, busy = 0.0;  // seconds; busy sums the task times
+  };
+  // A task of an update's stages over parameter `param` of its list: rows
+  // [begin, end) of the gradient (with its cost in multiply-adds), or
+  // elements [begin, end) for Adam.
+  struct ParamPiece {
+    std::size_t param, begin, end;
+    double cost;
+  };
+
+  // Draws the generator step's noise into za and zts.
+  void draw_generator_noise(std::size_t batch, Rng& rng, ml::Matrix& za,
+                            std::vector<ml::Matrix>& zts) const;
+  // Draws one critic step's draws from rng_.
+  void draw_critic_step(std::size_t num_samples, CriticDraws& d);
+  // Draws a whole non-DP iteration from rng_.
+  void draw_iteration(std::size_t num_samples, Draws& d);
+  // Runs fn(k) for k in [0, n) as one stage: in the iteration's region
+  // when one is open, else as a parallel_for on ThreadPool::shared(),
+  // stage_width_ wide. With the profile on, charges its wall time and its
+  // summed task time to `stage`.
+  template <typename Fn>
+  void run_stage(Stage stage, std::size_t n, const Fn& fn);
+  // The generator-forward stage: row slices of the generator forward with
+  // the caches backward needs (attribute MLP, per-step concat, GRU unroll,
+  // output layer and MixedHead) on the noise `za` and `zts`, into out;
+  // beside them, row slices of the first `fake_batches` critic steps' fake
+  // batches on the forward-only path (from draws_), and `beside` (when set)
+  // as one more task. Also the full unroll of sample_reference_into.
+  void generator_forward(const ml::Matrix& za,
+                         const std::vector<ml::Matrix>& zts, GenOutput& out,
+                         std::size_t fake_batches,
+                         const std::function<void()>& beside);
   // The forward-only generator path, shared by sample_into and the critic
   // steps' fake batches. gen_step runs one RNN step and the output layer on
   // s.x and s.h into s.h_next and s.head (returned). Every stage is
-  // row-wise and reads only weights, so rows match generator_tail's bitwise
-  // and several tasks may run it at once with distinct scratch.
+  // row-wise and reads only weights, so rows match generator_forward's
+  // bitwise and several tasks may run it at once with distinct scratch.
   const ml::Matrix& gen_step(GenScratch& s) const;
-  // Builds a critic step's fake batch (all max_len steps) from its staged
-  // noise on the forward-only path, straight into critic input rows.
-  void fake_batch_into(CriticStep& cs) const;
+  // Rows [r0, r1) of a critic step's fake batch (all max_len steps), from
+  // its staged noise straight into critic input rows.
+  void fake_batch_rows(const CriticDraws& d, CriticStep& cs, std::size_t r0,
+                       std::size_t r1) const;
   // Builds one batch of per-series counter-based noise streams (s.noise)
   // and fills s.za with each series' attribute noise. Draw order per series
   // is fixed — attribute noise, then z_0, z_1, ... — so the adaptive sampler
@@ -192,29 +237,51 @@ class DoppelGanger {
   // drains all max_len steps).
   void stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
                         std::size_t first_series, SampleScratch& s) const;
-  // Backprop through the generator given dLoss/d(attr) and dLoss/d(features).
-  void generator_backward(const ml::Matrix& attr_grad,
-                          const std::vector<ml::Matrix>& feature_grads);
 
   // Flattens (attr, features) into the discriminator input [B, A + T*(F+2)],
-  // assembling each output row directly (no intermediate concatenations).
+  // assembling each output row directly (no intermediate concatenations):
+  // all rows, or rows [r0, r1) of an x already shaped.
   void disc_input_into(const ml::Matrix& attr,
                        const std::vector<ml::Matrix>& feats,
                        ml::Matrix& x) const;
-  // Builds a real minibatch (with gen flags appended) from the dataset.
+  void disc_input_rows(const ml::Matrix& attr,
+                       const std::vector<ml::Matrix>& feats, ml::Matrix& x,
+                       std::size_t r0, std::size_t r1) const;
+  // Builds a real minibatch (with gen flags appended) from the dataset:
+  // all rows, or rows [r0, r1) of an out already shaped.
   void real_batch_into(const TimeSeriesDataset& data,
                        const std::vector<std::size_t>& rows,
                        GenOutput& out) const;
+  void real_batch_rows(const TimeSeriesDataset& data,
+                       const std::vector<std::size_t>& rows, GenOutput& out,
+                       std::size_t r0, std::size_t r1) const;
 
-  // Non-DP iteration up to the generator step's backward: stages every
-  // draw, then runs the task graph (generator forward | fake batches |
-  // critic steps in order).
-  void forward_phase(const TimeSeriesDataset& data);
-  void critic_step(const TimeSeriesDataset& data, CriticStep& cs);
+  // One iteration: stages every draw (running the DP critic updates, which
+  // draw as they go), then, in one ThreadPool::Region, the generator-forward
+  // stage, each critic step's stages in order and the generator step's.
+  // With `predraw` (another iteration follows in this fit) outside DP mode,
+  // the next iteration's draws run as a task of the first stage.
+  void iteration(const TimeSeriesDataset& data, bool predraw);
+  void critic_step(const TimeSeriesDataset& data, const CriticDraws& d,
+                   CriticStep& cs);
   void discriminator_update_dp(const TimeSeriesDataset& data, Rng& rng);
-  // Generator step on the fake_ batch generator_tail left: critic pass,
-  // backward through the generator, clip and Adam.
+  // Generator step on the fake_ batch generator_forward left: one stage of
+  // row slices (critic pass, head backward, BPTT with each step's input
+  // gradient, attribute-MLP backward), then the gradient and Adam stages.
   void generator_step();
+  // The parameter-gradient and Adam stages of an update over `params`:
+  // parameter i's gradient sums over `batch_rows(i)` rows (its cost is that
+  // times its size) and `run(i, r0, r1)` accumulates rows [r0, r1) of it
+  // into zeroed rows; then the serial clip norm, and scaling plus Adam per
+  // parameter. Returns the pre-clip norm.
+  template <typename Rows, typename Run>
+  double update(const std::vector<ml::Parameter*>& params, ml::Adam& opt,
+                Stage grads, Stage adam, const Rows& batch_rows,
+                const Run& run);
+
+  // Sets the gan.stage.* gauges from stage_clock_ after a fit of `runs`
+  // iterations that took `wall` seconds and `cpu` CPU-seconds.
+  void publish_profile(int runs, double wall, double cpu) const;
 
   std::size_t flag_offset() const;  // column of the alive flag within a step
 
@@ -235,23 +302,36 @@ class DoppelGanger {
   std::unique_ptr<privacy::DpSgdAggregator> dp_agg_;
 
   // Per-model allocation arena (DESIGN.md §6): reset at the top of every
-  // critic step and generator step; owned by the model so chunk-parallel
-  // fine-tuning (core/train.cpp) never shares buffers across threads. The
-  // generator forward, which runs beside the critic steps, and the
-  // samplers take nothing from it.
+  // critic step and generator step, and handed out only between stages, on
+  // the calling thread; owned by the model so chunk-parallel fine-tuning
+  // (core/train.cpp) never shares buffers across threads. The samplers take
+  // nothing from it.
   ml::Workspace ws_;
   // Persistent batch buffers reused across iterations.
   GenOutput real_, fake_;
-  ml::Matrix stacked_;              // generator_tail's [T*B, H] RNN outputs
+  ml::Matrix stacked_;              // the generator's [T*B, H] RNN outputs
   std::vector<CriticStep> critic_steps_;
-  ml::Matrix gen_za_;               // generator step's attribute noise
-  std::vector<ml::Matrix> zts_;     // per-step generator noise z_t
+  // This iteration's draws, and the next one's when predrawn_ says this
+  // iteration already made them.
+  Draws draws_, next_draws_;
+  bool predrawn_ = false;
   std::vector<ml::Matrix> xs_;      // generator RNN inputs [z_t | attr]
   std::vector<ml::Matrix> ghs_;     // per-step hidden-state gradients
-  std::vector<ml::Matrix> fgrads_;  // per-step feature gradients
   ml::Matrix xr_, xf_, x1_, x2_, a1_, a2_, fa_row_;
   std::vector<double> dist_, adist_, eps_;
   std::vector<std::size_t> rows_, row1_;
+  std::vector<ParamPiece> pieces_;
+
+  // Stage width (kernels::effective_threads(), or 1 for a model's first
+  // iteration, which allocates every buffer on the calling thread) and the
+  // budget the row slices are cut for.
+  std::size_t stage_width_ = 1;
+  std::size_t slice_width_ = 1;
+  bool warmed_ = false;  // a first iteration has run
+  ThreadPool::Region* region_ = nullptr;  // the iteration's, while open
+  // Per-stage profile of the current fit (telemetry on only).
+  bool profile_ = false;
+  StageClock stage_clock_[kStageCount];
 
   double train_cpu_seconds_ = 0.0;
   std::size_t dp_steps_ = 0;

@@ -31,43 +31,69 @@ Gru::Gru(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
 
 const std::vector<Matrix>& Gru::forward(const std::vector<Matrix>& xs) {
   if (xs.empty()) throw std::invalid_argument("Gru::forward: empty sequence");
-  const std::size_t batch = xs[0].rows();
-  const std::size_t T = xs.size();
+  prepare_forward(xs.size(), xs[0].rows());
+  forward_rows(xs, 0, xs[0].rows());
+  return hs_;
+}
+
+void Gru::prepare_forward(std::size_t T, std::size_t batch) {
+  if (T == 0) throw std::invalid_argument("Gru::forward: empty sequence");
   if (cache_.size() < T) cache_.resize(T);
   hs_.resize(T);
   steps_ = T;
-  h0_.resize(batch, hidden_dim_);
-  h0_.fill(0.0);
-  const Matrix* h = &h0_;
   for (std::size_t t = 0; t < T; ++t) {
-    const Matrix& x = xs[t];
-    if (x.cols() != input_dim_) {
+    StepCache& s = cache_[t];
+    s.x.resize(batch, input_dim_);
+    for (Matrix* m : {&s.h_prev, &s.z, &s.r, &s.c, &s.rh, &hs_[t]}) {
+      m->resize(batch, hidden_dim_);
+    }
+  }
+  gate_scratch_.resize(batch, hidden_dim_);
+}
+
+void Gru::forward_rows(const std::vector<Matrix>& xs, std::size_t r0,
+                       std::size_t r1) {
+  if (xs.size() != steps_) {
+    throw std::invalid_argument("Gru::forward: sequence length mismatch");
+  }
+  for (std::size_t t = 0; t < steps_; ++t) {
+    if (xs[t].cols() != input_dim_) {
       throw std::invalid_argument("Gru::forward: input dim mismatch");
     }
     StepCache& s = cache_[t];
-    s.x = x;
-    s.h_prev = *h;
-    // All four products per gate go through the blocked kernel layer via
-    // the fused gate (ml/kernels.hpp): pre-activation rounding sequence is
-    // identical to matmul + matmul + add + row-broadcast bias + activation.
-    using kernels::GateAct;
-    kernels::gru_gate_into(x, wxz_.value, *h, whz_.value, bz_.value,
-                           GateAct::kSigmoid, gate_scratch_, s.z);
-    kernels::gru_gate_into(x, wxr_.value, *h, whr_.value, br_.value,
-                           GateAct::kSigmoid, gate_scratch_, s.r);
-    hadamard_into(s.r, *h, s.rh);
-    kernels::gru_gate_into(x, wxc_.value, s.rh, whc_.value, bc_.value,
-                           GateAct::kTanh, gate_scratch_, s.c);
-    // h_t = (1-z) ⊙ h_prev + z ⊙ c
-    Matrix& h_next = hs_[t];
-    h_next.resize(batch, hidden_dim_);
-    for (std::size_t i = 0; i < h_next.size(); ++i) {
-      h_next.data()[i] = (1.0 - s.z.data()[i]) * h->data()[i] +
-                         s.z.data()[i] * s.c.data()[i];
+    copy_rows_into(xs[t], s.x, r0, r1);
+    if (t == 0) {  // the hidden state starts at zero
+      std::fill(s.h_prev.row_ptr(r0), s.h_prev.row_ptr(r1), 0.0);
+    } else {
+      copy_rows_into(hs_[t - 1], s.h_prev, r0, r1);
     }
-    h = &h_next;
+    step_rows(s.x, s.h_prev, hs_[t], s.z, s.r, s.c, s.rh, gate_scratch_, r0,
+              r1);
   }
-  return hs_;
+}
+
+void Gru::step_rows(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
+                    Matrix& z, Matrix& r, Matrix& c, Matrix& rh,
+                    Matrix& gate, std::size_t r0, std::size_t r1) const {
+  // All four products per gate go through the fused gate kernel
+  // (ml/kernels.hpp): the pre-activation rounding sequence is identical to
+  // matmul + matmul + add + row-broadcast bias + activation.
+  using kernels::GateAct;
+  kernels::gru_gate_rows(x, wxz_.value, h_prev, whz_.value, bz_.value,
+                         GateAct::kSigmoid, gate, z, r0, r1);
+  kernels::gru_gate_rows(x, wxr_.value, h_prev, whr_.value, br_.value,
+                         GateAct::kSigmoid, gate, r, r0, r1);
+  const std::size_t H = hidden_dim_;
+  for (std::size_t i = r0 * H; i < r1 * H; ++i) {
+    rh.data()[i] = r.data()[i] * h_prev.data()[i];
+  }
+  kernels::gru_gate_rows(x, wxc_.value, rh, whc_.value, bc_.value,
+                         GateAct::kTanh, gate, c, r0, r1);
+  // h_t = (1-z) ⊙ h_prev + z ⊙ c
+  for (std::size_t i = r0 * H; i < r1 * H; ++i) {
+    h_out.data()[i] = (1.0 - z.data()[i]) * h_prev.data()[i] +
+                      z.data()[i] * c.data()[i];
+  }
 }
 
 void Gru::step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
@@ -78,9 +104,10 @@ void Gru::step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
   if (h_prev.rows() != x.rows() || h_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("Gru::step_into: hidden shape mismatch");
   }
-  // Mirror of one forward() iteration: same fused-gate kernels in the same
-  // order, so each row matches the full unroll bitwise (s.gate is per-call
-  // scratch inside gru_gate_into and carries nothing across calls).
+  // Mirror of one forward() step through the whole-batch entry points of
+  // the same fused-gate kernels, so each row matches the full unroll
+  // bitwise (s.gate is per-call scratch inside gru_gate_into and carries
+  // nothing across calls).
   using kernels::GateAct;
   kernels::gru_gate_into(x, wxz_.value, h_prev, whz_.value, bz_.value,
                          GateAct::kSigmoid, s.gate, s.z);
@@ -96,72 +123,109 @@ void Gru::step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
   }
 }
 
+void Gru::step_rows_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
+                         StepScratch& s, std::size_t r0,
+                         std::size_t r1) const {
+  step_rows(x, h_prev, h_out, s.z, s.r, s.c, s.rh, s.gate, r0, r1);
+}
+
 const std::vector<Matrix>& Gru::backward(const std::vector<Matrix>& grad_hs) {
+  prepare_backward();
+  backward_rows(grad_hs, 0, cache_[0].x.rows());
+  const std::size_t width =
+      std::max<std::size_t>(1, kernels::effective_threads());
+  ThreadPool::shared().parallel_for(
+      kGradTasks,
+      [&](std::size_t k) {
+        const std::size_t rows[3] = {input_dim_, hidden_dim_, 1};
+        grad_task(k, 0, rows[k % 3]);
+      },
+      width);
+  return grad_xs_;
+}
+
+void Gru::prepare_backward() {
+  const std::size_t batch = cache_[0].x.rows();
+  grad_xs_.resize(steps_);
+  for (Matrix& dx : grad_xs_) dx.resize(batch, input_dim_);
+  for (Matrix* m : {&dhb_[0], &dhb_[1], &drh_, &mm_}) {
+    m->resize(batch, hidden_dim_);
+  }
+  dx_mm_.resize(batch, input_dim_);
+  bias_sums_.resize(3);
+  for (Matrix& b : bias_sums_) b.resize(1, hidden_dim_);
+  kernels::pack_trans_b(whz_.value, whz_t_);
+  kernels::pack_trans_b(whr_.value, whr_t_);
+  kernels::pack_trans_b(whc_.value, whc_t_);
+  kernels::pack_trans_b(wxz_.value, wxz_t_);
+  kernels::pack_trans_b(wxr_.value, wxr_t_);
+  kernels::pack_trans_b(wxc_.value, wxc_t_);
+}
+
+void Gru::backward_rows(const std::vector<Matrix>& grad_hs, std::size_t r0,
+                        std::size_t r1) {
   const std::size_t T = steps_;
   if (grad_hs.size() != T) {
     throw std::invalid_argument("Gru::backward: grad count mismatch");
   }
-  const std::size_t batch = cache_[0].x.rows();
-  grad_xs_.resize(T);
-  dh_carry_.resize(batch, hidden_dim_);
-  dh_carry_.fill(0.0);
-
-  // Recurrence: only the dh chain is serial. Each step's pre-activation gate
-  // gradients overwrite that step's z, r, c activations once they have been
-  // read, so the fan-out below finds daz, dar, dac in the caches.
+  const std::size_t H = hidden_dim_;
+  const std::size_t i0 = r0 * H, i1 = r1 * H;
+  // dh flows from step ti's dhb_[ti % 2] to step ti-1's through
+  // dhb_[(ti + 1) % 2]; nothing flows into the last step.
+  std::fill(dhb_[(T - 1) % 2].data().begin() + static_cast<std::ptrdiff_t>(i0),
+            dhb_[(T - 1) % 2].data().begin() + static_cast<std::ptrdiff_t>(i1),
+            0.0);
+  // Each step's pre-activation gate gradients overwrite its z, r, c
+  // activations once they have been read, so the parameter tasks find daz,
+  // dar, dac in the caches.
   for (std::size_t ti = T; ti-- > 0;) {
     StepCache& s = cache_[ti];
-    // dh = grad_hs[ti] + dh_carry, element order as Matrix::operator+.
-    dh_.resize(batch, hidden_dim_);
-    for (std::size_t i = 0; i < dh_.size(); ++i) {
-      dh_.data()[i] = grad_hs[ti].data()[i] + dh_carry_.data()[i];
-    }
-
-    // Gate gradients through z (daz) and the candidate c (dac).
-    dhp_.resize(batch, hidden_dim_);
-    for (std::size_t i = 0; i < dh_.size(); ++i) {
+    const double* carry = dhb_[ti % 2].data().data();
+    double* dhp = dhb_[(ti + 1) % 2].data().data();
+    const double* gh = grad_hs[ti].data().data();
+    // Gate gradients through z (daz) and the candidate c (dac), from
+    // dh = grad_hs[ti] + dh_carry.
+    for (std::size_t i = i0; i < i1; ++i) {
+      const double g = gh[i] + carry[i];
       const double z = s.z.data()[i];
       const double c = s.c.data()[i];
       const double hp = s.h_prev.data()[i];
-      const double g = dh_.data()[i];
       s.z.data()[i] = g * (c - hp) * z * (1.0 - z);
       s.c.data()[i] = g * z * (1.0 - c * c);
-      dhp_.data()[i] = g * (1.0 - z);
+      dhp[i] = g * (1.0 - z);
     }
 
     // Candidate path: ac = x Wxc + (r ⊙ h_prev) Whc + bc.
-    kernels::matmul_trans_b_into(s.c, whc_.value, drh_);
-    for (std::size_t i = 0; i < drh_.size(); ++i) {
+    kernels::matmul_trans_b_rows(s.c, whc_t_, drh_, r0, r1);
+    for (std::size_t i = i0; i < i1; ++i) {
       const double r = s.r.data()[i];
       const double hp = s.h_prev.data()[i];
       s.r.data()[i] = drh_.data()[i] * hp * r * (1.0 - r);
-      dhp_.data()[i] += drh_.data()[i] * r;
+      dhp[i] += drh_.data()[i] * r;
     }
 
-    // Hidden-state gradient to previous step.
-    kernels::matmul_trans_b_into(s.z, whz_.value, mm_);
-    dhp_ += mm_;
-    kernels::matmul_trans_b_into(s.r, whr_.value, mm_);
-    dhp_ += mm_;
-    std::swap(dh_carry_, dhp_);
-  }
+    // Hidden-state gradient to the previous step.
+    kernels::matmul_trans_b_rows(s.z, whz_t_, mm_, r0, r1);
+    for (std::size_t i = i0; i < i1; ++i) dhp[i] += mm_.data()[i];
+    kernels::matmul_trans_b_rows(s.r, whr_t_, mm_, r0, r1);
+    for (std::size_t i = i0; i < i1; ++i) dhp[i] += mm_.data()[i];
 
-  // Fan-out, all outputs disjoint: one task per parameter, folding its
-  // per-step products in over descending t (the accumulating kernels keep
-  // the rounding sequence of the scratch-then-`grad +=` path), then the
-  // per-step input gradients in contiguous step ranges, one product buffer
-  // per range.
-  const std::size_t width =
-      std::max<std::size_t>(1, kernels::effective_threads());
-  const std::size_t ranges = std::min(width, T);
-  const std::size_t per_range = (T + ranges - 1) / ranges;
-  // Every fan-out output is shaped here, on the calling thread, so the
-  // tasks only reuse capacity and no buffer comes from a helper's heap.
-  bias_sums_.resize(3);
-  for (Matrix& b : bias_sums_) b.resize(1, hidden_dim_);
-  if (dx_mm_.size() < ranges) dx_mm_.resize(ranges);  // never shrinks
-  for (std::size_t j = 0; j < ranges; ++j) dx_mm_[j].resize(batch, input_dim_);
-  for (Matrix& dx : grad_xs_) dx.resize(batch, input_dim_);
+    // Input gradient dx = daz Wxzᵀ + dar Wxrᵀ + dac Wxcᵀ, summed in that
+    // order.
+    Matrix& dx = grad_xs_[ti];
+    const std::size_t x0 = r0 * input_dim_, x1 = r1 * input_dim_;
+    kernels::matmul_trans_b_rows(s.z, wxz_t_, dx, r0, r1);
+    kernels::matmul_trans_b_rows(s.r, wxr_t_, dx_mm_, r0, r1);
+    for (std::size_t i = x0; i < x1; ++i) dx.data()[i] += dx_mm_.data()[i];
+    kernels::matmul_trans_b_rows(s.c, wxc_t_, dx_mm_, r0, r1);
+    for (std::size_t i = x0; i < x1; ++i) dx.data()[i] += dx_mm_.data()[i];
+  }
+}
+
+void Gru::grad_task(std::size_t k, std::size_t r0, std::size_t r1) {
+  // One parameter, folding its per-step products in over descending t (the
+  // accumulating kernel keeps the rounding sequence of the
+  // scratch-then-`grad +=` path).
   Matrix StepCache::* const gate_grad[3] = {&StepCache::z, &StepCache::r,
                                             &StepCache::c};
   // The candidate's recurrent product reads r ⊙ h_prev, the others h_prev.
@@ -170,41 +234,21 @@ const std::vector<Matrix>& Gru::backward(const std::vector<Matrix>& grad_hs) {
   Parameter* const wx[3] = {&wxz_, &wxr_, &wxc_};
   Parameter* const wh[3] = {&whz_, &whr_, &whc_};
   Parameter* const bias[3] = {&bz_, &br_, &bc_};
-  ThreadPool::shared().parallel_for(
-      9 + ranges,
-      [&](std::size_t k) {
-        if (k < 9) {
-          const std::size_t g = k / 3;
-          for (std::size_t ti = T; ti-- > 0;) {
-            const StepCache& s = cache_[ti];
-            const Matrix& grad = s.*gate_grad[g];
-            if (k % 3 == 0) {
-              kernels::matmul_trans_a_acc_into(s.x, grad, wx[g]->grad);
-            } else if (k % 3 == 1) {
-              kernels::matmul_trans_a_acc_into(s.*recurrent_in[g], grad,
-                                               wh[g]->grad);
-            } else {
-              sum_rows_into(grad, bias_sums_[g]);
-              bias[g]->grad += bias_sums_[g];
-            }
-          }
-          return;
-        }
-        const std::size_t j = k - 9;
-        Matrix& mm = dx_mm_[j];
-        for (std::size_t ti = j * per_range;
-             ti < std::min(T, (j + 1) * per_range); ++ti) {
-          const StepCache& s = cache_[ti];
-          Matrix& dx = grad_xs_[ti];
-          kernels::matmul_trans_b_into(s.z, wxz_.value, dx);
-          kernels::matmul_trans_b_into(s.r, wxr_.value, mm);
-          dx += mm;
-          kernels::matmul_trans_b_into(s.c, wxc_.value, mm);
-          dx += mm;
-        }
-      },
-      width);
-  return grad_xs_;
+  const std::size_t g = k / 3;
+  if (r1 <= r0) return;
+  for (std::size_t ti = steps_; ti-- > 0;) {
+    const StepCache& s = cache_[ti];
+    const Matrix& grad = s.*gate_grad[g];
+    if (k % 3 == 0) {
+      kernels::matmul_trans_a_acc_rows(s.x, grad, wx[g]->grad, r0, r1);
+    } else if (k % 3 == 1) {
+      kernels::matmul_trans_a_acc_rows(s.*recurrent_in[g], grad, wh[g]->grad,
+                                       r0, r1);
+    } else {
+      sum_rows_into(grad, bias_sums_[g]);
+      bias[g]->grad += bias_sums_[g];
+    }
+  }
 }
 
 std::vector<Parameter*> Gru::parameters() {

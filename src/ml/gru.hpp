@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ml/kernels.hpp"
 #include "ml/layers.hpp"
 
 namespace netshare::ml {
@@ -35,12 +36,38 @@ class Gru {
   // BPTT. grad_hs[t] is dLoss/dh_t (zero matrices allowed). Accumulates
   // parameter gradients and returns dLoss/dx_t for each step. Consumes the
   // forward caches (each step's gate gradients are written over its dead
-  // gate activations), so every backward() needs a fresh forward(). After
-  // the serial recurrence, the parameter-gradient products and the input
-  // gradients fan out over ThreadPool::shared(), kernels::effective_threads()
-  // wide; each parameter still accumulates over t in descending order, so
-  // the result is bitwise identical at every width.
+  // gate activations), so every backward() needs a fresh forward(). The
+  // recurrence runs serially; the nine parameter tasks then fan out over
+  // ThreadPool::shared(), kernels::effective_threads() wide. Each parameter
+  // still accumulates over t in descending order, so the result is bitwise
+  // identical at every width.
   const std::vector<Matrix>& backward(const std::vector<Matrix>& grad_hs);
+
+  // Row-sliced twins of forward() and backward() (DESIGN.md §5): every
+  // cache stays a whole-batch matrix and a slice writes only its rows, so
+  // slices of disjoint row ranges may run on several threads at once and
+  // the values are forward()/backward()'s, bitwise.
+  //   prepare_forward(T, batch)  shape the caches (one thread);
+  //   forward_rows(xs, r0, r1)   all T steps for rows [r0, r1); hidden()
+  //                              holds h_1..h_T once every slice has run;
+  //   prepare_backward()         pack the six weight transposes and shape
+  //                              the recurrence scratch (one thread);
+  //   backward_rows(gh, r0, r1)  the dh recurrence for rows [r0, r1), each
+  //                              step's input gradient folded in
+  //                              (input_grads());
+  //   grad_task(k, r0, r1)       k < kGradTasks: rows [r0, r1) of
+  //                              parameters()[k]'s gradient, over the
+  //                              whole batch, after every slice.
+  void prepare_forward(std::size_t T, std::size_t batch);
+  void forward_rows(const std::vector<Matrix>& xs, std::size_t r0,
+                    std::size_t r1);
+  const std::vector<Matrix>& hidden() const { return hs_; }
+  void prepare_backward();
+  void backward_rows(const std::vector<Matrix>& grad_hs, std::size_t r0,
+                     std::size_t r1);
+  const std::vector<Matrix>& input_grads() const { return grad_xs_; }
+  static constexpr std::size_t kGradTasks = 9;
+  void grad_task(std::size_t k, std::size_t r0, std::size_t r1);
 
   // Forward-only single step: h_out = GRU(x, h_prev), using exactly the
   // same fused-gate kernel calls as forward(), so a step's output row is
@@ -51,6 +78,10 @@ class Gru {
   // zero-allocation once the scratch capacities are warm.
   void step_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
                  StepScratch& s) const;
+  // Rows [r0, r1) of step_into, into h_out and scratch already shaped to
+  // the whole batch (each x.rows() × hidden_dim()).
+  void step_rows_into(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
+                      StepScratch& s, std::size_t r0, std::size_t r1) const;
 
   std::vector<Parameter*> parameters();
   void zero_grad();
@@ -66,6 +97,12 @@ class Gru {
     Matrix rh;  // r ⊙ h_prev, reused by backward's candidate-path grads
   };
 
+  // One step for rows [r0, r1) into whole-batch buffers: the three fused
+  // gates, r ⊙ h_prev and the state update.
+  void step_rows(const Matrix& x, const Matrix& h_prev, Matrix& h_out,
+                 Matrix& z, Matrix& r, Matrix& c, Matrix& rh, Matrix& gate,
+                 std::size_t r0, std::size_t r1) const;
+
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   // Update gate z, reset gate r, candidate c.
@@ -78,14 +115,14 @@ class Gru {
   std::size_t steps_ = 0;
   // Forward buffers.
   std::vector<Matrix> hs_;  // returned hidden states h_1..h_T
-  Matrix h0_;               // zero initial state
-  Matrix gate_scratch_;     // second-product scratch for gru_gate_into
-  // Backward buffers (see backward() for roles): recurrence scratch, then
-  // one bias-sum buffer per bias task and one product buffer per
-  // input-gradient task of the fan-out.
+  Matrix gate_scratch_;     // second-product scratch for gru_gate_rows
+  // Backward buffers: the recurrence scratch (dh ping-pongs between dhb_[0]
+  // and dhb_[1] by step parity, so no slice swaps a shared matrix), the
+  // packed weight transposes, one bias-sum buffer per bias task.
   std::vector<Matrix> grad_xs_;
-  Matrix dh_, dhp_, drh_, dh_carry_, mm_;
-  std::vector<Matrix> bias_sums_, dx_mm_;
+  Matrix dhb_[2], drh_, mm_, dx_mm_;
+  kernels::PackedTransB whz_t_, whr_t_, whc_t_, wxz_t_, wxr_t_, wxc_t_;
+  std::vector<Matrix> bias_sums_;
 };
 
 }  // namespace netshare::ml

@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,9 @@ namespace {
 
 std::mutex g_mutex;
 KernelConfig g_config;
+// g_config.simd, mirrored for the row-range forms, which must not take
+// g_mutex: threads filling slices of one stage would queue on it.
+std::atomic<int> g_simd_ceiling{static_cast<int>(KernelConfig{}.simd)};
 
 // Set while a thread executes a panel; a kernel invoked from inside a panel
 // runs serially instead of fanning out again.
@@ -113,6 +117,16 @@ int simd_env_cap() {
 
 SimdTier resolve_tier(const KernelConfig& cfg) {
   if (cfg.simd == SimdTier::kScalar) return SimdTier::kScalar;
+  if (simd_env_cap() == 0) return SimdTier::kScalar;
+  return supported_tier();
+}
+
+// resolve_tier(config()) without the mutex.
+SimdTier row_tier() {
+  if (g_simd_ceiling.load(std::memory_order_relaxed) ==
+      static_cast<int>(SimdTier::kScalar)) {
+    return SimdTier::kScalar;
+  }
   if (simd_env_cap() == 0) return SimdTier::kScalar;
   return supported_tier();
 }
@@ -265,6 +279,7 @@ KernelConfig config() {
 void set_config(const KernelConfig& cfg) {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_config = cfg;
+  g_simd_ceiling.store(static_cast<int>(cfg.simd), std::memory_order_relaxed);
 }
 
 std::size_t effective_threads() {
@@ -299,6 +314,70 @@ void matmul_simd(const Matrix& a, const Matrix& b, const double* bias,
 
 }  // namespace
 
+namespace {
+
+// Scalar-tier rows [r0, r1) of C = A·B; zeroes those rows of c first.
+void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                        std::size_t r0, std::size_t r1, std::size_t KB,
+                        std::size_t JB) {
+  const std::size_t K = a.cols(), C = b.cols();
+  if (r1 > r0 && C > 0) {
+    std::fill(c.row_ptr(r0), c.row_ptr(r0) + (r1 - r0) * C, 0.0);
+  }
+  for (std::size_t kk = 0; kk < K; kk += KB) {
+    const std::size_t kend = std::min(K, kk + KB);
+    for (std::size_t jj = 0; jj < C; jj += JB) {
+      const std::size_t jend = std::min(C, jj + JB);
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* crow = c.row_ptr(i);
+        const double* arow = a.row_ptr(i);
+        std::size_t k = kk;
+        // Four k-steps per pass over the c row: each element still takes
+        // its partial products one at a time in ascending-k order (mul
+        // rounded, then add rounded), so results match the one-k-at-a-time
+        // reference bitwise while c is loaded/stored 4x less often.
+        for (; k + 4 <= kend; k += 4) {
+          const double a0 = arow[k], a1 = arow[k + 1];
+          const double a2 = arow[k + 2], a3 = arow[k + 3];
+          if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
+            // The reference skips zero multiplicands entirely (c + 0*inf
+            // would differ); keep its per-k skip semantics on this block.
+            for (std::size_t k2 = k; k2 < k + 4; ++k2) {
+              const double aik = arow[k2];
+              if (aik == 0.0) continue;
+              const double* brow = b.row_ptr(k2);
+              for (std::size_t j = jj; j < jend; ++j) {
+                crow[j] += aik * brow[j];
+              }
+            }
+            continue;
+          }
+          const double* b0 = b.row_ptr(k);
+          const double* b1 = b.row_ptr(k + 1);
+          const double* b2 = b.row_ptr(k + 2);
+          const double* b3 = b.row_ptr(k + 3);
+          for (std::size_t j = jj; j < jend; ++j) {
+            double t = crow[j];
+            t += a0 * b0[j];
+            t += a1 * b1[j];
+            t += a2 * b2[j];
+            t += a3 * b3[j];
+            crow[j] = t;
+          }
+        }
+        for (; k < kend; ++k) {
+          const double aik = arow[k];
+          if (aik == 0.0) continue;
+          const double* brow = b.row_ptr(k);
+          for (std::size_t j = jj; j < jend; ++j) crow[j] += aik * brow[j];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.cols() == b.rows(), "kernels::matmul: inner dimension mismatch");
   c.resize(a.rows(), b.cols());
@@ -307,63 +386,12 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
     matmul_simd(a, b, nullptr, c, cfg);
     return;
   }
-  c.fill(0.0);
-  const std::size_t K = a.cols(), C = b.cols();
   const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
   const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
-  run_row_panels(a.rows(), 2 * a.rows() * K * C,
+  run_row_panels(a.rows(), 2 * a.rows() * a.cols() * b.cols(),
                  [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t kk = 0; kk < K; kk += KB) {
-      const std::size_t kend = std::min(K, kk + KB);
-      for (std::size_t jj = 0; jj < C; jj += JB) {
-        const std::size_t jend = std::min(C, jj + JB);
-        for (std::size_t i = r0; i < r1; ++i) {
-          double* crow = c.row_ptr(i);
-          const double* arow = a.row_ptr(i);
-          std::size_t k = kk;
-          // Four k-steps per pass over the c row: each element still takes
-          // its partial products one at a time in ascending-k order (mul
-          // rounded, then add rounded), so results match the one-k-at-a-time
-          // reference bitwise while c is loaded/stored 4x less often.
-          for (; k + 4 <= kend; k += 4) {
-            const double a0 = arow[k], a1 = arow[k + 1];
-            const double a2 = arow[k + 2], a3 = arow[k + 3];
-            if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
-              // The reference skips zero multiplicands entirely (c + 0*inf
-              // would differ); keep its per-k skip semantics on this block.
-              for (std::size_t k2 = k; k2 < k + 4; ++k2) {
-                const double aik = arow[k2];
-                if (aik == 0.0) continue;
-                const double* brow = b.row_ptr(k2);
-                for (std::size_t j = jj; j < jend; ++j) {
-                  crow[j] += aik * brow[j];
-                }
-              }
-              continue;
-            }
-            const double* b0 = b.row_ptr(k);
-            const double* b1 = b.row_ptr(k + 1);
-            const double* b2 = b.row_ptr(k + 2);
-            const double* b3 = b.row_ptr(k + 3);
-            for (std::size_t j = jj; j < jend; ++j) {
-              double t = crow[j];
-              t += a0 * b0[j];
-              t += a1 * b1[j];
-              t += a2 * b2[j];
-              t += a3 * b3[j];
-              crow[j] = t;
-            }
-          }
-          for (; k < kend; ++k) {
-            const double aik = arow[k];
-            if (aik == 0.0) continue;
-            const double* brow = b.row_ptr(k);
-            for (std::size_t j = jj; j < jend; ++j) crow[j] += aik * brow[j];
-          }
-        }
-      }
-    }
-  });
+                   scalar_matmul_rows(a, b, c, r0, r1, KB, JB);
+                 });
 }
 
 namespace {
@@ -461,105 +489,96 @@ void matmul_trans_a_into(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.cols(), "kernels::matmul_trans_b: col mismatch");
-  c.resize(a.rows(), b.rows());
-  const KernelConfig cfg = config();
-  const std::size_t K = a.cols(), C = b.rows();
-  if (resolve_tier(cfg) == SimdTier::kAvx2 && a.rows() > 0 && C > 0) {
-    // Pack Bᵀ once on the calling thread (pure data movement, before the
-    // panel fan-out so workers only read it), then every inner loop streams
-    // contiguous column lanes in ascending-k order. The pack buffer is
-    // thread_local grow-only scratch: zero steady-state allocations.
-    static thread_local std::vector<double> tl_bt;
-    if (tl_bt.size() < K * C) tl_bt.resize(K * C);
-    // Pin the packed panel's address on the calling thread: the lambda runs
-    // on pool workers, whose own tl_bt is a different (empty) instance.
-    const double* bt = tl_bt.data();
-    if (K > 0) simd::pack_transpose(b.row_ptr(0), C, K, K, tl_bt.data());
-    const std::size_t flops = 2 * a.rows() * K * C;
-    TELEM_COUNT("kernels.tier_avx2");
-    run_autotuned(cfg, TuneOp::kTransB, a.rows(), K, C, flops,
-                  [&](unsigned jt) {
-      run_row_panels(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-        simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K,
-                                   C, r0, r1, jt);
-      });
-    });
+namespace {
+
+// Rows [r0, r1) of C = A·Bᵀ against a pack, on the calling thread. On the
+// scalar tier eight dot products advance together, each a plain
+// ascending-k chain with no zero-skip (the reference's), reading
+// contiguous lanes of the pack.
+void trans_b_rows(SimdTier tier, const Matrix& a, const PackedTransB& b,
+                  Matrix& c, std::size_t r0, std::size_t r1, unsigned jt) {
+  const std::size_t K = b.cols, C = b.rows;
+  if (r1 <= r0 || C == 0) return;
+  const double* bt = b.bt.data();
+  if (tier == SimdTier::kAvx2) {
+    simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K, C, r0,
+                               r1, jt);
     return;
   }
-  const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
-  run_row_panels(a.rows(), 2 * a.rows() * K * C,
-                 [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t jj = 0; jj < C; jj += JB) {
-      const std::size_t jend = std::min(C, jj + JB);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* arow = a.row_ptr(i);
-        double* crow = c.row_ptr(i);
-        std::size_t j = jj;
-        // Register blocking over eight/four B rows: independent dot products
-        // advance together, each still a plain ascending-k scalar reduction,
-        // so every element matches the reference dot product bitwise. Eight
-        // concurrent accumulator chains hide the FP-add latency that bounds
-        // a single chain.
-        for (; j + 8 <= jend; j += 8) {
-          const double* b0 = b.row_ptr(j);
-          const double* b1 = b.row_ptr(j + 1);
-          const double* b2 = b.row_ptr(j + 2);
-          const double* b3 = b.row_ptr(j + 3);
-          const double* b4 = b.row_ptr(j + 4);
-          const double* b5 = b.row_ptr(j + 5);
-          const double* b6 = b.row_ptr(j + 6);
-          const double* b7 = b.row_ptr(j + 7);
-          double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-          double acc4 = 0.0, acc5 = 0.0, acc6 = 0.0, acc7 = 0.0;
-          for (std::size_t k = 0; k < K; ++k) {
-            const double ak = arow[k];
-            acc0 += ak * b0[k];
-            acc1 += ak * b1[k];
-            acc2 += ak * b2[k];
-            acc3 += ak * b3[k];
-            acc4 += ak * b4[k];
-            acc5 += ak * b5[k];
-            acc6 += ak * b6[k];
-            acc7 += ak * b7[k];
-          }
-          crow[j] = acc0;
-          crow[j + 1] = acc1;
-          crow[j + 2] = acc2;
-          crow[j + 3] = acc3;
-          crow[j + 4] = acc4;
-          crow[j + 5] = acc5;
-          crow[j + 6] = acc6;
-          crow[j + 7] = acc7;
-        }
-        for (; j + 4 <= jend; j += 4) {
-          const double* b0 = b.row_ptr(j);
-          const double* b1 = b.row_ptr(j + 1);
-          const double* b2 = b.row_ptr(j + 2);
-          const double* b3 = b.row_ptr(j + 3);
-          double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-          for (std::size_t k = 0; k < K; ++k) {
-            const double ak = arow[k];
-            acc0 += ak * b0[k];
-            acc1 += ak * b1[k];
-            acc2 += ak * b2[k];
-            acc3 += ak * b3[k];
-          }
-          crow[j] = acc0;
-          crow[j + 1] = acc1;
-          crow[j + 2] = acc2;
-          crow[j + 3] = acc3;
-        }
-        for (; j < jend; ++j) {
-          const double* brow = b.row_ptr(j);
-          double acc = 0.0;
-          for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-          crow[j] = acc;
-        }
+  for (std::size_t i = r0; i < r1; ++i) {
+    const double* arow = a.row_ptr(i);
+    double* crow = c.row_ptr(i);
+    std::size_t j = 0;
+    for (; j + 8 <= C; j += 8) {
+      double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+      for (std::size_t k = 0; k < K; ++k) {
+        const double ak = arow[k];
+        const double* bk = bt + k * C + j;
+        for (std::size_t q = 0; q < 8; ++q) acc[q] += ak * bk[q];
+      }
+      for (std::size_t q = 0; q < 8; ++q) crow[j + q] = acc[q];
+    }
+    for (; j < C; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * bt[k * C + j];
+      crow[j] = acc;
+    }
+  }
+}
+
+void require_trans_b(const Matrix& a, const PackedTransB& b) {
+  require(a.cols() == b.cols, "kernels::matmul_trans_b: col mismatch");
+  require(b.bt.size() >= b.rows * b.cols,
+          "kernels::matmul_trans_b: pack is smaller than its shape");
+}
+
+}  // namespace
+
+void pack_trans_b(const Matrix& b, PackedTransB& out) {
+  const std::size_t rows = b.rows(), cols = b.cols();
+  out.rows = rows;
+  out.cols = cols;
+  if (out.bt.size() < rows * cols) out.bt.resize(rows * cols);
+  constexpr std::size_t TB = 32;  // cache-blocked transpose
+  for (std::size_t jj = 0; jj < rows; jj += TB) {
+    const std::size_t jend = std::min(rows, jj + TB);
+    for (std::size_t kk = 0; kk < cols; kk += TB) {
+      const std::size_t kend = std::min(cols, kk + TB);
+      for (std::size_t j = jj; j < jend; ++j) {
+        const double* brow = b.row_ptr(j);
+        for (std::size_t k = kk; k < kend; ++k) out.bt[k * rows + j] = brow[k];
       }
     }
-  });
+  }
+}
+
+void matmul_trans_b_into(const Matrix& a, const PackedTransB& b, Matrix& c) {
+  require_trans_b(a, b);
+  c.resize(a.rows(), b.rows);
+  const KernelConfig cfg = config();
+  const SimdTier tier = resolve_tier(cfg);
+  const std::size_t flops = 2 * a.rows() * b.cols * b.rows;
+  const auto run = [&](unsigned jt) {
+    run_row_panels(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
+      trans_b_rows(tier, a, b, c, r0, r1, jt);
+    });
+  };
+  if (tier == SimdTier::kAvx2) {
+    TELEM_COUNT("kernels.tier_avx2");
+    run_autotuned(cfg, TuneOp::kTransB, a.rows(), b.cols, b.rows, flops, run);
+  } else {
+    run(kDefaultJtile);
+  }
+}
+
+void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  require(a.cols() == b.cols(), "kernels::matmul_trans_b: col mismatch");
+  // Pack Bᵀ on the calling thread, before the panels fan out, so workers
+  // only read it. Grow-only thread_local scratch: zero steady-state
+  // allocations.
+  static thread_local PackedTransB tl_pack;
+  pack_trans_b(b, tl_pack);
+  matmul_trans_b_into(a, tl_pack, c);
 }
 
 void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias,
@@ -643,6 +662,129 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
         orow[j] = std::tanh((orow[j] + srow[j]) + brow[j]);
       }
     }
+  }
+}
+
+// Row-range forms: fixed register-block widths (every width is bitwise the
+// same; these are the autotuner's picks for training shapes on AVX2 hosts).
+namespace {
+constexpr unsigned kRowJtile = 16;
+
+void require_rows(const Matrix& a, const Matrix& c, std::size_t cols,
+                  std::size_t r0, std::size_t r1, const char* what) {
+  require(c.rows() == a.rows() && c.cols() == cols && r0 <= r1 &&
+              r1 <= a.rows(),
+          what);
+}
+}  // namespace
+
+void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
+                      Matrix& c, std::size_t r0, std::size_t r1) {
+  require(a.cols() == b.rows() && bias.rows() == 1 && bias.cols() == b.cols(),
+          "kernels::matmul_bias_rows: operand shape mismatch");
+  require_rows(a, c, b.cols(), r0, r1,
+               "kernels::matmul_bias_rows: output not shaped or bad range");
+  if (r1 <= r0 || b.cols() == 0) return;
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::matmul_bias_panel(a.row_ptr(0), a.cols(), b.row_ptr(0), b.cols(),
+                            bias.row_ptr(0), c.row_ptr(0), c.cols(), a.cols(),
+                            b.cols(), r0, r1, kRowJtile);
+    return;
+  }
+  const KernelConfig d;
+  scalar_matmul_rows(a, b, c, r0, r1, d.block_k, d.block_j);
+  const double* brow = bias.row_ptr(0);
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* crow = c.row_ptr(i);
+    for (std::size_t j = 0; j < c.cols(); ++j) crow[j] += brow[j];
+  }
+}
+
+void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
+                         std::size_t r0, std::size_t r1) {
+  require_trans_b(a, b);
+  require_rows(a, c, b.rows, r0, r1,
+               "kernels::matmul_trans_b_rows: output not shaped or bad range");
+  trans_b_rows(row_tier(), a, b, c, r0, r1, kRowJtile);
+}
+
+void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
+                             std::size_t r0, std::size_t r1) {
+  require(a.rows() == b.rows() && acc.rows() == a.cols() &&
+              acc.cols() == b.cols() && r0 <= r1 && r1 <= acc.rows(),
+          "kernels::matmul_trans_a_acc_rows: shape mismatch or bad range");
+  const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
+  if (r1 <= r0 || C == 0) return;
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
+                                   acc.row_ptr(0), C, K, C, r0, r1, kRowJtile);
+    return;
+  }
+  // Scalar tier: the full product row first, then one add per element into
+  // acc — matmul_trans_a_acc_into's sequence.
+  static thread_local std::vector<double> tl_row;
+  if (tl_row.size() < C) tl_row.resize(C);
+  double* prod = tl_row.data();
+  for (std::size_t i = r0; i < r1; ++i) {
+    std::fill(prod, prod + C, 0.0);
+    for (std::size_t k = 0; k < K; ++k) {
+      const double aki = a.row_ptr(k)[i];
+      if (aki == 0.0) continue;
+      const double* brow = b.row_ptr(k);
+      for (std::size_t j = 0; j < C; ++j) prod[j] += aki * brow[j];
+    }
+    double* arow = acc.row_ptr(i);
+    for (std::size_t j = 0; j < C; ++j) arow[j] += prod[j];
+  }
+}
+
+void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
+                   const Matrix& wh, const Matrix& bias, GateAct act,
+                   Matrix& scratch, Matrix& out, std::size_t r0,
+                   std::size_t r1) {
+  require(x.cols() == wx.rows() && h.cols() == wh.rows() &&
+              wx.cols() == wh.cols() && bias.rows() == 1 &&
+              bias.cols() == wx.cols() && x.rows() == h.rows(),
+          "kernels::gru_gate_rows: operand shape mismatch");
+  require_rows(x, out, wx.cols(), r0, r1,
+               "kernels::gru_gate_rows: output not shaped or bad range");
+  require(scratch.rows() == out.rows() && scratch.cols() == out.cols(),
+          "kernels::gru_gate_rows: scratch must have out's shape");
+  if (r1 <= r0 || wx.cols() == 0) return;
+  const std::size_t G = wx.cols();
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::gate_panel(x.row_ptr(0), x.cols(), wx.row_ptr(0), G, h.row_ptr(0),
+                     h.cols(), wh.row_ptr(0), G, bias.row_ptr(0),
+                     act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
+                     x.cols(), h.cols(), G, r0, r1, kRowJtile);
+    return;
+  }
+  const KernelConfig d;
+  scalar_matmul_rows(x, wx, out, r0, r1, d.block_k, d.block_j);
+  scalar_matmul_rows(h, wh, scratch, r0, r1, d.block_k, d.block_j);
+  const double* brow = bias.row_ptr(0);
+  for (std::size_t i = r0; i < r1; ++i) {  // gru_gate_into's epilogue
+    double* orow = out.row_ptr(i);
+    const double* srow = scratch.row_ptr(i);
+    for (std::size_t j = 0; j < G; ++j) {
+      const double pre = (orow[j] + srow[j]) + brow[j];
+      orow[j] = act == GateAct::kSigmoid ? detail::sigmoid1(pre)
+                                         : std::tanh(pre);
+    }
+  }
+}
+
+void adam_update(double* w, const double* g, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& k) {
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::adam_update(w, g, m, v, n, k.beta1, k.beta2, k.lr, k.eps, k.bc1,
+                      k.bc2);
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    m[j] = k.beta1 * m[j] + (1.0 - k.beta1) * g[j];
+    v[j] = k.beta2 * v[j] + (1.0 - k.beta2) * g[j] * g[j];
+    w[j] -= k.lr * (m[j] / k.bc1) / (std::sqrt(v[j] / k.bc2) + k.eps);
   }
 }
 

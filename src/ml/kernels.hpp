@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "ml/matrix.hpp"
 
@@ -119,6 +120,21 @@ void matmul_trans_a_into(const Matrix& a, const Matrix& b, Matrix& c);
 // C = A * Bᵀ.
 void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 
+// Bᵀ packed once, for every A·Bᵀ product against the same B: a weight read
+// by each step of a BPTT pass or by each row slice of a stage. Packing is
+// pure data movement, so a product against the pack is bitwise the
+// per-call-packing matmul_trans_b_into (no zero-skip, ascending k). The
+// pack holds a copy: repack after B changes (once per pass).
+struct PackedTransB {
+  std::size_t rows = 0;     // rows of B = columns of the product
+  std::size_t cols = 0;     // columns of B = the inner dimension
+  std::vector<double> bt;   // bt[k * rows + j] == B(j, k)
+};
+// Grow-only: after a warm-up with the same shape it allocates nothing.
+void pack_trans_b(const Matrix& b, PackedTransB& out);
+// C = A * Bᵀ against a pack, with row panels like matmul_trans_b_into.
+void matmul_trans_b_into(const Matrix& a, const PackedTransB& b, Matrix& c);
+
 // C = A·B + bias (bias is 1 × cols(b), broadcast to every row). Bitwise
 // contract: per element, the full ascending-k product sum first, then one
 // bias add — exactly matmul_into followed by add_row_broadcast_inplace,
@@ -154,5 +170,42 @@ enum class GateAct { kSigmoid, kTanh };
 void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out);
+
+// Serial row-range forms (DESIGN.md §5, *Row-sliced stages*): rows
+// [r0, r1) of exactly the product the entry point of the same name
+// computes, run on the calling thread alone — no row panels, no config
+// mutex, no autotuner — into an output the caller has already shaped to the
+// whole batch. Each call reads only rows [r0, r1) of the row operands and
+// writes only rows [r0, r1) of `c` / `out` / `scratch`, so several threads
+// may fill disjoint row ranges of one output at once. A row's value never
+// depends on the range it was computed in, which is why slicing a batch
+// keeps every result bitwise identical to the whole-batch entry point.
+void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
+                      Matrix& c, std::size_t r0, std::size_t r1);
+void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
+                         std::size_t r0, std::size_t r1);
+// acc rows [r0, r1) += Aᵀ·B, where these are OUTPUT rows (columns of A):
+// every call still reduces over all of A's and B's rows in ascending order,
+// so a weight gradient may be split across tasks by its own rows, never by
+// batch rows.
+void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
+                             std::size_t r0, std::size_t r1);
+// `scratch` must have out's shape (the scalar tier parks x·wx's partner
+// product h·wh in its rows; the SIMD tier leaves it untouched).
+void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
+                   const Matrix& wh, const Matrix& bias, GateAct act,
+                   Matrix& scratch, Matrix& out, std::size_t r0,
+                   std::size_t r1);
+
+// One Adam update of n elements in place, per element exactly
+//   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+//   w -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
+// with every operation rounded on its own (this TU contracts nothing), so
+// the vectorized tier and the scalar loop agree bitwise.
+struct AdamCoeffs {
+  double beta1, beta2, lr, eps, bc1, bc2;
+};
+void adam_update(double* w, const double* g, double* m, double* v,
+                 std::size_t n, const AdamCoeffs& k);
 
 }  // namespace netshare::ml::kernels

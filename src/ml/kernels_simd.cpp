@@ -29,8 +29,8 @@ void matmul_trans_a_acc_panel(const double*, std::size_t, const double*,
 void matmul_trans_b_panel(const double*, std::size_t, const double*, double*,
                           std::size_t, std::size_t, std::size_t, std::size_t,
                           std::size_t, unsigned) {}
-void pack_transpose(const double*, std::size_t, std::size_t, std::size_t,
-                    double*) {}
+void adam_update(double*, const double*, double*, double*, std::size_t,
+                 double, double, double, double, double, double) {}
 void gate_panel(const double*, std::size_t, const double*, std::size_t,
                 const double*, std::size_t, const double*, std::size_t,
                 const double*, int, double*, std::size_t, std::size_t,
@@ -285,18 +285,32 @@ void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
   }
 }
 
-void pack_transpose(const double* b, std::size_t rows, std::size_t cols,
-                    std::size_t ldb, double* bt) {
-  constexpr std::size_t TB = 32;  // cache-blocked scalar transpose
-  for (std::size_t jj = 0; jj < rows; jj += TB) {
-    const std::size_t jend = jj + TB < rows ? jj + TB : rows;
-    for (std::size_t kk = 0; kk < cols; kk += TB) {
-      const std::size_t kend = kk + TB < cols ? kk + TB : cols;
-      for (std::size_t j = jj; j < jend; ++j) {
-        const double* brow = b + j * ldb;
-        for (std::size_t k = kk; k < kend; ++k) bt[k * rows + j] = brow[k];
-      }
-    }
+void adam_update(double* w, const double* g, double* m, double* v,
+                 std::size_t n, double beta1, double beta2, double lr,
+                 double eps, double bc1, double bc2) {
+  const __m256d b1 = _mm256_set1_pd(beta1), c1 = _mm256_set1_pd(1.0 - beta1);
+  const __m256d b2 = _mm256_set1_pd(beta2), c2 = _mm256_set1_pd(1.0 - beta2);
+  const __m256d vlr = _mm256_set1_pd(lr), veps = _mm256_set1_pd(eps);
+  const __m256d vbc1 = _mm256_set1_pd(bc1), vbc2 = _mm256_set1_pd(bc2);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d gj = _mm256_loadu_pd(g + j);
+    const __m256d mj = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + j)),
+                                     _mm256_mul_pd(c1, gj));
+    const __m256d vj = _mm256_add_pd(
+        _mm256_mul_pd(b2, _mm256_loadu_pd(v + j)),
+        _mm256_mul_pd(_mm256_mul_pd(c2, gj), gj));
+    _mm256_storeu_pd(m + j, mj);
+    _mm256_storeu_pd(v + j, vj);
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(vlr, _mm256_div_pd(mj, vbc1)),
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_div_pd(vj, vbc2)), veps));
+    _mm256_storeu_pd(w + j, _mm256_sub_pd(_mm256_loadu_pd(w + j), step));
+  }
+  for (; j < n; ++j) {
+    m[j] = beta1 * m[j] + (1.0 - beta1) * g[j];
+    v[j] = beta2 * v[j] + (1.0 - beta2) * g[j] * g[j];
+    w[j] -= lr * (m[j] / bc1) / (std::sqrt(v[j] / bc2) + eps);
   }
 }
 

@@ -59,7 +59,7 @@ void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
                               std::size_t r0, std::size_t r1, unsigned jtile);
 
 // C[r0..r1) = A·Bᵀ where `bt` is the pre-packed transpose of B produced by
-// pack_transpose below: bt[k*C + j] == B(j,k), so the ascending-k inner
+// kernels::pack_trans_b: bt[k*C + j] == B(j,k), so the ascending-k inner
 // loop reads contiguous lanes. No zero-skip — matching the scalar trans_b
 // kernel and the serial reference, which accumulate every partial product.
 void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
@@ -67,11 +67,12 @@ void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
                           std::size_t C, std::size_t r0, std::size_t r1,
                           unsigned jtile);
 
-// bt[k*rows + j] = b[j*ldb + k] for j in [0,rows), k in [0,cols) — the
-// packed/transposed B panel for matmul_trans_b_panel. Pure data movement
-// (no FP arithmetic), so it cannot perturb any rounding.
-void pack_transpose(const double* b, std::size_t rows, std::size_t cols,
-                    std::size_t ldb, double* bt);
+// Adam update of n elements in place (kernels::adam_update's per-element
+// sequence), four lanes at a time with a scalar tail; every lane runs the
+// same IEEE mul/add/div/sqrt sequence as the scalar loop.
+void adam_update(double* w, const double* g, double* m, double* v,
+                 std::size_t n, double beta1, double beta2, double lr,
+                 double eps, double bc1, double bc2);
 
 // Fused GRU gate, rows [r0..r1): out = act((x·wx + h·wh) + bias) with both
 // products register-resident. Per element the rounding sequence is: full

@@ -12,6 +12,30 @@ void Module::forward_into(const Matrix&, Matrix&) const {
   throw std::logic_error("Module::forward_into: no forward-only path");
 }
 
+void Module::prepare_forward(std::size_t, std::size_t) {
+  throw std::logic_error("Module: no row-sliced path");
+}
+void Module::forward_rows(const Matrix&, std::size_t, std::size_t) {
+  throw std::logic_error("Module: no row-sliced path");
+}
+const Matrix& Module::output() const {
+  throw std::logic_error("Module: no row-sliced path");
+}
+void Module::prepare_backward() {
+  throw std::logic_error("Module: no row-sliced path");
+}
+void Module::backward_input_rows(const Matrix&, std::size_t, std::size_t) {
+  throw std::logic_error("Module: no row-sliced path");
+}
+const Matrix& Module::input_grad() const {
+  throw std::logic_error("Module: no row-sliced path");
+}
+void Module::forward_rows_into(const Matrix&, Matrix&, std::size_t,
+                               std::size_t) const {
+  throw std::logic_error("Module: no row-sliced path");
+}
+
+
 Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
     : w_(Matrix::randn(in, out, rng, std::sqrt(2.0 / static_cast<double>(in)))),
       b_(Matrix::zeros(1, out)) {}
@@ -39,6 +63,15 @@ void Linear::backward_params(const Matrix& grad_out) {
   // The accumulating kernel keeps the gradient rounding sequence of the
   // scratch-then-`grad += product` path it replaces.
   kernels::matmul_trans_a_acc_into(x_cache_, grad_out, w_.grad);
+  bias_grad(grad_out);
+}
+
+void Linear::weight_grad_rows(const Matrix& grad_out, std::size_t r0,
+                              std::size_t r1) {
+  kernels::matmul_trans_a_acc_rows(x_cache_, grad_out, w_.grad, r0, r1);
+}
+
+void Linear::bias_grad(const Matrix& grad_out) {
   sum_rows_into(grad_out, gb_);
   b_.grad += gb_;
 }
@@ -48,69 +81,132 @@ const Matrix& Linear::backward_input(const Matrix& grad_out) {
   return gx_;
 }
 
-const Matrix& ActivationLayer::forward(const Matrix& x) {
-  if (kind_ == Activation::kRelu || kind_ == Activation::kLeakyRelu) {
-    x_cache_ = x;  // only the relu family needs pre-activations in backward
+void Linear::prepare_forward(std::size_t rows, std::size_t cols) {
+  if (cols != w_.value.rows()) {
+    throw std::invalid_argument("Linear::prepare_forward: input width");
   }
-  y_cache_ = x;
-  activate(y_cache_);
+  x_cache_.resize(rows, cols);
+  y_.resize(rows, w_.value.cols());
+}
+
+void Linear::forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) {
+  copy_rows_into(x, x_cache_, r0, r1);
+  kernels::matmul_bias_rows(x_cache_, w_.value, b_.value, y_, r0, r1);
+}
+
+void Linear::forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                               std::size_t r1) const {
+  kernels::matmul_bias_rows(x, w_.value, b_.value, y, r0, r1);
+}
+
+void Linear::prepare_backward() {
+  gx_.resize(x_cache_.rows(), x_cache_.cols());
+  kernels::pack_trans_b(w_.value, wt_);
+}
+
+void Linear::backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                                 std::size_t r1) {
+  kernels::matmul_trans_b_rows(grad_out, wt_, gx_, r0, r1);
+}
+
+const Matrix& ActivationLayer::forward(const Matrix& x) {
+  if (keeps_input()) x_cache_ = x;
+  y_cache_.resize(x.rows(), x.cols());
+  activate_rows(x, y_cache_, 0, x.rows());
   return y_cache_;
 }
 
 void ActivationLayer::forward_into(const Matrix& x, Matrix& y) const {
-  y = x;
-  activate(y);
+  y.resize(x.rows(), x.cols());
+  activate_rows(x, y, 0, x.rows());
 }
 
-void ActivationLayer::activate(Matrix& y) const {
+void ActivationLayer::activate_rows(const Matrix& x, Matrix& y,
+                                    std::size_t r0, std::size_t r1) const {
+  const std::size_t n = (r1 - r0) * x.cols();
+  const double* in = x.row_ptr(0) + r0 * x.cols();
+  double* out = y.row_ptr(0) + r0 * y.cols();
   switch (kind_) {
     case Activation::kRelu:
-      for (auto& v : y.data()) v = v > 0 ? v : 0.0;
+      for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0 ? in[i] : 0.0;
       break;
     case Activation::kLeakyRelu:
-      for (auto& v : y.data()) v = v > 0 ? v : slope_ * v;
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = in[i] > 0 ? in[i] : slope_ * in[i];
+      }
       break;
     case Activation::kTanh:
-      tanh_inplace(y);
+      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
       break;
     case Activation::kSigmoid:
-      sigmoid_inplace(y);
+      for (std::size_t i = 0; i < n; ++i) out[i] = detail::sigmoid1(in[i]);
       break;
     case Activation::kIdentity:
+      std::copy(in, in + n, out);
       break;
   }
 }
 
 const Matrix& ActivationLayer::backward(const Matrix& grad_out) {
-  Matrix& g = g_;
-  g = grad_out;
+  g_.resize(grad_out.rows(), grad_out.cols());
+  gradient_rows(grad_out, 0, grad_out.rows());
+  return g_;
+}
+
+void ActivationLayer::gradient_rows(const Matrix& grad_out, std::size_t r0,
+                                    std::size_t r1) {
+  const std::size_t at = r0 * g_.cols();
+  const std::size_t n = (r1 - r0) * g_.cols();
+  const double* gin = grad_out.row_ptr(0) + at;
+  double* g = g_.row_ptr(0) + at;
+  std::copy(gin, gin + n, g);
+  const double* x = keeps_input() ? x_cache_.row_ptr(0) + at : nullptr;
+  const double* y = y_cache_.row_ptr(0) + at;
   switch (kind_) {
     case Activation::kRelu:
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        if (x_cache_.data()[i] <= 0) g.data()[i] = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (x[i] <= 0) g[i] = 0.0;
       }
       break;
     case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        if (x_cache_.data()[i] <= 0) g.data()[i] *= slope_;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (x[i] <= 0) g[i] *= slope_;
       }
       break;
     case Activation::kTanh:
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        const double y = y_cache_.data()[i];
-        g.data()[i] *= 1.0 - y * y;
-      }
+      for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - y[i] * y[i];
       break;
     case Activation::kSigmoid:
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        const double y = y_cache_.data()[i];
-        g.data()[i] *= y * (1.0 - y);
-      }
+      for (std::size_t i = 0; i < n; ++i) g[i] *= y[i] * (1.0 - y[i]);
       break;
     case Activation::kIdentity:
       break;
   }
-  return g_;
+}
+
+void ActivationLayer::prepare_forward(std::size_t rows, std::size_t cols) {
+  if (keeps_input()) x_cache_.resize(rows, cols);
+  y_cache_.resize(rows, cols);
+}
+
+void ActivationLayer::forward_rows(const Matrix& x, std::size_t r0,
+                                   std::size_t r1) {
+  if (keeps_input()) copy_rows_into(x, x_cache_, r0, r1);
+  activate_rows(x, y_cache_, r0, r1);
+}
+
+void ActivationLayer::forward_rows_into(const Matrix& x, Matrix& y,
+                                        std::size_t r0, std::size_t r1) const {
+  activate_rows(x, y, r0, r1);
+}
+
+void ActivationLayer::prepare_backward() {
+  g_.resize(y_cache_.rows(), y_cache_.cols());
+}
+
+void ActivationLayer::backward_input_rows(const Matrix& grad_out,
+                                          std::size_t r0, std::size_t r1) {
+  gradient_rows(grad_out, r0, r1);
 }
 
 Matrix softmax_rows(const Matrix& logits) {
@@ -139,7 +235,7 @@ const Matrix& MixedHead::forward(const Matrix& x) {
     throw std::invalid_argument("MixedHead::forward: width mismatch");
   }
   y_cache_ = x;
-  activate(y_cache_);
+  activate_rows(y_cache_, 0, y_cache_.rows());
   return y_cache_;
 }
 
@@ -148,11 +244,31 @@ void MixedHead::forward_into(const Matrix& x, Matrix& y) const {
     throw std::invalid_argument("MixedHead::forward_into: width mismatch");
   }
   y = x;
-  activate(y);
+  activate_rows(y, 0, y.rows());
 }
 
-void MixedHead::activate(Matrix& y) const {
-  for (std::size_t i = 0; i < y.rows(); ++i) {
+void MixedHead::prepare_forward(std::size_t rows, std::size_t cols) {
+  if (cols != width()) {
+    throw std::invalid_argument("MixedHead::prepare_forward: width mismatch");
+  }
+  y_cache_.resize(rows, cols);
+}
+
+void MixedHead::forward_rows(const Matrix& x, std::size_t r0,
+                             std::size_t r1) {
+  copy_rows_into(x, y_cache_, r0, r1);
+  activate_rows(y_cache_, r0, r1);
+}
+
+void MixedHead::forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                                  std::size_t r1) const {
+  copy_rows_into(x, y, r0, r1);
+  activate_rows(y, r0, r1);
+}
+
+void MixedHead::activate_rows(Matrix& y, std::size_t r0,
+                              std::size_t r1) const {
+  for (std::size_t i = r0; i < r1; ++i) {
     double* row = y.row_ptr(i);
     std::size_t at = 0;
     for (const auto& seg : segments_) {
@@ -186,10 +302,25 @@ void MixedHead::activate(Matrix& y) const {
 }
 
 const Matrix& MixedHead::backward(const Matrix& grad_out) {
-  Matrix& g = g_;
-  g = grad_out;
-  for (std::size_t i = 0; i < g.rows(); ++i) {
-    double* grow = g.row_ptr(i);
+  g_.resize(grad_out.rows(), grad_out.cols());
+  gradient_rows(grad_out, 0, grad_out.rows());
+  return g_;
+}
+
+void MixedHead::prepare_backward() {
+  g_.resize(y_cache_.rows(), y_cache_.cols());
+}
+
+void MixedHead::backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                                    std::size_t r1) {
+  gradient_rows(grad_out, r0, r1);
+}
+
+void MixedHead::gradient_rows(const Matrix& grad_out, std::size_t r0,
+                              std::size_t r1) {
+  copy_rows_into(grad_out, g_, r0, r1);
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* grow = g_.row_ptr(i);
     const double* yrow = y_cache_.row_ptr(i);
     std::size_t at = 0;
     for (const auto& seg : segments_) {
@@ -223,7 +354,6 @@ const Matrix& MixedHead::backward(const Matrix& grad_out) {
       at += seg.width;
     }
   }
-  return g;
 }
 
 }  // namespace netshare::ml

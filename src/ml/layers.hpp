@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 
 namespace netshare::ml {
@@ -57,6 +58,29 @@ class Module {
   }
   virtual void backward_params(const Matrix& grad_out) { backward(grad_out); }
 
+  // Row-sliced pass (DESIGN.md §5, *Row-sliced stages*): the same values as
+  // forward() / backward_input(), computed a row range at a time into
+  // whole-batch buffers. prepare_forward(rows, cols) shapes the caches and the
+  // output for a rows × cols input batch, and prepare_backward() the input
+  // gradient (after the forward pass, before any backward slice; both on one
+  // thread). forward_rows(x, r0, r1) then fills rows [r0, r1) of the caches
+  // and of output(), and backward_input_rows(g, r0, r1) rows [r0, r1) of
+  // input_grad(); slices of disjoint ranges may run on several threads at
+  // once, each reading only its own rows of x and g. The defaults throw.
+  virtual void prepare_forward(std::size_t rows, std::size_t cols);
+  virtual void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1);
+  virtual const Matrix& output() const;
+  virtual void prepare_backward();
+  virtual void backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                                   std::size_t r1);
+  virtual const Matrix& input_grad() const;
+  // Forward-only row form: rows [r0, r1) of forward_into(x, y), into a `y`
+  // already shaped to x.rows() × out_cols(x.cols()). Reads only the
+  // parameters; the default throws.
+  virtual std::size_t out_cols(std::size_t in_cols) const { return in_cols; }
+  virtual void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                                 std::size_t r1) const;
+
   void zero_grad() {
     for (Parameter* p : parameters()) p->zero_grad();
   }
@@ -74,6 +98,26 @@ class Linear : public Module {
   const Matrix& backward_input(const Matrix& grad_out) override;
   void backward_params(const Matrix& grad_out) override;
 
+  void prepare_forward(std::size_t rows, std::size_t cols) override;
+  void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
+  const Matrix& output() const override { return y_; }
+  // Also packs Wᵀ once for every slice's input-gradient product.
+  void prepare_backward() override;
+  void backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                           std::size_t r1) override;
+  const Matrix& input_grad() const override { return gx_; }
+  std::size_t out_cols(std::size_t) const override {
+    return w_.value.cols();
+  }
+  void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                         std::size_t r1) const override;
+  // backward_params in its two per-parameter halves (whole batch, the
+  // forward caches' rows in order): W.grad rows [r0, r1) += xᵀ·grad_out,
+  // and b.grad += the column sums of grad_out.
+  void weight_grad_rows(const Matrix& grad_out, std::size_t r0,
+                        std::size_t r1);
+  void bias_grad(const Matrix& grad_out);
+
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
 
@@ -83,6 +127,7 @@ class Linear : public Module {
   Matrix x_cache_;
   Matrix y_;             // forward output buffer
   Matrix gx_, gb_;  // backward output / bias-grad scratch
+  kernels::PackedTransB wt_;  // Wᵀ for the row-sliced input gradient
 };
 
 enum class Activation { kRelu, kLeakyRelu, kTanh, kSigmoid, kIdentity };
@@ -97,8 +142,26 @@ class ActivationLayer : public Module {
   const Matrix& backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) const override;
 
+  void prepare_forward(std::size_t rows, std::size_t cols) override;
+  void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
+  const Matrix& output() const override { return y_cache_; }
+  void prepare_backward() override;
+  void backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                           std::size_t r1) override;
+  const Matrix& input_grad() const override { return g_; }
+  void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                         std::size_t r1) const override;
+
  private:
-  void activate(Matrix& y) const;  // in place
+  bool keeps_input() const {  // the relu family's backward reads x
+    return kind_ == Activation::kRelu || kind_ == Activation::kLeakyRelu;
+  }
+  // Rows [r0, r1) of y = act(x) and of g = grad_out ⊙ act'(.) — forward's
+  // and backward's per-element sequences.
+  void activate_rows(const Matrix& x, Matrix& y, std::size_t r0,
+                     std::size_t r1) const;
+  void gradient_rows(const Matrix& grad_out, std::size_t r0,
+                     std::size_t r1);
 
   Activation kind_;
   double slope_;
@@ -128,11 +191,23 @@ class MixedHead : public Module {
   const Matrix& backward(const Matrix& grad_out) override;
   void forward_into(const Matrix& x, Matrix& y) const override;
 
+  void prepare_forward(std::size_t rows, std::size_t cols) override;
+  void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
+  const Matrix& output() const override { return y_cache_; }
+  void prepare_backward() override;
+  void backward_input_rows(const Matrix& grad_out, std::size_t r0,
+                           std::size_t r1) override;
+  const Matrix& input_grad() const override { return g_; }
+  void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                         std::size_t r1) const override;
+
   std::size_t width() const;
   const std::vector<OutputSegment>& segments() const { return segments_; }
 
  private:
-  void activate(Matrix& y) const;  // in place, row by row
+  void activate_rows(Matrix& y, std::size_t r0,
+                     std::size_t r1) const;  // in place
+  void gradient_rows(const Matrix& grad_out, std::size_t r0, std::size_t r1);
 
   std::vector<OutputSegment> segments_;
   Matrix y_cache_;  // activations; doubles as the forward output buffer

@@ -1,5 +1,6 @@
 #include "ml/matrix.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -168,6 +169,14 @@ void hadamard_into(const Matrix& a, const Matrix& b, Matrix& out) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out.data()[i] = a.data()[i] * b.data()[i];
   }
+}
+
+void copy_rows_into(const Matrix& src, Matrix& dst, std::size_t r0,
+                    std::size_t r1) {
+  require(src.cols() == dst.cols() && r0 <= r1 && r1 <= src.rows() &&
+              r1 <= dst.rows(),
+          "copy_rows_into: shape mismatch");
+  std::copy(src.row_ptr(r0), src.row_ptr(r1), dst.row_ptr(r0));
 }
 
 Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {

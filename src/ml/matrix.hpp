@@ -149,6 +149,10 @@ Matrix stack_rows(const std::vector<Matrix>& rows);
 // counterpart above; `out` is reshaped via Matrix::resize (capacity-reusing)
 // and must not alias any input.
 void hadamard_into(const Matrix& a, const Matrix& b, Matrix& out);
+// Rows [r0, r1) of src into the same rows of dst, which must already have
+// src's column count and at least r1 rows.
+void copy_rows_into(const Matrix& src, Matrix& dst, std::size_t r0,
+                    std::size_t r1);
 void sum_rows_into(const Matrix& a, Matrix& out);
 void concat_cols_into(const Matrix& a, const Matrix& b, Matrix& out);
 void slice_rows_into(const Matrix& a, std::size_t begin, std::size_t end,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/kernels.hpp"
+
 namespace netshare::ml {
 
 Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum)
@@ -39,37 +41,49 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
 }
 
 void Adam::step() {
-  ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    auto& m = m_[i].data();
-    auto& v = v_[i].data();
-    auto& g = p.grad.data();
-    auto& w = p.value.data();
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g[j] * g[j];
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
+  begin_step();
+  for (std::size_t i = 0; i < params_.size(); ++i) step_param(i);
 }
 
-double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm) {
+void Adam::begin_step() {
+  ++t_;
+  bc1_ = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+}
+
+void Adam::step_param(std::size_t i, std::size_t j0, std::size_t j1) {
+  Parameter& p = *params_[i];
+  j1 = std::min(j1, p.value.size());
+  if (j1 <= j0) return;
+  kernels::adam_update(p.value.data().data() + j0, p.grad.data().data() + j0,
+                       m_[i].data().data() + j0, v_[i].data().data() + j0,
+                       j1 - j0, {beta1_, beta2_, lr_, eps_, bc1_, bc2_});
+}
+
+double grad_norm(const std::vector<Parameter*>& params) {
   double sq = 0.0;
   for (const Parameter* p : params) {
     for (double g : p->grad.data()) sq += g * g;
   }
-  const double norm = std::sqrt(sq);
-  if (norm > max_norm && norm > 0.0) {
-    const double scale = max_norm / norm;
-    for (Parameter* p : params) {
-      for (double& g : p->grad.data()) g *= scale;
-    }
-  }
+  return std::sqrt(sq);
+}
+
+double clip_scale(double norm, double max_norm) {
+  return norm > max_norm && norm > 0.0 ? max_norm / norm : 1.0;
+}
+
+void scale_grad(Parameter& p, double scale, std::size_t j0,
+                std::size_t j1) {
+  if (scale == 1.0) return;
+  std::vector<double>& g = p.grad.data();
+  j1 = std::min(j1, g.size());
+  for (std::size_t j = j0; j < j1; ++j) g[j] *= scale;
+}
+
+double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm) {
+  const double norm = grad_norm(params);
+  const double scale = clip_scale(norm, max_norm);
+  for (Parameter* p : params) scale_grad(*p, scale);
   return norm;
 }
 

@@ -42,6 +42,15 @@ class Adam : public Optimizer {
        double beta2 = 0.999, double eps = 1e-8);
   void step() override;
 
+  // step() split per parameter: begin_step() advances the step counter
+  // once, then step_param(i, j0, j1) updates elements [j0, j1) of parameter
+  // i alone (all of it by default), so disjoint pieces may run as tasks on
+  // several threads at once. begin_step() followed by every piece of every
+  // parameter is step(), bitwise: each element's update reads only itself.
+  void begin_step();
+  void step_param(std::size_t i, std::size_t j0 = 0,
+                  std::size_t j1 = static_cast<std::size_t>(-1));
+
   void set_lr(double lr) { lr_ = lr; }
 
   // Zeroes the moment estimates and the step counter. Used by the
@@ -56,12 +65,24 @@ class Adam : public Optimizer {
  private:
   double lr_, beta1_, beta2_, eps_;
   long t_ = 0;
+  double bc1_ = 1.0, bc2_ = 1.0;  // bias corrections of step t_
   std::vector<Matrix> m_, v_;
 };
 
 // Global-norm gradient clipping across all parameters; returns the pre-clip
 // norm. No-op if the norm is already <= max_norm.
 double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm);
+
+// clip_grad_norm in two halves, for callers that scale each parameter in its
+// own task: grad_norm is the one serial sum over params in order, and
+// clip_scale the factor clip_grad_norm multiplies every gradient by (1.0
+// when it leaves them alone). scale_grad(p, clip_scale(...)) per parameter
+// is clip_grad_norm, bitwise.
+double grad_norm(const std::vector<Parameter*>& params);
+double clip_scale(double norm, double max_norm);
+// Scales gradient elements [j0, j1) of p (all of them by default).
+void scale_grad(Parameter& p, double scale, std::size_t j0 = 0,
+                std::size_t j1 = static_cast<std::size_t>(-1));
 
 // Weight clipping to [-c, c] (original WGAN; used by the Flow-WGAN baseline).
 void clip_weights(const std::vector<Parameter*>& params, double c);

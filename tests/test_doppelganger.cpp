@@ -1,5 +1,5 @@
 // Tests for the DoppelGANger time-series GAN: shape contracts, determinism
-// (including the iteration task graph at every width), snapshot/restore,
+// (including the row-sliced iteration stages at every width), snapshot/restore,
 // CPU accounting, and end-to-end learning on a small synthetic dataset.
 #include <gtest/gtest.h>
 
@@ -124,9 +124,9 @@ TEST(DoppelGanger, SnapshotRestoreReproducesSamples) {
   EXPECT_EQ(sa.lengths, sb.lengths);
 }
 
-// Kernel budget for a test scope. The budget is also the fan-out width of a
-// training iteration's task graph; min_parallel_flops 0 splits every kernel
-// product into row panels too, so both layers of parallelism run.
+// Kernel budget for a test scope. The budget is also the width of a
+// training iteration's stages; min_parallel_flops 0 splits every product
+// the entry points still run into row panels too.
 ml::kernels::KernelConfig width_config(std::size_t width) {
   ml::kernels::KernelConfig kc;
   kc.threads = width;
@@ -188,12 +188,13 @@ TEST(DoppelGanger, TrainingTracksCpuTime) {
 }
 
 std::vector<double> fit_snapshot(std::size_t width, const DgConfig& cfg,
-                                 bool park_workers = false) {
+                                 bool park_workers = false,
+                                 std::size_t samples = 64) {
   ml::kernels::ConfigOverride budget(width_config(width));
   std::optional<ParkedSharedWorkers> parked;
   if (park_workers) parked.emplace();
   DoppelGanger gan(toy_spec(), cfg, 31);
-  gan.fit(toy_data(64, 32), cfg.iterations);
+  gan.fit(toy_data(samples, 32), cfg.iterations);
   if (parked) parked->release();
   return gan.snapshot();
 }
@@ -205,16 +206,27 @@ void expect_bitwise_equal(const std::vector<double>& a,
       << what;
 }
 
-TEST(DoppelGanger, TaskGraphWeightsBitwiseIdenticalAtEveryWidth) {
+TEST(DoppelGanger, RowSlicedStagesBitwiseAtEveryWidth) {
   DgConfig cfg = small_config();
-  cfg.iterations = 12;
-  const std::vector<double> serial = fit_snapshot(1, cfg);
-  expect_bitwise_equal(serial, fit_snapshot(2, cfg), "width 2");
-  expect_bitwise_equal(serial, fit_snapshot(4, cfg), "width 4");
-  // Every executor worker busy: the caller runs the whole graph itself, and
-  // the critic chain's waits on lower indices still resolve.
-  expect_bitwise_equal(serial, fit_snapshot(4, cfg, true),
-                       "width 4, shared workers parked");
+  cfg.iterations = 6;
+  cfg.batch_size = 64;
+  // 64 samples: every batch is 64 rows, cut into 21/21/22 at width 3.
+  // 27 samples: the critic batches are 27 rows (three slices of 9 from
+  // width 3 on, 13/14 at width 2) beside a 64-row generator batch.
+  for (const std::size_t samples : {std::size_t{64}, std::size_t{27}}) {
+    SCOPED_TRACE(samples);
+    const std::vector<double> serial = fit_snapshot(1, cfg, false, samples);
+    expect_bitwise_equal(serial, fit_snapshot(2, cfg, false, samples),
+                         "width 2");
+    expect_bitwise_equal(serial, fit_snapshot(3, cfg, false, samples),
+                         "width 3");
+    expect_bitwise_equal(serial, fit_snapshot(4, cfg, false, samples),
+                         "width 4");
+    // Every executor worker busy: no helper ever joins the iteration's
+    // region, and the caller runs every slice of every stage itself.
+    expect_bitwise_equal(serial, fit_snapshot(4, cfg, true, samples),
+                         "width 4, shared workers parked");
+  }
 }
 
 TEST(DoppelGanger, DpFitBitwiseIdenticalAtWidthsOneAndFour) {

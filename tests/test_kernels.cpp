@@ -1,16 +1,22 @@
 // Determinism/regression harness for the blocked parallel matmul kernels:
 // bitwise equivalence against the serial reference kernels across shapes and
-// thread counts, config plumbing, and a seeded end-to-end check that
+// thread counts, the prepacked trans_b and the serial row-range forms
+// against the whole-batch entry points, Adam's per-parameter update against
+// its serial step, config plumbing, and a seeded end-to-end check that
 // DoppelGanger training is bit-for-bit unchanged by kernel parallelism.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
+#include "ml/optim.hpp"
 #include "ml/matrix.hpp"
 #include "ml/workspace.hpp"
 
@@ -304,6 +310,199 @@ TEST(Kernels, ScalarKernelPropertySweepRaggedAndEmptyShapes) {
     want_acc += reference::matmul_trans_a(at, b);
     kernels::matmul_trans_a_acc_into(at, b, acc);
     expect_bitwise(acc, want_acc, "matmul_trans_a_acc_into");
+  }
+}
+
+// The tiers a test sweeps: scalar always, AVX2 when the host has it.
+std::vector<kernels::SimdTier> host_tiers() {
+  std::vector<kernels::SimdTier> tiers{kernels::SimdTier::kScalar};
+  if (kernels::supported_tier() == kernels::SimdTier::kAvx2) {
+    tiers.push_back(kernels::SimdTier::kAvx2);
+  }
+  return tiers;
+}
+
+kernels::KernelConfig tier_config(kernels::SimdTier tier) {
+  kernels::KernelConfig cfg;
+  cfg.simd = tier;
+  cfg.threads = 4;
+  cfg.min_parallel_flops = 0;  // the entry points split into row panels
+  return cfg;
+}
+
+// Seeds exact zeros (and a -0.0) among random entries, so the zero-skip
+// semantics of each kernel are exercised too.
+Matrix randn_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = Matrix::randn(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += 7) m.data()[i] = 0.0;
+  if (m.size() > 3) m.data()[3] = -0.0;
+  return m;
+}
+
+// Row ranges of a `rows`-row batch that do not divide it evenly.
+std::vector<std::pair<std::size_t, std::size_t>> ragged_slices(
+    std::size_t rows) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  std::size_t at = 0;
+  for (std::size_t step = 1; at < rows; step += 4) {
+    out.emplace_back(at, std::min(rows, at + step));
+    at = out.back().second;
+  }
+  return out;
+}
+
+TEST(Kernels, PrepackedTransBMatchesPerCallPack) {
+  Rng rng(811);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    for (const Shape& s : kShapes) {
+      const Matrix a = randn_with_zeros(s.rows, s.inner, rng);
+      const Matrix b = randn_with_zeros(s.cols, s.inner, rng);
+      Matrix per_call, packed;
+      kernels::matmul_trans_b_into(a, b, per_call);
+      expect_bitwise(per_call, reference::matmul_trans_b(a, b),
+                     "per-call pack vs reference");
+      kernels::PackedTransB pack;
+      kernels::pack_trans_b(b, pack);
+      kernels::matmul_trans_b_into(a, pack, packed);
+      expect_bitwise(packed, per_call, s.label);
+      // Row slices of the same product, each against the one pack.
+      Matrix rows(s.rows, s.cols);
+      for (const auto& [r0, r1] : ragged_slices(s.rows)) {
+        kernels::matmul_trans_b_rows(a, pack, rows, r0, r1);
+      }
+      expect_bitwise(rows, per_call, "row slices against the pack");
+    }
+    // A pack is reusable: repacking a smaller B into it keeps the values.
+    kernels::PackedTransB pack;
+    const Matrix big = Matrix::randn(40, 30, rng);
+    const Matrix small = Matrix::randn(5, 3, rng);
+    const Matrix a = Matrix::randn(9, 3, rng);
+    kernels::pack_trans_b(big, pack);
+    kernels::pack_trans_b(small, pack);
+    Matrix got;
+    kernels::matmul_trans_b_into(a, pack, got);
+    expect_bitwise(got, reference::matmul_trans_b(a, small), "repacked");
+  }
+}
+
+TEST(Kernels, RowFormsMatchWholeBatchEntryPoints) {
+  Rng rng(829);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    for (const Shape& s : kShapes) {
+      const Matrix a = randn_with_zeros(s.rows, s.inner, rng);
+      const Matrix w = randn_with_zeros(s.inner, s.cols, rng);
+      const Matrix bias = Matrix::randn(1, s.cols, rng);
+      const Matrix h = randn_with_zeros(s.rows, s.cols, rng);
+      const Matrix wh = Matrix::randn(s.cols, s.cols, rng);
+      Matrix want, scratch;
+      kernels::matmul_bias_into(a, w, bias, want);
+      Matrix got(s.rows, s.cols);
+      for (const auto& [r0, r1] : ragged_slices(s.rows)) {
+        kernels::matmul_bias_rows(a, w, bias, got, r0, r1);
+      }
+      expect_bitwise(got, want, "matmul_bias_rows");
+      for (const auto act : {kernels::GateAct::kSigmoid,
+                             kernels::GateAct::kTanh}) {
+        kernels::gru_gate_into(a, w, h, wh, bias, act, scratch, want);
+        Matrix gate(s.rows, s.cols), gate_scratch(s.rows, s.cols);
+        for (const auto& [r0, r1] : ragged_slices(s.rows)) {
+          kernels::gru_gate_rows(a, w, h, wh, bias, act, gate_scratch, gate,
+                                 r0, r1);
+        }
+        expect_bitwise(gate, want, "gru_gate_rows");
+      }
+      // Weight-gradient products split by output rows.
+      const Matrix g = randn_with_zeros(s.rows, s.cols, rng);
+      Matrix acc = Matrix::randn(s.inner, s.cols, rng);
+      Matrix acc_rows = acc;
+      kernels::matmul_trans_a_acc_into(a, g, acc);
+      for (const auto& [r0, r1] : ragged_slices(s.inner)) {
+        kernels::matmul_trans_a_acc_rows(a, g, acc_rows, r0, r1);
+      }
+      expect_bitwise(acc_rows, acc, "matmul_trans_a_acc_rows");
+    }
+  }
+}
+
+TEST(Kernels, RowFormsRejectUnshapedOutputs) {
+  const Matrix a(4, 3), b(3, 5), bias(1, 5);
+  Matrix c(3, 5);  // one row short of the batch
+  EXPECT_THROW(kernels::matmul_bias_rows(a, b, bias, c, 0, 2),
+               std::invalid_argument);
+  c.resize(4, 5);
+  EXPECT_THROW(kernels::matmul_bias_rows(a, b, bias, c, 3, 5),
+               std::invalid_argument);
+  kernels::PackedTransB pack;
+  kernels::pack_trans_b(Matrix(5, 2), pack);  // inner 2, a has 3 columns
+  EXPECT_THROW(kernels::matmul_trans_b_rows(a, pack, c, 0, 4),
+               std::invalid_argument);
+}
+
+// Adam::step before it was split per parameter, verbatim: the oracle for
+// the per-parameter tasks and the vectorized update.
+void adam_reference_step(std::vector<Matrix>& w, const std::vector<Matrix>& g,
+                         std::vector<Matrix>& m, std::vector<Matrix>& v,
+                         long t) {
+  const double beta1_ = 0.5, beta2_ = 0.999, eps_ = 1e-8, lr_ = 1e-3;
+  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (std::size_t j = 0; j < w[i].size(); ++j) {
+      double& mj = m[i].data()[j];
+      double& vj = v[i].data()[j];
+      const double gj = g[i].data()[j];
+      mj = beta1_ * mj + (1.0 - beta1_) * gj;
+      vj = beta2_ * vj + (1.0 - beta2_) * gj * gj;
+      const double mhat = mj / bc1;
+      const double vhat = vj / bc2;
+      w[i].data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    }
+  }
+}
+
+TEST(Adam, PerParameterTasksMatchSerialStep) {
+  Rng rng(853);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    // Ragged sizes, so the vector body and its scalar tail both run.
+    const std::size_t shapes[][2] = {{7, 5}, {1, 3}, {16, 4}, {1, 1}};
+    std::vector<Parameter> serial, tasks;
+    std::vector<Matrix> ref_w, ref_m, ref_v;
+    for (const auto& sh : shapes) {
+      serial.emplace_back(Matrix::randn(sh[0], sh[1], rng));
+      tasks.emplace_back(serial.back().value);
+      ref_w.push_back(serial.back().value);
+      ref_m.push_back(Matrix::zeros(sh[0], sh[1]));
+      ref_v.push_back(Matrix::zeros(sh[0], sh[1]));
+    }
+    std::vector<Parameter*> ps, pt;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ps.push_back(&serial[i]);
+      pt.push_back(&tasks[i]);
+    }
+    Adam a(ps), b(pt);
+    for (long step = 1; step <= 5; ++step) {
+      std::vector<Matrix> grads;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        grads.push_back(randn_with_zeros(serial[i].value.rows(),
+                                         serial[i].value.cols(), rng));
+        serial[i].grad = grads.back();
+        tasks[i].grad = grads.back();
+      }
+      a.step();
+      b.begin_step();
+      // Distinct parameters as concurrent tasks, in no particular order.
+      ThreadPool::shared().parallel_for(
+          tasks.size(),
+          [&](std::size_t k) { b.step_param(tasks.size() - 1 - k); }, 4);
+      adam_reference_step(ref_w, grads, ref_m, ref_v, step);
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        expect_bitwise(tasks[i].value, serial[i].value, "tasks vs step()");
+        expect_bitwise(serial[i].value, ref_w[i], "step() vs reference");
+      }
+    }
   }
 }
 

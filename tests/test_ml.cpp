@@ -349,6 +349,79 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
                      a.size() * sizeof(double)) == 0;
 }
 
+// The row-sliced passes (ml/layers.hpp) fill whole-batch buffers a range at
+// a time; in any slicing, and with weight gradients split by output rows,
+// the values are the whole-batch passes', bitwise.
+TEST(RowSliced, GruAndMlpMatchWholeBatchPasses) {
+  const std::size_t B = 13, T = 4, in = 6, H = 5;
+  const std::pair<std::size_t, std::size_t> slices[] = {{0, 4}, {4, 5},
+                                                        {5, 13}};
+  Rng rng(41);
+  std::vector<Matrix> xs, grads;
+  for (std::size_t t = 0; t < T; ++t) {
+    xs.push_back(Matrix::randn(B, in, rng));
+    grads.push_back(Matrix::randn(B, H, rng));
+  }
+  Rng ra(7), rb(7);
+  Gru whole(in, H, ra), sliced(in, H, rb);
+  const std::vector<Matrix> hs = whole.forward(xs);
+  whole.zero_grad();
+  const std::vector<Matrix> gxs = whole.backward(grads);
+  sliced.prepare_forward(T, B);
+  for (const auto& [r0, r1] : slices) sliced.forward_rows(xs, r0, r1);
+  sliced.prepare_backward();
+  for (const auto& [r0, r1] : slices) sliced.backward_rows(grads, r0, r1);
+  sliced.zero_grad();
+  for (std::size_t k = 0; k < Gru::kGradTasks; ++k) {
+    const std::size_t rows = sliced.parameters()[k]->grad.rows();
+    // Weights in two output-row parts, biases whole.
+    sliced.grad_task(k, 0, rows / 2);
+    sliced.grad_task(k, rows / 2, rows);
+  }
+  for (std::size_t t = 0; t < T; ++t) {
+    EXPECT_TRUE(bitwise_equal(sliced.hidden()[t], hs[t])) << "h " << t;
+    EXPECT_TRUE(bitwise_equal(sliced.input_grads()[t], gxs[t])) << "dx " << t;
+  }
+  for (std::size_t p = 0; p < Gru::kGradTasks; ++p) {
+    EXPECT_TRUE(bitwise_equal(sliced.parameters()[p]->grad,
+                              whole.parameters()[p]->grad))
+        << "parameter " << p;
+  }
+
+  const std::vector<OutputSegment> head = {{OutputSegment::Kind::kSoftmax, 3},
+                                           {OutputSegment::Kind::kTanh, 1}};
+  Rng ma(9), mb(9);
+  Mlp mw({in, 8, 7, 4}, Activation::kLeakyRelu, head, ma);
+  Mlp ms({in, 8, 7, 4}, Activation::kLeakyRelu, head, mb);
+  const Matrix& x = xs[0];
+  const Matrix seed = Matrix::randn(B, 4, rng);
+  const Matrix y = mw.forward(x);
+  mw.zero_grad();
+  const Matrix gx = mw.backward(seed);
+  ms.prepare_forward(B, in);
+  ms.prepare_backward();
+  std::vector<Matrix> bufs;
+  ms.prepare_forward_into(B, in, bufs);
+  for (const auto& [r0, r1] : slices) {
+    ms.forward_rows(x, r0, r1);
+    ms.forward_rows_into(x, bufs, r0, r1);
+  }
+  for (const auto& [r0, r1] : slices) ms.backward_input_rows(seed, r0, r1);
+  ms.zero_grad();
+  for (std::size_t k = 0; k < ms.grad_tasks(); ++k) {
+    const std::size_t rows = ms.parameters()[k]->grad.rows();
+    ms.grad_task(k, seed, 0, rows);
+  }
+  EXPECT_TRUE(bitwise_equal(ms.output(), y));
+  EXPECT_TRUE(bitwise_equal(bufs.back(), y));
+  EXPECT_TRUE(bitwise_equal(ms.input_grad(), gx));
+  for (std::size_t p = 0; p < ms.parameters().size(); ++p) {
+    EXPECT_TRUE(bitwise_equal(ms.parameters()[p]->grad,
+                              mw.parameters()[p]->grad))
+        << "mlp parameter " << p;
+  }
+}
+
 // The forward-only twins read only the weights and write caller-owned
 // scratch, with the same kernels in the same order as forward().
 TEST(ForwardInto, MatchesForwardBitwise) {

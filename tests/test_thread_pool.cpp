@@ -3,13 +3,14 @@
 // survival after a throwing task, destruction with queued work, and the
 // caller-participating parallel_for of the shared executor (nesting while
 // every worker is blocked, tasks waiting on lower indices, the max_parallel
-// cap, exception order, helper CPU accounting).
+// cap, exception order, helper CPU accounting), and the stage region.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -213,6 +214,89 @@ TEST(ThreadPool, HelperCpuIsCreditedToTheCaller) {
   const double helpers = ThreadPool::helper_cpu_seconds() - before;
   const double own = thread_cpu_seconds() - own0;
   EXPECT_GE(own + helpers, 6 * 0.02 * 0.9);
+}
+
+TEST(ThreadPool, RegionRunsEveryIndexOfEveryStageOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t width : {1u, 2u, 4u, 9u}) {
+    ThreadPool::Region region(pool, width);
+    // A stage reads what the one before it wrote: the stages are ordered.
+    std::vector<int> cells(37, 0);
+    for (int stage = 1; stage <= 50; ++stage) {
+      const std::size_t n = 1 + static_cast<std::size_t>(stage) % cells.size();
+      std::vector<std::atomic<int>> runs(n);
+      region.run(n, [&](std::size_t i) {
+        runs[i].fetch_add(1);
+        if (stage > 1 && i < cells.size()) {
+          EXPECT_EQ(cells[i] % 1000, stage - 1) << "width " << width;
+        }
+        cells[i] = stage + 1000 * (cells[i] / 1000 + 1);
+      });
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(runs[i].load(), 1);
+      for (std::size_t i = n; i < cells.size(); ++i) {
+        cells[i] = stage + 1000 * (cells[i] / 1000);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, RegionCompletesWithEveryWorkerBusyAndRethrows) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<std::future<void>> blockers;
+  for (int w = 0; w < 2; ++w) {
+    blockers.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    }));
+  }
+  {
+    // No helper can join: the caller runs every index itself.
+    ThreadPool::Region region(pool, 3);
+    std::atomic<int> total{0};
+    for (int stage = 0; stage < 5; ++stage) {
+      region.run(4, [&](std::size_t) { total.fetch_add(1); });
+    }
+    EXPECT_EQ(total.load(), 20);
+    EXPECT_THROW(region.run(3,
+                            [](std::size_t i) {
+                              if (i == 1) throw std::runtime_error("stage");
+                            }),
+                 std::runtime_error);
+    // The region stays usable after a throwing stage.
+    region.run(2, [&](std::size_t) { total.fetch_add(1); });
+    EXPECT_EQ(total.load(), 22);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (auto& f : blockers) f.get();
+}
+
+TEST(ThreadPool, RegionCreditsHelperCpuToTheCaller) {
+  ThreadPool pool(3);
+  const auto spin = [] {
+    const double t0 = thread_cpu_seconds();
+    while (thread_cpu_seconds() - t0 < 0.01) {
+    }
+  };
+  const double before = ThreadPool::helper_cpu_seconds();
+  const double own0 = thread_cpu_seconds();
+  {
+    ThreadPool::Region region(pool, 4);
+    for (int stage = 0; stage < 4; ++stage) {
+      region.run(8, [&](std::size_t) { spin(); });
+    }
+    EXPECT_TRUE(ThreadPool::on_worker_thread());
+  }
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  const double helpers = ThreadPool::helper_cpu_seconds() - before;
+  const double own = thread_cpu_seconds() - own0;
+  EXPECT_GE(own + helpers, 32 * 0.01 * 0.9);
 }
 
 TEST(ThreadPool, SharedExecutorLeavesACoreForTheCaller) {
