@@ -95,11 +95,12 @@ BENCHMARK(BM_Matmul)->Arg(64)->Arg(128);
 
 static void BM_GruForward(benchmark::State& state) {
   Rng rng(3);
-  ml::Gru gru(32, 48, rng);
+  ml::Gru gru(8, 24, 48, rng);
   std::vector<ml::Matrix> xs;
-  for (int t = 0; t < 8; ++t) xs.push_back(ml::Matrix::randn(64, 32, rng));
+  for (int t = 0; t < 8; ++t) xs.push_back(ml::Matrix::randn(64, 8, rng));
+  const ml::Matrix cond = ml::Matrix::randn(64, 24, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gru.forward(xs));
+    benchmark::DoNotOptimize(gru.forward(xs, cond));
   }
 }
 BENCHMARK(BM_GruForward);

@@ -1,5 +1,7 @@
 // End-to-end pipeline benchmark: preprocess -> train -> generate ->
-// postprocess on a PCAP-preset trace, timed per stage, plus a gated
+// postprocess on a PCAP-preset trace, timed per stage (the sub-millisecond
+// preprocess and postprocess stages as the per-call median of repeated
+// calls), the seed-chunk fit's per-stage iteration profile, plus a gated
 // comparison of the generate stage on the new path (length-adaptive
 // sampling, chunk-parallel on the thread budget) against the serial
 // reference path (full-unroll sampler, one chunk at a time, one kernel
@@ -23,7 +25,9 @@
 // speedup holds on any core count.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +47,40 @@
 
 using namespace netshare;
 using bench::time_best;
+
+namespace {
+
+// Per-call median of fn over repetitions totalling at least 10 ms (and at
+// least 5 of them): a sub-millisecond stage timed once is mostly noise.
+double median_call(const std::function<void()>& fn) {
+  std::vector<double> times;
+  double total = 0.0;
+  while (times.size() < 5 || total < 0.01) {
+    Stopwatch sw;
+    fn();
+    times.push_back(sw.seconds());
+    total += times.back();
+  }
+  return bench::median_iqr(times).median;
+}
+
+// The iteration profile DoppelGanger::fit publishes (gan.stage.<stage>.ms
+// and .cores, DESIGN.md §7), from the last fit, as one JSON object.
+std::string stage_profile_json() {
+  const std::string prefix = "gan.stage.";
+  std::string out = "{";
+  char buf[96];
+  for (const auto& [name, value] : telemetry::snapshot_metrics().gauges) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    std::snprintf(buf, sizeof buf, "%s\"%s\": %.4f",
+                  out.size() > 1 ? ", " : "",
+                  name.substr(prefix.size()).c_str(), value);
+    out += buf;
+  }
+  return out + "}";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_pipeline.json";
@@ -76,15 +114,19 @@ int main(int argc, char** argv) {
   const auto bundle =
       datagen::make_dataset(datagen::DatasetId::kCaida, kRecords, 42);
 
-  // Stage 1: preprocess (fit normalizers + chunked encode).
-  Stopwatch sw;
+  // Stage 1: preprocess (fit normalizers + chunked encode), the median of
+  // repeated calls on fresh encoders.
   core::PacketEncoder encoder(config, nullptr);
   encoder.fit(bundle.packets);
   const auto datasets = encoder.encode(bundle.packets);
-  const double preprocess_sec = sw.seconds();
+  const double preprocess_sec = median_call([&] {
+    core::PacketEncoder again(config, nullptr);
+    again.fit(bundle.packets);
+    again.encode(bundle.packets);
+  });
 
   // Stage 2: train (seed chunk + parallel fine-tune).
-  sw.reset();
+  Stopwatch sw;
   core::ChunkedTrainer trainer(encoder.spec(), config);
   trainer.fit(datasets);
   const double train_sec = sw.seconds();
@@ -97,37 +139,65 @@ int main(int argc, char** argv) {
   while (seed_c < datasets.size() && datasets[seed_c].num_samples() == 0) {
     ++seed_c;
   }
-  const int kGuardIters = 10;
-  const auto time_train = [&](bool guards_on) {
+  // Each pair times one fit of a fresh guards-off model and one of a fresh
+  // guards-on model, and the gate reads the median of the pairs'
+  // overheads: the host drifts more between two back-to-back blocks than
+  // the gated 2%, and one model can run a few percent faster than its
+  // identically seeded twin for the whole process (where its buffers
+  // landed), so no pair reuses a model. Which is built and timed first
+  // alternates.
+  const int kGuardIters = 20;
+  const int kGuardPairs = 15;
+  const auto guarded_model = [&](bool guards_on) {
     gan::DgConfig dg = config.dg;
     dg.health.enabled = guards_on;
     dg.health.check_every = 5;
     dg.health.checkpoint_every = 10;
-    gan::DoppelGanger model(encoder.spec(), dg, config.seed);
-    model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
-    // ~3 timed repeats: best-of rides out shared-core noise, which on this
-    // container is larger than the gated 2% overhead ceiling.
-    return time_best([&] { model.fit(datasets[seed_c], kGuardIters); }, 1.2);
+    auto model =
+        std::make_unique<gan::DoppelGanger>(encoder.spec(), dg, config.seed);
+    model->fit(datasets[seed_c], 1);  // warm-up populates pools and caches
+    return model;
   };
-  const double train_guard_off_sec = time_train(false);
-  const double train_guard_on_sec = time_train(true);
-  const double train_guard_overhead_frac =
-      (train_guard_on_sec - train_guard_off_sec) / train_guard_off_sec;
+  std::vector<double> off_secs, on_secs, overheads;
+  const auto time_fit = [&](gan::DoppelGanger& model,
+                            std::vector<double>& secs) {
+    Stopwatch fit;
+    model.fit(datasets[seed_c], kGuardIters);
+    secs.push_back(fit.seconds());
+  };
+  for (int p = 0; p < kGuardPairs; ++p) {
+    const bool off_first = p % 2 == 0;
+    auto first = guarded_model(!off_first);
+    auto second = guarded_model(off_first);
+    time_fit(*first, off_first ? off_secs : on_secs);
+    time_fit(*second, off_first ? on_secs : off_secs);
+    overheads.push_back((on_secs.back() - off_secs.back()) / off_secs.back());
+  }
+  const double train_guard_off_sec = bench::median_iqr(off_secs).median;
+  const double train_guard_on_sec = bench::median_iqr(on_secs).median;
+  const bench::MedianIqr guard_overhead = bench::median_iqr(overheads);
+  const double train_guard_overhead_frac = guard_overhead.median;
 
   // Seed-chunk DoppelGanger::fit throughput at kernel budget 1 and at the
   // core count (informational, not gated): how far the iteration's task
   // graph and the kernels' row panels scale with the budget.
-  const auto fit_iters_per_s = [&](std::size_t threads) {
+  // Each also leaves its last fit's stage profile behind (informational).
+  const auto fit_iters_per_s = [&](std::size_t threads, std::string& profile) {
     ml::kernels::KernelConfig kc = config.kernels;
     kc.threads = threads;
     ml::kernels::ConfigOverride budget(kc);
     gan::DoppelGanger model(encoder.spec(), config.dg, config.seed);
     model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
-    return kGuardIters /
-           time_best([&] { model.fit(datasets[seed_c], kGuardIters); }, 1.2);
+    const double rate =
+        kGuardIters /
+        time_best([&] { model.fit(datasets[seed_c], kGuardIters); }, 1.2);
+    profile = stage_profile_json();
+    return rate;
   };
-  const double dg_fit_iters_per_s_1t = fit_iters_per_s(1);
-  const double dg_fit_iters_per_s_nt = fit_iters_per_s(cores);
+  std::string stage_profile_1t, stage_profile_nt;
+  const double dg_fit_iters_per_s_1t = fit_iters_per_s(1, stage_profile_1t);
+  const double dg_fit_iters_per_s_nt =
+      fit_iters_per_s(cores, stage_profile_nt);
 
   // Stage 3: generate — chunk-parallel batched sampling, then decode.
   const auto& chunks = encoder.chunks();
@@ -156,16 +226,16 @@ int main(int argc, char** argv) {
   std::cout.flush();
 
   // Stage 4: postprocess (IP remap + port retrain + header repair, all on
-  // the 4-thread budget).
-  sw.reset();
-  net::PacketTrace post = core::remap_ips(synth, core::IpRemapConfig{},
-                                          config.threads);
-  Rng post_rng(99);
-  post = core::retrain_dst_ports(post, {{80, 0.6}, {443, 0.3}, {53, 0.1}},
-                                 post_rng, config.threads);
-  const core::RepairStats repair =
-      core::repair_packet_headers(post, config.threads);
-  const double postprocess_sec = sw.seconds();
+  // the 4-thread budget), the median of repeated calls on the same trace.
+  core::RepairStats repair;
+  const double postprocess_sec = median_call([&] {
+    net::PacketTrace post = core::remap_ips(synth, core::IpRemapConfig{},
+                                            config.threads);
+    Rng post_rng(99);
+    post = core::retrain_dst_ports(post, {{80, 0.6}, {443, 0.3}, {53, 0.1}},
+                                   post_rng, config.threads);
+    repair = core::repair_packet_headers(post, config.threads);
+  });
 
   // Gated generate comparison: the full generate stage (sample every chunk's
   // count + decode + merge-sort) on the new path vs the serial reference.
@@ -265,10 +335,14 @@ int main(int argc, char** argv) {
   std::printf("sample %zu series @1t: batched %.4fs, per-series %.4fs, "
               "%.0f allocs/batch\n",
               kSampleBatch, batched_sec, per_series_sec, allocs_per_batch);
-  std::printf("train health guards (%d iters): ON %.4fs vs OFF %.4fs "
-              "(%+.2f%%)\n",
-              kGuardIters, train_guard_on_sec, train_guard_off_sec,
-              100.0 * train_guard_overhead_frac);
+  std::printf("train health guards (%d iters, median of %d pairs): ON "
+              "%.4fs vs OFF %.4fs (%+.2f%%, IQR %.2f%%)\n",
+              kGuardIters, kGuardPairs, train_guard_on_sec,
+              train_guard_off_sec, 100.0 * train_guard_overhead_frac,
+              100.0 * guard_overhead.iqr);
+  std::printf("seed-chunk stage profile @1t: %s\n", stage_profile_1t.c_str());
+  std::printf("seed-chunk stage profile @%zut: %s\n", cores,
+              stage_profile_nt.c_str());
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -282,18 +356,25 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"records\": %zu,\n", kRecords);
   std::fprintf(f, "  \"generated_records\": %zu,\n", synth.size());
   std::fprintf(f,
-               "  \"stages_sec\": {\"preprocess\": %.4f, \"train\": %.4f, "
-               "\"generate\": %.4f, \"postprocess\": %.4f},\n",
+               "  \"stages_sec\": {\"preprocess\": %.6f, \"train\": %.4f, "
+               "\"generate\": %.4f, \"postprocess\": %.6f},\n",
                preprocess_sec, train_sec, generate_sec, postprocess_sec);
   std::fprintf(f, "  \"train_cpu_sec\": %.4f,\n", trainer.train_cpu_seconds());
   std::fprintf(f, "  \"train_guard_on_sec\": %.6f,\n", train_guard_on_sec);
   std::fprintf(f, "  \"train_guard_off_sec\": %.6f,\n", train_guard_off_sec);
   std::fprintf(f, "  \"train_guard_overhead_frac\": %.4f,\n",
                train_guard_overhead_frac);
+  std::fprintf(f, "  \"train_guard_overhead_iqr\": %.4f,\n",
+               guard_overhead.iqr);
+  std::fprintf(f, "  \"train_guard_pairs\": %d,\n", kGuardPairs);
   std::fprintf(f, "  \"dg_fit_iters_per_s_1t\": %.2f,\n",
                dg_fit_iters_per_s_1t);
   std::fprintf(f, "  \"dg_fit_iters_per_s_nt\": %.2f,\n",
                dg_fit_iters_per_s_nt);
+  std::fprintf(f, "  \"dg_stage_profile_1t\": %s,\n",
+               stage_profile_1t.c_str());
+  std::fprintf(f, "  \"dg_stage_profile_nt\": %s,\n",
+               stage_profile_nt.c_str());
   std::fprintf(f, "  \"generate_serial_sec\": %.6f,\n", serial_gen_sec);
   std::fprintf(f, "  \"generate_parallel_sec\": %.6f,\n", parallel_gen_sec);
   std::fprintf(f, "  \"generate_sample_batched_sec\": %.6f,\n", batched_sec);

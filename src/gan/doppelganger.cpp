@@ -40,17 +40,6 @@ struct RowSlices {
   std::size_t rows, count;
 };
 
-// Row i of x as [a row i | b row i] (concat_cols_into's layout), rows
-// [r0, r1) of an x already shaped.
-void concat_cols_rows(const Matrix& a, const Matrix& b, Matrix& x,
-                      std::size_t r0, std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* xrow = x.row_ptr(i);
-    std::copy(a.row_ptr(i), a.row_ptr(i) + a.cols(), xrow);
-    std::copy(b.row_ptr(i), b.row_ptr(i) + b.cols(), xrow + a.cols());
-  }
-}
-
 // Rows [r0, r1) of src into dst starting at row `at` + r0.
 void copy_rows_at(const Matrix& src, Matrix& dst, std::size_t at,
                   std::size_t r0, std::size_t r1) {
@@ -91,7 +80,9 @@ DoppelGanger::DoppelGanger(TimeSeriesSpec spec, DgConfig config,
   attr_gen_ = std::make_unique<ml::Mlp>(attr_dims, ml::Activation::kRelu,
                                         spec_.attribute_segments, rng_);
 
-  rnn_ = std::make_unique<ml::Gru>(config_.feat_noise_dim + A,
+  // Each RNN step reads [z_t | attributes]; the attributes are its
+  // step-invariant input.
+  rnn_ = std::make_unique<ml::Gru>(config_.feat_noise_dim, A,
                                    config_.rnn_hidden, rng_);
   out_linear_ =
       std::make_unique<ml::Linear>(config_.rnn_hidden, step_dim, rng_);
@@ -207,13 +198,10 @@ void DoppelGanger::generator_forward(const Matrix& za,
   const std::size_t B = za.rows();
   const std::size_t A = spec_.attribute_dim();
   const std::size_t H = rnn_->hidden_dim();
-  const std::size_t Z = config_.feat_noise_dim;
   const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
   // Every buffer a slice writes is shaped here, on the calling thread.
   attr_gen_->prepare_forward(B, za.cols());
   out.attributes.resize(B, A);
-  xs_.resize(T);
-  for (Matrix& x : xs_) x.resize(B, Z + A);
   rnn_->prepare_forward(T, B);
   stacked_.resize(T * B, H);  // [T*B, H], t-major
   out_linear_->prepare_forward(T * B, H);
@@ -230,10 +218,10 @@ void DoppelGanger::generator_forward(const Matrix& za,
     cs.fake_attr.resize(b, A);
     cs.xf.resize(b, A + T * step_dim);
     for (Matrix* m : {&g.h, &g.h_next, &g.gru.z, &g.gru.r, &g.gru.c,
-                      &g.gru.rh, &g.gru.gate}) {
+                      &g.gru.rh, &g.gru.gate, &g.proj.z, &g.proj.r,
+                      &g.proj.c}) {
       m->resize(b, H);
     }
-    g.x.resize(b, Z + A);
     g.lin.resize(b, step_dim);
     g.head.resize(b, step_dim);
     tasks += RowSlices(b, slice_width_).count;
@@ -244,10 +232,7 @@ void DoppelGanger::generator_forward(const Matrix& za,
   const auto generator_rows = [&](std::size_t r0, std::size_t r1) {
     attr_gen_->forward_rows(za, r0, r1);
     copy_rows_into(attr_gen_->output(), out.attributes, r0, r1);
-    for (std::size_t t = 0; t < T; ++t) {
-      concat_cols_rows(zts[t], out.attributes, xs_[t], r0, r1);
-    }
-    rnn_->forward_rows(xs_, r0, r1);
+    rnn_->forward_rows(zts, out.attributes, r0, r1);
     for (std::size_t t = 0; t < T; ++t) {
       copy_rows_at(rnn_->hidden()[t], stacked_, t * B, r0, r1);
       out_linear_->forward_rows(stacked_, t * B + r0, t * B + r1);
@@ -294,7 +279,7 @@ void DoppelGanger::generator_forward(const Matrix& za,
 }
 
 const Matrix& DoppelGanger::gen_step(GenScratch& s) const {
-  rnn_->step_into(s.x, s.h, s.h_next, s.gru);
+  rnn_->step_into(s.x, s.proj, s.h, s.h_next, s.gru);
   out_linear_->forward_into(s.h_next, s.lin);
   out_head_->forward_into(s.lin, s.head);
   return s.head;
@@ -311,13 +296,13 @@ void DoppelGanger::fake_batch_rows(const CriticDraws& d, CriticStep& cs,
   for (std::size_t i = r0; i < r1; ++i) {
     std::copy(attr.row_ptr(i), attr.row_ptr(i) + A, cs.xf.row_ptr(i));
   }
+  rnn_->project_cond_rows(attr, s.proj, r0, r1);
   std::fill(s.h.row_ptr(r0), s.h.row_ptr(r1), 0.0);
   for (std::size_t t = 0; t < spec_.max_len; ++t) {
     // The hidden state alternates between s.h and s.h_next by step parity.
     const Matrix& h = t % 2 == 0 ? s.h : s.h_next;
     Matrix& h_next = t % 2 == 0 ? s.h_next : s.h;
-    concat_cols_rows(d.zts[t], attr, s.x, r0, r1);
-    rnn_->step_rows_into(s.x, h, h_next, s.gru, r0, r1);
+    rnn_->step_rows_into(d.zts[t], s.proj, h, h_next, s.gru, r0, r1);
     out_linear_->forward_rows_into(h_next, s.lin, r0, r1);
     out_head_->forward_rows_into(s.lin, s.head, r0, r1);
     for (std::size_t i = r0; i < r1; ++i) {
@@ -733,7 +718,6 @@ void DoppelGanger::generator_step() {
   const std::size_t T = spec_.max_len;
   const std::size_t A = spec_.attribute_dim();
   const std::size_t H = rnn_->hidden_dim();
-  const std::size_t nz = config_.feat_noise_dim;
   const std::size_t step_dim = spec_.feature_dim() + kFlagDims;
   // Everything the slices write is shaped here. The generator step reads
   // only the critics' input gradients; the next critic step zeroes their
@@ -748,12 +732,12 @@ void DoppelGanger::generator_step() {
   gseed.fill(-inv_b);
   Matrix& gaseed = ws_.get(B, 1);
   gaseed.fill(-config_.aux_weight * inv_b);
-  Matrix& attr_grad = ws_.get(B, A);
+  // The attributes' gradient: the critic's, the aux critic's and the GRU's.
+  Matrix& attr_total = ws_.get(B, A);
   Matrix& g_stacked = ws_.get(T * B, step_dim);  // [T*B, F+2], t-major
   // generator_forward prepared the generator's own modules.
   ghs_.resize(T);
   for (Matrix& g : ghs_) g.resize(B, H);
-  Matrix& attr_total = ws_.get(B, A);
 
   // Everything up to the parameter gradients works on one row at a time:
   // the critic pass over the fake batch, the split of the critic's input
@@ -768,7 +752,7 @@ void DoppelGanger::generator_step() {
     const Matrix& gin = disc_->input_grad();
     for (std::size_t i = r0; i < r1; ++i) {
       const double* src = gin.row_ptr(i);
-      std::copy(src, src + A, attr_grad.row_ptr(i));
+      std::copy(src, src + A, attr_total.row_ptr(i));
       for (std::size_t t = 0; t < T; ++t) {
         const double* seg = src + A + t * step_dim;
         std::copy(seg, seg + step_dim, g_stacked.row_ptr(t * B + i));
@@ -778,7 +762,7 @@ void DoppelGanger::generator_step() {
     aux_disc_->backward_input_rows(gaseed, r0, r1);
     const Matrix& aux_in = aux_disc_->input_grad();
     for (std::size_t i = r0 * A; i < r1 * A; ++i) {
-      attr_grad.data()[i] += aux_in.data()[i];
+      attr_total.data()[i] += aux_in.data()[i];
     }
     for (std::size_t t = 0; t < T; ++t) {
       out_head_->backward_input_rows(g_stacked, t * B + r0, t * B + r1);
@@ -789,15 +773,9 @@ void DoppelGanger::generator_step() {
                 ghs_[t].row_ptr(r0));
     }
     rnn_->backward_rows(ghs_, r0, r1);
-    // The attribute columns of every step's input gradient, summed over t
-    // in ascending order onto the critics' attribute gradient.
-    copy_rows_into(attr_grad, attr_total, r0, r1);
-    for (const Matrix& gx : rnn_->input_grads()) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* src = gx.row_ptr(i) + nz;
-        double* dst = attr_total.row_ptr(i);
-        for (std::size_t j = 0; j < A; ++j) dst[j] += src[j];
-      }
+    const Matrix& cond_grad = rnn_->cond_grad();
+    for (std::size_t i = r0 * A; i < r1 * A; ++i) {
+      attr_total.data()[i] += cond_grad.data()[i];
     }
     attr_gen_->backward_delta_rows(attr_total, r0, r1);
   });
@@ -992,6 +970,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
   const std::size_t Z = config_.feat_noise_dim;
   out.reset(spec_, n);
   GenScratch& g = scratch.gen;
+  ml::Gru::GateRows& proj_next = scratch.proj_next;
   std::vector<std::size_t>& live = scratch.live;
   // Live rows summed over every RNN step of the call, and the steps run.
   std::size_t row_steps = 0, steps = 0;
@@ -1007,14 +986,14 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
     }
 
     // Length-adaptive unroll: step the RNN one step at a time over the live
-    // sub-batch only. Row j of g.h / scratch.attr belongs to series live[j];
+    // sub-batch only. Row j of g.h / g.proj belongs to series live[j];
     // a series whose alive flag drops below 0.5 is emitted with length
     // max(1, t) — the same rule the reference full unroll applies after the
     // fact — and leaves the batch. Every kernel in the step (fused GRU
     // gates, linear, MixedHead) is row-wise, so dropping dead rows never
     // changes the surviving rows' values, and the output stays bitwise
     // identical to sample_reference_into.
-    scratch.attr = attr;
+    rnn_->project_cond_into(attr, g.proj);
     g.h.resize(b, H);
     g.h.fill(0.0);
     live.resize(b);
@@ -1024,17 +1003,15 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
       const std::size_t m = live.size();
       row_steps += m;
       ++steps;
-      // Gather [z_t | attr] rows, matching generator_tail's concat layout.
-      // z_t is drawn lazily, only for series still alive at this step: each
-      // series' stream is private and its draw order fixed, so skipping the
-      // dead series' later draws never changes the values live series see.
-      g.x.resize(m, Z + A);
+      // Gather the z_t rows. z_t is drawn lazily, only for series still
+      // alive at this step: each series' stream is private and its draw
+      // order fixed, so skipping the dead series' later draws never changes
+      // the values live series see.
+      g.x.resize(m, Z);
       for (std::size_t j = 0; j < m; ++j) {
         double* xrow = g.x.row_ptr(j);
         NoiseStream& ns = scratch.noise[live[j]];
         for (std::size_t q = 0; q < Z; ++q) xrow[q] = ns.normal();
-        const double* asrc = scratch.attr.row_ptr(j);
-        std::copy(asrc, asrc + A, xrow + Z);
       }
       const Matrix& y = gen_step(g);
 
@@ -1045,7 +1022,9 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
         if (y(j, F) >= 0.5) ++k;
       }
       g.h.resize(k, H);
-      scratch.attr_next.resize(k, A);
+      for (Matrix* p : {&proj_next.z, &proj_next.r, &proj_next.c}) {
+        p->resize(k, H);
+      }
       std::size_t w = 0;
       for (std::size_t j = 0; j < m; ++j) {
         const std::size_t row = done + live[j];
@@ -1054,8 +1033,11 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
           std::copy(ysrc, ysrc + F, out.features[t].row_ptr(row));
           const double* hsrc = g.h_next.row_ptr(j);
           std::copy(hsrc, hsrc + H, g.h.row_ptr(w));
-          std::copy(scratch.attr.row_ptr(j), scratch.attr.row_ptr(j) + A,
-                    scratch.attr_next.row_ptr(w));
+          for (const auto p : {&ml::Gru::GateRows::z, &ml::Gru::GateRows::r,
+                               &ml::Gru::GateRows::c}) {
+            std::copy((g.proj.*p).row_ptr(j), (g.proj.*p).row_ptr(j + 1),
+                      (proj_next.*p).row_ptr(w));
+          }
           live[w] = live[j];
           ++w;
         } else {
@@ -1066,7 +1048,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
         }
       }
       live.resize(k);
-      std::swap(scratch.attr, scratch.attr_next);
+      std::swap(g.proj, proj_next);
     }
     done += b;
   }

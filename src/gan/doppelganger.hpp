@@ -54,24 +54,28 @@ struct DgConfig {
 };
 
 // Scratch of the forward-only generator path: the attribute MLP's two
-// ping-pong buffers, one GRU step's scratch, the hidden-state pair, the step
-// input [z_t | attr] and the output layer's two buffers. Each concurrent
-// user owns one.
+// ping-pong buffers, the GRU's projections of the attributes (its
+// step-invariant input), one GRU step's scratch, the hidden-state pair, the
+// step input z_t and the output layer's two buffers. Each concurrent user
+// owns one.
 struct GenScratch {
   std::vector<ml::Matrix> attr;
+  ml::Gru::GateRows proj;
   ml::Gru::StepScratch gru;
   ml::Matrix h, h_next, x, lin, head;
 };
 
 // Caller-owned state of one sampler (DoppelGanger::sample_into): the
-// forward-only generator scratch (whose h is the live sub-batch's hidden
-// state), the batch's attribute noise, the compacting double buffers for
-// the live attribute rows, the surviving series' batch indices and the
-// per-series noise streams. One per concurrent sampler; after a warm-up
-// call with the same n, sampling through it allocates no Matrix storage.
+// forward-only generator scratch (whose h and proj are the live
+// sub-batch's hidden state and attribute projections), the batch's
+// attribute noise, the compacting twin of gen.proj, the surviving series'
+// batch indices and the per-series noise streams. One per concurrent
+// sampler; after a warm-up call with the same n, sampling through it
+// allocates no Matrix storage.
 struct SampleScratch {
   GenScratch gen;
-  ml::Matrix za, attr, attr_next;
+  ml::Matrix za;
+  ml::Gru::GateRows proj_next;
   std::vector<std::size_t> live;
   std::vector<NoiseStream> noise;
 };
@@ -210,20 +214,21 @@ class DoppelGanger {
   template <typename Fn>
   void run_stage(Stage stage, std::size_t n, const Fn& fn);
   // The generator-forward stage: row slices of the generator forward with
-  // the caches backward needs (attribute MLP, per-step concat, GRU unroll,
-  // output layer and MixedHead) on the noise `za` and `zts`, into out;
-  // beside them, row slices of the first `fake_batches` critic steps' fake
-  // batches on the forward-only path (from draws_), and `beside` (when set)
-  // as one more task. Also the full unroll of sample_reference_into.
+  // the caches backward needs (attribute MLP, GRU unroll conditioned on the
+  // attributes, output layer and MixedHead) on the noise `za` and `zts`,
+  // into out; beside them, row slices of the first `fake_batches` critic
+  // steps' fake batches on the forward-only path (from draws_), and
+  // `beside` (when set) as one more task. Also the full unroll of
+  // sample_reference_into.
   void generator_forward(const ml::Matrix& za,
                          const std::vector<ml::Matrix>& zts, GenOutput& out,
                          std::size_t fake_batches,
                          const std::function<void()>& beside);
-  // The forward-only generator path, shared by sample_into and the critic
-  // steps' fake batches. gen_step runs one RNN step and the output layer on
-  // s.x and s.h into s.h_next and s.head (returned). Every stage is
-  // row-wise and reads only weights, so rows match generator_forward's
-  // bitwise and several tasks may run it at once with distinct scratch.
+  // The forward-only generator path of sample_into. gen_step runs one RNN
+  // step and the output layer on s.x, s.proj and s.h into s.h_next and
+  // s.head (returned). Every stage is row-wise and reads only weights, so
+  // rows match generator_forward's bitwise and several tasks may run it at
+  // once with distinct scratch.
   const ml::Matrix& gen_step(GenScratch& s) const;
   // Rows [r0, r1) of a critic step's fake batch (all max_len steps), from
   // its staged noise straight into critic input rows.
@@ -266,7 +271,7 @@ class DoppelGanger {
                    CriticStep& cs);
   void discriminator_update_dp(const TimeSeriesDataset& data, Rng& rng);
   // Generator step on the fake_ batch generator_forward left: one stage of
-  // row slices (critic pass, head backward, BPTT with each step's input
+  // row slices (critic pass, head backward, BPTT with the GRU's attribute
   // gradient, attribute-MLP backward), then the gradient and Adam stages.
   void generator_step();
   // The parameter-gradient and Adam stages of an update over `params`:
@@ -315,7 +320,6 @@ class DoppelGanger {
   // iteration already made them.
   Draws draws_, next_draws_;
   bool predrawn_ = false;
-  std::vector<ml::Matrix> xs_;      // generator RNN inputs [z_t | attr]
   std::vector<ml::Matrix> ghs_;     // per-step hidden-state gradients
   ml::Matrix xr_, xf_, x1_, x2_, a1_, a2_, fa_row_;
   std::vector<double> dist_, adist_, eps_;

@@ -316,12 +316,15 @@ void matmul_simd(const Matrix& a, const Matrix& b, const double* bias,
 
 namespace {
 
-// Scalar-tier rows [r0, r1) of C = A·B; zeroes those rows of c first.
+// Scalar-tier rows [r0, r1) of C = A·B[b_row0, b_row0 + cols(A)). Zeroes
+// those rows of c first, unless `seeded`: then each element's chain starts
+// from the value already in c.
 void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
                         std::size_t r0, std::size_t r1, std::size_t KB,
-                        std::size_t JB) {
+                        std::size_t JB, std::size_t b_row0 = 0,
+                        bool seeded = false) {
   const std::size_t K = a.cols(), C = b.cols();
-  if (r1 > r0 && C > 0) {
+  if (r1 > r0 && C > 0 && !seeded) {
     std::fill(c.row_ptr(r0), c.row_ptr(r0) + (r1 - r0) * C, 0.0);
   }
   for (std::size_t kk = 0; kk < K; kk += KB) {
@@ -345,17 +348,17 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
             for (std::size_t k2 = k; k2 < k + 4; ++k2) {
               const double aik = arow[k2];
               if (aik == 0.0) continue;
-              const double* brow = b.row_ptr(k2);
+              const double* brow = b.row_ptr(b_row0 + k2);
               for (std::size_t j = jj; j < jend; ++j) {
                 crow[j] += aik * brow[j];
               }
             }
             continue;
           }
-          const double* b0 = b.row_ptr(k);
-          const double* b1 = b.row_ptr(k + 1);
-          const double* b2 = b.row_ptr(k + 2);
-          const double* b3 = b.row_ptr(k + 3);
+          const double* b0 = b.row_ptr(b_row0 + k);
+          const double* b1 = b.row_ptr(b_row0 + k + 1);
+          const double* b2 = b.row_ptr(b_row0 + k + 2);
+          const double* b3 = b.row_ptr(b_row0 + k + 3);
           for (std::size_t j = jj; j < jend; ++j) {
             double t = crow[j];
             t += a0 * b0[j];
@@ -368,7 +371,7 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
         for (; k < kend; ++k) {
           const double aik = arow[k];
           if (aik == 0.0) continue;
-          const double* brow = b.row_ptr(k);
+          const double* brow = b.row_ptr(b_row0 + k);
           for (std::size_t j = jj; j < jend; ++j) crow[j] += aik * brow[j];
         }
       }
@@ -535,7 +538,14 @@ void require_trans_b(const Matrix& a, const PackedTransB& b) {
 }  // namespace
 
 void pack_trans_b(const Matrix& b, PackedTransB& out) {
-  const std::size_t rows = b.rows(), cols = b.cols();
+  pack_trans_b(b, 0, b.rows(), out);
+}
+
+void pack_trans_b(const Matrix& b, std::size_t row0, std::size_t row1,
+                  PackedTransB& out) {
+  require(row0 <= row1 && row1 <= b.rows(),
+          "kernels::pack_trans_b: bad row range");
+  const std::size_t rows = row1 - row0, cols = b.cols();
   out.rows = rows;
   out.cols = cols;
   if (out.bt.size() < rows * cols) out.bt.resize(rows * cols);
@@ -545,7 +555,7 @@ void pack_trans_b(const Matrix& b, PackedTransB& out) {
     for (std::size_t kk = 0; kk < cols; kk += TB) {
       const std::size_t kend = std::min(cols, kk + TB);
       for (std::size_t j = jj; j < jend; ++j) {
-        const double* brow = b.row_ptr(j);
+        const double* brow = b.row_ptr(row0 + j);
         for (std::size_t k = kk; k < kend; ++k) out.bt[k * rows + j] = brow[k];
       }
     }
@@ -614,36 +624,54 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
   acc += tl_prod;
 }
 
-void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
-                   const Matrix& wh, const Matrix& bias, GateAct act,
-                   Matrix& scratch, Matrix& out) {
+namespace {
+// The gate's operand checks; with a seed, wx may have rows past cols(x).
+void require_gate(const Matrix& x, const Matrix& wx, const Matrix& h,
+                  const Matrix& wh, const Matrix& bias, const Matrix* seed) {
   require(bias.rows() == 1 && bias.cols() == wx.cols(),
           "kernels::gru_gate: bias must be 1 x cols(wx)");
   require(wx.cols() == wh.cols(), "kernels::gru_gate: gate width mismatch");
+  require(seed != nullptr ? x.cols() <= wx.rows() : x.cols() == wx.rows(),
+          "kernels::matmul: inner dimension mismatch");
+  require(h.cols() == wh.rows(), "kernels::matmul: inner dimension mismatch");
+  require(x.rows() == h.rows(), "kernels::gru_gate: x/h batch mismatch");
+  require(seed == nullptr ||
+              (seed->rows() == x.rows() && seed->cols() == wx.cols()),
+          "kernels::gru_gate: seed must have out's shape");
+}
+}  // namespace
+
+void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
+                   const Matrix& wh, const Matrix& bias, GateAct act,
+                   Matrix& scratch, Matrix& out, const Matrix* seed) {
+  require_gate(x, wx, h, wh, bias, seed);
   const KernelConfig cfg = config();
+  const std::size_t R = x.rows(), G = wx.cols();
+  const std::size_t In = x.cols(), Hd = h.cols();
+  out.resize(R, G);
   if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    require(x.cols() == wx.rows(), "kernels::matmul: inner dimension mismatch");
-    require(h.cols() == wh.rows(), "kernels::matmul: inner dimension mismatch");
-    require(x.rows() == h.rows(), "kernels::gru_gate: x/h batch mismatch");
-    out.resize(x.rows(), wx.cols());
-    const std::size_t R = x.rows(), G = wx.cols();
-    const std::size_t In = x.cols(), Hd = h.cols();
     const std::size_t flops = 2 * R * (In + Hd) * G;
     TELEM_COUNT("kernels.tier_avx2");
     run_autotuned(cfg, TuneOp::kGate, R, In + Hd, G, flops, [&](unsigned jt) {
       run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
         simd::gate_panel(x.row_ptr(0), In, wx.row_ptr(0), G, h.row_ptr(0),
                          Hd, wh.row_ptr(0), G, bias.row_ptr(0),
+                         seed != nullptr ? seed->row_ptr(0) : nullptr, G,
                          act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
                          In, Hd, G, r0, r1, jt);
       });
     });
     return;  // scratch untouched: both products stayed register-resident
   }
-  matmul_into(x, wx, out);      // out     = x · Wx
-  matmul_into(h, wh, scratch);  // scratch = h · Wh
-  require(scratch.rows() == out.rows(),
-          "kernels::gru_gate: x/h batch mismatch");
+  // out = x · Wx continuing from the seed (matmul_into's panels when
+  // unseeded), then scratch = h · Wh.
+  if (seed != nullptr) out = *seed;
+  const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
+  const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
+  run_row_panels(R, 2 * R * In * G, [&](std::size_t r0, std::size_t r1) {
+    scalar_matmul_rows(x, wx, out, r0, r1, KB, JB, 0, seed != nullptr);
+  });
+  matmul_into(h, wh, scratch);
   // Epilogue, per element: (out + scratch) rounded, + bias rounded, then the
   // activation — the exact rounding sequence of operator+ followed by
   // add_row_broadcast_inplace followed by sigmoid/tanh on the allocating
@@ -700,6 +728,23 @@ void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
   }
 }
 
+void matmul_rows(const Matrix& a, const Matrix& b, std::size_t b_row0,
+                 Matrix& c, std::size_t r0, std::size_t r1) {
+  require(b_row0 + a.cols() <= b.rows(),
+          "kernels::matmul_rows: B has too few rows");
+  require_rows(a, c, b.cols(), r0, r1,
+               "kernels::matmul_rows: output not shaped or bad range");
+  if (r1 <= r0 || b.cols() == 0) return;
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::matmul_panel(a.row_ptr(0), a.cols(), b.row_ptr(b_row0), b.cols(),
+                       c.row_ptr(0), c.cols(), a.cols(), b.cols(), r0, r1,
+                       kRowJtile);
+    return;
+  }
+  const KernelConfig d;
+  scalar_matmul_rows(a, b, c, r0, r1, d.block_k, d.block_j, b_row0);
+}
+
 void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
                          std::size_t r0, std::size_t r1) {
   require_trans_b(a, b);
@@ -709,15 +754,17 @@ void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
 }
 
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
-                             std::size_t r0, std::size_t r1) {
-  require(a.rows() == b.rows() && acc.rows() == a.cols() &&
-              acc.cols() == b.cols() && r0 <= r1 && r1 <= acc.rows(),
+                             std::size_t r0, std::size_t r1,
+                             std::size_t acc_row0) {
+  require(a.rows() == b.rows() && acc_row0 + a.cols() <= acc.rows() &&
+              acc.cols() == b.cols() && r0 <= r1 && r1 <= a.cols(),
           "kernels::matmul_trans_a_acc_rows: shape mismatch or bad range");
   const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
   if (r1 <= r0 || C == 0) return;
   if (row_tier() == SimdTier::kAvx2) {
     simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                   acc.row_ptr(0), C, K, C, r0, r1, kRowJtile);
+                                   acc.row_ptr(acc_row0), C, K, C, r0, r1,
+                                   kRowJtile);
     return;
   }
   // Scalar tier: the full product row first, then one add per element into
@@ -733,7 +780,7 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
       const double* brow = b.row_ptr(k);
       for (std::size_t j = 0; j < C; ++j) prod[j] += aki * brow[j];
     }
-    double* arow = acc.row_ptr(i);
+    double* arow = acc.row_ptr(acc_row0 + i);
     for (std::size_t j = 0; j < C; ++j) arow[j] += prod[j];
   }
 }
@@ -741,11 +788,8 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, std::size_t r0,
-                   std::size_t r1) {
-  require(x.cols() == wx.rows() && h.cols() == wh.rows() &&
-              wx.cols() == wh.cols() && bias.rows() == 1 &&
-              bias.cols() == wx.cols() && x.rows() == h.rows(),
-          "kernels::gru_gate_rows: operand shape mismatch");
+                   std::size_t r1, const Matrix* seed) {
+  require_gate(x, wx, h, wh, bias, seed);
   require_rows(x, out, wx.cols(), r0, r1,
                "kernels::gru_gate_rows: output not shaped or bad range");
   require(scratch.rows() == out.rows() && scratch.cols() == out.cols(),
@@ -755,12 +799,17 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
   if (row_tier() == SimdTier::kAvx2) {
     simd::gate_panel(x.row_ptr(0), x.cols(), wx.row_ptr(0), G, h.row_ptr(0),
                      h.cols(), wh.row_ptr(0), G, bias.row_ptr(0),
+                     seed != nullptr ? seed->row_ptr(0) : nullptr, G,
                      act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
                      x.cols(), h.cols(), G, r0, r1, kRowJtile);
     return;
   }
+  if (seed != nullptr) {
+    std::copy(seed->row_ptr(r0), seed->row_ptr(r1), out.row_ptr(r0));
+  }
   const KernelConfig d;
-  scalar_matmul_rows(x, wx, out, r0, r1, d.block_k, d.block_j);
+  scalar_matmul_rows(x, wx, out, r0, r1, d.block_k, d.block_j, 0,
+                     seed != nullptr);
   scalar_matmul_rows(h, wh, scratch, r0, r1, d.block_k, d.block_j);
   const double* brow = bias.row_ptr(0);
   for (std::size_t i = r0; i < r1; ++i) {  // gru_gate_into's epilogue

@@ -132,6 +132,10 @@ struct PackedTransB {
 };
 // Grow-only: after a warm-up with the same shape it allocates nothing.
 void pack_trans_b(const Matrix& b, PackedTransB& out);
+// The pack of B's rows [row0, row1) alone: a product against it is
+// A·B[row0:row1)ᵀ (a conditioned GRU's cond rows of Wx).
+void pack_trans_b(const Matrix& b, std::size_t row0, std::size_t row1,
+                  PackedTransB& out);
 // C = A * Bᵀ against a pack, with row panels like matmul_trans_b_into.
 void matmul_trans_b_into(const Matrix& a, const PackedTransB& b, Matrix& c);
 
@@ -166,10 +170,19 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 // the per-partial-product rounding guarantee like every other kernel here
 // (the adds-only epilogue has no mul+add pair to contract, but keeping the
 // whole fused path under one flag regime makes the guarantee auditable).
+//
+// Seeded gate (`seed` non-null, out's shape): the x·wx chain of element
+// (i, j) starts from seed(i, j) instead of zero and continues over x's
+// columns in ascending k, reading wx's first cols(x) rows; wx may have more
+// rows. With seed = c·W_c this is memcmp-equal to the unseeded gate on
+// [c | x] against W_c's rows stacked over wx's: a GRU conditioned on a
+// step-invariant c projects it once per batch and seeds every step with it
+// (DESIGN.md §5, *Conditioned GRU*).
 enum class GateAct { kSigmoid, kTanh };
 void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
-                   Matrix& scratch, Matrix& out);
+                   Matrix& scratch, Matrix& out,
+                   const Matrix* seed = nullptr);
 
 // Serial row-range forms (DESIGN.md §5, *Row-sliced stages*): rows
 // [r0, r1) of exactly the product the entry point of the same name
@@ -182,20 +195,27 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
 // keeps every result bitwise identical to the whole-batch entry point.
 void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
                       Matrix& c, std::size_t r0, std::size_t r1);
+// C = A · B[b_row0, b_row0 + cols(A)): the product against a block of B's
+// rows (a conditioned GRU's cond projection, DESIGN.md §5).
+void matmul_rows(const Matrix& a, const Matrix& b, std::size_t b_row0,
+                 Matrix& c, std::size_t r0, std::size_t r1);
 void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
                          std::size_t r0, std::size_t r1);
 // acc rows [r0, r1) += Aᵀ·B, where these are OUTPUT rows (columns of A):
 // every call still reduces over all of A's and B's rows in ascending order,
 // so a weight gradient may be split across tasks by its own rows, never by
-// batch rows.
+// batch rows. Output row i lands in acc row acc_row0 + i, so the product
+// may fill one block of a taller gradient.
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
-                             std::size_t r0, std::size_t r1);
+                             std::size_t r0, std::size_t r1,
+                             std::size_t acc_row0 = 0);
 // `scratch` must have out's shape (the scalar tier parks x·wx's partner
-// product h·wh in its rows; the SIMD tier leaves it untouched).
+// product h·wh in its rows; the SIMD tier leaves it untouched); so must a
+// `seed`, of which rows [r0, r1) are read.
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, std::size_t r0,
-                   std::size_t r1);
+                   std::size_t r1, const Matrix* seed = nullptr);
 
 // One Adam update of n elements in place, per element exactly
 //   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;

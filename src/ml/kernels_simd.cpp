@@ -33,9 +33,9 @@ void adam_update(double*, const double*, double*, double*, std::size_t,
                  double, double, double, double, double, double) {}
 void gate_panel(const double*, std::size_t, const double*, std::size_t,
                 const double*, std::size_t, const double*, std::size_t,
-                const double*, int, double*, std::size_t, std::size_t,
+                const double*, const double*, std::size_t, int, double*,
                 std::size_t, std::size_t, std::size_t, std::size_t,
-                unsigned) {}
+                std::size_t, std::size_t, unsigned) {}
 }  // namespace netshare::ml::kernels::simd
 
 #else  // __AVX2__
@@ -317,7 +317,8 @@ void adam_update(double* w, const double* g, double* m, double* v,
 namespace {
 
 // Fused-gate register tiles. Both product sums complete in registers (each
-// its own ascending-k chain with the reference zero-skip), then the
+// its own ascending-k chain with the reference zero-skip; the x·wx chain
+// starts from the seed row when there is one), then the
 // epilogue applies (sum_x + sum_h) + bias — the scalar tier's rounding
 // sequence — before the activation. The sigmoid is decomposed exactly as
 // detail::sigmoid1: e = exp(-v) (scalar libm, bit-identical to the scalar
@@ -326,16 +327,21 @@ template <int NV>
 std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
                        std::size_t ldwx, const double* h, std::size_t ldh,
                        const double* wh, std::size_t ldwh, const double* bias,
-                       int act, double* out, std::size_t ldo,
-                       std::size_t in_dim, std::size_t h_dim,
-                       std::size_t G, std::size_t j0, std::size_t r0,
-                       std::size_t r1) {
+                       const double* seed, std::size_t lds, int act,
+                       double* out, std::size_t ldo, std::size_t in_dim,
+                       std::size_t h_dim, std::size_t G, std::size_t j0,
+                       std::size_t r0, std::size_t r1) {
   constexpr std::size_t JT = 4 * NV;
   for (; j0 + JT <= G; j0 += JT) {
     for (std::size_t i = r0; i < r1; ++i) {
       const double* xrow = x + i * ldx;
       __m256d ax[NV];
-      for (int v = 0; v < NV; ++v) ax[v] = _mm256_setzero_pd();
+      if (seed != nullptr) {
+        const double* sp = seed + i * lds + j0;
+        for (int v = 0; v < NV; ++v) ax[v] = _mm256_loadu_pd(sp + 4 * v);
+      } else {
+        for (int v = 0; v < NV; ++v) ax[v] = _mm256_setzero_pd();
+      }
       for (std::size_t k = 0; k < in_dim; ++k) {
         const double xik = xrow[k];
         if (xik == 0.0) continue;
@@ -389,23 +395,24 @@ std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
 void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 std::size_t ldwx, const double* h, std::size_t ldh,
                 const double* wh, std::size_t ldwh, const double* bias,
-                int act, double* out, std::size_t ldo, std::size_t in_dim,
-                std::size_t h_dim, std::size_t gate_dim, std::size_t r0,
-                std::size_t r1, unsigned jtile) {
+                const double* seed, std::size_t lds, int act, double* out,
+                std::size_t ldo, std::size_t in_dim, std::size_t h_dim,
+                std::size_t gate_dim, std::size_t r0, std::size_t r1,
+                unsigned jtile) {
   std::size_t j0 = 0;
   if (jtile == 8) {
-    j0 = gate_tiles<2>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out,
-                       ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
+    j0 = gate_tiles<2>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, seed, lds,
+                       act, out, ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
   } else {  // 16 is the widest gate tile: two live accumulator sets
-    j0 = gate_tiles<4>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out,
-                       ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
+    j0 = gate_tiles<4>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, seed, lds,
+                       act, out, ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
   }
-  j0 = gate_tiles<1>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out, ldo,
-                     in_dim, h_dim, gate_dim, j0, r0, r1);
+  j0 = gate_tiles<1>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, seed, lds, act,
+                     out, ldo, in_dim, h_dim, gate_dim, j0, r0, r1);
   for (; j0 < gate_dim; ++j0) {  // scalar tail, same chains and epilogue
     for (std::size_t i = r0; i < r1; ++i) {
       const double* xrow = x + i * ldx;
-      double sx = 0.0;
+      double sx = seed != nullptr ? seed[i * lds + j0] : 0.0;
       for (std::size_t k = 0; k < in_dim; ++k) {
         const double xik = xrow[k];
         if (xik == 0.0) continue;

@@ -76,7 +76,8 @@ void adam_update(double* w, const double* g, double* m, double* v,
 
 // Fused GRU gate, rows [r0..r1): out = act((x·wx + h·wh) + bias) with both
 // products register-resident. Per element the rounding sequence is: full
-// ascending-k sum of x·wx (zero-skip), full ascending-k sum of h·wh
+// ascending-k sum of x·wx (zero-skip; started from seed(i, j) instead of
+// zero when `seed`, stride lds, is non-null), full ascending-k sum of h·wh
 // (zero-skip), one add of the two sums, one bias add, then the activation —
 // identical to the scalar tier's matmul_into + matmul_into + fused epilogue.
 // act: 0 = sigmoid (1/(1+exp(-v))), 1 = tanh. The transcendental itself is
@@ -86,8 +87,9 @@ void adam_update(double* w, const double* g, double* m, double* v,
 void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 std::size_t ldwx, const double* h, std::size_t ldh,
                 const double* wh, std::size_t ldwh, const double* bias,
-                int act, double* out, std::size_t ldo, std::size_t in_dim,
-                std::size_t h_dim, std::size_t gate_dim, std::size_t r0,
-                std::size_t r1, unsigned jtile);
+                const double* seed, std::size_t lds, int act, double* out,
+                std::size_t ldo, std::size_t in_dim, std::size_t h_dim,
+                std::size_t gate_dim, std::size_t r0, std::size_t r1,
+                unsigned jtile);
 
 }  // namespace netshare::ml::kernels::simd

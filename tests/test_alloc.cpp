@@ -81,15 +81,16 @@ TEST(Workspace, DistinctShapesStayWithinTheLargestEpochFootprint) {
 
 TEST(Gru, SteadyStateForwardBackwardAllocatesNothing) {
   Rng rng(11);
-  Gru gru(6, 8, rng);
+  Gru gru(6, 5, 8, rng);
   std::vector<Matrix> xs(5, Matrix::zeros(16, 6));
   for (auto& x : xs) randn_fill(x, rng);
+  const Matrix cond = Matrix::randn(16, 5, rng);
   std::vector<Matrix> ghs(5, Matrix::zeros(16, 8));
   for (auto& g : ghs) randn_fill(g, rng, 0.1);
-  gru.forward(xs);
+  gru.forward(xs, cond);
   gru.backward(ghs);  // warm-up populates every persistent buffer
   alloc_counter::reset();
-  gru.forward(xs);
+  gru.forward(xs, cond);
   gru.backward(ghs);
   EXPECT_EQ(alloc_counter::count(), 0u)
       << "GRU BPTT allocated in steady state";

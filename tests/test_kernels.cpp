@@ -426,6 +426,108 @@ TEST(Kernels, RowFormsMatchWholeBatchEntryPoints) {
   }
 }
 
+// Rows [r0, r1) of m as a matrix of their own.
+Matrix row_block(const Matrix& m, std::size_t r0, std::size_t r1) {
+  Matrix out(r1 - r0, m.cols());
+  std::copy(m.row_ptr(r0), m.row_ptr(r1), out.row_ptr(0));
+  return out;
+}
+
+// The conditioned GRU's gate (DESIGN.md §5): x·Wx's chain seeded with the
+// cond projection P = cond·Wx[cond rows] is the unseeded fused gate on the
+// concatenation [cond | x] against Wx's rows taken cond-first, memcmp-equal
+// on both tiers, whole-batch and in ragged row ranges; the gate tiles, the
+// single-vector tiles and the scalar column tail are all reached.
+TEST(Kernels, SeededGateMatchesFusedGateOnCondFirstConcat) {
+  struct GateShape {
+    std::size_t rows, step, cond, gate;
+  };
+  const GateShape shapes[] = {
+      {13, 8, 105, 48}, {7, 3, 5, 17}, {40, 1, 64, 33}, {5, 0, 9, 6}};
+  Rng rng(907);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    for (const GateShape& g : shapes) {
+      const std::size_t R = g.rows, S = g.step, A = g.cond, G = g.gate;
+      const Matrix x = randn_with_zeros(R, S, rng);
+      const Matrix cond = randn_with_zeros(R, A, rng);
+      const Matrix wx = Matrix::randn(S + A, G, rng);  // step rows first
+      const Matrix h = randn_with_zeros(R, G, rng);
+      const Matrix wh = Matrix::randn(G, G, rng);
+      const Matrix bias = Matrix::randn(1, G, rng);
+      // The oracle's operands: [cond | x] and Wx's cond rows over its step
+      // rows.
+      Matrix xc(R, A + S), wx_cf(A + S, G);
+      for (std::size_t i = 0; i < R; ++i) {
+        std::copy(cond.row_ptr(i), cond.row_ptr(i) + A, xc.row_ptr(i));
+        std::copy(x.row_ptr(i), x.row_ptr(i) + S, xc.row_ptr(i) + A);
+      }
+      std::copy(wx.row_ptr(S), wx.row_ptr(S + A), wx_cf.row_ptr(0));
+      std::copy(wx.row_ptr(0), wx.row_ptr(S), wx_cf.row_ptr(A));
+
+      Matrix seed(R, G);
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_rows(cond, wx, S, seed, r0, r1);
+      }
+      expect_bitwise(seed, reference::matmul(cond, row_block(wx, S, S + A)),
+                     "matmul_rows on Wx's cond rows");
+      for (const auto act : {kernels::GateAct::kSigmoid,
+                             kernels::GateAct::kTanh}) {
+        Matrix want, scratch, got;
+        kernels::gru_gate_into(xc, wx_cf, h, wh, bias, act, scratch, want);
+        kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, got, &seed);
+        expect_bitwise(got, want, "seeded gru_gate_into");
+        Matrix rows(R, G), rows_scratch(R, G);
+        for (const auto& [r0, r1] : ragged_slices(R)) {
+          kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows_scratch, rows,
+                                 r0, r1, &seed);
+        }
+        expect_bitwise(rows, want, "seeded gru_gate_rows");
+      }
+      Matrix bad_seed(R, G + 1), out(R, G), scratch(R, G);
+      EXPECT_THROW(kernels::gru_gate_rows(x, wx, h, wh, bias,
+                                          kernels::GateAct::kTanh, scratch,
+                                          out, 0, R, &bad_seed),
+                   std::invalid_argument);
+    }
+  }
+}
+
+// The block operands of the conditioned GRU's backward: a pack of B's rows
+// [row0, row1), and a weight-gradient product landing in one block of a
+// taller accumulator, equal the same products on copied blocks.
+TEST(Kernels, RowBlockOperandsMatchCopiedBlocks) {
+  Rng rng(911);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    const Matrix b = Matrix::randn(30, 17, rng);
+    const Matrix a = randn_with_zeros(11, 17, rng);
+    kernels::PackedTransB pack;
+    kernels::pack_trans_b(b, 8, 30, pack);
+    Matrix got(11, 22);
+    for (const auto& [r0, r1] : ragged_slices(11)) {
+      kernels::matmul_trans_b_rows(a, pack, got, r0, r1);
+    }
+    expect_bitwise(got, reference::matmul_trans_b(a, row_block(b, 8, 30)),
+                   "pack of a row block");
+
+    const Matrix x = randn_with_zeros(9, 6, rng);
+    const Matrix d = randn_with_zeros(9, 13, rng);
+    Matrix tall = Matrix::randn(20, 13, rng);
+    Matrix block = row_block(tall, 4, 10);
+    kernels::matmul_trans_a_acc_into(x, d, block);
+    for (const auto& [r0, r1] : ragged_slices(6)) {
+      kernels::matmul_trans_a_acc_rows(x, d, tall, r0, r1, 4);
+    }
+    expect_bitwise(row_block(tall, 4, 10), block, "acc into a row block");
+    EXPECT_THROW(kernels::matmul_trans_a_acc_rows(x, d, tall, 0, 6, 15),
+                 std::invalid_argument);
+  }
+  kernels::PackedTransB pack;
+  EXPECT_THROW(kernels::pack_trans_b(Matrix(4, 3), 2, 5, pack),
+               std::invalid_argument);
+}
+
 TEST(Kernels, RowFormsRejectUnshapedOutputs) {
   const Matrix a(4, 3), b(3, 5), bias(1, 5);
   Matrix c(3, 5);  // one row short of the batch

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <string>
 
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
@@ -172,68 +173,92 @@ TEST(GradCheck, MlpEndToEnd) {
   check_param_gradients(mlp, x, rng, 1e-4);
 }
 
-TEST(GradCheck, GruBptt) {
-  Rng rng(15);
-  const std::size_t in = 3, hidden = 4, T = 3, B = 2;
-  Gru gru(in, hidden, rng);
+// A conditioned GRU's loss f = Σ_t <h_t, coeff_t> on (xs, cond), and the
+// central differences of f against its cond inputs and every weight: the
+// gradients backward() returns and accumulates must match them.
+struct GruCase {
+  std::vector<Matrix> xs, coeff;
+  Matrix cond;
+};
 
-  std::vector<Matrix> xs;
-  for (std::size_t t = 0; t < T; ++t) xs.push_back(Matrix::randn(B, in, rng));
-  std::vector<Matrix> coeff;
-  {
-    auto hs = gru.forward(xs);
-    for (const auto& h : hs) coeff.push_back(Matrix::randn(h.rows(), h.cols(), rng));
-  }
-
-  auto loss_of = [&](const std::vector<Matrix>& inputs) {
-    const auto hs = gru.forward(inputs);
-    double f = 0.0;
-    for (std::size_t t = 0; t < hs.size(); ++t) {
-      for (std::size_t i = 0; i < hs[t].size(); ++i) {
-        f += hs[t].data()[i] * coeff[t].data()[i];
-      }
-    }
-    return f;
-  };
-
-  gru.forward(xs);
-  gru.zero_grad();
-  const auto gxs = gru.backward(coeff);
-
-  const double h = 1e-6;
-  // Input gradients.
+GruCase make_gru_case(Gru& gru, std::size_t T, std::size_t B, Rng& rng) {
+  GruCase c;
   for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t idx = 0; idx < xs[t].size(); ++idx) {
-      auto xp = xs, xm = xs;
-      xp[t].data()[idx] += h;
-      xm[t].data()[idx] -= h;
-      const double numeric = (loss_of(xp) - loss_of(xm)) / (2 * h);
-      EXPECT_NEAR(gxs[t].data()[idx], numeric, 1e-5)
-          << "t=" << t << " idx=" << idx;
+    c.xs.push_back(Matrix::randn(B, gru.step_dim(), rng));
+    c.coeff.push_back(Matrix::randn(B, gru.hidden_dim(), rng));
+  }
+  c.cond = Matrix::randn(B, gru.cond_dim(), rng);
+  return c;
+}
+
+double gru_loss(Gru& gru, const GruCase& c, const Matrix& cond) {
+  const auto& hs = gru.forward(c.xs, cond);
+  double f = 0.0;
+  for (std::size_t t = 0; t < hs.size(); ++t) {
+    for (std::size_t i = 0; i < hs[t].size(); ++i) {
+      f += hs[t].data()[i] * c.coeff[t].data()[i];
     }
   }
-  // Parameter gradients (sample a few entries of each).
-  gru.forward(xs);
+  return f;
+}
+
+// `stride` samples every stride-th entry; 1 checks them all.
+void check_gru_gradients(Gru& gru, const GruCase& c, std::size_t stride,
+                         double tol) {
+  gru.forward(c.xs, c.cond);
   gru.zero_grad();
-  gru.backward(coeff);
+  const Matrix cond_grad = gru.backward(c.coeff);
+  ASSERT_EQ(cond_grad.rows(), c.cond.rows());
+  ASSERT_EQ(cond_grad.cols(), gru.cond_dim());
+  const double h = 1e-6;
+  for (std::size_t idx = 0; idx < c.cond.size(); idx += stride) {
+    Matrix cp = c.cond, cm = c.cond;
+    cp.data()[idx] += h;
+    cm.data()[idx] -= h;
+    const double numeric =
+        (gru_loss(gru, c, cp) - gru_loss(gru, c, cm)) / (2 * h);
+    EXPECT_NEAR(cond_grad.data()[idx], numeric, tol) << "cond " << idx;
+  }
+  gru.forward(c.xs, c.cond);
+  gru.zero_grad();
+  gru.backward(c.coeff);
+  std::size_t k = 0;
   for (Parameter* p : gru.parameters()) {
-    for (std::size_t idx = 0; idx < p->value.size();
-         idx += std::max<std::size_t>(1, p->value.size() / 7)) {
+    for (std::size_t idx = 0; idx < p->value.size(); idx += stride) {
       const double orig = p->value.data()[idx];
       p->value.data()[idx] = orig + h;
-      const double fp = loss_of(xs);
+      const double fp = gru_loss(gru, c, c.cond);
       p->value.data()[idx] = orig - h;
-      const double fm = loss_of(xs);
+      const double fm = gru_loss(gru, c, c.cond);
       p->value.data()[idx] = orig;
-      EXPECT_NEAR(p->grad.data()[idx], (fp - fm) / (2 * h), 1e-5);
+      EXPECT_NEAR(p->grad.data()[idx], (fp - fm) / (2 * h), tol)
+          << "parameter " << k << " idx " << idx;
     }
+    ++k;
   }
 }
 
+TEST(GradCheck, GruBptt) {
+  Rng rng(15);
+  Gru gru(3, 0, 4, rng);  // the plain GRU
+  const GruCase c = make_gru_case(gru, 3, 2, rng);
+  check_gru_gradients(gru, c, 1, 1e-5);
+}
+
+// Every entry of every weight, Wx's cond rows included, and of the cond
+// input: the cond rows' gradient comes from one product against the gate
+// gradients summed over t, the cond gradient likewise.
+TEST(GradCheck, ConditionedGruBptt) {
+  Rng rng(17);
+  Gru gru(3, 4, 5, rng);
+  const GruCase c = make_gru_case(gru, 4, 3, rng);
+  check_gru_gradients(gru, c, 1, 1e-5);
+}
+
 // Batched BPTT through the blocked *parallel* kernels: same finite-difference
-// check as GruBptt, but with a batch and shapes big enough that every matmul
-// in forward and backward takes the multi-threaded dispatch path (the
-// per-module checks above run serial-sized problems).
+// check, but with a batch and shapes big enough that every whole-batch
+// product takes the multi-threaded dispatch path (the per-module checks
+// above run serial-sized problems).
 TEST(GradCheck, GruBpttBatchedThroughParallelKernels) {
   kernels::KernelConfig kcfg;
   kcfg.threads = 4;
@@ -241,63 +266,9 @@ TEST(GradCheck, GruBpttBatchedThroughParallelKernels) {
   kernels::ConfigOverride kernel_guard(kcfg);
 
   Rng rng(21);
-  const std::size_t in = 5, hidden = 7, T = 4, B = 8;
-  Gru gru(in, hidden, rng);
-
-  std::vector<Matrix> xs;
-  for (std::size_t t = 0; t < T; ++t) xs.push_back(Matrix::randn(B, in, rng));
-  std::vector<Matrix> coeff;
-  {
-    auto hs = gru.forward(xs);
-    for (const auto& h : hs) {
-      coeff.push_back(Matrix::randn(h.rows(), h.cols(), rng));
-    }
-  }
-
-  auto loss_of = [&](const std::vector<Matrix>& inputs) {
-    const auto hs = gru.forward(inputs);
-    double f = 0.0;
-    for (std::size_t t = 0; t < hs.size(); ++t) {
-      for (std::size_t i = 0; i < hs[t].size(); ++i) {
-        f += hs[t].data()[i] * coeff[t].data()[i];
-      }
-    }
-    return f;
-  };
-
-  gru.forward(xs);
-  gru.zero_grad();
-  const auto gxs = gru.backward(coeff);
-
-  const double h = 1e-6;
-  // Input gradients (sampled — the batched problem has many entries).
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t idx = 0; idx < xs[t].size();
-         idx += std::max<std::size_t>(1, xs[t].size() / 13)) {
-      auto xp = xs, xm = xs;
-      xp[t].data()[idx] += h;
-      xm[t].data()[idx] -= h;
-      const double numeric = (loss_of(xp) - loss_of(xm)) / (2 * h);
-      EXPECT_NEAR(gxs[t].data()[idx], numeric, 1e-4)
-          << "t=" << t << " idx=" << idx;
-    }
-  }
-  // Parameter gradients (sampled across all nine GRU parameters).
-  gru.forward(xs);
-  gru.zero_grad();
-  gru.backward(coeff);
-  for (Parameter* p : gru.parameters()) {
-    for (std::size_t idx = 0; idx < p->value.size();
-         idx += std::max<std::size_t>(1, p->value.size() / 7)) {
-      const double orig = p->value.data()[idx];
-      p->value.data()[idx] = orig + h;
-      const double fp = loss_of(xs);
-      p->value.data()[idx] = orig - h;
-      const double fm = loss_of(xs);
-      p->value.data()[idx] = orig;
-      EXPECT_NEAR(p->grad.data()[idx], (fp - fm) / (2 * h), 1e-4);
-    }
-  }
+  Gru gru(5, 3, 7, rng);
+  const GruCase c = make_gru_case(gru, 4, 8, rng);
+  check_gru_gradients(gru, c, 7, 1e-4);
 }
 
 // The batched forward/backward must also be bitwise independent of the
@@ -309,24 +280,16 @@ TEST(GradCheck, GruBatchedForwardBackwardBitwiseStableAcrossThreads) {
     kcfg.min_parallel_flops = 0;
     kernels::ConfigOverride kernel_guard(kcfg);
     Rng rng(22);
-    Gru gru(6, 9, rng);
-    std::vector<Matrix> xs, coeff;
-    for (std::size_t t = 0; t < 5; ++t) {
-      xs.push_back(Matrix::randn(16, 6, rng));
-    }
-    auto hs = gru.forward(xs);
-    for (const auto& hmat : hs) {
-      coeff.push_back(Matrix::randn(hmat.rows(), hmat.cols(), rng));
-    }
-    gru.zero_grad();
-    auto gxs = gru.backward(coeff);
+    Gru gru(4, 2, 9, rng);
+    const GruCase c = make_gru_case(gru, 5, 16, rng);
+    const auto& hs = gru.forward(c.xs, c.cond);
     std::vector<double> flat;
     for (const auto& hmat : hs) {
       flat.insert(flat.end(), hmat.data().begin(), hmat.data().end());
     }
-    for (const auto& g : gxs) {
-      flat.insert(flat.end(), g.data().begin(), g.data().end());
-    }
+    gru.zero_grad();
+    const Matrix& cond_grad = gru.backward(c.coeff);
+    flat.insert(flat.end(), cond_grad.data().begin(), cond_grad.data().end());
     for (Parameter* p : gru.parameters()) {
       flat.insert(flat.end(), p->grad.data().begin(), p->grad.data().end());
     }
@@ -351,7 +314,9 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
 
 // The row-sliced passes (ml/layers.hpp) fill whole-batch buffers a range at
 // a time; in any slicing, and with weight gradients split by output rows,
-// the values are the whole-batch passes', bitwise.
+// the values are the whole-batch passes', bitwise. The GRU runs plain and
+// conditioned; Wx's row split then falls inside its step rows, on their
+// boundary with the cond rows, and inside the cond rows.
 TEST(RowSliced, GruAndMlpMatchWholeBatchPasses) {
   const std::size_t B = 13, T = 4, in = 6, H = 5;
   const std::pair<std::size_t, std::size_t> slices[] = {{0, 4}, {4, 5},
@@ -362,30 +327,34 @@ TEST(RowSliced, GruAndMlpMatchWholeBatchPasses) {
     xs.push_back(Matrix::randn(B, in, rng));
     grads.push_back(Matrix::randn(B, H, rng));
   }
-  Rng ra(7), rb(7);
-  Gru whole(in, H, ra), sliced(in, H, rb);
-  const std::vector<Matrix> hs = whole.forward(xs);
-  whole.zero_grad();
-  const std::vector<Matrix> gxs = whole.backward(grads);
-  sliced.prepare_forward(T, B);
-  for (const auto& [r0, r1] : slices) sliced.forward_rows(xs, r0, r1);
-  sliced.prepare_backward();
-  for (const auto& [r0, r1] : slices) sliced.backward_rows(grads, r0, r1);
-  sliced.zero_grad();
-  for (std::size_t k = 0; k < Gru::kGradTasks; ++k) {
-    const std::size_t rows = sliced.parameters()[k]->grad.rows();
-    // Weights in two output-row parts, biases whole.
-    sliced.grad_task(k, 0, rows / 2);
-    sliced.grad_task(k, rows / 2, rows);
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    EXPECT_TRUE(bitwise_equal(sliced.hidden()[t], hs[t])) << "h " << t;
-    EXPECT_TRUE(bitwise_equal(sliced.input_grads()[t], gxs[t])) << "dx " << t;
-  }
-  for (std::size_t p = 0; p < Gru::kGradTasks; ++p) {
-    EXPECT_TRUE(bitwise_equal(sliced.parameters()[p]->grad,
-                              whole.parameters()[p]->grad))
-        << "parameter " << p;
+  for (const std::size_t cond_dim : {0u, 3u, 6u, 12u}) {
+    SCOPED_TRACE("cond_dim " + std::to_string(cond_dim));
+    const Matrix cond = Matrix::randn(B, cond_dim, rng);
+    Rng ra(7), rb(7);
+    Gru whole(in, cond_dim, H, ra), sliced(in, cond_dim, H, rb);
+    const std::vector<Matrix> hs = whole.forward(xs, cond);
+    whole.zero_grad();
+    const Matrix cond_grad = whole.backward(grads);
+    sliced.prepare_forward(T, B);
+    for (const auto& [r0, r1] : slices) sliced.forward_rows(xs, cond, r0, r1);
+    sliced.prepare_backward();
+    for (const auto& [r0, r1] : slices) sliced.backward_rows(grads, r0, r1);
+    sliced.zero_grad();
+    for (std::size_t k = 0; k < Gru::kGradTasks; ++k) {
+      const std::size_t rows = sliced.parameters()[k]->grad.rows();
+      // Weights in two output-row parts, biases whole.
+      sliced.grad_task(k, 0, rows / 2);
+      sliced.grad_task(k, rows / 2, rows);
+    }
+    for (std::size_t t = 0; t < T; ++t) {
+      EXPECT_TRUE(bitwise_equal(sliced.hidden()[t], hs[t])) << "h " << t;
+    }
+    EXPECT_TRUE(bitwise_equal(sliced.cond_grad(), cond_grad));
+    for (std::size_t p = 0; p < Gru::kGradTasks; ++p) {
+      EXPECT_TRUE(bitwise_equal(sliced.parameters()[p]->grad,
+                                whole.parameters()[p]->grad))
+          << "parameter " << p;
+    }
   }
 
   const std::vector<OutputSegment> head = {{OutputSegment::Kind::kSoftmax, 3},
@@ -452,20 +421,20 @@ TEST(ForwardInto, MatchesForwardBitwise) {
   // One GRU step from a zero state equals the first step of the unroll, and
   // leaves a pending forward()/backward() pair's caches alone.
   Rng ra(5), rb(5);
-  Gru gru(6, 4, ra), twin(6, 4, rb);
-  const std::vector<Matrix> xs = {x, Matrix::randn(7, 6, rng)};
-  const Matrix h1 = gru.forward(xs)[0];
-  twin.forward(xs);
+  Gru gru(4, 2, 4, ra), twin(4, 2, 4, rb);
+  const Matrix step0 = Matrix::randn(7, 4, rng);
+  const Matrix cond = Matrix::randn(7, 2, rng);
+  const std::vector<Matrix> xs = {step0, Matrix::randn(7, 4, rng)};
+  const Matrix h1 = gru.forward(xs, cond)[0];
+  twin.forward(xs, cond);
+  Gru::GateRows proj;
+  gru.project_cond_into(cond, proj);
   Gru::StepScratch scratch;
   Matrix h_out;
-  gru.step_into(x, Matrix::zeros(7, 4), h_out, scratch);
+  gru.step_into(step0, proj, Matrix::zeros(7, 4), h_out, scratch);
   EXPECT_TRUE(bitwise_equal(h_out, h1));
   const std::vector<Matrix> grads(2, Matrix(7, 4, 1.0));
-  const std::vector<Matrix>& gx = gru.backward(grads);
-  const std::vector<Matrix>& gx_twin = twin.backward(grads);
-  for (std::size_t t = 0; t < 2; ++t) {
-    EXPECT_TRUE(bitwise_equal(gx[t], gx_twin[t])) << "step " << t;
-  }
+  EXPECT_TRUE(bitwise_equal(gru.backward(grads), twin.backward(grads)));
   for (std::size_t p = 0; p < gru.parameters().size(); ++p) {
     EXPECT_TRUE(bitwise_equal(gru.parameters()[p]->grad,
                               twin.parameters()[p]->grad))
