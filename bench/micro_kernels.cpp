@@ -202,6 +202,59 @@ MedianIqr bench_gate(bool fused, ml::kernels::SimdTier tier) {
   }, kKernelReps);
 }
 
+// The repo-owned transcendentals on each tier, in elements/s over a 4096-
+// element vector of N(0, 3²) inputs (the range gate pre-activations span).
+// Info rows: nothing gates them.
+constexpr std::size_t kTranscendentalN = 4096;
+
+struct TranscendentalRow {
+  const char* name;
+  void (*fn)(const double*, double*, std::size_t);
+  MedianIqr avx2, scalar;
+};
+
+std::vector<TranscendentalRow> bench_transcendentals() {
+  Rng rng(9);
+  std::vector<double> x(kTranscendentalN), y(kTranscendentalN);
+  for (double& v : x) v = 3.0 * rng.normal();
+  std::vector<TranscendentalRow> rows = {
+      {"exp", ml::kernels::exp_into, {}, {}},
+      {"sigmoid", ml::kernels::sigmoid_into, {}, {}},
+      {"tanh", ml::kernels::tanh_into, {}, {}}};
+  for (TranscendentalRow& row : rows) {
+    const auto run = [&] { row.fn(x.data(), y.data(), x.size()); };
+    {
+      ml::kernels::ConfigOverride guard(
+          tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
+      row.avx2 = rate_reps(kTranscendentalN, run, kKernelReps);
+    }
+    ml::kernels::ConfigOverride guard(
+        tier_cfg(ml::kernels::SimdTier::kScalar, 1));
+    row.scalar = rate_reps(kTranscendentalN, run, kKernelReps);
+  }
+  return rows;
+}
+
+// The conditioned GRU's seeded gate at the sampler's shape: 64 series, 8
+// step inputs seeded with the cond projection, hidden 48, gate width 48,
+// one row-range call per gate as Gru::step_into makes it. Gates/s, info.
+MedianIqr bench_seeded_gate(ml::kernels::GateAct act,
+                            ml::kernels::SimdTier tier) {
+  ml::kernels::ConfigOverride guard(tier_cfg(tier, 1));
+  Rng rng(11);
+  const Matrix x = Matrix::randn(64, 8, rng);
+  const Matrix wx = Matrix::randn(8 + 48, 48, rng);
+  const Matrix h = Matrix::randn(64, 48, rng);
+  const Matrix wh = Matrix::randn(48, 48, rng);
+  const Matrix bias = Matrix::randn(1, 48, rng);
+  const Matrix seed = Matrix::randn(64, 48, rng);
+  Matrix scratch(64, 48), out(64, 48);
+  return rate_reps(1.0, [&] {
+    ml::kernels::gru_gate_rows(x, wx, h, wh, bias, act, scratch, out, 0, 64,
+                               &seed);
+  }, kKernelReps);
+}
+
 std::string json_array(const std::vector<double>& v) {
   std::string s = "[";
   char buf[32];
@@ -287,6 +340,31 @@ int main(int argc, char** argv) {
               gate_unfused.median, gate_unfused.iqr, gate_fused.median,
               gate_fused.iqr, gate_fused.median / gate_unfused.median,
               gate_fused_scalar.median);
+
+  const std::vector<TranscendentalRow> trans = bench_transcendentals();
+  for (const TranscendentalRow& r : trans) {
+    std::printf("%-8s %zu elements: avx2 %.1f M/s (IQR %.1f), scalar %.1f "
+                "M/s (IQR %.1f)\n",
+                r.name, kTranscendentalN, r.avx2.median / 1e6,
+                r.avx2.iqr / 1e6, r.scalar.median / 1e6, r.scalar.iqr / 1e6);
+  }
+  struct SeededGate {
+    const char* name;
+    MedianIqr avx2, scalar;
+  };
+  std::vector<SeededGate> seeded;
+  for (const auto act :
+       {ml::kernels::GateAct::kSigmoid, ml::kernels::GateAct::kTanh}) {
+    seeded.push_back(
+        {act == ml::kernels::GateAct::kSigmoid ? "sigmoid" : "tanh",
+         bench_seeded_gate(act, ml::kernels::SimdTier::kAvx2),
+         bench_seeded_gate(act, ml::kernels::SimdTier::kScalar)});
+    const SeededGate& g = seeded.back();
+    std::printf("seeded gate 64x(8+48)->48 %s: avx2 %.1f us (IQR %.0f/s), "
+                "scalar %.1f us (IQR %.0f/s)\n",
+                g.name, 1e6 / g.avx2.median, g.avx2.iqr,
+                1e6 / g.scalar.median, g.scalar.iqr);
+  }
 
   std::vector<double> dg_ips, dg_iqr, dg_allocs, dg_scalar_ips, dg_scalar_iqr;
   for (const std::size_t t : threads) {
@@ -374,6 +452,25 @@ int main(int argc, char** argv) {
                gate_unfused.median, gate_unfused.iqr, gate_fused.median,
                gate_fused.iqr, gate_fused_scalar.median,
                gate_fused_scalar.iqr);
+  std::fprintf(f, "  \"transcendentals_per_sec\": {\"n\": %zu",
+               kTranscendentalN);
+  for (const TranscendentalRow& r : trans) {
+    std::fprintf(f,
+                 ", \"%s\": {\"avx2\": %.0f, \"avx2_iqr\": %.0f, "
+                 "\"scalar\": %.0f, \"scalar_iqr\": %.0f}",
+                 r.name, r.avx2.median, r.avx2.iqr, r.scalar.median,
+                 r.scalar.iqr);
+  }
+  std::fprintf(f, "},\n");
+  std::fprintf(f, "  \"seeded_gate_per_sec\": {\"shape\": [64, 8, 48, 48]");
+  for (const SeededGate& g : seeded) {
+    std::fprintf(f,
+                 ", \"%s\": {\"avx2\": %.1f, \"avx2_iqr\": %.1f, "
+                 "\"scalar\": %.1f, \"scalar_iqr\": %.1f}",
+                 g.name, g.avx2.median, g.avx2.iqr, g.scalar.median,
+                 g.scalar.iqr);
+  }
+  std::fprintf(f, "},\n");
   std::fprintf(f, "  \"autotune_plans\": [\n");
   for (std::size_t i = 0; i < std::size(queries); ++i) {
     const PlanQuery& q = queries[i];

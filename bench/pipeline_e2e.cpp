@@ -1,7 +1,9 @@
 // End-to-end pipeline benchmark: preprocess -> train -> generate ->
-// postprocess on a PCAP-preset trace, timed per stage (the sub-millisecond
-// preprocess and postprocess stages as the per-call median of repeated
-// calls), the seed-chunk fit's per-stage iteration profile, plus a gated
+// postprocess on a PCAP-preset trace, timed per stage (preprocess, generate
+// and postprocess as the per-call median of repeated calls on inputs large
+// enough that one call takes >= 10 ms: an 80k-record trace, 24x the real
+// flow counts, and the trace that generates), the seed-chunk fit's per-stage
+// iteration profile, plus a gated
 // comparison of the generate stage on the new path (length-adaptive
 // sampling, chunk-parallel on the thread budget) against the serial
 // reference path (full-unroll sampler, one chunk at a time, one kernel
@@ -51,7 +53,9 @@ using bench::time_best;
 namespace {
 
 // Per-call median of fn over repetitions totalling at least 10 ms (and at
-// least 5 of them): a sub-millisecond stage timed once is mostly noise.
+// least 5 of them). The timed stages are sized so that one call already
+// takes >= 10 ms: a stage of a millisecond or less wanders with the
+// scheduler by more than the gate's 20% however often it is repeated.
 double median_call(const std::function<void()>& fn) {
   std::vector<double> times;
   double total = 0.0;
@@ -87,6 +91,12 @@ int main(int argc, char** argv) {
   const std::string telem_path = argc > 2 ? argv[2] : "RUN_telemetry.json";
   const std::size_t kRecords = 2000;
   const std::size_t kSampleBatch = 64;
+  // Timed-stage inputs: preprocess encodes a kPreprocessRecords trace,
+  // generate samples kGenerateScale times every chunk's real flow count,
+  // and postprocess runs on what that generates. Each makes one call take
+  // 13-25 ms on a 4-core AVX2 host (>= 10 ms with margin).
+  const std::size_t kPreprocessRecords = 80000;
+  const std::size_t kGenerateScale = 24;
 
   core::NetShareConfig config;
   config.use_ip2vec_ports = false;  // keep the bench self-contained & fast
@@ -115,14 +125,16 @@ int main(int argc, char** argv) {
       datagen::make_dataset(datagen::DatasetId::kCaida, kRecords, 42);
 
   // Stage 1: preprocess (fit normalizers + chunked encode), the median of
-  // repeated calls on fresh encoders.
+  // repeated calls on fresh encoders over the larger timing trace.
   core::PacketEncoder encoder(config, nullptr);
   encoder.fit(bundle.packets);
   const auto datasets = encoder.encode(bundle.packets);
+  const auto timing_bundle = datagen::make_dataset(
+      datagen::DatasetId::kCaida, kPreprocessRecords, 43);
   const double preprocess_sec = median_call([&] {
     core::PacketEncoder again(config, nullptr);
-    again.fit(bundle.packets);
-    again.encode(bundle.packets);
+    again.fit(timing_bundle.packets);
+    again.encode(timing_bundle.packets);
   });
 
   // Stage 2: train (seed chunk + parallel fine-tune).
@@ -199,38 +211,56 @@ int main(int argc, char** argv) {
   const double dg_fit_iters_per_s_nt =
       fit_iters_per_s(cores, stage_profile_nt);
 
-  // Stage 3: generate — chunk-parallel batched sampling, then decode.
+  // Stage 3: generate — chunk-parallel batched sampling, then decode. The
+  // first call, at the real flow counts, is the one the train report shows;
+  // the gated stage time is the median of repeated calls at kGenerateScale
+  // times the counts.
   const auto& chunks = encoder.chunks();
   std::vector<std::size_t> counts(chunks.size(), 0);
+  std::vector<std::size_t> timing_counts(chunks.size(), 0);
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     counts[c] = chunks[c].real_flows;
+    timing_counts[c] = kGenerateScale * counts[c];
   }
+  // Decodes every sampled chunk of `s` into `out` and merge-sorts it.
+  const auto decode_into = [&](const std::vector<std::size_t>& cnt,
+                               const std::vector<gan::GeneratedSeries>& s,
+                               net::PacketTrace& out) {
+    out.packets.clear();
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      if (cnt[c] == 0 || !trainer.has_model(c)) continue;
+      const net::PacketTrace part = encoder.decode(s[c], c);
+      out.packets.insert(out.packets.end(), part.packets.begin(),
+                         part.packets.end());
+    }
+    out.sort_by_time();
+  };
   sw.reset();
   std::vector<gan::GeneratedSeries> series;
   trainer.sample_chunks(counts, 1234, series);
   const double sample_sec = sw.seconds();
   sw.reset();
   net::PacketTrace synth;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    if (counts[c] == 0 || !trainer.has_model(c)) continue;
-    const net::PacketTrace part = encoder.decode(series[c], c);
-    synth.packets.insert(synth.packets.end(), part.packets.begin(),
-                         part.packets.end());
-  }
-  synth.sort_by_time();
+  decode_into(counts, series, synth);
   const double decode_sec = sw.seconds();
-  const double generate_sec = sample_sec + decode_sec;
   // Printed after generation so the per-chunk gen_s column is populated
   // alongside train_s.
   eval::print_train_report(std::cout, trainer.report());
   std::cout.flush();
+  net::PacketTrace timing_synth;
+  std::vector<gan::GeneratedSeries> timing_series;
+  const double generate_sec = median_call([&] {
+    trainer.sample_chunks(timing_counts, 1234, timing_series);
+    decode_into(timing_counts, timing_series, timing_synth);
+  });
 
   // Stage 4: postprocess (IP remap + port retrain + header repair, all on
-  // the 4-thread budget), the median of repeated calls on the same trace.
+  // the 4-thread budget), the median of repeated calls on the trace the
+  // timed generate calls produced.
   core::RepairStats repair;
   const double postprocess_sec = median_call([&] {
-    net::PacketTrace post = core::remap_ips(synth, core::IpRemapConfig{},
-                                            config.threads);
+    net::PacketTrace post = core::remap_ips(
+        timing_synth, core::IpRemapConfig{}, config.threads);
     Rng post_rng(99);
     post = core::retrain_dst_ports(post, {{80, 0.6}, {443, 0.3}, {53, 0.1}},
                                    post_rng, config.threads);
@@ -241,14 +271,7 @@ int main(int argc, char** argv) {
   // count + decode + merge-sort) on the new path vs the serial reference.
   net::PacketTrace gen_buf;
   const auto decode_all = [&](const std::vector<gan::GeneratedSeries>& s) {
-    gen_buf.packets.clear();
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      if (counts[c] == 0 || !trainer.has_model(c)) continue;
-      const net::PacketTrace part = encoder.decode(s[c], c);
-      gen_buf.packets.insert(gen_buf.packets.end(), part.packets.begin(),
-                             part.packets.end());
-    }
-    gen_buf.sort_by_time();
+    decode_into(counts, s, gen_buf);
   };
   const double parallel_gen_sec = time_best([&] {
     trainer.sample_chunks(counts, 1234, series);
@@ -318,12 +341,17 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::printf("preprocess  %.3fs\ntrain       %.3fs (cpu %.3fs)\n"
-              "generate    %.3fs (sample %.3fs + decode %.3fs, %zu packets)\n"
-              "postprocess %.3fs (%zu repairs, %zu checksum failures)\n",
-              preprocess_sec, train_sec, trainer.train_cpu_seconds(),
-              generate_sec, sample_sec, decode_sec, synth.size(),
-              postprocess_sec, repair.total_repairs(),
+  std::printf("preprocess  %.4fs per call (%zu records)\n"
+              "train       %.3fs (cpu %.3fs)\n"
+              "generate    %.4fs per call (%zux the flow counts, %zu "
+              "packets); first call at 1x: sample %.4fs + decode %.4fs, %zu "
+              "packets\n"
+              "postprocess %.4fs per call (%zu packets, %zu repairs, %zu "
+              "checksum failures)\n",
+              preprocess_sec, kPreprocessRecords, train_sec,
+              trainer.train_cpu_seconds(), generate_sec, kGenerateScale,
+              timing_synth.size(), sample_sec, decode_sec, synth.size(),
+              postprocess_sec, timing_synth.size(), repair.total_repairs(),
               repair.checksum_failures);
   std::printf("seed-chunk fit: %.1f iters/s at 1 kernel thread, %.1f at "
               "%zu (%.2fx)\n",
@@ -355,6 +383,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"threads\": %zu,\n", config.threads);
   std::fprintf(f, "  \"records\": %zu,\n", kRecords);
   std::fprintf(f, "  \"generated_records\": %zu,\n", synth.size());
+  std::fprintf(f,
+               "  \"stage_inputs\": {\"preprocess_records\": %zu, "
+               "\"generate_scale\": %zu, \"postprocess_records\": %zu},\n",
+               kPreprocessRecords, kGenerateScale, timing_synth.size());
   std::fprintf(f,
                "  \"stages_sec\": {\"preprocess\": %.6f, \"train\": %.4f, "
                "\"generate\": %.4f, \"postprocess\": %.6f},\n",

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -624,6 +625,156 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
   acc += tl_prod;
 }
 
+// --- transcendentals (DESIGN.md §10, *Transcendentals*) ---------------------
+//
+// The scalar bodies of the repo-owned exp and the activations built on it.
+// kernels_simd.cpp's exp4 / sigmoid4 / tanh4 run the same op sequence on
+// four lanes, so the tiers agree bitwise.
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+// Cody–Waite reduction of x (already clamped, not NaN) to x = k·ln2 + r and
+// expm1(r) = r + r²·s(r), s by Horner in r² on its even and odd
+// coefficients (two short chains instead of one long one). Returns
+// expm1(r) rounded; `lo` gets what the roundings of r and of the final add
+// dropped (two exact two-sums), so a caller adding the result to a larger
+// term rounds about once. k lands in `k`, two's complement in a uint64.
+double expm1_reduced(double x, std::uint64_t& k, double& lo) {
+  const double t = x * expc::kLog2e + expc::kShifter;
+  const double kd = t - expc::kShifter;
+  k = bits(t) - bits(expc::kShifter);
+  const double rh = x - kd * expc::kLn2Hi;  // exact
+  const double rl = kd * expc::kLn2Lo;
+  const double r = rh - rl;
+  const double r2 = r * r;
+  double even = expc::kC[10];
+  for (int i = 8; i >= 0; i -= 2) even = even * r2 + expc::kC[i];
+  double odd = expc::kC[9];
+  for (int i = 7; i >= 1; i -= 2) odd = odd * r2 + expc::kC[i];
+  const double c = r2 * (even + odd * r);
+  const double p = r + c;
+  lo = (c - (p - r)) + ((rh - r) - rl);
+  return p;
+}
+
+// 2^k for k in the normal exponent range.
+double pow2(std::uint64_t k) { return from_bits((k + 1023) << 52); }
+
+double exp_elem(double x) {
+  if (x != x) return x + x;
+  const double xc =
+      x > expc::kHi ? expc::kHi : (x < expc::kLo ? expc::kLo : x);
+  std::uint64_t k;
+  double lo;
+  const double p = expm1_reduced(xc, k, lo);
+  const double e0 = 1.0 + p;
+  const double e = e0 + ((p - (e0 - 1.0)) + lo);
+  // 2^k in two steps, k1 = floor(k/2) by integer add into e's exponent
+  // (exact), then ×2^(k − k1): one rounding, into the subnormals or to inf.
+  const std::uint64_t k1 = ((k + 2048) >> 1) - 1024;
+  return from_bits(bits(e) + (k1 << 52)) * pow2(k - k1);
+}
+
+// sigmoid(x) = 1/d, d = 1 + exp(−x) = (1 + 2^k) + 2^k·expm1(r), the last
+// add an exact two-sum so d rounds about once. Past |x| = kSigmoidHi,
+// exp(−|x|) = E < 2^-51: sigmoid is 1 − E above and E − E² below (which
+// also gives the subnormal tail).
+double sigmoid_elem(double x) {
+  if (x != x) return x + x;
+  if (x < -expc::kSigmoidHi) {
+    const double e = exp_elem(x);
+    return e - e * e;
+  }
+  if (x > expc::kSigmoidHi) return 1.0 - exp_elem(-x);
+  std::uint64_t k;
+  double lo;
+  const double p = expm1_reduced(-x, k, lo);
+  const double two_k = pow2(k);
+  const double a = 1.0 + two_k;  // exact
+  const double b = two_k * p;
+  const double dh = a + b;
+  return 1.0 / (dh + ((b - (dh - a)) + two_k * lo));
+}
+
+// tanh|x| = −em / (em + 2) with em = expm1(−2|x|) = (2^k − 1) + 2^k·expm1(r)
+// in (−1, 0], carried as eh + el, and the quotient refined by one
+// correction step: no cancellation near 0 (where 1 − 2/(exp(2|x|) + 1)
+// would lose the low bits), and no rounding of em + 2 near 1. The
+// correction is a few ULP of q, so 1/dh (dh in (1, 2]) is taken as the
+// chord 1.5 − dh/2, within 12%. x's sign is put on the magnitude, so
+// tanh(−0) = −0.
+double tanh_elem(double x) {
+  if (x != x) return x + x;
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  double a = from_bits(bits(x) & ~kSign);
+  if (a > expc::kTanhHi) a = expc::kTanhHi;
+  std::uint64_t k;
+  double lo;
+  const double p = expm1_reduced(-(a + a), k, lo);
+  const double two_k = pow2(k);
+  const double am = two_k - 1.0;  // exact
+  const double b = two_k * p;
+  const double eh = am + b;
+  const double el = (b - (eh - am)) + two_k * lo;
+  const double dh = 2.0 + eh;
+  const double dl = (eh - (dh - 2.0)) + el;
+  const double q = -eh / dh;
+  const double t = q + (-el - q * dl) * (1.5 - 0.5 * dh);
+  return from_bits((bits(t) & ~kSign) | (bits(x) & kSign));
+}
+
+template <double (*F)(double)>
+void map_scalar(const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = F(x[i]);
+}
+
+// The gate epilogue's activation over one row segment, in place.
+void activate_scalar(GateAct act, double* v, std::size_t n) {
+  if (act == GateAct::kSigmoid) {
+    map_scalar<sigmoid_elem>(v, v, n);
+  } else {
+    map_scalar<tanh_elem>(v, v, n);
+  }
+}
+
+}  // namespace
+
+void exp_into(const double* x, double* y, std::size_t n) {
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::exp_into(x, y, n);
+    return;
+  }
+  map_scalar<exp_elem>(x, y, n);
+}
+
+void sigmoid_into(const double* x, double* y, std::size_t n) {
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::sigmoid_into(x, y, n);
+    return;
+  }
+  map_scalar<sigmoid_elem>(x, y, n);
+}
+
+void tanh_into(const double* x, double* y, std::size_t n) {
+  if (row_tier() == SimdTier::kAvx2) {
+    simd::tanh_into(x, y, n);
+    return;
+  }
+  map_scalar<tanh_elem>(x, y, n);
+}
+
+void softmax_inplace(double* v, std::size_t n) {
+  if (n == 0) return;
+  const double mx = *std::max_element(v, v + n);
+  for (std::size_t j = 0; j < n; ++j) v[j] -= mx;
+  exp_into(v, v, n);
+  double sum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) sum += v[j];
+  for (std::size_t j = 0; j < n; ++j) v[j] /= sum;
+}
+
 namespace {
 // The gate's operand checks; with a seed, wx may have rows past cols(x).
 void require_gate(const Matrix& x, const Matrix& wx, const Matrix& h,
@@ -681,15 +832,10 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
   for (std::size_t i = 0; i < rows; ++i) {
     double* orow = out.row_ptr(i);
     const double* srow = scratch.row_ptr(i);
-    if (act == GateAct::kSigmoid) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        orow[j] = detail::sigmoid1((orow[j] + srow[j]) + brow[j]);
-      }
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) {
-        orow[j] = std::tanh((orow[j] + srow[j]) + brow[j]);
-      }
+    for (std::size_t j = 0; j < cols; ++j) {
+      orow[j] = (orow[j] + srow[j]) + brow[j];
     }
+    activate_scalar(act, orow, cols);
   }
 }
 
@@ -815,11 +961,8 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
   for (std::size_t i = r0; i < r1; ++i) {  // gru_gate_into's epilogue
     double* orow = out.row_ptr(i);
     const double* srow = scratch.row_ptr(i);
-    for (std::size_t j = 0; j < G; ++j) {
-      const double pre = (orow[j] + srow[j]) + brow[j];
-      orow[j] = act == GateAct::kSigmoid ? detail::sigmoid1(pre)
-                                         : std::tanh(pre);
-    }
+    for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
+    activate_scalar(act, orow, G);
   }
 }
 

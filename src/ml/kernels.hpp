@@ -163,8 +163,9 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 // product); the epilogue then applies, per element, exactly the rounding
 // sequence of the unfused composition
 //   sigmoid/tanh(add_row_broadcast(matmul(x,wx) + matmul(h,wh), bias))
-// — one add of the two products, one bias add, one activation — so the
-// fused gate is memcmp-identical to the composed allocating path and to the
+// — one add of the two products, one bias add, one activation (the
+// bodies of sigmoid_into / tanh_into below) — so the fused gate is
+// memcmp-identical to the composed allocating path and to the
 // ml::reference::* kernels at every thread count. Lives in this
 // -ffp-contract=off translation unit because the two embedded matmuls need
 // the per-partial-product rounding guarantee like every other kernel here
@@ -216,6 +217,21 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, std::size_t r0,
                    std::size_t r1, const Matrix* seed = nullptr);
+
+// Transcendentals (DESIGN.md §10, *Transcendentals*): y[i] = f(x[i]) for
+// i < n, y may equal x. One repo-owned exp (Cody–Waite reduction, a fixed
+// Horner polynomial, no FMA), with sigmoid(x) = 1/(1 + exp(−x)) and tanh
+// built on its reduction. The scalar and AVX2 bodies run the same IEEE op
+// sequence, so the result is bitwise the same on every tier. Error against
+// the exact value: <= 2 ULP for all three, subnormal results included.
+// NaN in gives NaN out; exp(+inf) = +inf, exp(−inf) = +0, exp overflows to
+// +inf and underflows to +0; tanh(±inf) = ±1, tanh(−0) = −0.
+void exp_into(const double* x, double* y, std::size_t n);
+void sigmoid_into(const double* x, double* y, std::size_t n);
+void tanh_into(const double* x, double* y, std::size_t n);
+// Softmax of one row segment in place: v[j] = exp(v[j] − max) / Σ, the sum
+// in ascending j.
+void softmax_inplace(double* v, std::size_t n);
 
 // One Adam update of n elements in place, per element exactly
 //   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;

@@ -136,10 +136,10 @@ void ActivationLayer::activate_rows(const Matrix& x, Matrix& y,
       }
       break;
     case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
+      kernels::tanh_into(in, out, n);
       break;
     case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) out[i] = detail::sigmoid1(in[i]);
+      kernels::sigmoid_into(in, out, n);
       break;
     case Activation::kIdentity:
       std::copy(in, in + n, out);
@@ -212,14 +212,7 @@ void ActivationLayer::backward_input_rows(const Matrix& grad_out,
 Matrix softmax_rows(const Matrix& logits) {
   Matrix y = logits;
   for (std::size_t i = 0; i < y.rows(); ++i) {
-    double* row = y.row_ptr(i);
-    const double mx = *std::max_element(row, row + y.cols());
-    double sum = 0.0;
-    for (std::size_t j = 0; j < y.cols(); ++j) {
-      row[j] = std::exp(row[j] - mx);
-      sum += row[j];
-    }
-    for (std::size_t j = 0; j < y.cols(); ++j) row[j] /= sum;
+    kernels::softmax_inplace(y.row_ptr(i), y.cols());
   }
   return y;
 }
@@ -272,26 +265,16 @@ void MixedHead::activate_rows(Matrix& y, std::size_t r0,
     double* row = y.row_ptr(i);
     std::size_t at = 0;
     for (const auto& seg : segments_) {
+      double* v = row + at;
       switch (seg.kind) {
-        case OutputSegment::Kind::kSoftmax: {
-          const double mx = *std::max_element(row + at, row + at + seg.width);
-          double sum = 0.0;
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            row[at + j] = std::exp(row[at + j] - mx);
-            sum += row[at + j];
-          }
-          for (std::size_t j = 0; j < seg.width; ++j) row[at + j] /= sum;
+        case OutputSegment::Kind::kSoftmax:
+          kernels::softmax_inplace(v, seg.width);
           break;
-        }
         case OutputSegment::Kind::kSigmoid:
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            row[at + j] = 1.0 / (1.0 + std::exp(-row[at + j]));
-          }
+          kernels::sigmoid_into(v, v, seg.width);
           break;
         case OutputSegment::Kind::kTanh:
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            row[at + j] = std::tanh(row[at + j]);
-          }
+          kernels::tanh_into(v, v, seg.width);
           break;
         case OutputSegment::Kind::kIdentity:
           break;

@@ -302,11 +302,11 @@ void stack_rows_into(std::initializer_list<const Matrix*> rows, Matrix& out) {
 }
 
 void sigmoid_inplace(Matrix& a) {
-  for (auto& v : a.data()) v = detail::sigmoid1(v);
+  kernels::sigmoid_into(a.data().data(), a.data().data(), a.size());
 }
 
 void tanh_inplace(Matrix& a) {
-  for (auto& v : a.data()) v = std::tanh(v);
+  kernels::tanh_into(a.data().data(), a.data().data(), a.size());
 }
 
 void randn_fill(Matrix& m, Rng& rng, double scale) {

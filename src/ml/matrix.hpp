@@ -32,7 +32,6 @@ std::uint64_t count();
 
 namespace detail {
 void note_matrix_alloc();
-inline double sigmoid1(double v) { return 1.0 / (1.0 + std::exp(-v)); }
 }  // namespace detail
 
 class Matrix {
@@ -162,9 +161,9 @@ void stack_rows_into(const std::vector<Matrix>& rows, Matrix& out);
 // interpolate1; interpolate2] batch) without building a vector of copies.
 void stack_rows_into(std::initializer_list<const Matrix*> rows, Matrix& out);
 
-// Elementwise activations, shared by ml/layers.cpp, the GRU, and the fused
-// gate kernel in ml/kernels.cpp (one definition of the scalar op each —
-// detail::sigmoid1 / std::tanh — so all paths round identically).
+// Elementwise activations: kernels::sigmoid_into / tanh_into over the whole
+// matrix, the same bodies the layers and the fused gate epilogue run, so
+// every path rounds identically.
 void sigmoid_inplace(Matrix& a);
 void tanh_inplace(Matrix& a);
 

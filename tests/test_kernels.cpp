@@ -2,19 +2,27 @@
 // bitwise equivalence against the serial reference kernels across shapes and
 // thread counts, the prepacked trans_b and the serial row-range forms
 // against the whole-batch entry points, Adam's per-parameter update against
-// its serial step, config plumbing, and a seeded end-to-end check that
+// its serial step, config plumbing, the transcendentals' error against
+// libm and their special values, and a seeded end-to-end check that
 // DoppelGanger training is bit-for-bit unchanged by kernel parallelism.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
 #include <utility>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "gan/doppelganger.hpp"
+#include "ml/health.hpp"
 #include "ml/kernels.hpp"
 #include "ml/optim.hpp"
 #include "ml/matrix.hpp"
@@ -704,6 +712,179 @@ TEST(Kernels, DoppelGangerFitAndGenerateBitwiseIdenticalKernelsOnVsOff) {
                    "sampled features");
   }
   EXPECT_EQ(parallel_out.lengths, serial_out.lengths);
+}
+
+// --- transcendentals ---------------------------------------------------------
+
+// One unit in the last place of `ref` rounded to double (the subnormal
+// spacing below DBL_MIN).
+long double ulp_at(long double ref) {
+  const long double a = std::fabs(ref);
+  if (a < DBL_MIN) return std::ldexp(1.0L, -1074);
+  int e = 0;
+  std::frexp(static_cast<double>(a), &e);
+  return std::ldexp(1.0L, e - 53);
+}
+
+struct ErrorSweep {
+  double max_ulp = 0.0;
+  double at = 0.0;
+};
+
+// Max error, in ULP of the exact value, of `fn` over [lo, hi) in `points`
+// even steps, against the long double libm reference.
+ErrorSweep sweep(void (*fn)(const double*, double*, std::size_t),
+                 const std::function<long double(long double)>& ref,
+                 double lo, double hi, std::size_t points) {
+  std::vector<double> x(points), y(points);
+  for (std::size_t i = 0; i < points; ++i) {
+    x[i] = lo + (hi - lo) * (static_cast<double>(i) /
+                             static_cast<double>(points));
+  }
+  fn(x.data(), y.data(), points);
+  ErrorSweep worst;
+  for (std::size_t i = 0; i < points; ++i) {
+    const long double want = ref(x[i]);
+    const double err = static_cast<double>(
+        std::fabs(static_cast<long double>(y[i]) - want) / ulp_at(want));
+    if (err > worst.max_ulp) worst = {err, x[i]};
+  }
+  return worst;
+}
+
+long double sigmoid_ref(long double x) { return 1.0L / (1.0L + expl(-x)); }
+
+// Dense sweeps of every range a kernel branches on, on every host tier,
+// against libm in long double. The documented bound is 2 ULP; the maxima
+// these sweeps measured (both tiers, bitwise equal) were exp 0.67 on normal
+// results and 0.75 with subnormal ones, sigmoid 1.52, tanh 1.41.
+TEST(Kernels, TranscendentalsStayWithinTwoUlpOfLibm) {
+  struct Range {
+    const char* name;
+    void (*fn)(const double*, double*, std::size_t);
+    std::function<long double(long double)> ref;
+    double lo, hi;
+  };
+  const auto exp_ref = [](long double v) { return expl(v); };
+  const auto tanh_ref = [](long double v) { return tanhl(v); };
+  const Range ranges[] = {
+      {"exp", kernels::exp_into, exp_ref, -745.1, 709.78},
+      {"exp", kernels::exp_into, exp_ref, -1.0, 1.0},
+      {"sigmoid", kernels::sigmoid_into, sigmoid_ref, -745.1, 45.0},
+      {"sigmoid", kernels::sigmoid_into, sigmoid_ref, -3.0, 3.0},
+      {"tanh", kernels::tanh_into, tanh_ref, -21.0, 21.0},
+      {"tanh", kernels::tanh_into, tanh_ref, -0.7, 0.7},
+      {"tanh", kernels::tanh_into, tanh_ref, -1e-6, 1e-6},
+  };
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    for (const Range& r : ranges) {
+      const ErrorSweep e = sweep(r.fn, r.ref, r.lo, r.hi, 400001);
+      EXPECT_LE(e.max_ulp, 2.0)
+          << r.name << " on [" << r.lo << ", " << r.hi << "), tier "
+          << static_cast<int>(tier) << ": worst at x = " << e.at;
+    }
+  }
+}
+
+TEST(Kernels, TranscendentalSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto one = [](void (*fn)(const double*, double*, std::size_t),
+                      double x) {
+    double y = 0.0;
+    fn(&x, &y, 1);
+    return y;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+    for (const auto fn : {kernels::exp_into, kernels::sigmoid_into,
+                          kernels::tanh_into}) {
+      EXPECT_TRUE(std::isnan(one(fn, nan)));
+      EXPECT_TRUE(std::isnan(one(fn, -nan)));
+    }
+    EXPECT_EQ(one(kernels::exp_into, inf), inf);
+    EXPECT_EQ(bits(one(kernels::exp_into, -inf)), bits(0.0));
+    EXPECT_EQ(one(kernels::exp_into, 0.0), 1.0);
+    EXPECT_EQ(one(kernels::exp_into, -0.0), 1.0);
+    EXPECT_EQ(one(kernels::exp_into, 710.0), inf);         // overflow
+    EXPECT_EQ(one(kernels::exp_into, 709.78), std::exp(709.78));
+    EXPECT_EQ(bits(one(kernels::exp_into, -746.0)), bits(0.0));  // underflow
+    EXPECT_EQ(one(kernels::exp_into, -745.13), 5e-324);   // least subnormal
+    EXPECT_EQ(one(kernels::exp_into, -740.0), std::exp(-740.0));
+    EXPECT_EQ(one(kernels::exp_into, 5e-324), 1.0);
+    EXPECT_EQ(one(kernels::sigmoid_into, inf), 1.0);
+    EXPECT_EQ(bits(one(kernels::sigmoid_into, -inf)), bits(0.0));
+    EXPECT_EQ(one(kernels::sigmoid_into, 0.0), 0.5);
+    EXPECT_EQ(one(kernels::sigmoid_into, -0.0), 0.5);
+    EXPECT_EQ(one(kernels::sigmoid_into, 40.0), 1.0);
+    EXPECT_EQ(one(kernels::sigmoid_into, -740.0), std::exp(-740.0));
+    EXPECT_EQ(one(kernels::tanh_into, inf), 1.0);
+    EXPECT_EQ(one(kernels::tanh_into, -inf), -1.0);
+    EXPECT_EQ(one(kernels::tanh_into, 25.0), 1.0);
+    EXPECT_EQ(bits(one(kernels::tanh_into, 0.0)), bits(0.0));
+    EXPECT_EQ(bits(one(kernels::tanh_into, -0.0)), bits(-0.0));
+    EXPECT_EQ(one(kernels::tanh_into, 5e-324), 5e-324);
+    EXPECT_EQ(one(kernels::tanh_into, -1e-310), -1e-310);
+  }
+}
+
+// A NaN entering any activation leaves it as a NaN, so the health guard's
+// non-finite scan sees it: no clamp may swallow it. Covers every call site
+// of the transcendentals — the layer activations, each MixedHead segment
+// kind, softmax_rows, the matrix ops and both gate epilogues on every tier.
+TEST(Kernels, NaNReachesHealthGuardThroughEveryActivation) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix x(3, 7, 0.25);
+  x(1, 2) = nan;
+  x(2, 6) = -nan;
+  std::vector<std::pair<std::string, Matrix>> outs;
+  for (const kernels::SimdTier tier : host_tiers()) {
+    kernels::ConfigOverride guard(tier_config(tier));
+    const std::string t = " tier " + std::to_string(static_cast<int>(tier));
+    for (const Activation a : {Activation::kSigmoid, Activation::kTanh}) {
+      ActivationLayer layer(a);
+      outs.emplace_back("ActivationLayer" + t, layer.forward(x));
+    }
+    MixedHead head({{OutputSegment::Kind::kSoftmax, 3},
+                    {OutputSegment::Kind::kSigmoid, 2},
+                    {OutputSegment::Kind::kTanh, 2}});
+    Matrix xh = x;
+    xh(0, 1) = nan;  // softmax segment
+    xh(0, 3) = nan;  // sigmoid segment
+    xh(0, 5) = nan;  // tanh segment
+    const Matrix y = head.forward(xh);
+    for (const std::size_t col : {1u, 3u, 5u}) {
+      EXPECT_TRUE(std::isnan(y(0, col))) << "MixedHead col " << col << t;
+    }
+    outs.emplace_back("MixedHead" + t, y);
+    outs.emplace_back("softmax_rows" + t, softmax_rows(x));
+    Matrix s = x;
+    sigmoid_inplace(s);
+    outs.emplace_back("sigmoid_inplace" + t, s);
+    Matrix th = x;
+    tanh_inplace(th);
+    outs.emplace_back("tanh_inplace" + t, th);
+    const Matrix wx(7, 5, 0.1), h(3, 5, 0.2), wh(5, 5, 0.3), bias(1, 5, 0.0);
+    for (const auto act :
+         {kernels::GateAct::kSigmoid, kernels::GateAct::kTanh}) {
+      Matrix scratch, out;
+      kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
+      outs.emplace_back("gru_gate_into" + t, out);
+    }
+  }
+  for (const auto& [what, out] : outs) {
+    std::size_t nans = 0;
+    for (const double v : out.data()) nans += std::isnan(v) ? 1 : 0;
+    EXPECT_GT(nans, 0u) << what << " swallowed the NaN";
+    std::vector<Parameter> params{Parameter(out)};
+    health::HealthMonitor monitor(health::HealthConfig{}, {&params[0]}, 1);
+    EXPECT_FALSE(monitor.check(1, 0.0, 0.0, 0.0, 0.0)) << what;
+    EXPECT_NE(monitor.stats().last_issue.find("parameter"), std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

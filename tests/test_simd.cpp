@@ -2,13 +2,20 @@
 // ragged-shape property sweep against the scalar-tier oracle across every
 // register-block candidate and thread count, forced-fallback equivalence
 // (NETSHARE_SIMD=off env and KernelConfig::simd API), autotuner determinism
-// (same shapes → same plan, global memo and Workspace snapshot), and a
-// per-tier end-to-end DoppelGanger fit+sample bitwise check.
+// (same shapes → same plan, global memo and Workspace snapshot), the
+// transcendentals (exp, sigmoid, tanh, softmax) on special and ragged
+// inputs, and a per-tier end-to-end DoppelGanger fit+sample bitwise check.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gan/doppelganger.hpp"
@@ -190,6 +197,140 @@ TEST(Simd, FusedGateMatchesScalarOracleAcrossCandidatesAndThreads) {
           expect_bitwise(out, want, "gru_gate_into");
         }
       }
+    }
+  }
+}
+
+// Inputs that walk every branch of the repo-owned exp, sigmoid and tanh:
+// signed zeros, infinities, NaNs (quiet and signalling, both signs, a
+// payload), subnormals, both sides of every clamp and threshold, then
+// random values at several scales.
+std::vector<double> transcendental_inputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),
+      std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),  // sNaN
+      5e-324, -5e-324, 1e-310, -1e-310, DBL_MIN, -DBL_MIN, 1e-200, -1e-20,
+      709.78, 709.782712893384, 709.7827128933841, 709.8, 709.81, 710.0,
+      1e300, DBL_MAX, -708.39, -708.4, -745.13, -745.1332191019411,
+      -745.14, -746.0, -746.5, -800.0, -1e300, -DBL_MAX,
+      36.0, -36.0, std::nextafter(36.0, inf), -std::nextafter(36.0, inf),
+      37.5, -37.5, 40.0, -40.0, 19.06, -19.06, 20.0, -20.0,
+      std::nextafter(20.0, inf), 25.0, -25.0, 0.34657359027997264,
+      -0.34657359027997264, 0.17328679513998632, -0.17328679513998632};
+  Rng rng(9005);
+  for (const double scale : {1e-8, 0.1, 1.0, 5.0, 30.0, 300.0}) {
+    for (int i = 0; i < 61; ++i) v.push_back(rng.normal() * scale);
+  }
+  for (int i = 0; i < 61; ++i) v.push_back(rng.uniform(-760.0, 760.0));
+  return v;
+}
+
+void expect_same_bits(const double* got, const double* want, std::size_t n,
+                      const std::string& what) {
+  EXPECT_EQ(std::memcmp(got, want, n * sizeof(double)), 0)
+      << what << ": SIMD tier diverged from the scalar tier";
+}
+
+using ElementwiseKernel = void (*)(const double*, double*, std::size_t);
+
+TEST(Simd, TranscendentalsMatchScalarTierBitwise) {
+  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
+  const std::vector<double> in = transcendental_inputs();
+  const std::pair<const char*, ElementwiseKernel> fns[] = {
+      {"exp", kernels::exp_into},
+      {"sigmoid", kernels::sigmoid_into},
+      {"tanh", kernels::tanh_into}};
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 20; ++n) lengths.push_back(n);  // every n mod 4
+  for (const std::size_t n : {37u, 64u, 129u}) lengths.push_back(n);
+  lengths.push_back(in.size() - 3);
+  for (const auto& [name, fn] : fns) {
+    for (const std::size_t n : lengths) {
+      for (const std::size_t off : {0u, 1u, 3u}) {  // unaligned starts
+        const std::string what = std::string(name) + " n=" +
+                                 std::to_string(n) +
+                                 " off=" + std::to_string(off);
+        std::vector<double> want(n), got(n);
+        std::vector<double> in_place(in.begin() + off, in.begin() + off + n);
+        {
+          kernels::ConfigOverride guard(
+              tier_cfg(kernels::SimdTier::kScalar, 1));
+          fn(in.data() + off, want.data(), n);
+        }
+        kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
+        fn(in.data() + off, got.data(), n);
+        expect_same_bits(got.data(), want.data(), n, what);
+        fn(in_place.data(), in_place.data(), n);
+        expect_same_bits(in_place.data(), want.data(), n, what + " in place");
+      }
+    }
+  }
+  // Softmax over ragged segments of the same inputs (the max shift, the
+  // ascending sum and the divides are shared code; exp is the tier's).
+  for (std::size_t at = 0, n = 1; at + n <= in.size();
+       at += n, n = n % 11 + 1) {
+    std::vector<double> want(in.begin() + at, in.begin() + at + n);
+    std::vector<double> got = want;
+    {
+      kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kScalar, 1));
+      kernels::softmax_inplace(want.data(), n);
+    }
+    kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
+    kernels::softmax_inplace(got.data(), n);
+    expect_same_bits(got.data(), want.data(), n,
+                     "softmax at=" + std::to_string(at) +
+                         " n=" + std::to_string(n));
+  }
+}
+
+// The conditioned GRU's seeded gate on the SIMD tier against the unseeded
+// gate on the scalar tier, on [cond | x] with Wx's cond rows first: one
+// oracle across both the seed and the tier, at the sampler's shape (64
+// series, 8 step inputs + 48 hidden, gate width 48) and at ragged ones
+// that reach the single-vector tiles and the scalar column tail.
+TEST(Simd, SeededGateMatchesUnseededScalarGateOnCondFirstInput) {
+  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
+  struct GateShape {
+    std::size_t rows, step, cond, gate;
+  };
+  const GateShape shapes[] = {{64, 8, 48, 48}, {13, 8, 105, 48},
+                              {7, 3, 5, 17},   {5, 0, 9, 6}};
+  Rng rng(9006);
+  for (const GateShape& g : shapes) {
+    const std::size_t R = g.rows, S = g.step, A = g.cond, G = g.gate;
+    const Matrix x = randn_with_zeros(R, S, rng);
+    const Matrix cond = randn_with_zeros(R, A, rng);
+    const Matrix wx = Matrix::randn(S + A, G, rng);  // step rows first
+    Matrix h = randn_with_zeros(R, G, rng);
+    h(0, 0) = std::numeric_limits<double>::quiet_NaN();  // NaN rows survive
+    const Matrix wh = Matrix::randn(G, G, rng);
+    const Matrix bias = Matrix::randn(1, G, rng);
+    Matrix xc(R, A + S), wx_cf(A + S, G);
+    for (std::size_t i = 0; i < R; ++i) {
+      std::copy(cond.row_ptr(i), cond.row_ptr(i) + A, xc.row_ptr(i));
+      std::copy(x.row_ptr(i), x.row_ptr(i) + S, xc.row_ptr(i) + A);
+    }
+    std::copy(wx.row_ptr(S), wx.row_ptr(S + A), wx_cf.row_ptr(0));
+    std::copy(wx.row_ptr(0), wx.row_ptr(S), wx_cf.row_ptr(A));
+    for (const auto act :
+         {kernels::GateAct::kSigmoid, kernels::GateAct::kTanh}) {
+      const std::string what = "gate " + std::to_string(R) + "x(" +
+                               std::to_string(S) + "+" + std::to_string(A) +
+                               ")->" + std::to_string(G);
+      Matrix want, scratch(R, G), seed(R, G), got(R, G);
+      {
+        kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kScalar, 1));
+        kernels::gru_gate_into(xc, wx_cf, h, wh, bias, act, scratch, want);
+        kernels::matmul_rows(cond, wx, S, seed, 0, R);
+      }
+      kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
+      kernels::gru_gate_rows(x, wx, h, wh, bias, act, scratch, got, 0, R,
+                             &seed);
+      expect_bitwise(got, want, what.c_str());
+      EXPECT_TRUE(std::isnan(got(0, 0))) << what;
     }
   }
 }
