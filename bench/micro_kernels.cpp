@@ -8,6 +8,7 @@
 // overridable via argv[1]); scripts/check_bench_regression gates it against
 // the committed baseline, comparing only like-for-like thread counts.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -20,6 +21,7 @@
 #include "common/stopwatch.hpp"
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
+#include "ml/layers.hpp"
 #include "ml/matrix.hpp"
 #include "ml/workspace.hpp"
 
@@ -202,35 +204,118 @@ MedianIqr bench_gate(bool fused, ml::kernels::SimdTier tier) {
   }, kKernelReps);
 }
 
-// The repo-owned transcendentals on each tier, in elements/s over a 4096-
-// element vector of N(0, 3²) inputs (the range gate pre-activations span).
-// Info rows: nothing gates them.
-constexpr std::size_t kTranscendentalN = 4096;
+// The repo-owned transcendentals (one body on every tier), in elements/s
+// over 4096 N(0, 3²) inputs (the range gate pre-activations span) cut into
+// calls of each width (the last call takes the remainder): 1 and 3 are
+// output-head segment widths, 48 the gate's, 4096 a whole block. Info rows:
+// nothing gates them.
+constexpr std::size_t kElementwiseN = 4096;
+const std::size_t kCallWidths[] = {1, 3, 48, 4096};
+
+std::vector<double> normal_inputs(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n);
+  for (double& v : x) v = 3.0 * rng.normal();
+  return x;
+}
 
 struct TranscendentalRow {
   const char* name;
   void (*fn)(const double*, double*, std::size_t);
-  MedianIqr avx2, scalar;
+  std::vector<MedianIqr> by_width;
 };
 
 std::vector<TranscendentalRow> bench_transcendentals() {
-  Rng rng(9);
-  std::vector<double> x(kTranscendentalN), y(kTranscendentalN);
-  for (double& v : x) v = 3.0 * rng.normal();
+  const std::vector<double> x = normal_inputs(kElementwiseN, 9);
+  std::vector<double> y(kElementwiseN);
   std::vector<TranscendentalRow> rows = {
-      {"exp", ml::kernels::exp_into, {}, {}},
-      {"sigmoid", ml::kernels::sigmoid_into, {}, {}},
-      {"tanh", ml::kernels::tanh_into, {}, {}}};
+      {"exp", ml::kernels::exp_into, {}},
+      {"sigmoid", ml::kernels::sigmoid_into, {}},
+      {"tanh", ml::kernels::tanh_into, {}}};
   for (TranscendentalRow& row : rows) {
-    const auto run = [&] { row.fn(x.data(), y.data(), x.size()); };
-    {
-      ml::kernels::ConfigOverride guard(
-          tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
-      row.avx2 = rate_reps(kTranscendentalN, run, kKernelReps);
+    for (const std::size_t w : kCallWidths) {
+      row.by_width.push_back(rate_reps(kElementwiseN, [&] {
+        for (std::size_t i = 0; i < kElementwiseN; i += w) {
+          row.fn(x.data() + i, y.data() + i, std::min(w, kElementwiseN - i));
+        }
+      }, kKernelReps));
     }
-    ml::kernels::ConfigOverride guard(
-        tier_cfg(ml::kernels::SimdTier::kScalar, 1));
-    row.scalar = rate_reps(kTranscendentalN, run, kKernelReps);
+  }
+  return rows;
+}
+
+// A rate per second as ns per unit, its IQR scaled alike.
+MedianIqr as_ns(const MedianIqr& rate) {
+  return {1e9 / rate.median, 1e9 / rate.median * rate.iqr / rate.median};
+}
+
+// ReLU / LeakyReLU forward and backward (the kernel loops ActivationLayer
+// calls), ns per element over 4096 inputs of random sign. Info rows.
+struct ReluRow {
+  const char* name;
+  MedianIqr ns;
+};
+
+std::vector<ReluRow> bench_relu_family() {
+  const std::vector<double> x = normal_inputs(kElementwiseN, 10);
+  const std::vector<double> g = normal_inputs(kElementwiseN, 12);
+  std::vector<double> y(kElementwiseN);
+  const auto ns = [&](const std::function<void()>& fn) {
+    return as_ns(rate_reps(kElementwiseN, fn, kKernelReps));
+  };
+  const double* xp = x.data();
+  const double* gp = g.data();
+  double* yp = y.data();
+  return {
+      {"relu_fwd", ns([&] { ml::kernels::relu_into(xp, yp, kElementwiseN); })},
+      {"relu_bwd", ns([&] {
+         ml::kernels::relu_grad_into(xp, gp, yp, kElementwiseN);
+       })},
+      {"leaky_relu_fwd", ns([&] {
+         ml::kernels::leaky_relu_into(xp, yp, kElementwiseN, 0.2);
+       })},
+      {"leaky_relu_bwd", ns([&] {
+         ml::kernels::leaky_relu_grad_into(xp, gp, yp, kElementwiseN, 0.2);
+       })}};
+}
+
+// MixedHead's block activation (forward_rows_into) on the caida and ugr16
+// presets' attribute and feature heads (feature heads with the generation
+// flags' softmax), 64 rows per call as one batch step. ns per row, info.
+struct HeadRow {
+  const char* name;
+  std::vector<ml::OutputSegment> segments;
+  MedianIqr ns_per_row;
+};
+
+std::vector<HeadRow> bench_mixed_heads() {
+  using K = ml::OutputSegment::Kind;
+  std::vector<HeadRow> rows = {
+      {"caida_attr",
+       {{K::kSigmoid, 32}, {K::kSigmoid, 32}, {K::kSigmoid, 16},
+        {K::kSigmoid, 16}, {K::kSoftmax, 3}, {K::kSigmoid, 11}},
+       {}},
+      {"caida_feat",
+       {{K::kSigmoid, 1}, {K::kSigmoid, 1}, {K::kSigmoid, 1},
+        {K::kSoftmax, 2}},
+       {}},
+      {"ugr16_attr",
+       {{K::kSigmoid, 32}, {K::kSigmoid, 32}, {K::kSigmoid, 4},
+        {K::kSigmoid, 4}, {K::kSoftmax, 3}, {K::kSigmoid, 11}},
+       {}},
+      {"ugr16_feat",
+       {{K::kSigmoid, 1}, {K::kSigmoid, 1}, {K::kSigmoid, 1},
+        {K::kSigmoid, 1}, {K::kSoftmax, 12}, {K::kSoftmax, 2}},
+       {}}};
+  constexpr std::size_t kHeadRows = 64;
+  Rng rng(13);
+  for (HeadRow& row : rows) {
+    const ml::MixedHead head(row.segments);
+    const Matrix x = Matrix::randn(kHeadRows, head.width(), rng, 3.0);
+    Matrix y(kHeadRows, head.width());
+    row.ns_per_row = as_ns(rate_reps(kHeadRows, [&] {
+      head.forward_rows_into(x, y, 0, kHeadRows);
+    }, kKernelReps));
   }
   return rows;
 }
@@ -343,10 +428,22 @@ int main(int argc, char** argv) {
 
   const std::vector<TranscendentalRow> trans = bench_transcendentals();
   for (const TranscendentalRow& r : trans) {
-    std::printf("%-8s %zu elements: avx2 %.1f M/s (IQR %.1f), scalar %.1f "
-                "M/s (IQR %.1f)\n",
-                r.name, kTranscendentalN, r.avx2.median / 1e6,
-                r.avx2.iqr / 1e6, r.scalar.median / 1e6, r.scalar.iqr / 1e6);
+    std::printf("%-8s elements/s at call width", r.name);
+    for (std::size_t i = 0; i < r.by_width.size(); ++i) {
+      std::printf(" %zu: %.1f M (IQR %.1f)%s", kCallWidths[i],
+                  r.by_width[i].median / 1e6, r.by_width[i].iqr / 1e6,
+                  i + 1 < r.by_width.size() ? "," : "\n");
+    }
+  }
+  const std::vector<ReluRow> relu = bench_relu_family();
+  for (const ReluRow& r : relu) {
+    std::printf("%-15s %zu elements: %.3f ns/element (IQR %.3f)\n", r.name,
+                kElementwiseN, r.ns.median, r.ns.iqr);
+  }
+  const std::vector<HeadRow> heads = bench_mixed_heads();
+  for (const HeadRow& r : heads) {
+    std::printf("mixed head %-10s 64 rows: %.1f ns/row (IQR %.1f)\n", r.name,
+                r.ns_per_row.median, r.ns_per_row.iqr);
   }
   struct SeededGate {
     const char* name;
@@ -452,14 +549,26 @@ int main(int argc, char** argv) {
                gate_unfused.median, gate_unfused.iqr, gate_fused.median,
                gate_fused.iqr, gate_fused_scalar.median,
                gate_fused_scalar.iqr);
-  std::fprintf(f, "  \"transcendentals_per_sec\": {\"n\": %zu",
-               kTranscendentalN);
+  std::fprintf(f,
+               "  \"transcendentals_per_sec\": {\"n\": %zu, "
+               "\"call_widths\": [1, 3, 48, 4096]",
+               kElementwiseN);
   for (const TranscendentalRow& r : trans) {
-    std::fprintf(f,
-                 ", \"%s\": {\"avx2\": %.0f, \"avx2_iqr\": %.0f, "
-                 "\"scalar\": %.0f, \"scalar_iqr\": %.0f}",
-                 r.name, r.avx2.median, r.avx2.iqr, r.scalar.median,
-                 r.scalar.iqr);
+    std::fprintf(f, ", \"%s\": %s, \"%s_iqr\": %s", r.name,
+                 json_array(medians(r.by_width)).c_str(), r.name,
+                 json_array(iqrs(r.by_width)).c_str());
+  }
+  std::fprintf(f, "},\n");
+  std::fprintf(f, "  \"relu_ns_per_element\": {\"n\": %zu", kElementwiseN);
+  for (const ReluRow& r : relu) {
+    std::fprintf(f, ", \"%s\": %.4f, \"%s_iqr\": %.4f", r.name, r.ns.median,
+                 r.name, r.ns.iqr);
+  }
+  std::fprintf(f, "},\n");
+  std::fprintf(f, "  \"mixed_head_ns_per_row\": {\"rows\": 64");
+  for (const HeadRow& r : heads) {
+    std::fprintf(f, ", \"%s\": %.2f, \"%s_iqr\": %.2f", r.name,
+                 r.ns_per_row.median, r.name, r.ns_per_row.iqr);
   }
   std::fprintf(f, "},\n");
   std::fprintf(f, "  \"seeded_gate_per_sec\": {\"shape\": [64, 8, 48, 48]");

@@ -3,11 +3,11 @@
 // and postprocess as the per-call median of repeated calls on inputs large
 // enough that one call takes >= 10 ms: an 80k-record trace, 24x the real
 // flow counts, and the trace that generates), the seed-chunk fit's per-stage
-// iteration profile, plus a gated
-// comparison of the generate stage on the new path (length-adaptive
-// sampling, chunk-parallel on the thread budget) against the serial
-// reference path (full-unroll sampler, one chunk at a time, one kernel
-// thread) — bitwise identical. Emits BENCH_pipeline.json (path overridable
+// iteration profile, plus a gated comparison, on the same 24x inputs, of
+// the generate stage on the new path (length-adaptive sampling,
+// chunk-parallel on the thread budget) against the serial reference path
+// (full-unroll sampler, one chunk at a time, one kernel thread) — bitwise
+// identical. Emits BENCH_pipeline.json (path overridable
 // via argv[1]); the
 // committed baseline at the repo root is gated by
 // scripts/check_bench_regression (see EXPERIMENTS.md).
@@ -267,39 +267,50 @@ int main(int argc, char** argv) {
     repair = core::repair_packet_headers(post, config.threads);
   });
 
-  // Gated generate comparison: the full generate stage (sample every chunk's
-  // count + decode + merge-sort) on the new path vs the serial reference.
+  // Gated generate comparison on the timed stage's inputs (kGenerateScale
+  // times the counts): the full generate stage (sample every chunk's count +
+  // decode + merge-sort) on the new path vs the serial reference. The new
+  // path runs in alternating pairs of one call with telemetry on and one
+  // with it runtime-disabled (which goes first flips every pair); the
+  // instrumentation overhead, gated at <= 3% by
+  // scripts/check_bench_regression, is the median of the pairs' overheads,
+  // since the host drifts between back-to-back blocks by more than that.
+  // (The compile-time switch removes even the disabled-check branch.)
   net::PacketTrace gen_buf;
-  const auto decode_all = [&](const std::vector<gan::GeneratedSeries>& s) {
-    decode_into(counts, s, gen_buf);
+  const auto time_generate = [&](bool telemetry_on, std::vector<double>& secs) {
+    telemetry::set_enabled(telemetry_on);
+    Stopwatch call;
+    trainer.sample_chunks(timing_counts, 1234, timing_series);
+    decode_into(timing_counts, timing_series, gen_buf);
+    secs.push_back(call.seconds());
   };
-  const double parallel_gen_sec = time_best([&] {
-    trainer.sample_chunks(counts, 1234, series);
-    decode_all(series);
-  });
-  const std::size_t parallel_gen_packets = gen_buf.size();
-
-  // Same workload with telemetry runtime-disabled: the ON/OFF delta is the
-  // instrumentation overhead, gated at <= 3% by scripts/check_bench_regression
-  // (the compile-time switch removes even the disabled-check branch).
-  telemetry::set_enabled(false);
-  const double telemetry_off_gen_sec = time_best([&] {
-    trainer.sample_chunks(counts, 1234, series);
-    decode_all(series);
-  });
+  const int kTelemetryPairs = 81;
+  std::vector<double> gen_on_secs, gen_off_secs, telemetry_overheads;
+  for (int p = 0; p < kTelemetryPairs; ++p) {
+    const bool on_first = p % 2 == 1;
+    time_generate(on_first, on_first ? gen_on_secs : gen_off_secs);
+    time_generate(!on_first, on_first ? gen_off_secs : gen_on_secs);
+    telemetry_overheads.push_back(
+        (gen_on_secs.back() - gen_off_secs.back()) / gen_off_secs.back());
+  }
   telemetry::set_enabled(true);
+  const double parallel_gen_sec = bench::median_iqr(gen_on_secs).median;
+  const double telemetry_off_gen_sec = bench::median_iqr(gen_off_secs).median;
+  const bench::MedianIqr telemetry_overhead =
+      bench::median_iqr(telemetry_overheads);
+  const std::size_t parallel_gen_packets = gen_buf.size();
 
   std::vector<gan::GeneratedSeries> ref_series(chunks.size());
   gan::SampleScratch scratch;
-  const double serial_gen_sec = time_best([&] {
+  const double serial_gen_sec = median_call([&] {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 1;
     ml::kernels::ConfigOverride guard(cfg);
     for (std::size_t c = 0; c < chunks.size(); ++c) {
-      trainer.sample_chunk_reference_into(c, counts[c], 1234, 0,
+      trainer.sample_chunk_reference_into(c, timing_counts[c], 1234, 0,
                                           ref_series[c], scratch);
     }
-    decode_all(ref_series);
+    decode_into(timing_counts, ref_series, gen_buf);
   });
   if (gen_buf.size() != parallel_gen_packets) {
     std::fprintf(stderr,
@@ -357,9 +368,10 @@ int main(int argc, char** argv) {
               "%zu (%.2fx)\n",
               dg_fit_iters_per_s_1t, dg_fit_iters_per_s_nt, cores,
               dg_fit_iters_per_s_nt / dg_fit_iters_per_s_1t);
-  std::printf("generate stage: serial reference %.4fs, adaptive+parallel "
-              "%.4fs (%.2fx), %zu packets\n",
-              serial_gen_sec, parallel_gen_sec, speedup, parallel_gen_packets);
+  std::printf("generate stage (%zux the flow counts): serial reference "
+              "%.4fs, adaptive+parallel %.4fs (%.2fx), %zu packets\n",
+              kGenerateScale, serial_gen_sec, parallel_gen_sec, speedup,
+              parallel_gen_packets);
   std::printf("sample %zu series @1t: batched %.4fs, per-series %.4fs, "
               "%.0f allocs/batch\n",
               kSampleBatch, batched_sec, per_series_sec, allocs_per_batch);
@@ -427,14 +439,15 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (telemetry::kCompiledIn) {
-    const double frac =
-        (parallel_gen_sec - telemetry_off_gen_sec) / telemetry_off_gen_sec;
-    std::printf("telemetry overhead on generate stage: ON %.4fs vs OFF "
-                "%.4fs (%+.2f%%)\n",
-                parallel_gen_sec, telemetry_off_gen_sec, 100.0 * frac);
+    std::printf("telemetry overhead on generate stage (median of %d "
+                "pairs): ON %.4fs vs OFF %.4fs (%+.2f%%, IQR %.2f%%)\n",
+                kTelemetryPairs, parallel_gen_sec, telemetry_off_gen_sec,
+                100.0 * telemetry_overhead.median,
+                100.0 * telemetry_overhead.iqr);
     telemetry::OverheadInfo oh;
     oh.telemetry_on_sec = parallel_gen_sec;
     oh.telemetry_off_sec = telemetry_off_gen_sec;
+    oh.frac = telemetry_overhead.median;
     if (!telemetry::write_run_json(telem_path, oh)) {
       std::fprintf(stderr, "cannot open %s for writing\n", telem_path.c_str());
       return 1;

@@ -135,6 +135,9 @@ void ChunkedTrainer::train_seed(const gan::TimeSeriesDataset& data) {
     write_checkpoint(seed_chunk_);
   }
   seed_snapshot_ = models_[seed_chunk_]->snapshot();
+  if (r.status == ChunkTrainReport::Status::kTrained) {
+    retire(seed_chunk_, seed_snapshot_);
+  }
   r.train_sec = sw.seconds();
 }
 
@@ -170,10 +173,12 @@ void ChunkedTrainer::train_finetune(std::size_t c,
     r.rollbacks = models_[c]->health_stats().rollbacks;
     r.attempts = 1 + r.rollbacks;
     write_checkpoint(c);
+    retire(c, models_[c]->snapshot());
   } catch (const std::exception& e) {
     // Chunk fault isolation (DESIGN.md §9): this chunk's model failed, the
     // run survives. Rebuild the model so no half-diverged state leaks, and
-    // fall back to the seed snapshot it would have fine-tuned from.
+    // fall back to the seed snapshot it would have fine-tuned from; the
+    // DP steps the failed attempts took still count.
     TELEM_DIAG(::netshare::telemetry::Severity::kError,
                "core.train.chunk_failed",
                "chunk %zu training failed (%s); falling back to the seed "
@@ -182,9 +187,7 @@ void ChunkedTrainer::train_finetune(std::size_t c,
     r.attempts = 1 + r.rollbacks;
     r.status = ChunkTrainReport::Status::kSeedFallback;
     r.error = e.what();
-    models_[c] = std::make_unique<gan::DoppelGanger>(
-        spec_, dg, config_.seed + 1000 + c);
-    models_[c]->restore(seed_snapshot_);
+    retire(c, seed_snapshot_);
   }
   r.train_sec = sw.seconds();
 }
@@ -200,22 +203,36 @@ void ChunkedTrainer::note_generate(std::size_t c, double sec,
   r.generate_kept = kept;
 }
 
+std::unique_ptr<gan::DoppelGanger> ChunkedTrainer::restored_model(
+    std::size_t c, const std::vector<double>& params) const {
+  // Same per-chunk construction seeds as training; irrelevant to sampling
+  // (restore overwrites every weight) but keeps the objects interchangeable.
+  auto model = std::make_unique<gan::DoppelGanger>(
+      spec_, chunk_config(),
+      c == seed_chunk_ ? config_.seed + c : config_.seed + 1000 + c);
+  model->restore(params);  // validates all boundaries before writing
+  return model;
+}
+
+void ChunkedTrainer::retire(std::size_t c, const std::vector<double>& params) {
+  ChunkTrainReport& r = report_.chunks[c];
+  r.train_cpu_sec = models_[c]->train_cpu_seconds();
+  r.dp_steps = models_[c]->dp_steps();
+  models_[c].reset();  // free first, so the restored model reuses its memory
+  models_[c] = restored_model(c, params);
+}
+
 void ChunkedTrainer::restore_chunk(std::size_t c,
                                    const std::vector<double>& params) {
   if (c >= models_.size()) {
     throw std::out_of_range("ChunkedTrainer::restore_chunk: chunk " +
                             std::to_string(c) + " out of range");
   }
-  const gan::DgConfig dg = chunk_config();
-  // Same per-chunk construction seeds as training; irrelevant to sampling
-  // (restore overwrites every weight) but keeps the objects interchangeable.
-  auto model = std::make_unique<gan::DoppelGanger>(
-      spec_, dg,
-      c == seed_chunk_ ? config_.seed + c : config_.seed + 1000 + c);
-  model->restore(params);  // validates all boundaries before writing
-  models_[c] = std::move(model);
+  models_[c] = restored_model(c, params);
   ChunkTrainReport& r = report_.chunks[c];
   r.status = ChunkTrainReport::Status::kResumed;
+  r.train_cpu_sec = 0.0;
+  r.dp_steps = 0;
   if (c == seed_chunk_) seed_snapshot_ = params;
 }
 
@@ -341,9 +358,7 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
 
 double ChunkedTrainer::train_cpu_seconds() const {
   double total = 0.0;
-  for (const auto& m : models_) {
-    if (m) total += m->train_cpu_seconds();
-  }
+  for (const ChunkTrainReport& r : report_.chunks) total += r.train_cpu_sec;
   return total;
 }
 
@@ -361,9 +376,7 @@ SliceBuffers& thread_slice_buffers() {
 
 std::size_t ChunkedTrainer::total_dp_steps() const {
   std::size_t steps = 0;
-  for (const auto& m : models_) {
-    if (m) steps += m->dp_steps();
-  }
+  for (const ChunkTrainReport& r : report_.chunks) steps += r.dp_steps;
   return steps;
 }
 

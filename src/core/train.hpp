@@ -38,6 +38,11 @@ struct ChunkTrainReport {
   // Per-chunk stage wall-clock: chunks train and generate in parallel, so
   // aggregate stage seconds alone do not show the critical path.
   double train_sec = 0.0;     // train_seed / train_finetune (incl. resume)
+  // The trained model's thread-CPU seconds and DP-SGD steps (a failed
+  // model's steps too), taken before it is swapped for restored weights
+  // (0 for a restored chunk).
+  double train_cpu_sec = 0.0;
+  std::size_t dp_steps = 0;
   // The chunk's last generate, via note_generate: wall seconds of sampling +
   // decode, series sampled, records those series decoded to, and records
   // left after the trim to the chunk's target (decoded / kept is the waste).
@@ -173,6 +178,15 @@ class ChunkedTrainer {
   // write is diagnosed but never fails training — the chunk just retrains
   // on a future resume.
   void write_checkpoint(std::size_t c);
+  // A sampling-only chunk c model: freshly built, then restored from
+  // `params` (validated before any weight is written).
+  std::unique_ptr<gan::DoppelGanger> restored_model(
+      std::size_t c, const std::vector<double>& params) const;
+  // Swaps chunk c's model for restored_model(c, params) — its own weights
+  // once trained, the seed's after a failure: sampling reads nothing else,
+  // and the training scratch a fitted model holds is freed. Records the
+  // model's counters in report() first.
+  void retire(std::size_t c, const std::vector<double>& params);
 
   gan::TimeSeriesSpec spec_;
   const NetShareConfig config_;

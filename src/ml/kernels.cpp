@@ -625,12 +625,40 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
   acc += tl_prod;
 }
 
-// --- transcendentals (DESIGN.md §10, *Transcendentals*) ---------------------
+// --- elementwise maps (DESIGN.md §10, *Transcendentals*) -------------------
 //
-// The scalar bodies of the repo-owned exp and the activations built on it.
-// kernels_simd.cpp's exp4 / sigmoid4 / tanh4 run the same op sequence on
-// four lanes, so the tiers agree bitwise.
+// One body per function, on every tier: flat loops over n elements that gcc
+// vectorizes under this TU's -O3 -march=native. Vectorizing keeps each
+// element's IEEE op sequence (no contraction, no reassociation), so a value
+// never depends on where in a call it sits or how long the call is.
 namespace {
+
+namespace expc {  // the constants of the repo-owned exp
+// exp's argument clamp: past kHi the result overflows to +inf, below kLo it
+// rounds to +0, so ±inf, overflow and underflow all fall out of the main
+// path. tanh clamps |x| to kTanhHi, where tanh rounds to exactly 1. sigmoid
+// takes its main path for |x| <= kSigmoidHi, where every 1 + 2^k is exact
+// (|k| <= 52), and one exp of −|x| past it.
+inline constexpr double kHi = 709.8;
+inline constexpr double kLo = -746.0;
+inline constexpr double kTanhHi = 20.0;
+inline constexpr double kSigmoidHi = 36.0;
+// Cody–Waite reduction x = k·ln2 + r, |r| <= ln2/2: k = round(x·log2(e))
+// by the 1.5·2^52 shifter (round to nearest even, k in t's low bits);
+// kLn2Hi has 33 significant bits, so k·kLn2Hi and x − k·kLn2Hi are exact
+// for every |k| <= 2^11.
+inline constexpr double kLog2e = 0x1.71547652b82fep0;
+inline constexpr double kShifter = 0x1.8p52;
+inline constexpr double kLn2Hi = 0x1.62e42feep-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+// expm1(r) = r + r²·s(r) with s(r) = Σ kC[i]·rⁱ, a degree-10 Chebyshev fit
+// of (expm1(r) − r)/r² on |r| <= ln2/2; r·|s error| < 2^-60.
+inline constexpr double kC[11] = {
+    0x1.0000000000000p-1,  0x1.5555555555557p-3,  0x1.5555555555556p-5,
+    0x1.11111111100d8p-7,  0x1.6c16c16c162d2p-10, 0x1.a01a01abe9ce8p-13,
+    0x1.a01a01a6d9931p-16, 0x1.71de022bd5558p-19, 0x1.27e4db6121beep-22,
+    0x1.af4df5750ec30p-26, 0x1.1f730a202ec17p-29};
+}  // namespace expc
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
@@ -678,16 +706,9 @@ double exp_elem(double x) {
 }
 
 // sigmoid(x) = 1/d, d = 1 + exp(−x) = (1 + 2^k) + 2^k·expm1(r), the last
-// add an exact two-sum so d rounds about once. Past |x| = kSigmoidHi,
-// exp(−|x|) = E < 2^-51: sigmoid is 1 − E above and E − E² below (which
-// also gives the subnormal tail).
-double sigmoid_elem(double x) {
-  if (x != x) return x + x;
-  if (x < -expc::kSigmoidHi) {
-    const double e = exp_elem(x);
-    return e - e * e;
-  }
-  if (x > expc::kSigmoidHi) return 1.0 - exp_elem(-x);
+// add an exact two-sum so d rounds about once. The main path, for
+// |x| <= kSigmoidHi.
+double sigmoid_main(double x) {
   std::uint64_t k;
   double lo;
   const double p = expm1_reduced(-x, k, lo);
@@ -696,6 +717,18 @@ double sigmoid_elem(double x) {
   const double b = two_k * p;
   const double dh = a + b;
   return 1.0 / (dh + ((b - (dh - a)) + two_k * lo));
+}
+
+// The tails: past |x| = kSigmoidHi, exp(−|x|) = E < 2^-51, and sigmoid is
+// 1 − E above and E − E² below (which also gives the subnormal tail).
+double sigmoid_elem(double x) {
+  if (x != x) return x + x;
+  if (x < -expc::kSigmoidHi) {
+    const double e = exp_elem(x);
+    return e - e * e;
+  }
+  if (x > expc::kSigmoidHi) return 1.0 - exp_elem(-x);
+  return sigmoid_main(x);
 }
 
 // tanh|x| = −em / (em + 2) with em = expm1(−2|x|) = (2^k − 1) + 2^k·expm1(r)
@@ -725,44 +758,38 @@ double tanh_elem(double x) {
   return from_bits((bits(t) & ~kSign) | (bits(x) & kSign));
 }
 
-template <double (*F)(double)>
-void map_scalar(const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = F(x[i]);
-}
-
-// The gate epilogue's activation over one row segment, in place.
-void activate_scalar(GateAct act, double* v, std::size_t n) {
-  if (act == GateAct::kSigmoid) {
-    map_scalar<sigmoid_elem>(v, v, n);
-  } else {
-    map_scalar<tanh_elem>(v, v, n);
-  }
-}
+// Elements per sigmoid block: the unit the tail check covers.
+constexpr std::size_t kSigmoidBlock = 64;
 
 }  // namespace
 
 void exp_into(const double* x, double* y, std::size_t n) {
-  if (row_tier() == SimdTier::kAvx2) {
-    simd::exp_into(x, y, n);
-    return;
-  }
-  map_scalar<exp_elem>(x, y, n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = exp_elem(x[i]);
 }
 
+// Two passes per block: a vectorized scan for lanes past ±kSigmoidHi (or
+// NaN), then the main path on the whole block when there are none — the
+// common case — or sigmoid_elem, tails included, when there are. The scan
+// reads x before anything is written, so y may equal x.
 void sigmoid_into(const double* x, double* y, std::size_t n) {
-  if (row_tier() == SimdTier::kAvx2) {
-    simd::sigmoid_into(x, y, n);
-    return;
+  for (std::size_t i0 = 0; i0 < n; i0 += kSigmoidBlock) {
+    const std::size_t m = std::min(kSigmoidBlock, n - i0);
+    const double* xb = x + i0;
+    double* yb = y + i0;
+    unsigned far = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      far |= !(std::fabs(xb[i]) <= expc::kSigmoidHi);
+    }
+    if (far != 0) {
+      for (std::size_t i = 0; i < m; ++i) yb[i] = sigmoid_elem(xb[i]);
+    } else {
+      for (std::size_t i = 0; i < m; ++i) yb[i] = sigmoid_main(xb[i]);
+    }
   }
-  map_scalar<sigmoid_elem>(x, y, n);
 }
 
 void tanh_into(const double* x, double* y, std::size_t n) {
-  if (row_tier() == SimdTier::kAvx2) {
-    simd::tanh_into(x, y, n);
-    return;
-  }
-  map_scalar<tanh_elem>(x, y, n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = tanh_elem(x[i]);
 }
 
 void softmax_inplace(double* v, std::size_t n) {
@@ -773,6 +800,37 @@ void softmax_inplace(double* v, std::size_t n) {
   double sum = 0.0;
   for (std::size_t j = 0; j < n; ++j) sum += v[j];
   for (std::size_t j = 0; j < n; ++j) v[j] /= sum;
+}
+
+void relu_into(const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0 ? x[i] : 0.0;
+}
+
+void leaky_relu_into(const double* x, double* y, std::size_t n,
+                     double slope) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0 ? x[i] : slope * x[i];
+}
+
+void relu_grad_into(const double* x, const double* g, double* out,
+                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] <= 0 ? 0.0 : g[i];
+}
+
+void leaky_relu_grad_into(const double* x, const double* g, double* out,
+                          std::size_t n, double slope) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = x[i] <= 0 ? g[i] * slope : g[i];
+  }
+}
+
+void sigmoid_grad_into(const double* y, const double* g, double* out,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (y[i] * (1.0 - y[i]));
+}
+
+void tanh_grad_into(const double* y, const double* g, double* out,
+                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
 }
 
 namespace {
@@ -789,6 +847,19 @@ void require_gate(const Matrix& x, const Matrix& wx, const Matrix& h,
   require(seed == nullptr ||
               (seed->rows() == x.rows() && seed->cols() == wx.cols()),
           "kernels::gru_gate: seed must have out's shape");
+}
+
+// The gate's activation over rows [r0, r1) of `out`, in place: one call on
+// the finished block.
+void activate_block(GateAct act, Matrix& out, std::size_t r0,
+                    std::size_t r1) {
+  double* v = out.row_ptr(r0);
+  const std::size_t n = (r1 - r0) * out.cols();
+  if (act == GateAct::kSigmoid) {
+    sigmoid_into(v, v, n);
+  } else {
+    tanh_into(v, v, n);
+  }
 }
 }  // namespace
 
@@ -808,8 +879,8 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
         simd::gate_panel(x.row_ptr(0), In, wx.row_ptr(0), G, h.row_ptr(0),
                          Hd, wh.row_ptr(0), G, bias.row_ptr(0),
                          seed != nullptr ? seed->row_ptr(0) : nullptr, G,
-                         act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
-                         In, Hd, G, r0, r1, jt);
+                         out.row_ptr(0), G, In, Hd, G, r0, r1, jt);
+        activate_block(act, out, r0, r1);
       });
     });
     return;  // scratch untouched: both products stayed register-resident
@@ -826,17 +897,14 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
   // Epilogue, per element: (out + scratch) rounded, + bias rounded, then the
   // activation — the exact rounding sequence of operator+ followed by
   // add_row_broadcast_inplace followed by sigmoid/tanh on the allocating
-  // path, fused into one pass with no temporaries.
+  // path, with no temporaries.
   const double* brow = bias.row_ptr(0);
-  const std::size_t rows = out.rows(), cols = out.cols();
-  for (std::size_t i = 0; i < rows; ++i) {
+  for (std::size_t i = 0; i < R; ++i) {
     double* orow = out.row_ptr(i);
     const double* srow = scratch.row_ptr(i);
-    for (std::size_t j = 0; j < cols; ++j) {
-      orow[j] = (orow[j] + srow[j]) + brow[j];
-    }
-    activate_scalar(act, orow, cols);
+    for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
   }
+  activate_block(act, out, 0, R);
 }
 
 // Row-range forms: fixed register-block widths (every width is bitwise the
@@ -946,8 +1014,9 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
     simd::gate_panel(x.row_ptr(0), x.cols(), wx.row_ptr(0), G, h.row_ptr(0),
                      h.cols(), wh.row_ptr(0), G, bias.row_ptr(0),
                      seed != nullptr ? seed->row_ptr(0) : nullptr, G,
-                     act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
-                     x.cols(), h.cols(), G, r0, r1, kRowJtile);
+                     out.row_ptr(0), G, x.cols(), h.cols(), G, r0, r1,
+                     kRowJtile);
+    activate_block(act, out, r0, r1);
     return;
   }
   if (seed != nullptr) {
@@ -962,8 +1031,8 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
     double* orow = out.row_ptr(i);
     const double* srow = scratch.row_ptr(i);
     for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
-    activate_scalar(act, orow, G);
   }
+  activate_block(act, out, r0, r1);
 }
 
 void adam_update(double* w, const double* g, double* m, double* v,

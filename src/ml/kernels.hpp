@@ -163,14 +163,12 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 // product); the epilogue then applies, per element, exactly the rounding
 // sequence of the unfused composition
 //   sigmoid/tanh(add_row_broadcast(matmul(x,wx) + matmul(h,wh), bias))
-// — one add of the two products, one bias add, one activation (the
-// bodies of sigmoid_into / tanh_into below) — so the fused gate is
+// — one add of the two products, one bias add, then sigmoid_into /
+// tanh_into below over each finished row block — so the fused gate is
 // memcmp-identical to the composed allocating path and to the
 // ml::reference::* kernels at every thread count. Lives in this
 // -ffp-contract=off translation unit because the two embedded matmuls need
-// the per-partial-product rounding guarantee like every other kernel here
-// (the adds-only epilogue has no mul+add pair to contract, but keeping the
-// whole fused path under one flag regime makes the guarantee auditable).
+// the per-partial-product rounding guarantee like every other kernel here.
 //
 // Seeded gate (`seed` non-null, out's shape): the x·wx chain of element
 // (i, j) starts from seed(i, j) instead of zero and continues over x's
@@ -218,20 +216,36 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    Matrix& scratch, Matrix& out, std::size_t r0,
                    std::size_t r1, const Matrix* seed = nullptr);
 
-// Transcendentals (DESIGN.md §10, *Transcendentals*): y[i] = f(x[i]) for
-// i < n, y may equal x. One repo-owned exp (Cody–Waite reduction, a fixed
-// Horner polynomial, no FMA), with sigmoid(x) = 1/(1 + exp(−x)) and tanh
-// built on its reduction. The scalar and AVX2 bodies run the same IEEE op
-// sequence, so the result is bitwise the same on every tier. Error against
-// the exact value: <= 2 ULP for all three, subnormal results included.
-// NaN in gives NaN out; exp(+inf) = +inf, exp(−inf) = +0, exp overflows to
-// +inf and underflows to +0; tanh(±inf) = ±1, tanh(−0) = −0.
+// Elementwise maps (DESIGN.md §10, *Transcendentals*): y[i] = f(x[i]) for
+// i < n, y may equal x. One body per function on every tier, a flat loop
+// the compiler vectorizes; a value never depends on the call's length or
+// on its position in it. The transcendentals run one repo-owned exp
+// (Cody–Waite reduction, a fixed Horner polynomial, no FMA), with
+// sigmoid(x) = 1/(1 + exp(−x)) and tanh built on its reduction. Error
+// against the exact value: <= 2 ULP for all three, subnormal results
+// included. NaN in gives NaN out; exp(+inf) = +inf, exp(−inf) = +0, exp
+// overflows to +inf and underflows to +0; tanh(±inf) = ±1, tanh(−0) = −0.
 void exp_into(const double* x, double* y, std::size_t n);
 void sigmoid_into(const double* x, double* y, std::size_t n);
 void tanh_into(const double* x, double* y, std::size_t n);
 // Softmax of one row segment in place: v[j] = exp(v[j] − max) / Σ, the sum
 // in ascending j.
 void softmax_inplace(double* v, std::size_t n);
+// y = x > 0 ? x : 0 (NaN and −0 give +0), and y = x > 0 ? x : slope·x.
+void relu_into(const double* x, double* y, std::size_t n);
+void leaky_relu_into(const double* x, double* y, std::size_t n, double slope);
+// Input gradients from the output gradient g into `out` (which may equal
+// g): the relu family reads the pre-activation x, out = x <= 0 ? 0 : g and
+// out = x <= 0 ? g·slope : g; sigmoid and tanh read the activation y,
+// out = g·(y·(1 − y)) and out = g·(1 − y·y).
+void relu_grad_into(const double* x, const double* g, double* out,
+                    std::size_t n);
+void leaky_relu_grad_into(const double* x, const double* g, double* out,
+                          std::size_t n, double slope);
+void sigmoid_grad_into(const double* y, const double* g, double* out,
+                       std::size_t n);
+void tanh_grad_into(const double* y, const double* g, double* out,
+                    std::size_t n);
 
 // One Adam update of n elements in place, per element exactly
 //   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;

@@ -33,19 +33,15 @@ void adam_update(double*, const double*, double*, double*, std::size_t,
                  double, double, double, double, double, double) {}
 void gate_panel(const double*, std::size_t, const double*, std::size_t,
                 const double*, std::size_t, const double*, std::size_t,
-                const double*, const double*, std::size_t, int, double*,
+                const double*, const double*, std::size_t, double*,
                 std::size_t, std::size_t, std::size_t, std::size_t,
                 std::size_t, std::size_t, unsigned) {}
-void exp_into(const double*, double*, std::size_t) {}
-void sigmoid_into(const double*, double*, std::size_t) {}
-void tanh_into(const double*, double*, std::size_t) {}
 }  // namespace netshare::ml::kernels::simd
 
 #else  // __AVX2__
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace netshare::ml::kernels::simd {
@@ -318,180 +314,10 @@ void adam_update(double* w, const double* g, double* m, double* v,
 
 namespace {
 
-// --- transcendentals (DESIGN.md §10, *Transcendentals*) ---------------------
-//
-// Lane-wise twins of kernels.cpp's scalar exp_elem / sigmoid_elem /
-// tanh_elem: the same constants (expc), the same mul/add/div order, no FMA,
-// and the same integer exponent arithmetic, so every lane is bit-for-bit
-// the scalar result.
-
-// Cody–Waite reduction of x (already clamped, not NaN) to x = k·ln2 + r and
-// expm1(r) by Horner in r² on the even and odd coefficients, returned
-// rounded with the dropped low part in `lo` (kernels.cpp's expm1_reduced).
-// k lands in `k`.
-inline __m256d expm1_reduced(__m256d x, __m256i& k, __m256d& lo) {
-  const __m256d shifter = _mm256_set1_pd(expc::kShifter);
-  const __m256d t =
-      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(expc::kLog2e)), shifter);
-  const __m256d kd = _mm256_sub_pd(t, shifter);
-  k = _mm256_sub_epi64(_mm256_castpd_si256(t), _mm256_castpd_si256(shifter));
-  const __m256d rh =
-      _mm256_sub_pd(x, _mm256_mul_pd(kd, _mm256_set1_pd(expc::kLn2Hi)));
-  const __m256d rl = _mm256_mul_pd(kd, _mm256_set1_pd(expc::kLn2Lo));
-  const __m256d r = _mm256_sub_pd(rh, rl);
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d even = _mm256_set1_pd(expc::kC[10]);
-  for (int i = 8; i >= 0; i -= 2) {
-    even = _mm256_add_pd(_mm256_mul_pd(even, r2), _mm256_set1_pd(expc::kC[i]));
-  }
-  __m256d odd = _mm256_set1_pd(expc::kC[9]);
-  for (int i = 7; i >= 1; i -= 2) {
-    odd = _mm256_add_pd(_mm256_mul_pd(odd, r2), _mm256_set1_pd(expc::kC[i]));
-  }
-  const __m256d c =
-      _mm256_mul_pd(r2, _mm256_add_pd(even, _mm256_mul_pd(odd, r)));
-  const __m256d p = _mm256_add_pd(r, c);
-  lo = _mm256_add_pd(_mm256_sub_pd(c, _mm256_sub_pd(p, r)),
-                     _mm256_sub_pd(_mm256_sub_pd(rh, r), rl));
-  return p;
-}
-
-// 2^k for k in the normal exponent range.
-inline __m256d pow2(__m256i k) {
-  return _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_add_epi64(k, _mm256_set1_epi64x(1023)), 52));
-}
-
-inline __m256d exp4(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d nan = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-  const __m256d xc =
-      _mm256_min_pd(_mm256_max_pd(x, _mm256_set1_pd(expc::kLo)),
-                    _mm256_set1_pd(expc::kHi));
-  __m256i k;
-  __m256d lo;
-  const __m256d p = expm1_reduced(xc, k, lo);
-  const __m256d e0 = _mm256_add_pd(one, p);
-  const __m256d e = _mm256_add_pd(
-      e0, _mm256_add_pd(_mm256_sub_pd(p, _mm256_sub_pd(e0, one)), lo));
-  // 2^k in two steps, k1 = floor(k/2) by integer add into e's exponent
-  // (exact), then ×2^(k − k1): one rounding, into the subnormals or to inf.
-  const __m256i k1 = _mm256_sub_epi64(
-      _mm256_srli_epi64(_mm256_add_epi64(k, _mm256_set1_epi64x(2048)), 1),
-      _mm256_set1_epi64x(1024));
-  const __m256d y1 = _mm256_castsi256_pd(_mm256_add_epi64(
-      _mm256_castpd_si256(e), _mm256_slli_epi64(k1, 52)));
-  const __m256d y = _mm256_mul_pd(y1, pow2(_mm256_sub_epi64(k, k1)));
-  return _mm256_blendv_pd(y, _mm256_add_pd(x, x), nan);
-}
-
-// sigmoid(x) = 1/((1 + 2^k) + 2^k·expm1(r)) from the reduction of −x
-// clamped to ±kSigmoidHi; lanes past it take E = exp(−|x|): 1 − E above,
-// E − E² below (kernels.cpp's sigmoid_elem).
-inline __m256d sigmoid4(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d sign_bit = _mm256_set1_pd(-0.0);
-  const __m256d hi = _mm256_set1_pd(expc::kSigmoidHi);
-  const __m256d z = _mm256_xor_pd(x, sign_bit);
-  __m256i k;
-  __m256d lo;
-  const __m256d p = expm1_reduced(
-      _mm256_max_pd(_mm256_min_pd(z, hi), _mm256_set1_pd(-expc::kSigmoidHi)),
-      k, lo);
-  const __m256d two_k = pow2(k);
-  const __m256d a = _mm256_add_pd(one, two_k);
-  const __m256d b = _mm256_mul_pd(two_k, p);
-  const __m256d dh = _mm256_add_pd(a, b);
-  const __m256d dl = _mm256_add_pd(_mm256_sub_pd(b, _mm256_sub_pd(dh, a)),
-                                   _mm256_mul_pd(two_k, lo));
-  __m256d y = _mm256_div_pd(one, _mm256_add_pd(dh, dl));
-  const __m256d far =
-      _mm256_cmp_pd(_mm256_andnot_pd(sign_bit, x), hi, _CMP_GT_OQ);
-  if (_mm256_movemask_pd(far) != 0) {
-    const __m256d e = exp4(_mm256_or_pd(x, sign_bit));  // exp(−|x|)
-    const __m256d tail = _mm256_blendv_pd(
-        _mm256_sub_pd(one, e), _mm256_sub_pd(e, _mm256_mul_pd(e, e)), x);
-    y = _mm256_blendv_pd(y, tail, far);
-  }
-  const __m256d nan = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-  return _mm256_blendv_pd(y, _mm256_add_pd(x, x), nan);
-}
-
-// tanh|x| = −em / (em + 2), em = expm1(−2|x|) carried as eh + el, the
-// quotient refined once through the chord 1/dh ≈ 1.5 − dh/2; then x's sign
-// on the magnitude (kernels.cpp's tanh_elem).
-inline __m256d tanh4(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d sign_bit = _mm256_set1_pd(-0.0);
-  const __m256d nan = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-  const __m256d a = _mm256_min_pd(_mm256_andnot_pd(sign_bit, x),
-                                  _mm256_set1_pd(expc::kTanhHi));
-  __m256i k;
-  __m256d lo;
-  const __m256d p =
-      expm1_reduced(_mm256_xor_pd(_mm256_add_pd(a, a), sign_bit), k, lo);
-  const __m256d two_k = pow2(k);
-  const __m256d am = _mm256_sub_pd(two_k, one);
-  const __m256d b = _mm256_mul_pd(two_k, p);
-  const __m256d eh = _mm256_add_pd(am, b);
-  const __m256d el = _mm256_add_pd(_mm256_sub_pd(b, _mm256_sub_pd(eh, am)),
-                                   _mm256_mul_pd(two_k, lo));
-  const __m256d dh = _mm256_add_pd(two, eh);
-  const __m256d dl =
-      _mm256_add_pd(_mm256_sub_pd(eh, _mm256_sub_pd(dh, two)), el);
-  const __m256d q = _mm256_div_pd(_mm256_xor_pd(eh, sign_bit), dh);
-  const __m256d inv = _mm256_sub_pd(_mm256_set1_pd(1.5),
-                                    _mm256_mul_pd(_mm256_set1_pd(0.5), dh));
-  const __m256d t = _mm256_add_pd(
-      q, _mm256_mul_pd(_mm256_sub_pd(_mm256_xor_pd(el, sign_bit),
-                                     _mm256_mul_pd(q, dl)),
-                       inv));
-  const __m256d y = _mm256_or_pd(_mm256_andnot_pd(sign_bit, t),
-                                 _mm256_and_pd(x, sign_bit));
-  return _mm256_blendv_pd(y, _mm256_add_pd(x, x), nan);
-}
-
-// Applies f to n elements, the ragged tail through a zero-padded vector.
-template <typename F>
-void map4(const double* x, double* y, std::size_t n, F f) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, f(_mm256_loadu_pd(x + i)));
-  if (i == n) return;
-  double buf[4] = {0.0, 0.0, 0.0, 0.0};
-  std::copy(x + i, x + n, buf);
-  _mm256_storeu_pd(buf, f(_mm256_loadu_pd(buf)));
-  std::copy(buf, buf + (n - i), y + i);
-}
-
-inline void activate_into(int act, const double* x, double* y,
-                          std::size_t n) {
-  if (act == 0) {
-    map4(x, y, n, sigmoid4);
-  } else {
-    map4(x, y, n, tanh4);
-  }
-}
-
-}  // namespace
-
-void exp_into(const double* x, double* y, std::size_t n) {
-  map4(x, y, n, exp4);
-}
-void sigmoid_into(const double* x, double* y, std::size_t n) {
-  map4(x, y, n, sigmoid4);
-}
-void tanh_into(const double* x, double* y, std::size_t n) {
-  map4(x, y, n, tanh4);
-}
-
-namespace {
-
 // Fused-gate register tiles. Both product sums complete in registers (each
 // its own ascending-k chain with the reference zero-skip; the x·wx chain
 // starts from the seed row when there is one), then the epilogue stores
-// (sum_x + sum_h) + bias — the scalar tier's rounding sequence. gate_panel
-// applies the activation to each finished row.
+// (sum_x + sum_h) + bias — the scalar tier's rounding sequence.
 template <int NV>
 std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
                        std::size_t ldwx, const double* h, std::size_t ldh,
@@ -551,7 +377,7 @@ std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
 void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 std::size_t ldwx, const double* h, std::size_t ldh,
                 const double* wh, std::size_t ldwh, const double* bias,
-                const double* seed, std::size_t lds, int act, double* out,
+                const double* seed, std::size_t lds, double* out,
                 std::size_t ldo, std::size_t in_dim, std::size_t h_dim,
                 std::size_t gate_dim, std::size_t r0, std::size_t r1,
                 unsigned jtile) {
@@ -584,7 +410,6 @@ void gate_panel(const double* x, std::size_t ldx, const double* wx,
       }
       orow[j] = (sx + sh) + bias[j];
     }
-    activate_into(act, orow, orow, gate_dim);
   }
 }
 

@@ -74,57 +74,19 @@ void adam_update(double* w, const double* g, double* m, double* v,
                  std::size_t n, double beta1, double beta2, double lr,
                  double eps, double bc1, double bc2);
 
-// Fused GRU gate, rows [r0..r1): out = act((x·wx + h·wh) + bias) with both
-// products register-resident. Per element the rounding sequence is: full
-// ascending-k sum of x·wx (zero-skip; started from seed(i, j) instead of
-// zero when `seed`, stride lds, is non-null), full ascending-k sum of h·wh
-// (zero-skip), one add of the two sums, one bias add, then the activation —
-// identical to the scalar tier's matmul_into + matmul_into + fused epilogue.
-// act: 0 = sigmoid (1/(1+exp(-v))), 1 = tanh, evaluated four lanes at a
-// time by the op sequence of exp_into / tanh_into below.
+// Fused GRU gate pre-activations, rows [r0..r1): out = (x·wx + h·wh) + bias
+// with both products register-resident. Per element the rounding sequence
+// is: full ascending-k sum of x·wx (zero-skip; started from seed(i, j)
+// instead of zero when `seed`, stride lds, is non-null), full ascending-k
+// sum of h·wh (zero-skip), one add of the two sums, one bias add —
+// identical to the scalar tier's matmul_into + matmul_into + epilogue. The
+// caller activates the finished block (kernels::gru_gate_rows).
 void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 std::size_t ldwx, const double* h, std::size_t ldh,
                 const double* wh, std::size_t ldwh, const double* bias,
-                const double* seed, std::size_t lds, int act, double* out,
+                const double* seed, std::size_t lds, double* out,
                 std::size_t ldo, std::size_t in_dim, std::size_t h_dim,
                 std::size_t gate_dim, std::size_t r0, std::size_t r1,
                 unsigned jtile);
 
-// y[i] = exp(x[i]) / 1/(1+exp(-x[i])) / tanh(x[i]) for i < n; y may equal
-// x. Four lanes at a time; a ragged tail runs through the same 4-lane body
-// on a zero-padded copy. Each lane runs exactly the IEEE op sequence of the
-// scalar bodies in kernels.cpp (DESIGN.md §10, *Transcendentals*), so the
-// tiers agree bitwise, NaN payloads included.
-void exp_into(const double* x, double* y, std::size_t n);
-void sigmoid_into(const double* x, double* y, std::size_t n);
-void tanh_into(const double* x, double* y, std::size_t n);
-
 }  // namespace netshare::ml::kernels::simd
-
-// The constants of the repo-owned exp, read by both tiers' bodies.
-namespace netshare::ml::kernels::expc {
-// exp's argument clamp: past kHi the result overflows to +inf, below kLo it
-// rounds to +0, so ±inf, overflow and underflow all fall out of the main
-// path. tanh clamps |x| to kTanhHi, where tanh rounds to exactly 1. sigmoid
-// takes its main path for |x| <= kSigmoidHi, where every 1 + 2^k is exact
-// (|k| <= 52), and one exp of −|x| past it.
-inline constexpr double kHi = 709.8;
-inline constexpr double kLo = -746.0;
-inline constexpr double kTanhHi = 20.0;
-inline constexpr double kSigmoidHi = 36.0;
-// Cody–Waite reduction x = k·ln2 + r, |r| <= ln2/2: k = round(x·log2(e))
-// by the 1.5·2^52 shifter (round to nearest even, k in t's low bits);
-// kLn2Hi has 33 significant bits, so k·kLn2Hi and x − k·kLn2Hi are exact
-// for every |k| <= 2^11.
-inline constexpr double kLog2e = 0x1.71547652b82fep0;
-inline constexpr double kShifter = 0x1.8p52;
-inline constexpr double kLn2Hi = 0x1.62e42feep-1;
-inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-// expm1(r) = r + r²·s(r) with s(r) = Σ kC[i]·rⁱ, a degree-10 Chebyshev fit
-// of (expm1(r) − r)/r² on |r| <= ln2/2; r·|s error| < 2^-60.
-inline constexpr double kC[11] = {
-    0x1.0000000000000p-1,  0x1.5555555555557p-3,  0x1.5555555555556p-5,
-    0x1.11111111100d8p-7,  0x1.6c16c16c162d2p-10, 0x1.a01a01abe9ce8p-13,
-    0x1.a01a01a6d9931p-16, 0x1.71de022bd5558p-19, 0x1.27e4db6121beep-22,
-    0x1.af4df5750ec30p-26, 0x1.1f730a202ec17p-29};
-}  // namespace netshare::ml::kernels::expc

@@ -124,26 +124,16 @@ void ActivationLayer::forward_into(const Matrix& x, Matrix& y) const {
 void ActivationLayer::activate_rows(const Matrix& x, Matrix& y,
                                     std::size_t r0, std::size_t r1) const {
   const std::size_t n = (r1 - r0) * x.cols();
-  const double* in = x.row_ptr(0) + r0 * x.cols();
-  double* out = y.row_ptr(0) + r0 * y.cols();
+  const double* in = x.row_ptr(r0);
+  double* out = y.row_ptr(r0);
   switch (kind_) {
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0 ? in[i] : 0.0;
-      break;
+    case Activation::kRelu: kernels::relu_into(in, out, n); break;
     case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = in[i] > 0 ? in[i] : slope_ * in[i];
-      }
+      kernels::leaky_relu_into(in, out, n, slope_);
       break;
-    case Activation::kTanh:
-      kernels::tanh_into(in, out, n);
-      break;
-    case Activation::kSigmoid:
-      kernels::sigmoid_into(in, out, n);
-      break;
-    case Activation::kIdentity:
-      std::copy(in, in + n, out);
-      break;
+    case Activation::kTanh: kernels::tanh_into(in, out, n); break;
+    case Activation::kSigmoid: kernels::sigmoid_into(in, out, n); break;
+    case Activation::kIdentity: std::copy(in, in + n, out); break;
   }
 }
 
@@ -155,32 +145,20 @@ const Matrix& ActivationLayer::backward(const Matrix& grad_out) {
 
 void ActivationLayer::gradient_rows(const Matrix& grad_out, std::size_t r0,
                                     std::size_t r1) {
-  const std::size_t at = r0 * g_.cols();
   const std::size_t n = (r1 - r0) * g_.cols();
-  const double* gin = grad_out.row_ptr(0) + at;
-  double* g = g_.row_ptr(0) + at;
-  std::copy(gin, gin + n, g);
-  const double* x = keeps_input() ? x_cache_.row_ptr(0) + at : nullptr;
-  const double* y = y_cache_.row_ptr(0) + at;
+  const double* gin = grad_out.row_ptr(r0);
+  double* g = g_.row_ptr(r0);
+  const double* y = y_cache_.row_ptr(r0);
   switch (kind_) {
     case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) {
-        if (x[i] <= 0) g[i] = 0.0;
-      }
+      kernels::relu_grad_into(x_cache_.row_ptr(r0), gin, g, n);
       break;
     case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i) {
-        if (x[i] <= 0) g[i] *= slope_;
-      }
+      kernels::leaky_relu_grad_into(x_cache_.row_ptr(r0), gin, g, n, slope_);
       break;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) g[i] *= 1.0 - y[i] * y[i];
-      break;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) g[i] *= y[i] * (1.0 - y[i]);
-      break;
-    case Activation::kIdentity:
-      break;
+    case Activation::kTanh: kernels::tanh_grad_into(y, gin, g, n); break;
+    case Activation::kSigmoid: kernels::sigmoid_grad_into(y, gin, g, n); break;
+    case Activation::kIdentity: std::copy(gin, gin + n, g); break;
   }
 }
 
@@ -215,6 +193,22 @@ Matrix softmax_rows(const Matrix& logits) {
     kernels::softmax_inplace(y.row_ptr(i), y.cols());
   }
   return y;
+}
+
+MixedHead::MixedHead(std::vector<OutputSegment> segments)
+    : segments_(std::move(segments)) {
+  std::size_t at = 0;
+  for (const OutputSegment& seg : segments_) {
+    const bool merges = !runs_.empty() && runs_.back().kind == seg.kind &&
+                        runs_.back().at + runs_.back().width == at &&
+                        seg.kind != OutputSegment::Kind::kSoftmax;
+    if (merges) {
+      runs_.back().width += seg.width;
+    } else if (seg.width > 0 && seg.kind != OutputSegment::Kind::kIdentity) {
+      runs_.push_back({seg.kind, at, seg.width});
+    }
+    at += seg.width;
+  }
 }
 
 std::size_t MixedHead::width() const {
@@ -259,27 +253,74 @@ void MixedHead::forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
   activate_rows(y, r0, r1);
 }
 
+namespace {
+
+// Elements of the on-stack scratch a run narrower than the row is gathered
+// into, so one map call covers many rows.
+constexpr std::size_t kHeadScratch = 1024;
+
+// fn over columns [at, at + width) of rows [r0, r1) of y, in place: one call
+// when the run spans the row, else through the scratch.
+void map_run(void (*fn)(const double*, double*, std::size_t), Matrix& y,
+             std::size_t at, std::size_t width, std::size_t r0,
+             std::size_t r1) {
+  const std::size_t W = y.cols();
+  if (width == W) {
+    double* v = y.row_ptr(r0);
+    fn(v, v, (r1 - r0) * W);
+    return;
+  }
+  if (width > kHeadScratch) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      fn(y.row_ptr(i) + at, y.row_ptr(i) + at, width);
+    }
+    return;
+  }
+  double buf[kHeadScratch];
+  const std::size_t rows = kHeadScratch / width;
+  for (std::size_t i0 = r0; i0 < r1; i0 += rows) {
+    const std::size_t i1 = std::min(r1, i0 + rows);
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::copy_n(y.row_ptr(i) + at, width, buf + (i - i0) * width);
+    }
+    fn(buf, buf, (i1 - i0) * width);
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::copy_n(buf + (i - i0) * width, width, y.row_ptr(i) + at);
+    }
+  }
+}
+
+}  // namespace
+
+// Run by run over the whole row block. A softmax segment shifts each row by
+// its max, exponentiates the block in one call, then sums and divides per
+// row: kernels::softmax_inplace's per-element sequence.
 void MixedHead::activate_rows(Matrix& y, std::size_t r0,
                               std::size_t r1) const {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* row = y.row_ptr(i);
-    std::size_t at = 0;
-    for (const auto& seg : segments_) {
-      double* v = row + at;
-      switch (seg.kind) {
-        case OutputSegment::Kind::kSoftmax:
-          kernels::softmax_inplace(v, seg.width);
-          break;
-        case OutputSegment::Kind::kSigmoid:
-          kernels::sigmoid_into(v, v, seg.width);
-          break;
-        case OutputSegment::Kind::kTanh:
-          kernels::tanh_into(v, v, seg.width);
-          break;
-        case OutputSegment::Kind::kIdentity:
-          break;
-      }
-      at += seg.width;
+  for (const Run& run : runs_) {
+    switch (run.kind) {
+      case OutputSegment::Kind::kSoftmax:
+        for (std::size_t i = r0; i < r1; ++i) {
+          double* v = y.row_ptr(i) + run.at;
+          const double mx = *std::max_element(v, v + run.width);
+          for (std::size_t j = 0; j < run.width; ++j) v[j] -= mx;
+        }
+        map_run(kernels::exp_into, y, run.at, run.width, r0, r1);
+        for (std::size_t i = r0; i < r1; ++i) {
+          double* v = y.row_ptr(i) + run.at;
+          double sum = 0.0;
+          for (std::size_t j = 0; j < run.width; ++j) sum += v[j];
+          for (std::size_t j = 0; j < run.width; ++j) v[j] /= sum;
+        }
+        break;
+      case OutputSegment::Kind::kSigmoid:
+        map_run(kernels::sigmoid_into, y, run.at, run.width, r0, r1);
+        break;
+      case OutputSegment::Kind::kTanh:
+        map_run(kernels::tanh_into, y, run.at, run.width, r0, r1);
+        break;
+      case OutputSegment::Kind::kIdentity:
+        break;
     }
   }
 }
@@ -305,36 +346,28 @@ void MixedHead::gradient_rows(const Matrix& grad_out, std::size_t r0,
   for (std::size_t i = r0; i < r1; ++i) {
     double* grow = g_.row_ptr(i);
     const double* yrow = y_cache_.row_ptr(i);
-    std::size_t at = 0;
-    for (const auto& seg : segments_) {
-      switch (seg.kind) {
+    for (const Run& run : runs_) {
+      double* g = grow + run.at;
+      const double* y = yrow + run.at;
+      switch (run.kind) {
         case OutputSegment::Kind::kSoftmax: {
           // Jacobian-vector product: g_j = y_j * (g_j - sum_k g_k y_k).
           double dot = 0.0;
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            dot += grow[at + j] * yrow[at + j];
-          }
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            grow[at + j] = yrow[at + j] * (grow[at + j] - dot);
+          for (std::size_t j = 0; j < run.width; ++j) dot += g[j] * y[j];
+          for (std::size_t j = 0; j < run.width; ++j) {
+            g[j] = y[j] * (g[j] - dot);
           }
           break;
         }
         case OutputSegment::Kind::kSigmoid:
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            const double y = yrow[at + j];
-            grow[at + j] *= y * (1.0 - y);
-          }
+          kernels::sigmoid_grad_into(y, g, g, run.width);
           break;
         case OutputSegment::Kind::kTanh:
-          for (std::size_t j = 0; j < seg.width; ++j) {
-            const double y = yrow[at + j];
-            grow[at + j] *= 1.0 - y * y;
-          }
+          kernels::tanh_grad_into(y, g, g, run.width);
           break;
         case OutputSegment::Kind::kIdentity:
           break;
       }
-      at += seg.width;
     }
   }
 }

@@ -184,8 +184,7 @@ struct OutputSegment {
 
 class MixedHead : public Module {
  public:
-  explicit MixedHead(std::vector<OutputSegment> segments)
-      : segments_(std::move(segments)) {}
+  explicit MixedHead(std::vector<OutputSegment> segments);
 
   const Matrix& forward(const Matrix& x) override;
   const Matrix& backward(const Matrix& grad_out) override;
@@ -209,7 +208,16 @@ class MixedHead : public Module {
                      std::size_t r1) const;  // in place
   void gradient_rows(const Matrix& grad_out, std::size_t r0, std::size_t r1);
 
+  // Adjacent sigmoid or tanh segments merged into one run of columns
+  // [at, at + width); each softmax segment is its own run; identity and
+  // empty segments have none.
+  struct Run {
+    OutputSegment::Kind kind;
+    std::size_t at, width;
+  };
+
   std::vector<OutputSegment> segments_;
+  std::vector<Run> runs_;
   Matrix y_cache_;  // activations; doubles as the forward output buffer
   Matrix g_;        // backward output buffer
 };

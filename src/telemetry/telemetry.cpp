@@ -477,9 +477,7 @@ bool write_run_json(const std::string& path, const OverheadInfo& overhead) {
         f,
         ",\n  \"overhead\": {\"telemetry_on_sec\": %.6f, "
         "\"telemetry_off_sec\": %.6f, \"frac\": %.6f}",
-        overhead.telemetry_on_sec, overhead.telemetry_off_sec,
-        (overhead.telemetry_on_sec - overhead.telemetry_off_sec) /
-            overhead.telemetry_off_sec);
+        overhead.telemetry_on_sec, overhead.telemetry_off_sec, overhead.frac);
   }
   std::fprintf(f, "\n}\n");
   std::fclose(f);

@@ -94,10 +94,12 @@ struct MetricsSnapshot {
 
 // Overhead measurement attached to RUN_telemetry.json by bench/pipeline_e2e:
 // the same workload timed with telemetry runtime-enabled and runtime-
-// disabled. Negative values mean "not measured".
+// disabled, and the overhead fraction the gate reads (the median of
+// alternating ON/OFF pairs). Negative times mean "not measured".
 struct OverheadInfo {
   double telemetry_on_sec = -1.0;
   double telemetry_off_sec = -1.0;
+  double frac = 0.0;
 };
 
 #if defined(NETSHARE_TELEMETRY_ENABLED)

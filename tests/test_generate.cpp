@@ -299,6 +299,56 @@ TEST(SampleChunks, ChunkWithoutModelYieldsEmptySeries) {
   EXPECT_EQ(out.lengths.size(), 0u);
 }
 
+// A trained chunk model is swapped for one restored from its own weights,
+// so the training scratch does not outlive the fit. The swap must be
+// invisible: every chunk samples bitwise as the model it trained (rebuilt
+// here outside the trainer), and the trainer's CPU-seconds, DP-step and
+// rollback counters are the trained models', not the restored ones' zeros.
+TEST(ChunkedTrainer, RetiredChunksSampleAsTrainedAndKeepTheirCounters) {
+  for (const bool dp : {false, true}) {
+    core::NetShareConfig cfg = tiny_config();
+    cfg.dp = dp;
+    const std::vector<gan::TimeSeriesDataset> chunks{
+        tiny_data(40, 78), tiny_data(0, 79), tiny_data(32, 80)};
+    core::ChunkedTrainer trainer(tiny_spec(), cfg);
+    trainer.fit(chunks);
+
+    gan::DgConfig dg = cfg.dg;
+    dg.dp = cfg.dp;
+    dg.dp_config = cfg.dp_config;
+    gan::DoppelGanger seed_model(tiny_spec(), dg, cfg.seed + 0);
+    seed_model.fit(chunks[0], cfg.seed_iterations);
+    gan::DoppelGanger tuned(tiny_spec(), dg, cfg.seed + 1000 + 2);
+    tuned.restore(seed_model.snapshot());
+    tuned.fit(chunks[2], cfg.finetune_iterations);
+
+    const std::pair<std::size_t, gan::DoppelGanger*> trained[] = {
+        {0, &seed_model}, {2, &tuned}};
+    const core::TrainReport& report = trainer.report();
+    gan::SampleScratch scratch;
+    double cpu = 0.0;
+    std::size_t steps = 0;
+    for (const auto& [c, model] : trained) {
+      SCOPED_TRACE("chunk " + std::to_string(c) + (dp ? " dp" : ""));
+      gan::GeneratedSeries got, want;
+      trainer.sample_chunk_into(c, 70, 99, 5, got, scratch);
+      model->sample_into(70, mix_seed(99, c), 5, want, scratch);
+      EXPECT_TRUE(series_eq(got, want));
+      const core::ChunkTrainReport& r = report.chunks[c];
+      EXPECT_EQ(r.status, core::ChunkTrainReport::Status::kTrained);
+      EXPECT_GT(r.train_cpu_sec, 0.0);
+      EXPECT_EQ(r.dp_steps, model->dp_steps());
+      EXPECT_EQ(r.rollbacks, model->health_stats().rollbacks);
+      cpu += r.train_cpu_sec;
+      steps += r.dp_steps;
+    }
+    EXPECT_EQ(steps > 0, dp);
+    EXPECT_EQ(trainer.total_dp_steps(), steps);
+    EXPECT_EQ(trainer.train_cpu_seconds(), cpu);
+    EXPECT_EQ(trainer.seed_snapshot(), seed_model.snapshot());
+  }
+}
+
 TEST(SampleChunks, RejectsCountSizeMismatch) {
   core::ChunkedTrainer& trainer = tiny_trainer_with_empty_chunk();
   std::vector<gan::GeneratedSeries> out;

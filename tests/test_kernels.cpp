@@ -831,6 +831,91 @@ TEST(Kernels, TranscendentalSpecialValues) {
   }
 }
 
+// The relu family and the sigmoid/tanh gradients as flat kernel loops,
+// memcmp against the per-element expressions ActivationLayer ran before
+// they moved into the kernel layer: forward and backward, out of place and
+// in place, on signed zeros, infinities, NaN payloads, subnormals and both
+// signs, at every length 0-19 (each vector tail) and at 37/64/129.
+TEST(Kernels, ReluFamilyMatchesElementwiseReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> pool = {
+      0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),
+      std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),  // sNaN
+      std::bit_cast<double>(std::uint64_t{0xfff4000000000042}),
+      5e-324, -5e-324, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, 1.0, -1.0};
+  Rng rng(77);
+  while (pool.size() < 160) pool.push_back(rng.normal() * 3.0);
+  std::vector<double> grads(pool.size());
+  for (double& g : grads) g = rng.normal();
+  grads[3] = -0.0;
+  grads[5] = inf;
+  grads[7] = std::numeric_limits<double>::quiet_NaN();
+  const double slope = 0.2;
+  const auto same = [](const std::vector<double>& got,
+                       const std::vector<double>& want,
+                       const std::string& what) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << what;
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 20; ++n) lengths.push_back(n);
+  for (const std::size_t n : {37u, 64u, 129u}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    for (const std::size_t off : {0u, 1u, 17u}) {
+      const std::string at =
+          " n=" + std::to_string(n) + " off=" + std::to_string(off);
+      const std::vector<double> x(pool.begin() + off, pool.begin() + off + n);
+      const std::vector<double> g(grads.begin() + off,
+                                  grads.begin() + off + n);
+      // The per-element reference sequences.
+      std::vector<double> relu(n), leaky(n), relu_g = g, leaky_g = g;
+      std::vector<double> sig_g = g, tanh_g = g;
+      for (std::size_t i = 0; i < n; ++i) {
+        relu[i] = x[i] > 0 ? x[i] : 0.0;
+        leaky[i] = x[i] > 0 ? x[i] : slope * x[i];
+        if (x[i] <= 0) relu_g[i] = 0.0;
+        if (x[i] <= 0) leaky_g[i] *= slope;
+        sig_g[i] *= x[i] * (1.0 - x[i]);  // x stands in for the cached y
+        tanh_g[i] *= 1.0 - x[i] * x[i];
+      }
+      std::vector<double> y(n), in_place = x;
+      kernels::relu_into(x.data(), y.data(), n);
+      same(y, relu, "relu" + at);
+      kernels::relu_into(in_place.data(), in_place.data(), n);
+      same(in_place, relu, "relu in place" + at);
+      in_place = x;
+      kernels::leaky_relu_into(x.data(), y.data(), n, slope);
+      same(y, leaky, "leaky_relu" + at);
+      kernels::leaky_relu_into(in_place.data(), in_place.data(), n, slope);
+      same(in_place, leaky, "leaky_relu in place" + at);
+      const auto grad_pair = [&](const std::vector<double>& want,
+                                 const auto& fn, const char* name) {
+        std::vector<double> out(n), gi = g;
+        fn(g.data(), out.data());
+        same(out, want, std::string(name) + at);
+        fn(gi.data(), gi.data());
+        same(gi, want, std::string(name) + " in place" + at);
+      };
+      grad_pair(relu_g, [&](const double* gin, double* out) {
+        kernels::relu_grad_into(x.data(), gin, out, n);
+      }, "relu_grad");
+      grad_pair(leaky_g, [&](const double* gin, double* out) {
+        kernels::leaky_relu_grad_into(x.data(), gin, out, n, slope);
+      }, "leaky_relu_grad");
+      grad_pair(sig_g, [&](const double* gin, double* out) {
+        kernels::sigmoid_grad_into(x.data(), gin, out, n);
+      }, "sigmoid_grad");
+      grad_pair(tanh_g, [&](const double* gin, double* out) {
+        kernels::tanh_grad_into(x.data(), gin, out, n);
+      }, "tanh_grad");
+    }
+  }
+}
+
 // A NaN entering any activation leaves it as a NaN, so the health guard's
 // non-finite scan sees it: no clamp may swallow it. Covers every call site
 // of the transcendentals — the layer activations, each MixedHead segment

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "ml/gru.hpp"
@@ -163,6 +165,117 @@ TEST(GradCheck, MixedHeadAllSegmentKinds) {
                   {OutputSegment::Kind::kIdentity, 2}});
   const Matrix x = Matrix::randn(4, 8, rng);
   check_input_gradient(head, x, rng);
+}
+
+// MixedHead activates a row block run by run (adjacent sigmoid or tanh
+// segments merged, narrow runs gathered through a scratch, softmax's exp in
+// one call per block). Each element must come out bitwise as the per-row,
+// per-segment calls made it before, on the attribute and feature layouts
+// of the caida (bit-encoded ports) and ugr16 (IP2Vec ports) presets, tanh
+// runs, softmax widths 1/2/3/12, identity, empty and wider-than-scratch
+// segments, over ragged row ranges, on both kernel tiers; so must the
+// backward pass.
+TEST(MixedHead, BlockActivationMatchesPerRowSegments) {
+  using K = OutputSegment::Kind;
+  const std::vector<std::vector<OutputSegment>> layouts = {
+      {{K::kSigmoid, 32}, {K::kSigmoid, 32}, {K::kSigmoid, 16},
+       {K::kSigmoid, 16}, {K::kSoftmax, 3}, {K::kSigmoid, 11}},  // caida attr
+      {{K::kSigmoid, 32}, {K::kSigmoid, 32}, {K::kSigmoid, 4},
+       {K::kSigmoid, 4}, {K::kSoftmax, 3}, {K::kSigmoid, 11}},   // ugr16 attr
+      {{K::kSigmoid, 1}, {K::kSigmoid, 1}, {K::kSigmoid, 1},
+       {K::kSoftmax, 2}},                                         // caida feat
+      {{K::kSigmoid, 1}, {K::kSigmoid, 1}, {K::kSigmoid, 1},
+       {K::kSigmoid, 1}, {K::kSoftmax, 12}, {K::kSoftmax, 2}},    // ugr16 feat
+      {{K::kTanh, 2}, {K::kTanh, 3}, {K::kSigmoid, 1}, {K::kTanh, 1},
+       {K::kTanh, 4}},
+      {{K::kSoftmax, 1}, {K::kIdentity, 2}, {K::kSoftmax, 2},
+       {K::kSigmoid, 0}, {K::kSoftmax, 3}, {K::kIdentity, 1},
+       {K::kSoftmax, 12}, {K::kSoftmax, 0}},
+      {{K::kSigmoid, 5}},
+      {{K::kTanh, 1100}, {K::kSigmoid, 2}, {K::kSoftmax, 3}},
+  };
+  const std::size_t kRows = 300;
+  const std::size_t cuts[] = {0, 1, 17, 150, 299, kRows};
+  Rng rng(4321);
+  for (const auto& segs : layouts) {
+    MixedHead head(segs);
+    const std::size_t W = head.width();
+    Matrix x = Matrix::randn(kRows, W, rng, 4.0);
+    for (std::size_t i = 0; i < x.size(); i += 37) x.data()[i] = 40.0;
+    for (std::size_t i = 5; i < x.size(); i += 53) x.data()[i] = -50.0;
+    x.data()[W / 2] = std::numeric_limits<double>::quiet_NaN();
+    const Matrix g = Matrix::randn(kRows, W, rng);
+    // The per-row, per-segment reference.
+    Matrix want = x, want_g = g;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      std::size_t at = 0;
+      for (const OutputSegment& seg : segs) {
+        double* v = want.row_ptr(i) + at;
+        double* gv = want_g.row_ptr(i) + at;
+        switch (seg.kind) {
+          case K::kSoftmax: {
+            kernels::softmax_inplace(v, seg.width);
+            double dot = 0.0;
+            for (std::size_t j = 0; j < seg.width; ++j) dot += gv[j] * v[j];
+            for (std::size_t j = 0; j < seg.width; ++j) {
+              gv[j] = v[j] * (gv[j] - dot);
+            }
+            break;
+          }
+          case K::kSigmoid:
+            kernels::sigmoid_into(v, v, seg.width);
+            for (std::size_t j = 0; j < seg.width; ++j) {
+              gv[j] *= v[j] * (1.0 - v[j]);
+            }
+            break;
+          case K::kTanh:
+            kernels::tanh_into(v, v, seg.width);
+            for (std::size_t j = 0; j < seg.width; ++j) {
+              gv[j] *= 1.0 - v[j] * v[j];
+            }
+            break;
+          case K::kIdentity:
+            break;
+        }
+        at += seg.width;
+      }
+    }
+    const auto same = [](const Matrix& got, const Matrix& w,
+                         const std::string& what) {
+      ASSERT_EQ(got.size(), w.size()) << what;
+      EXPECT_EQ(std::memcmp(got.data().data(), w.data().data(),
+                            got.size() * sizeof(double)),
+                0)
+          << what;
+    };
+    for (const auto tier :
+         {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2}) {
+      kernels::KernelConfig cfg;
+      cfg.simd = tier;
+      kernels::ConfigOverride guard(cfg);
+      const std::string what = "layout of width " + std::to_string(W) +
+                               ", tier " +
+                               std::to_string(static_cast<int>(tier));
+      same(head.forward(x), want, "forward, " + what);
+      same(head.backward(g), want_g, "backward, " + what);
+      Matrix y;
+      head.forward_into(x, y);
+      same(y, want, "forward_into, " + what);
+      Matrix rows_into(kRows, W);
+      head.prepare_forward(kRows, W);
+      for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+        head.forward_rows(x, cuts[c], cuts[c + 1]);
+        head.forward_rows_into(x, rows_into, cuts[c], cuts[c + 1]);
+      }
+      same(head.output(), want, "forward_rows, " + what);
+      same(rows_into, want, "forward_rows_into, " + what);
+      head.prepare_backward();
+      for (std::size_t c = std::size(cuts) - 1; c > 0; --c) {
+        head.backward_input_rows(g, cuts[c - 1], cuts[c]);
+      }
+      same(head.input_grad(), want_g, "backward_input_rows, " + what);
+    }
+  }
 }
 
 TEST(GradCheck, MlpEndToEnd) {

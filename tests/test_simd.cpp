@@ -7,6 +7,7 @@
 // inputs, and a per-tier end-to-end DoppelGanger fit+sample bitwise check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -231,58 +232,115 @@ std::vector<double> transcendental_inputs() {
 void expect_same_bits(const double* got, const double* want, std::size_t n,
                       const std::string& what) {
   EXPECT_EQ(std::memcmp(got, want, n * sizeof(double)), 0)
-      << what << ": SIMD tier diverged from the scalar tier";
+      << what << ": the vectorized map diverged from the per-element body";
 }
 
 using ElementwiseKernel = void (*)(const double*, double*, std::size_t);
 
+// sigmoid per element with its tails spelled out: E − E² below −36 and
+// 1 − E above 36 (E = exp(−|x|)), x + x for NaN, one-element calls only for
+// the main path in between.
+void sigmoid_reference(const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    double e = 0.0;
+    if (v != v) {
+      y[i] = v + v;
+    } else if (v < -36.0) {
+      kernels::exp_into(&v, &e, 1);
+      y[i] = e - e * e;
+    } else if (v > 36.0) {
+      const double minus = -v;
+      kernels::exp_into(&minus, &e, 1);
+      y[i] = 1.0 - e;
+    } else {
+      kernels::sigmoid_into(&v, &y[i], 1);
+    }
+  }
+}
+
+// One call per element: the loop body alone, never the vectorized path
+// (and for sigmoid never the block scan either).
+std::vector<double> per_element(ElementwiseKernel fn, const double* x,
+                                std::size_t n) {
+  std::vector<double> y(n);
+  if (fn == kernels::sigmoid_into) {
+    sigmoid_reference(x, y.data(), n);
+    return y;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(x + i, &y[i], 1);
+  return y;
+}
+
+// The transcendentals have one body on every tier, a loop the compiler
+// vectorizes (sigmoid's in two passes: a scan for lanes past ±36 or NaN,
+// then the clamp-free main path or, in a block with such a lane, the tail
+// formulas). Whole-vector calls on either tier must match the per-element
+// body bitwise, at every length and offset, in place, and with a tail lane
+// on either side of each 64-element sigmoid block boundary.
 TEST(Simd, TranscendentalsMatchScalarTierBitwise) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
   const std::vector<double> in = transcendental_inputs();
   const std::pair<const char*, ElementwiseKernel> fns[] = {
       {"exp", kernels::exp_into},
       {"sigmoid", kernels::sigmoid_into},
       {"tanh", kernels::tanh_into}};
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n < 20; ++n) lengths.push_back(n);  // every n mod 4
+  for (std::size_t n = 0; n < 20; ++n) lengths.push_back(n);  // every tail
   for (const std::size_t n : {37u, 64u, 129u}) lengths.push_back(n);
   lengths.push_back(in.size() - 3);
-  for (const auto& [name, fn] : fns) {
-    for (const std::size_t n : lengths) {
-      for (const std::size_t off : {0u, 1u, 3u}) {  // unaligned starts
-        const std::string what = std::string(name) + " n=" +
-                                 std::to_string(n) +
-                                 " off=" + std::to_string(off);
-        std::vector<double> want(n), got(n);
-        std::vector<double> in_place(in.begin() + off, in.begin() + off + n);
-        {
-          kernels::ConfigOverride guard(
-              tier_cfg(kernels::SimdTier::kScalar, 1));
-          fn(in.data() + off, want.data(), n);
+  // In-range values with one tail lane at each side of a block boundary.
+  Rng rng(31);
+  std::vector<double> edges(200);
+  for (double& v : edges) v = rng.normal() * 4.0;
+  edges[63] = 50.0;
+  edges[128] = -std::numeric_limits<double>::infinity();
+  edges[191] = std::numeric_limits<double>::quiet_NaN();
+  for (const auto tier :
+       {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2}) {
+    kernels::ConfigOverride guard(tier_cfg(tier, 1));
+    const std::string tier_name =
+        tier == kernels::SimdTier::kAvx2 ? " avx2" : " scalar";
+    for (const auto& [name, fn] : fns) {
+      for (const std::size_t n : lengths) {
+        for (const std::size_t off : {0u, 1u, 3u}) {  // unaligned starts
+          const std::string what = std::string(name) + tier_name + " n=" +
+                                   std::to_string(n) +
+                                   " off=" + std::to_string(off);
+          const std::vector<double> want = per_element(fn, in.data() + off, n);
+          std::vector<double> got(n);
+          std::vector<double> in_place(in.begin() + off,
+                                       in.begin() + off + n);
+          fn(in.data() + off, got.data(), n);
+          expect_same_bits(got.data(), want.data(), n, what);
+          fn(in_place.data(), in_place.data(), n);
+          expect_same_bits(in_place.data(), want.data(), n,
+                           what + " in place");
         }
-        kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-        fn(in.data() + off, got.data(), n);
-        expect_same_bits(got.data(), want.data(), n, what);
-        fn(in_place.data(), in_place.data(), n);
-        expect_same_bits(in_place.data(), want.data(), n, what + " in place");
       }
+      std::vector<double> got = edges;
+      fn(got.data(), got.data(), got.size());
+      expect_same_bits(got.data(),
+                       per_element(fn, edges.data(), edges.size()).data(),
+                       edges.size(), std::string(name) + tier_name + " edges");
     }
-  }
-  // Softmax over ragged segments of the same inputs (the max shift, the
-  // ascending sum and the divides are shared code; exp is the tier's).
-  for (std::size_t at = 0, n = 1; at + n <= in.size();
-       at += n, n = n % 11 + 1) {
-    std::vector<double> want(in.begin() + at, in.begin() + at + n);
-    std::vector<double> got = want;
-    {
-      kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kScalar, 1));
-      kernels::softmax_inplace(want.data(), n);
+    // Softmax over ragged segments of the same inputs against the max
+    // shift, per-element exp, ascending sum and divides.
+    for (std::size_t at = 0, n = 1; at + n <= in.size();
+         at += n, n = n % 11 + 1) {
+      std::vector<double> got(in.begin() + at, in.begin() + at + n);
+      std::vector<double> shifted = got;
+      const double mx = *std::max_element(shifted.begin(), shifted.end());
+      for (double& v : shifted) v -= mx;
+      std::vector<double> want =
+          per_element(kernels::exp_into, shifted.data(), n);
+      double sum = 0.0;
+      for (const double v : want) sum += v;
+      for (double& v : want) v /= sum;
+      kernels::softmax_inplace(got.data(), n);
+      expect_same_bits(got.data(), want.data(), n,
+                       "softmax" + tier_name + " at=" + std::to_string(at) +
+                           " n=" + std::to_string(n));
     }
-    kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-    kernels::softmax_inplace(got.data(), n);
-    expect_same_bits(got.data(), want.data(), n,
-                     "softmax at=" + std::to_string(at) +
-                         " n=" + std::to_string(n));
   }
 }
 
