@@ -1,17 +1,21 @@
 // Micro-benchmark of the kernel layer: serial reference vs the scalar tier
 // vs the dispatched (SIMD where supported) tier, plus end-to-end
 // DoppelGANger training throughput. Every row is the median of several
-// repetitions, with its IQR recorded beside it. The thread sweep is clamped to
-// hardware_concurrency — thread counts beyond the machine's cores measure
-// oversubscription, not scaling — with the requested sweep and the clamp
-// recorded in the JSON for transparency. Emits BENCH_kernels.json (path
-// overridable via argv[1]); scripts/check_bench_regression gates it against
-// the committed baseline, comparing only like-for-like thread counts.
+// repetitions, with its IQR recorded beside it. The kernels are serial
+// leaves (parallelism lives in the callers' row slices), so kernel rows are
+// measured at one width; the DoppelGANger rows sweep the stage width,
+// clamped to hardware_concurrency — widths beyond the machine's cores
+// measure oversubscription, not scaling — with the requested sweep and the
+// clamp recorded in the JSON. The JSON also records the host fingerprint
+// (core count, CPU model, SIMD tiers, compiler, build type) that
+// perfbench/nsbench.cpp records. Emits BENCH_kernels.json (path overridable
+// via argv[1]); scripts/check_bench_regression gates it against the
+// committed baseline from the same kind of host.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +27,6 @@
 #include "ml/kernels.hpp"
 #include "ml/layers.hpp"
 #include "ml/matrix.hpp"
-#include "ml/workspace.hpp"
 
 using namespace netshare;
 using bench::MedianIqr;
@@ -51,7 +54,6 @@ ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
                                    std::size_t threads) {
   ml::kernels::KernelConfig cfg;
   cfg.threads = threads;
-  cfg.min_parallel_flops = 0;
   cfg.simd = tier;
   return cfg;
 }
@@ -60,12 +62,10 @@ ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
 // reports their median with the IQR beside it.
 constexpr int kKernelReps = 5;
 
-// One throughput row: serial reference plus, per benched thread count, the
-// dispatched tier ("kernel") and the pinned scalar tier ("scalar").
+// One throughput row: serial reference, the dispatched tier ("kernel") and
+// the pinned scalar tier ("scalar").
 struct TierRow {
-  MedianIqr reference;
-  std::vector<MedianIqr> kernel;
-  std::vector<MedianIqr> scalar;
+  MedianIqr reference, kernel, scalar;
 };
 
 MedianIqr gflops_reps(std::size_t n, const std::function<void()>& fn) {
@@ -86,8 +86,7 @@ std::vector<double> iqrs(const std::vector<MedianIqr>& v) {
 
 enum class Op { kMatmul, kTransA, kTransB };
 
-TierRow bench_op(Op op, std::size_t n,
-                 const std::vector<std::size_t>& threads) {
+TierRow bench_op(Op op, std::size_t n) {
   Rng rng(op == Op::kMatmul ? 2 : 3);
   const Matrix a = Matrix::randn(n, n, rng);
   const Matrix b = Matrix::randn(n, n, rng);
@@ -107,17 +106,15 @@ TierRow bench_op(Op op, std::size_t n,
       case Op::kTransB: ml::matmul_trans_b(a, b); break;
     }
   };
-  for (const std::size_t t : threads) {
-    {
-      ml::kernels::ConfigOverride guard(
-          tier_cfg(ml::kernels::SimdTier::kAvx2, t));
-      row.kernel.push_back(gflops_reps(n, run_kernel));
-    }
-    {
-      ml::kernels::ConfigOverride guard(
-          tier_cfg(ml::kernels::SimdTier::kScalar, t));
-      row.scalar.push_back(gflops_reps(n, run_kernel));
-    }
+  {
+    ml::kernels::ConfigOverride guard(
+        tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
+    row.kernel = gflops_reps(n, run_kernel);
+  }
+  {
+    ml::kernels::ConfigOverride guard(
+        tier_cfg(ml::kernels::SimdTier::kScalar, 1));
+    row.scalar = gflops_reps(n, run_kernel);
   }
   return row;
 }
@@ -155,7 +152,7 @@ struct DgResult {
 };
 
 // Each rep trains a fresh model: `warmup` iterations populate its workspace
-// pools, module buffers and the autotuner's shape memos, then `iterations`
+// pools and module buffers, then `iterations`
 // are timed. A single cold sample per row mostly measured which rep the
 // host's scheduler happened to favour; the median of several reps, each
 // after its own warm-up, measures the width.
@@ -364,6 +361,43 @@ const char* tier_name(ml::kernels::SimdTier t) {
   return t == ml::kernels::SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
+std::string cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        std::string v = line.substr(colon + 1);
+        v.erase(0, v.find_first_not_of(' '));
+        return v;
+      }
+    }
+  }
+  return "unknown";
+}
+
+// The host fingerprint, with the fields and spellings of perfbench's:
+// baselines are only comparable between hosts whose fingerprints match.
+std::string fingerprint_json(unsigned hw) {
+  std::string model = cpu_model();
+  std::string escaped;
+  for (const char ch : model) {
+    if (ch == '"' || ch == '\\') escaped += '\\';
+    escaped += ch;
+  }
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"nproc\": %u, \"cpu_model\": \"%s\", "
+                "\"simd_supported\": \"%s\", \"simd_active\": \"%s\", "
+                "\"compiler\": \"%s\", \"build_type\": \"%s\"}",
+                hw > 0 ? hw : 1, escaped.c_str(),
+                tier_name(ml::kernels::supported_tier()),
+                tier_name(ml::kernels::active_tier()), NETSHARE_BENCH_COMPILER,
+                NETSHARE_BENCH_BUILD_TYPE);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -395,24 +429,22 @@ int main(int argc, char** argv) {
   const std::size_t mm_sizes[] = {128, 256, 512};
   std::vector<TierRow> mm;
   for (std::size_t n : mm_sizes) {
-    mm.push_back(bench_op(Op::kMatmul, n, threads));
+    mm.push_back(bench_op(Op::kMatmul, n));
     const TierRow& r = mm.back();
-    std::printf("matmul %zu^3: ref %.2f, scalar@1t %.2f, kernel@1t %.2f "
-                "(IQR %.2f) GFLOP/s (simd/scalar %.2fx), median of %d reps\n",
-                n, r.reference.median, r.scalar[0].median, r.kernel[0].median,
-                r.kernel[0].iqr, r.kernel[0].median / r.scalar[0].median,
-                kKernelReps);
+    std::printf("matmul %zu^3: ref %.2f, scalar %.2f, kernel %.2f (IQR %.2f) "
+                "GFLOP/s (simd/scalar %.2fx), median of %d reps\n",
+                n, r.reference.median, r.scalar.median, r.kernel.median,
+                r.kernel.iqr, r.kernel.median / r.scalar.median, kKernelReps);
   }
-  const TierRow ta = bench_op(Op::kTransA, 256, threads);
-  const TierRow tb = bench_op(Op::kTransB, 256, threads);
+  const TierRow ta = bench_op(Op::kTransA, 256);
+  const TierRow tb = bench_op(Op::kTransB, 256);
   for (const auto* row : {&ta, &tb}) {
-    std::printf("%s 256: ref %.2f, scalar@1t %.2f, kernel@1t %.2f (IQR "
-                "%.2f) GFLOP/s (simd/scalar %.2fx, kernel/ref %.2fx)\n",
+    std::printf("%s 256: ref %.2f, scalar %.2f, kernel %.2f (IQR %.2f) "
+                "GFLOP/s (simd/scalar %.2fx, kernel/ref %.2fx)\n",
                 row == &ta ? "matmul_trans_a" : "matmul_trans_b",
-                row->reference.median, row->scalar[0].median,
-                row->kernel[0].median, row->kernel[0].iqr,
-                row->kernel[0].median / row->scalar[0].median,
-                row->kernel[0].median / row->reference.median);
+                row->reference.median, row->scalar.median, row->kernel.median,
+                row->kernel.iqr, row->kernel.median / row->scalar.median,
+                row->kernel.median / row->reference.median);
   }
 
   const MedianIqr gate_unfused =
@@ -481,23 +513,6 @@ int main(int argc, char** argv) {
                 r.allocs_per_iter, dg_reps);
   }
 
-  // Autotune transparency: the plans the benches above converged on, read
-  // through a Workspace (the per-model snapshot path models use).
-  ml::Workspace ws;
-  struct PlanQuery {
-    const char* op_name;
-    ml::kernels::TuneOp op;
-    std::size_t m, k, n;
-  };
-  const PlanQuery queries[] = {
-      {"matmul", ml::kernels::TuneOp::kMatmul, 128, 128, 128},
-      {"matmul", ml::kernels::TuneOp::kMatmul, 256, 256, 256},
-      {"matmul", ml::kernels::TuneOp::kMatmul, 512, 512, 512},
-      {"trans_a", ml::kernels::TuneOp::kTransA, 256, 256, 256},
-      {"trans_b", ml::kernels::TuneOp::kTransB, 256, 256, 256},
-      {"gate", ml::kernels::TuneOp::kGate, 64, 60, 48},
-  };
-
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -511,36 +526,29 @@ int main(int argc, char** argv) {
                clamped ? "true" : "false");
   std::fprintf(f, "  \"simd\": {\"supported\": %s, \"active\": \"%s\"},\n",
                simd_supported ? "true" : "false", simd_active);
-  // Kernel rows: medians under the old keys, each IQR beside it.
+  std::fprintf(f, "  \"fingerprint\": %s,\n", fingerprint_json(hw).c_str());
+  // Kernel rows, at one width: medians, each IQR beside it.
   std::fprintf(f, "  \"kernel_reps\": %d,\n", kKernelReps);
+  const auto tier_row = [&](const TierRow& r) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "\"reference\": %.3f, \"reference_iqr\": %.3f, "
+                  "\"kernel\": %.3f, \"kernel_iqr\": %.3f, \"scalar\": %.3f, "
+                  "\"scalar_iqr\": %.3f, \"simd_speedup\": %.3f",
+                  r.reference.median, r.reference.iqr, r.kernel.median,
+                  r.kernel.iqr, r.scalar.median, r.scalar.iqr,
+                  r.kernel.median / r.scalar.median);
+    return std::string(buf);
+  };
   std::fprintf(f, "  \"matmul_gflops\": [\n");
   for (std::size_t i = 0; i < mm.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"size\": %zu, \"reference\": %.3f, "
-                 "\"reference_iqr\": %.3f, \"kernel\": %s, \"kernel_iqr\": %s, "
-                 "\"scalar\": %s, \"scalar_iqr\": %s, "
-                 "\"simd_speedup_1t\": %.3f}%s\n",
-                 mm_sizes[i], mm[i].reference.median, mm[i].reference.iqr,
-                 json_array(medians(mm[i].kernel)).c_str(),
-                 json_array(iqrs(mm[i].kernel)).c_str(),
-                 json_array(medians(mm[i].scalar)).c_str(),
-                 json_array(iqrs(mm[i].scalar)).c_str(),
-                 mm[i].kernel[0].median / mm[i].scalar[0].median,
-                 i + 1 < mm.size() ? "," : "");
+    std::fprintf(f, "    {\"size\": %zu, %s}%s\n", mm_sizes[i],
+                 tier_row(mm[i]).c_str(), i + 1 < mm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   for (const auto* row : {&ta, &tb}) {
-    std::fprintf(f,
-                 "  \"matmul_trans_%s_256_gflops\": {\"reference\": %.3f, "
-                 "\"reference_iqr\": %.3f, \"kernel\": %s, "
-                 "\"kernel_iqr\": %s, \"scalar\": %s, \"scalar_iqr\": %s, "
-                 "\"simd_speedup_1t\": %.3f},\n",
-                 row == &ta ? "a" : "b", row->reference.median,
-                 row->reference.iqr, json_array(medians(row->kernel)).c_str(),
-                 json_array(iqrs(row->kernel)).c_str(),
-                 json_array(medians(row->scalar)).c_str(),
-                 json_array(iqrs(row->scalar)).c_str(),
-                 row->kernel[0].median / row->scalar[0].median);
+    std::fprintf(f, "  \"matmul_trans_%s_256_gflops\": {%s},\n",
+                 row == &ta ? "a" : "b", tier_row(*row).c_str());
   }
   std::fprintf(f,
                "  \"gru_gate_per_sec\": {\"unfused\": %.1f, "
@@ -580,18 +588,6 @@ int main(int argc, char** argv) {
                  g.scalar.iqr);
   }
   std::fprintf(f, "},\n");
-  std::fprintf(f, "  \"autotune_plans\": [\n");
-  for (std::size_t i = 0; i < std::size(queries); ++i) {
-    const PlanQuery& q = queries[i];
-    const ml::kernels::TunePlan plan = ws.tune_plan(q.op, q.m, q.k, q.n);
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"shape\": [%zu, %zu, %zu], "
-                 "\"jtile\": %u, \"decided\": %s}%s\n",
-                 q.op_name, q.m, q.k, q.n, plan.jtile,
-                 plan.decided ? "true" : "false",
-                 i + 1 < std::size(queries) ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"doppelganger_iters_per_sec\": {\"iterations\": %d, "
                "\"warmup_iterations\": %d, \"reps\": %d, \"kernel\": %s, "

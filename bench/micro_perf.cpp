@@ -141,7 +141,6 @@ static void BM_DoppelGangerSample(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
   ml::kernels::KernelConfig cfg;
   cfg.threads = static_cast<std::size_t>(state.range(1));
-  cfg.min_parallel_flops = 0;
   ml::kernels::ConfigOverride guard(cfg);
   const gan::DoppelGanger& model = trained_sampler();
   constexpr std::size_t kSeries = 64;

@@ -143,56 +143,50 @@ int main(int argc, char** argv) {
   trainer.fit(datasets);
   const double train_sec = sw.seconds();
 
-  // Health-guard overhead on the train stage: same model / seed / data with
-  // the numeric guards on vs off, gated at <= 2% by check_bench_regression.
-  // The cadence here (check every 5 steps, checkpoint every 10) is 4x denser
-  // than the default policy, so the gate bounds the default from above.
+  // Health-guard overhead on the train stage, gated at <= 2% by
+  // check_bench_regression: one guarded fit of the seed chunk, timed inside
+  // DoppelGanger::fit, as the guard work's wall time (begin_run, check,
+  // checkpoint: the gan.stage.guard profile stage) over the iteration's.
+  // Both come from the same fit, so host drift between two fits cannot
+  // masquerade as overhead. The cadence here (check every 5 steps,
+  // checkpoint every 10) is 4x denser than the default policy, so the gate
+  // bounds the default from above.
   std::size_t seed_c = 0;
   while (seed_c < datasets.size() && datasets[seed_c].num_samples() == 0) {
     ++seed_c;
   }
-  // Each pair times one fit of a fresh guards-off model and one of a fresh
-  // guards-on model, and the gate reads the median of the pairs'
-  // overheads: the host drifts more between two back-to-back blocks than
-  // the gated 2%, and one model can run a few percent faster than its
-  // identically seeded twin for the whole process (where its buffers
-  // landed), so no pair reuses a model. Which is built and timed first
-  // alternates.
-  const int kGuardIters = 20;
-  const int kGuardPairs = 15;
-  const auto guarded_model = [&](bool guards_on) {
+  const int kProfileIters = 20;
+  const int kGuardFitIters = 200;
+  double train_guard_ms = 0.0, train_iter_ms = 0.0;
+  {
     gan::DgConfig dg = config.dg;
-    dg.health.enabled = guards_on;
+    dg.health.enabled = true;
     dg.health.check_every = 5;
     dg.health.checkpoint_every = 10;
-    auto model =
-        std::make_unique<gan::DoppelGanger>(encoder.spec(), dg, config.seed);
-    model->fit(datasets[seed_c], 1);  // warm-up populates pools and caches
-    return model;
-  };
-  std::vector<double> off_secs, on_secs, overheads;
-  const auto time_fit = [&](gan::DoppelGanger& model,
-                            std::vector<double>& secs) {
-    Stopwatch fit;
-    model.fit(datasets[seed_c], kGuardIters);
-    secs.push_back(fit.seconds());
-  };
-  for (int p = 0; p < kGuardPairs; ++p) {
-    const bool off_first = p % 2 == 0;
-    auto first = guarded_model(!off_first);
-    auto second = guarded_model(off_first);
-    time_fit(*first, off_first ? off_secs : on_secs);
-    time_fit(*second, off_first ? on_secs : off_secs);
-    overheads.push_back((on_secs.back() - off_secs.back()) / off_secs.back());
+    gan::DoppelGanger model(encoder.spec(), dg, config.seed);
+    model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
+    telemetry::set_enabled(true);
+    model.fit(datasets[seed_c], kGuardFitIters);
+    const auto gauges = telemetry::snapshot_metrics().gauges;
+    const auto gauge = [&](const std::string& name) {
+      for (const auto& [key, value] : gauges) {
+        if (key == name) return value;
+      }
+      return 0.0;
+    };
+    train_guard_ms = gauge("gan.stage.guard.ms");
+    train_iter_ms = gauge("gan.stage.iteration.ms");
   }
-  const double train_guard_off_sec = bench::median_iqr(off_secs).median;
-  const double train_guard_on_sec = bench::median_iqr(on_secs).median;
-  const bench::MedianIqr guard_overhead = bench::median_iqr(overheads);
-  const double train_guard_overhead_frac = guard_overhead.median;
+  if (train_iter_ms <= 0.0) {
+    std::fprintf(stderr, "ERROR: no gan.stage profile (telemetry compiled "
+                         "out?): the guard overhead cannot be measured\n");
+    return 1;
+  }
+  const double train_guard_overhead_frac = train_guard_ms / train_iter_ms;
 
   // Seed-chunk DoppelGanger::fit throughput at kernel budget 1 and at the
-  // core count (informational, not gated): how far the iteration's task
-  // graph and the kernels' row panels scale with the budget.
+  // core count (informational, not gated): how far the iteration's
+  // row-sliced stages scale with the budget.
   // Each also leaves its last fit's stage profile behind (informational).
   const auto fit_iters_per_s = [&](std::size_t threads, std::string& profile) {
     ml::kernels::KernelConfig kc = config.kernels;
@@ -201,8 +195,8 @@ int main(int argc, char** argv) {
     gan::DoppelGanger model(encoder.spec(), config.dg, config.seed);
     model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
     const double rate =
-        kGuardIters /
-        time_best([&] { model.fit(datasets[seed_c], kGuardIters); }, 1.2);
+        kProfileIters /
+        time_best([&] { model.fit(datasets[seed_c], kProfileIters); }, 1.2);
     profile = stage_profile_json();
     return rate;
   };
@@ -375,11 +369,10 @@ int main(int argc, char** argv) {
   std::printf("sample %zu series @1t: batched %.4fs, per-series %.4fs, "
               "%.0f allocs/batch\n",
               kSampleBatch, batched_sec, per_series_sec, allocs_per_batch);
-  std::printf("train health guards (%d iters, median of %d pairs): ON "
-              "%.4fs vs OFF %.4fs (%+.2f%%, IQR %.2f%%)\n",
-              kGuardIters, kGuardPairs, train_guard_on_sec,
-              train_guard_off_sec, 100.0 * train_guard_overhead_frac,
-              100.0 * guard_overhead.iqr);
+  std::printf("train health guards (one %d-iteration fit): %.4f ms of "
+              "guard work per %.3f ms iteration (%.2f%%)\n",
+              kGuardFitIters, train_guard_ms, train_iter_ms,
+              100.0 * train_guard_overhead_frac);
   std::printf("seed-chunk stage profile @1t: %s\n", stage_profile_1t.c_str());
   std::printf("seed-chunk stage profile @%zut: %s\n", cores,
               stage_profile_nt.c_str());
@@ -404,13 +397,11 @@ int main(int argc, char** argv) {
                "\"generate\": %.4f, \"postprocess\": %.6f},\n",
                preprocess_sec, train_sec, generate_sec, postprocess_sec);
   std::fprintf(f, "  \"train_cpu_sec\": %.4f,\n", trainer.train_cpu_seconds());
-  std::fprintf(f, "  \"train_guard_on_sec\": %.6f,\n", train_guard_on_sec);
-  std::fprintf(f, "  \"train_guard_off_sec\": %.6f,\n", train_guard_off_sec);
+  std::fprintf(f, "  \"train_guard_ms_per_iter\": %.6f,\n", train_guard_ms);
+  std::fprintf(f, "  \"train_iter_ms\": %.6f,\n", train_iter_ms);
   std::fprintf(f, "  \"train_guard_overhead_frac\": %.4f,\n",
                train_guard_overhead_frac);
-  std::fprintf(f, "  \"train_guard_overhead_iqr\": %.4f,\n",
-               guard_overhead.iqr);
-  std::fprintf(f, "  \"train_guard_pairs\": %d,\n", kGuardPairs);
+  std::fprintf(f, "  \"train_guard_fit_iterations\": %d,\n", kGuardFitIters);
   std::fprintf(f, "  \"dg_fit_iters_per_s_1t\": %.2f,\n",
                dg_fit_iters_per_s_1t);
   std::fprintf(f, "  \"dg_fit_iters_per_s_nt\": %.2f,\n",

@@ -35,14 +35,17 @@ struct NetShareConfig {
   bool use_flow_tags = true;      // ablation: cross-chunk flow tags
 
   // --- matmul kernel layer (ml/kernels.hpp) ---
-  // kernels.threads == 0 defers to `threads` above during training: the seed
-  // phase gives the whole budget to the kernels, the fine-tune phase splits
-  // it between chunk workers and per-worker kernel threads (see
-  // ChunkedTrainer::fit). Parallel kernels are bitwise identical to serial.
-  // kernels.simd is the vector-tier ceiling (DESIGN.md §10): kAvx2 (default)
-  // lets runtime CPUID dispatch pick the SIMD tier, kScalar pins the blocked
-  // scalar kernels. Either tier — like the NETSHARE_SIMD=off env override —
-  // produces bitwise-identical models, flows, and snapshots.
+  // The kernels are serial; kernels.threads is the width of a training
+  // iteration's row-sliced stages. 0 defers to `threads` above during
+  // training: the seed phase gives the whole budget to one model's stages,
+  // the fine-tune phase splits it between chunk workers and per-worker
+  // stage widths (see ChunkedTrainer::fit). Every width is bitwise
+  // identical to width 1. kernels.simd is the vector-tier ceiling
+  // (DESIGN.md §10): kAvx2 (default) lets runtime CPUID dispatch pick the
+  // SIMD tier, kScalar pins the blocked scalar kernels. Either tier — like
+  // the NETSHARE_SIMD=off env override — produces bitwise-identical models,
+  // flows, and snapshots. Served chunk parts slice at `threads` wide
+  // (DESIGN.md §13).
   ml::kernels::KernelConfig kernels;
 
   // --- Insight 4: differential privacy ---

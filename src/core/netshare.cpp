@@ -122,14 +122,16 @@ std::size_t round_series(std::size_t deficit, double rpf, std::size_t sampled,
   return std::max<std::size_t>(8, std::min(want, deficit));
 }
 
-// Deficit-loop sampling + decode for one chunk. Each round's series are cut
-// into trainer.slice_series() slices; a slice is sampled and decoded as one
-// task on the shared executor, up to `width` at once, and the slices'
-// records are appended in ascending slice order. The result is a pure
-// function of (chunk index, target, seed) — the sampler draws from
-// counter-based per-(chunk, series) streams, the decoder is const and works
-// series by series, and each round's size depends only on this chunk's
-// earlier rounds — so offline and served schedules produce
+// Deficit-loop sampling + decode for one chunk. Each round of n series is
+// cut into slices of min(trainer.slice_series(), max(batch_size,
+// ceil(n / width))) series, so a round of a few batches still spreads over
+// `width` threads while no slice runs less than one sampler batch; a slice
+// is sampled and decoded as one task on the shared executor, up to `width`
+// at once, and the slices' records are appended in ascending slice order.
+// The result is a pure function of (chunk index, target, seed) — the
+// sampler draws from counter-based per-(chunk, series) streams, the decoder
+// is const and works series by series, and each round's size depends only
+// on this chunk's earlier rounds — so offline and served schedules produce
 // bitwise-identical sub-traces at any width once export_chunk_part has
 // ordered them: each slice comes back time-sorted, and a stable sort of the
 // concatenated slices equals a stable sort of the whole round, because
@@ -145,12 +147,15 @@ void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
   out = TraceT{};
   const double rpf = std::min(records_per_flow(chunks[c]),
                               static_cast<double>(config.max_seq_len));
-  const std::size_t S = trainer.slice_series();
+  width = std::max<std::size_t>(1, width);
   std::size_t sampled = 0;  // series so far; keeps stream indices unique
   std::vector<TraceT> decoded;
   while (out.size() < target) {
     const std::size_t n =
         round_series(target - out.size(), rpf, sampled, out.size());
+    const std::size_t S =
+        std::min(trainer.slice_series(),
+                 std::max(config.dg.batch_size, (n + width - 1) / width));
     decoded.resize((n + S - 1) / S);
     run_parallel_tasks(width, decoded.size(), [&](std::size_t k) {
       const std::size_t first = k * S;

@@ -43,10 +43,11 @@ std::vector<std::size_t> chunk_record_targets(
     const std::vector<ChunkInfo>& chunks, std::size_t n);
 
 // Deficit-loop sampling + decode of chunk c's sub-trace toward `target`
-// records (overshoot is trimmed by export_flow_chunk_part). Each round's
-// series are sampled and decoded in ChunkedTrainer::slice_series() slices,
-// up to `width` slices at once on the shared executor; the exported part is
-// bitwise identical at every width.
+// records (overshoot is trimmed by export_flow_chunk_part). Each round's n
+// series are sampled and decoded in slices of min(slice_series(),
+// max(batch_size, ceil(n / width))) series, up to `width` slices at once on
+// the shared executor; the exported part is bitwise identical at every
+// width.
 void sample_flow_chunk_part(const std::vector<ChunkInfo>& chunks,
                             std::size_t c, std::size_t target,
                             std::uint64_t seed, const NetShareConfig& config,

@@ -10,8 +10,7 @@ namespace netshare::core {
 
 std::size_t parallel_phase_budget(std::size_t budget) {
   budget = std::max<std::size_t>(1, budget);
-  if (budget > 1 &&
-      (ThreadPool::on_worker_thread() || ml::kernels::in_kernel_task())) {
+  if (budget > 1 && ThreadPool::on_worker_thread()) {
     TELEM_DIAG(::netshare::telemetry::Severity::kWarn,
                "core.parallel.oversubscribed",
                "parallel phase requested %zu threads from inside an "

@@ -16,11 +16,10 @@ namespace netshare::core {
 
 // Thread budget a new parallel phase may actually use: `budget` normally,
 // clamped to 1 (printing a one-line oversubscription warning to stderr) when
-// the caller is already inside a parallel context — a ThreadPool worker or a
-// kernel row-panel task — where fanning out the full budget would
-// oversubscribe the machine, exactly as nested kernel dispatch is forced
-// serial in ml/kernels.cpp. At top level the budget is additionally capped
-// at std::thread::hardware_concurrency() (silently; 0 = unknown leaves the
+// the caller is already inside a parallel context — a ThreadPool worker —
+// where fanning out the full budget would oversubscribe the machine. At top
+// level the budget is additionally capped at
+// std::thread::hardware_concurrency() (silently; 0 = unknown leaves the
 // request alone): these phases are CPU-bound, so extra threads beyond the
 // physical cores only add dispatch overhead.
 std::size_t parallel_phase_budget(std::size_t budget);

@@ -823,7 +823,17 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   if (data.features.size() != spec_.max_len) {
     throw std::invalid_argument("DoppelGanger::fit: max_len mismatch");
   }
-  const double cpu0 = thread_cpu_seconds() + ThreadPool::helper_cpu_seconds();
+  // The fit's CPU seconds count toward train_cpu_seconds() however it ends:
+  // a fit that throws TrainingDivergedError after its last rollback still
+  // spent them (Fig. 4's cost axis includes seed-fallback chunks).
+  struct CpuCredit {
+    double& total;
+    double start = thread_cpu_seconds() + ThreadPool::helper_cpu_seconds();
+    double seconds() const {
+      return thread_cpu_seconds() + ThreadPool::helper_cpu_seconds() - start;
+    }
+    ~CpuCredit() { total += seconds(); }
+  } cpu_credit{train_cpu_seconds_};
   Stopwatch wall;
   profile_ = telemetry::kCompiledIn && telemetry::enabled() && iterations > 0;
   predrawn_ = false;
@@ -831,7 +841,17 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   int runs = 0;  // iterations run, rolled-back ones included
   const ml::health::HealthConfig& hc = config_.health;
   const bool guarded = hc.enabled && iterations > 0;
+  // Guard work runs on the calling thread alone; with the profile on, its
+  // wall time accrues to the kGuard stage.
+  const auto guard_clock = [&](Stopwatch& sw) {
+    if (profile_) {
+      const double t = sw.seconds();
+      stage_clock_[kGuard].wall += t;
+      stage_clock_[kGuard].busy += t;
+    }
+  };
   if (guarded) {
+    Stopwatch sw;
     if (!monitor_) {
       monitor_ = std::make_unique<ml::health::HealthMonitor>(hc, all_params(),
                                                              seed_);
@@ -842,6 +862,7 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
     monitor_->begin_run();
     g_opt_->set_lr(config_.lr);
     d_opt_->set_lr(config_.lr);
+    guard_clock(sw);
   }
   int attempt = 0;
   int it = 0;
@@ -858,6 +879,7 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
     ++it;
     TELEM_COUNT("gan.train.iterations");
     if (!guarded) continue;
+    Stopwatch sw;
     monitor_->maybe_inject(it);
     if (monitor_->check_due(it) || it == iterations) {
       const bool healthy = monitor_->check(it, last_d_loss_, last_g_loss_,
@@ -865,6 +887,7 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
                                            last_g_grad_norm_);
       if (healthy) {
         if (monitor_->checkpoint_due(it)) monitor_->checkpoint(it);
+        guard_clock(sw);
         continue;
       }
       TELEM_DIAG(::netshare::telemetry::Severity::kWarn, "gan.health.diverged",
@@ -893,14 +916,12 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
                                                    attempt)));
       predrawn_ = false;  // the retry draws from the reseeded stream
     }
+    guard_clock(sw);
   }
   const double secs = wall.seconds();
-  const double cpu =
-      thread_cpu_seconds() + ThreadPool::helper_cpu_seconds() - cpu0;
-  train_cpu_seconds_ += cpu;
   if (profile_ && secs > 0.0) {
     TELEM_GAUGE_SET("gan.train.iters_per_sec", iterations / secs);
-    publish_profile(runs, secs, cpu);
+    publish_profile(runs, secs, cpu_credit.seconds());
   }
 }
 
@@ -923,9 +944,10 @@ void DoppelGanger::publish_profile(int runs, double wall, double cpu) const {
   NETSHARE_STAGE_GAUGES(kGenBackward, "gen_backward");
   NETSHARE_STAGE_GAUGES(kGenGrads, "gen_grads");
   NETSHARE_STAGE_GAUGES(kGenAdam, "gen_adam");
+  NETSHARE_STAGE_GAUGES(kGuard, "guard");
 #undef NETSHARE_STAGE_GAUGES
   // Whatever ran between the stages on the calling thread alone: draws,
-  // shaping, loss seeds, clip norms, the DP critic and the health guard.
+  // shaping, loss seeds, clip norms and the DP critic.
   double staged = 0.0;
   for (const StageClock& c : stage_clock_) staged += c.wall;
   TELEM_GAUGE_SET("gan.stage.serial.ms", (wall - staged) * per_iter);

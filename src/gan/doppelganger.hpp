@@ -187,6 +187,7 @@ class DoppelGanger {
     kGenBackward,     // critic pass, head, BPTT and attribute-MLP slices
     kGenGrads,
     kGenAdam,
+    kGuard,           // health guard: begin_run, check, checkpoint, rollback
     kStageCount
   };
   struct StageClock {

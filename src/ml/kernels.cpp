@@ -1,48 +1,30 @@
-// Blocked parallel matmul kernels. This translation unit is compiled with
-// aggressive per-file optimization flags (see src/CMakeLists.txt) but with
-// FP contraction disabled: every partial product is rounded (mul) and then
+// Serial matmul kernels. This translation unit is compiled with aggressive
+// per-file optimization flags (see src/CMakeLists.txt) but with FP
+// contraction disabled: every partial product is rounded (mul) and then
 // accumulated (add) exactly like the serial reference in matrix.cpp, which
 // is what makes the blocked/vectorized loops bitwise-reproducible.
 #include "ml/kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "ml/kernels_simd.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace netshare::ml::kernels {
 namespace {
 
-std::mutex g_mutex;
-KernelConfig g_config;
-// g_config.simd, mirrored for the row-range forms, which must not take
-// g_mutex: threads filling slices of one stage would queue on it.
+// KernelConfig's two fields, each its own atomic: readers never lock, and
+// threads filling slices of one stage never queue on each other.
+std::atomic<std::size_t> g_threads{KernelConfig{}.threads};
 std::atomic<int> g_simd_ceiling{static_cast<int>(KernelConfig{}.simd)};
-
-// Set while a thread executes a panel; a kernel invoked from inside a panel
-// runs serially instead of fanning out again.
-thread_local bool tl_in_kernel_task = false;
-
-struct PanelFlag {
-  PanelFlag() { tl_in_kernel_task = true; }
-  ~PanelFlag() { tl_in_kernel_task = false; }
-};
 
 std::size_t env_threads() {
   static const std::size_t cached = [] {
@@ -55,51 +37,8 @@ std::size_t env_threads() {
   return cached;
 }
 
-std::size_t resolve_threads(const KernelConfig& cfg) {
-  if (cfg.threads > 0) return cfg.threads;
-  if (env_threads() > 0) return env_threads();
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
-}
-
-// Splits [0, rows) into contiguous panels and runs body(begin, end) on the
-// shared executor, the calling thread taking part. body must touch only
-// output rows [begin, end): that disjointness is the whole determinism
-// argument — the partition can change with the thread count without
-// changing any element's reduction order. parallel_for waits for every panel
-// (they reference this frame) and rethrows the first panel exception.
-template <typename Body>
-void run_row_panels(std::size_t rows, std::size_t flops, const Body& body) {
-  if (rows == 0) return;
-  std::size_t threads;
-  {
-    std::lock_guard<std::mutex> lock(g_mutex);
-    threads = flops < g_config.min_parallel_flops ? 1
-                                                  : resolve_threads(g_config);
-  }
-  if (tl_in_kernel_task) threads = 1;
-  const std::size_t ntasks = std::min(threads, rows);
-  if (ntasks <= 1) {
-    TELEM_COUNT("kernels.dispatch_serial");
-    body(std::size_t{0}, rows);
-    return;
-  }
-  TELEM_COUNT("kernels.dispatch_parallel");
-  const std::size_t chunk = (rows + ntasks - 1) / ntasks;
-  ThreadPool::shared().parallel_for(
-      ntasks,
-      [&body, rows, chunk](std::size_t t) {
-        const std::size_t begin = t * chunk;
-        const std::size_t end = std::min(rows, begin + chunk);
-        if (begin >= end) return;
-        PanelFlag flag;
-        body(begin, end);
-      },
-      ntasks);
 }
 
 // --- SIMD tier resolution --------------------------------------------------
@@ -116,14 +55,8 @@ int simd_env_cap() {
   return cap;
 }
 
-SimdTier resolve_tier(const KernelConfig& cfg) {
-  if (cfg.simd == SimdTier::kScalar) return SimdTier::kScalar;
-  if (simd_env_cap() == 0) return SimdTier::kScalar;
-  return supported_tier();
-}
-
-// resolve_tier(config()) without the mutex.
-SimdTier row_tier() {
+// min(config ceiling, NETSHARE_SIMD cap, what the CPU supports).
+SimdTier tier() {
   if (g_simd_ceiling.load(std::memory_order_relaxed) ==
       static_cast<int>(SimdTier::kScalar)) {
     return SimdTier::kScalar;
@@ -132,126 +65,13 @@ SimdTier row_tier() {
   return supported_tier();
 }
 
-// --- online autotuner ------------------------------------------------------
-//
-// The SIMD panels take a register-block width (`jtile`) that trades column
-// reuse of the broadcast A element against live accumulator count. Instead
-// of guessing, the first few dispatches of each (op, shape) each time ONE
-// candidate on the real operands — no re-running, so even non-idempotent
-// kernels (the += accumulator) tune safely — and once every candidate has
-// kTuneRounds timings the argmin is memoized for the life of the process.
-// Every candidate is bitwise-identical, so the plan can only change speed.
-
-constexpr unsigned kDefaultJtile = 16;
-constexpr unsigned kCandidates[] = {8, 16, 32};
-constexpr int kTuneRounds = 2;
-// Below this flop count a dispatch is too short to time meaningfully (and
-// too cheap for the plan to matter): use the default plan, skip the memo.
-constexpr std::size_t kTuneMinFlops = std::size_t{1} << 14;
-
-std::size_t candidate_count(TuneOp op) {
-  // The fused gate keeps two accumulator sets live (x·wx and h·wh), so the
-  // 32-column candidate would spill; it competes at 8 and 16 only.
-  return op == TuneOp::kGate ? 2 : 3;
-}
-
-struct TuneState {
-  unsigned decided = 0;  // 0 = still sampling, else the winning jtile
-  std::array<double, 3> best_s{std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity()};
-  std::array<std::uint8_t, 3> trials{};
-};
-
-std::shared_mutex g_tune_mutex;
-std::unordered_map<std::uint64_t, TuneState> g_tune;
-
-std::uint64_t tune_key(TuneOp op, std::size_t m, std::size_t k,
-                       std::size_t n) {
-  constexpr std::uint64_t kDimMask = (std::uint64_t{1} << 20) - 1;
-  const auto clampd = [](std::size_t d) {
-    return std::uint64_t{d} < kDimMask ? std::uint64_t{d} : kDimMask;
-  };
-  return (static_cast<std::uint64_t>(op) << 60) | (clampd(m) << 40) |
-         (clampd(k) << 20) | clampd(n);
-}
-
-// Runs `run(jtile)` exactly once, picking the width from the memoized plan
-// when decided, otherwise timing the least-sampled candidate.
-template <typename Run>
-void run_autotuned(const KernelConfig& cfg, TuneOp op, std::size_t m,
-                   std::size_t k, std::size_t n, std::size_t flops,
-                   const Run& run) {
-  if (cfg.force_jtile != 0) {
-    run(cfg.force_jtile);
-    return;
-  }
-  if (!cfg.autotune || flops < kTuneMinFlops) {
-    run(kDefaultJtile);
-    return;
-  }
-  const std::uint64_t key = tune_key(op, m, k, n);
-  {
-    std::shared_lock<std::shared_mutex> lock(g_tune_mutex);
-    auto it = g_tune.find(key);
-    if (it != g_tune.end() && it->second.decided != 0) {
-      const unsigned jt = it->second.decided;
-      lock.unlock();
-      run(jt);
-      return;
-    }
-  }
-  int slot = -1;
-  unsigned jt = kDefaultJtile;
-  {
-    std::unique_lock<std::shared_mutex> lock(g_tune_mutex);
-    TuneState& st = g_tune[key];
-    if (st.decided != 0) {
-      jt = st.decided;
-    } else {
-      slot = 0;
-      for (std::size_t c = 1; c < candidate_count(op); ++c) {
-        if (st.trials[c] < st.trials[slot]) slot = static_cast<int>(c);
-      }
-      jt = kCandidates[slot];
-    }
-  }
-  if (slot < 0) {
-    run(jt);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  run(jt);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::unique_lock<std::shared_mutex> lock(g_tune_mutex);
-  TuneState& st = g_tune[key];
-  if (st.decided != 0) return;  // another thread finished sampling
-  const auto s = static_cast<std::size_t>(slot);
-  st.best_s[s] = std::min(st.best_s[s], sec);
-  st.trials[s] = static_cast<std::uint8_t>(st.trials[s] + 1);
-  bool complete = true;
-  for (std::size_t c = 0; c < candidate_count(op); ++c) {
-    if (st.trials[c] < kTuneRounds) complete = false;
-  }
-  if (complete) {
-    std::size_t win = 0;
-    for (std::size_t c = 1; c < candidate_count(op); ++c) {
-      if (st.best_s[c] < st.best_s[win]) win = c;
-    }
-    st.decided = kCandidates[win];
-    TELEM_COUNT("kernels.autotune_decided");
-  }
-}
-
 }  // namespace
 
 SimdTier supported_tier() {
   return simd::cpu_supports_avx2() ? SimdTier::kAvx2 : SimdTier::kScalar;
 }
 
-SimdTier active_tier() { return resolve_tier(config()); }
+SimdTier active_tier() { return tier(); }
 
 void reload_simd_env() {
   const char* s = std::getenv("NETSHARE_SIMD");
@@ -264,74 +84,49 @@ void reload_simd_env() {
   g_simd_env_cap.store(cap, std::memory_order_release);
 }
 
-TunePlan tuned_plan(TuneOp op, std::size_t rows, std::size_t inner,
-                    std::size_t cols) {
-  std::shared_lock<std::shared_mutex> lock(g_tune_mutex);
-  auto it = g_tune.find(tune_key(op, rows, inner, cols));
-  if (it == g_tune.end() || it->second.decided == 0) return TunePlan{};
-  return TunePlan{it->second.decided, true};
-}
-
 KernelConfig config() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_config;
+  KernelConfig cfg;
+  cfg.threads = g_threads.load(std::memory_order_relaxed);
+  cfg.simd =
+      static_cast<SimdTier>(g_simd_ceiling.load(std::memory_order_relaxed));
+  return cfg;
 }
 
 void set_config(const KernelConfig& cfg) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_config = cfg;
+  g_threads.store(cfg.threads, std::memory_order_relaxed);
   g_simd_ceiling.store(static_cast<int>(cfg.simd), std::memory_order_relaxed);
 }
 
 std::size_t effective_threads() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return resolve_threads(g_config);
+  const std::size_t threads = g_threads.load(std::memory_order_relaxed);
+  if (threads > 0) return threads;
+  if (env_threads() > 0) return env_threads();
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
 }
-
-bool in_kernel_task() { return tl_in_kernel_task; }
 
 namespace {
 
-// Shared driver for C = A·B (+ optional bias): SIMD tier runs the
-// register-resident panels from kernels_simd.cpp; scalar tier (or the bias
-// epilogue on scalar) is handled by the callers below.
-void matmul_simd(const Matrix& a, const Matrix& b, const double* bias,
-                 Matrix& c, const KernelConfig& cfg) {
-  const std::size_t R = a.rows(), K = a.cols(), C = b.cols();
-  const std::size_t flops = 2 * R * K * C;
-  TELEM_COUNT("kernels.tier_avx2");
-  run_autotuned(cfg, TuneOp::kMatmul, R, K, C, flops, [&](unsigned jt) {
-    run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-      if (bias == nullptr) {
-        simd::matmul_panel(a.row_ptr(0), K, b.row_ptr(0), C, c.row_ptr(0), C,
-                           K, C, r0, r1, jt);
-      } else {
-        simd::matmul_bias_panel(a.row_ptr(0), K, b.row_ptr(0), C, bias,
-                                c.row_ptr(0), C, K, C, r0, r1, jt);
-      }
-    });
-  });
-}
-
-}  // namespace
-
-namespace {
+// Scalar-tier cache tiles: inner dimension (L1 reuse of the A row) and
+// output columns (L2 reuse of the B panel). Tiling only reorders work
+// between elements, never the k-chain of one element.
+constexpr std::size_t kBlockK = 64;
+constexpr std::size_t kBlockJ = 256;
 
 // Scalar-tier rows [r0, r1) of C = A·B[b_row0, b_row0 + cols(A)). Zeroes
 // those rows of c first, unless `seeded`: then each element's chain starts
 // from the value already in c.
 void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                        std::size_t r0, std::size_t r1, std::size_t KB,
-                        std::size_t JB, std::size_t b_row0 = 0,
+                        std::size_t r0, std::size_t r1, std::size_t b_row0 = 0,
                         bool seeded = false) {
   const std::size_t K = a.cols(), C = b.cols();
   if (r1 > r0 && C > 0 && !seeded) {
     std::fill(c.row_ptr(r0), c.row_ptr(r0) + (r1 - r0) * C, 0.0);
   }
-  for (std::size_t kk = 0; kk < K; kk += KB) {
-    const std::size_t kend = std::min(K, kk + KB);
-    for (std::size_t jj = 0; jj < C; jj += JB) {
-      const std::size_t jend = std::min(C, jj + JB);
+  for (std::size_t kk = 0; kk < K; kk += kBlockK) {
+    const std::size_t kend = std::min(K, kk + kBlockK);
+    for (std::size_t jj = 0; jj < C; jj += kBlockJ) {
+      const std::size_t jend = std::min(C, jj + kBlockJ);
       for (std::size_t i = r0; i < r1; ++i) {
         double* crow = c.row_ptr(i);
         const double* arow = a.row_ptr(i);
@@ -380,133 +175,17 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-}  // namespace
-
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.cols() == b.rows(), "kernels::matmul: inner dimension mismatch");
-  c.resize(a.rows(), b.cols());
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    matmul_simd(a, b, nullptr, c, cfg);
-    return;
-  }
-  const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
-  const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
-  run_row_panels(a.rows(), 2 * a.rows() * a.cols() * b.cols(),
-                 [&](std::size_t r0, std::size_t r1) {
-                   scalar_matmul_rows(a, b, c, r0, r1, KB, JB);
-                 });
-}
-
-namespace {
-
-// Shared driver for C = Aᵀ·B and C += Aᵀ·B on the SIMD tier. Output rows
-// are columns of A, mirroring the scalar kernel's panel decomposition.
-void trans_a_simd(const Matrix& a, const Matrix& b, Matrix& c, bool acc,
-                  const KernelConfig& cfg) {
-  const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
-  const std::size_t flops = 2 * K * R * C;
-  TELEM_COUNT("kernels.tier_avx2");
-  run_autotuned(cfg, TuneOp::kTransA, R, K, C, flops, [&](unsigned jt) {
-    run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-      if (acc) {
-        simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                       c.row_ptr(0), C, K, C, r0, r1, jt);
-      } else {
-        simd::matmul_trans_a_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                   c.row_ptr(0), C, K, C, r0, r1, jt);
-      }
-    });
-  });
-}
-
-}  // namespace
-
-void matmul_trans_a_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  require(a.rows() == b.rows(), "kernels::matmul_trans_a: row mismatch");
-  c.resize(a.cols(), b.cols());
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    trans_a_simd(a, b, c, /*acc=*/false, cfg);
-    return;
-  }
-  c.fill(0.0);
-  const std::size_t K = a.rows(), C = b.cols();
-  const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
-  const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
-  // Output rows are columns of A; a.row_ptr(k)[i] is contiguous in i, so the
-  // panel loop still streams A rows.
-  run_row_panels(a.cols(), 2 * K * a.cols() * C,
-                 [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t kk = 0; kk < K; kk += KB) {
-      const std::size_t kend = std::min(K, kk + KB);
-      for (std::size_t jj = 0; jj < C; jj += JB) {
-        const std::size_t jend = std::min(C, jj + JB);
-        std::size_t k = kk;
-        // Same 4-way k-unroll as matmul_into: per element the four partial
-        // products still land one at a time in ascending-k order.
-        for (; k + 4 <= kend; k += 4) {
-          const double* ak0 = a.row_ptr(k);
-          const double* ak1 = a.row_ptr(k + 1);
-          const double* ak2 = a.row_ptr(k + 2);
-          const double* ak3 = a.row_ptr(k + 3);
-          const double* bk0 = b.row_ptr(k);
-          const double* bk1 = b.row_ptr(k + 1);
-          const double* bk2 = b.row_ptr(k + 2);
-          const double* bk3 = b.row_ptr(k + 3);
-          for (std::size_t i = r0; i < r1; ++i) {
-            const double a0 = ak0[i], a1 = ak1[i], a2 = ak2[i], a3 = ak3[i];
-            double* crow = c.row_ptr(i);
-            if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
-              for (std::size_t k2 = k; k2 < k + 4; ++k2) {
-                const double aki = a.row_ptr(k2)[i];
-                if (aki == 0.0) continue;
-                const double* brow = b.row_ptr(k2);
-                for (std::size_t j = jj; j < jend; ++j) {
-                  crow[j] += aki * brow[j];
-                }
-              }
-              continue;
-            }
-            for (std::size_t j = jj; j < jend; ++j) {
-              double t = crow[j];
-              t += a0 * bk0[j];
-              t += a1 * bk1[j];
-              t += a2 * bk2[j];
-              t += a3 * bk3[j];
-              crow[j] = t;
-            }
-          }
-        }
-        for (; k < kend; ++k) {
-          const double* arow = a.row_ptr(k);
-          const double* brow = b.row_ptr(k);
-          for (std::size_t i = r0; i < r1; ++i) {
-            const double aki = arow[i];
-            if (aki == 0.0) continue;
-            double* crow = c.row_ptr(i);
-            for (std::size_t j = jj; j < jend; ++j) crow[j] += aki * brow[j];
-          }
-        }
-      }
-    }
-  });
-}
-
-namespace {
-
-// Rows [r0, r1) of C = A·Bᵀ against a pack, on the calling thread. On the
-// scalar tier eight dot products advance together, each a plain
-// ascending-k chain with no zero-skip (the reference's), reading
-// contiguous lanes of the pack.
-void trans_b_rows(SimdTier tier, const Matrix& a, const PackedTransB& b,
-                  Matrix& c, std::size_t r0, std::size_t r1, unsigned jt) {
+// Rows [r0, r1) of C = A·Bᵀ against a pack. On the scalar tier eight dot
+// products advance together, each a plain ascending-k chain with no
+// zero-skip (the reference's), reading contiguous lanes of the pack.
+void trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
+                  std::size_t r0, std::size_t r1) {
   const std::size_t K = b.cols, C = b.rows;
   if (r1 <= r0 || C == 0) return;
   const double* bt = b.bt.data();
-  if (tier == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K, C, r0,
-                               r1, jt);
+                               r1);
     return;
   }
   for (std::size_t i = r0; i < r1; ++i) {
@@ -563,30 +242,30 @@ void pack_trans_b(const Matrix& b, std::size_t row0, std::size_t row1,
   }
 }
 
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  require(a.cols() == b.rows(), "kernels::matmul: inner dimension mismatch");
+  c.resize(a.rows(), b.cols());
+  matmul_rows(a, b, 0, c, 0, a.rows());
+}
+
+// The accumulate form from a zeroed C: each element's product chain starts
+// at +0 and so never ends at −0, which makes the one add into 0 exact.
+void matmul_trans_a_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  require(a.rows() == b.rows(), "kernels::matmul_trans_a: row mismatch");
+  c.resize(a.cols(), b.cols());
+  c.fill(0.0);
+  matmul_trans_a_acc_rows(a, b, c, 0, a.cols());
+}
+
 void matmul_trans_b_into(const Matrix& a, const PackedTransB& b, Matrix& c) {
   require_trans_b(a, b);
   c.resize(a.rows(), b.rows);
-  const KernelConfig cfg = config();
-  const SimdTier tier = resolve_tier(cfg);
-  const std::size_t flops = 2 * a.rows() * b.cols * b.rows;
-  const auto run = [&](unsigned jt) {
-    run_row_panels(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-      trans_b_rows(tier, a, b, c, r0, r1, jt);
-    });
-  };
-  if (tier == SimdTier::kAvx2) {
-    TELEM_COUNT("kernels.tier_avx2");
-    run_autotuned(cfg, TuneOp::kTransB, a.rows(), b.cols, b.rows, flops, run);
-  } else {
-    run(kDefaultJtile);
-  }
+  matmul_trans_b_rows(a, b, c, 0, a.rows());
 }
 
 void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.cols() == b.cols(), "kernels::matmul_trans_b: col mismatch");
-  // Pack Bᵀ on the calling thread, before the panels fan out, so workers
-  // only read it. Grow-only thread_local scratch: zero steady-state
-  // allocations.
+  // Grow-only thread_local pack: zero steady-state allocations.
   static thread_local PackedTransB tl_pack;
   pack_trans_b(b, tl_pack);
   matmul_trans_b_into(a, tl_pack, c);
@@ -598,31 +277,15 @@ void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias,
           "kernels::matmul_bias: inner dimension mismatch");
   require(bias.rows() == 1 && bias.cols() == b.cols(),
           "kernels::matmul_bias: bias must be 1 x cols(b)");
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    c.resize(a.rows(), b.cols());
-    matmul_simd(a, b, bias.row_ptr(0), c, cfg);
-    return;
-  }
-  matmul_into(a, b, c);
-  add_row_broadcast_inplace(c, bias);
+  c.resize(a.rows(), b.cols());
+  matmul_bias_rows(a, b, bias, c, 0, a.rows());
 }
 
 void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
   require(a.rows() == b.rows(), "kernels::matmul_trans_a_acc: row mismatch");
   require(acc.rows() == a.cols() && acc.cols() == b.cols(),
           "kernels::matmul_trans_a_acc: acc shape mismatch");
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    trans_a_simd(a, b, acc, /*acc=*/true, cfg);
-    return;
-  }
-  // Scalar tier: materialize the product into thread-local scratch, then
-  // fold with one add per element — the exact sequence the backward-pass
-  // call sites used before this kernel existed. Grow-only warm-up alloc.
-  static thread_local Matrix tl_prod;
-  matmul_trans_a_into(a, b, tl_prod);
-  acc += tl_prod;
+  matmul_trans_a_acc_rows(a, b, acc, 0, a.cols());
 }
 
 // --- elementwise maps (DESIGN.md §10, *Transcendentals*) -------------------
@@ -867,51 +530,12 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, const Matrix* seed) {
   require_gate(x, wx, h, wh, bias, seed);
-  const KernelConfig cfg = config();
-  const std::size_t R = x.rows(), G = wx.cols();
-  const std::size_t In = x.cols(), Hd = h.cols();
-  out.resize(R, G);
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    const std::size_t flops = 2 * R * (In + Hd) * G;
-    TELEM_COUNT("kernels.tier_avx2");
-    run_autotuned(cfg, TuneOp::kGate, R, In + Hd, G, flops, [&](unsigned jt) {
-      run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-        simd::gate_panel(x.row_ptr(0), In, wx.row_ptr(0), G, h.row_ptr(0),
-                         Hd, wh.row_ptr(0), G, bias.row_ptr(0),
-                         seed != nullptr ? seed->row_ptr(0) : nullptr, G,
-                         out.row_ptr(0), G, In, Hd, G, r0, r1, jt);
-        activate_block(act, out, r0, r1);
-      });
-    });
-    return;  // scratch untouched: both products stayed register-resident
-  }
-  // out = x · Wx continuing from the seed (matmul_into's panels when
-  // unseeded), then scratch = h · Wh.
-  if (seed != nullptr) out = *seed;
-  const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
-  const std::size_t JB = std::max<std::size_t>(1, cfg.block_j);
-  run_row_panels(R, 2 * R * In * G, [&](std::size_t r0, std::size_t r1) {
-    scalar_matmul_rows(x, wx, out, r0, r1, KB, JB, 0, seed != nullptr);
-  });
-  matmul_into(h, wh, scratch);
-  // Epilogue, per element: (out + scratch) rounded, + bias rounded, then the
-  // activation — the exact rounding sequence of operator+ followed by
-  // add_row_broadcast_inplace followed by sigmoid/tanh on the allocating
-  // path, with no temporaries.
-  const double* brow = bias.row_ptr(0);
-  for (std::size_t i = 0; i < R; ++i) {
-    double* orow = out.row_ptr(i);
-    const double* srow = scratch.row_ptr(i);
-    for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
-  }
-  activate_block(act, out, 0, R);
+  out.resize(x.rows(), wx.cols());
+  scratch.resize(x.rows(), wx.cols());
+  gru_gate_rows(x, wx, h, wh, bias, act, scratch, out, 0, x.rows(), seed);
 }
 
-// Row-range forms: fixed register-block widths (every width is bitwise the
-// same; these are the autotuner's picks for training shapes on AVX2 hosts).
 namespace {
-constexpr unsigned kRowJtile = 16;
-
 void require_rows(const Matrix& a, const Matrix& c, std::size_t cols,
                   std::size_t r0, std::size_t r1, const char* what) {
   require(c.rows() == a.rows() && c.cols() == cols && r0 <= r1 &&
@@ -927,14 +551,15 @@ void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
   require_rows(a, c, b.cols(), r0, r1,
                "kernels::matmul_bias_rows: output not shaped or bad range");
   if (r1 <= r0 || b.cols() == 0) return;
-  if (row_tier() == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::matmul_bias_panel(a.row_ptr(0), a.cols(), b.row_ptr(0), b.cols(),
                             bias.row_ptr(0), c.row_ptr(0), c.cols(), a.cols(),
-                            b.cols(), r0, r1, kRowJtile);
+                            b.cols(), r0, r1);
     return;
   }
-  const KernelConfig d;
-  scalar_matmul_rows(a, b, c, r0, r1, d.block_k, d.block_j);
+  // The product, then one bias add per element: matmul_into followed by
+  // add_row_broadcast_inplace.
+  scalar_matmul_rows(a, b, c, r0, r1);
   const double* brow = bias.row_ptr(0);
   for (std::size_t i = r0; i < r1; ++i) {
     double* crow = c.row_ptr(i);
@@ -949,14 +574,12 @@ void matmul_rows(const Matrix& a, const Matrix& b, std::size_t b_row0,
   require_rows(a, c, b.cols(), r0, r1,
                "kernels::matmul_rows: output not shaped or bad range");
   if (r1 <= r0 || b.cols() == 0) return;
-  if (row_tier() == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::matmul_panel(a.row_ptr(0), a.cols(), b.row_ptr(b_row0), b.cols(),
-                       c.row_ptr(0), c.cols(), a.cols(), b.cols(), r0, r1,
-                       kRowJtile);
+                       c.row_ptr(0), c.cols(), a.cols(), b.cols(), r0, r1);
     return;
   }
-  const KernelConfig d;
-  scalar_matmul_rows(a, b, c, r0, r1, d.block_k, d.block_j, b_row0);
+  scalar_matmul_rows(a, b, c, r0, r1, b_row0);
 }
 
 void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
@@ -964,7 +587,7 @@ void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
   require_trans_b(a, b);
   require_rows(a, c, b.rows, r0, r1,
                "kernels::matmul_trans_b_rows: output not shaped or bad range");
-  trans_b_rows(row_tier(), a, b, c, r0, r1, kRowJtile);
+  trans_b_rows(a, b, c, r0, r1);
 }
 
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
@@ -975,14 +598,13 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
           "kernels::matmul_trans_a_acc_rows: shape mismatch or bad range");
   const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
   if (r1 <= r0 || C == 0) return;
-  if (row_tier() == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                   acc.row_ptr(acc_row0), C, K, C, r0, r1,
-                                   kRowJtile);
+                                   acc.row_ptr(acc_row0), C, K, C, r0, r1);
     return;
   }
-  // Scalar tier: the full product row first, then one add per element into
-  // acc — matmul_trans_a_acc_into's sequence.
+  // Scalar tier: the full product row first (ascending k, zero-skip), then
+  // one add per element into acc.
   static thread_local std::vector<double> tl_row;
   if (tl_row.size() < C) tl_row.resize(C);
   double* prod = tl_row.data();
@@ -1010,24 +632,26 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
           "kernels::gru_gate_rows: scratch must have out's shape");
   if (r1 <= r0 || wx.cols() == 0) return;
   const std::size_t G = wx.cols();
-  if (row_tier() == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::gate_panel(x.row_ptr(0), x.cols(), wx.row_ptr(0), G, h.row_ptr(0),
                      h.cols(), wh.row_ptr(0), G, bias.row_ptr(0),
                      seed != nullptr ? seed->row_ptr(0) : nullptr, G,
-                     out.row_ptr(0), G, x.cols(), h.cols(), G, r0, r1,
-                     kRowJtile);
+                     out.row_ptr(0), G, x.cols(), h.cols(), G, r0, r1);
     activate_block(act, out, r0, r1);
     return;
   }
+  // out = x · Wx continuing from the seed, then scratch = h · Wh.
   if (seed != nullptr) {
     std::copy(seed->row_ptr(r0), seed->row_ptr(r1), out.row_ptr(r0));
   }
-  const KernelConfig d;
-  scalar_matmul_rows(x, wx, out, r0, r1, d.block_k, d.block_j, 0,
-                     seed != nullptr);
-  scalar_matmul_rows(h, wh, scratch, r0, r1, d.block_k, d.block_j);
+  scalar_matmul_rows(x, wx, out, r0, r1, 0, seed != nullptr);
+  scalar_matmul_rows(h, wh, scratch, r0, r1);
+  // Epilogue, per element: (out + scratch) rounded, + bias rounded, then the
+  // activation — the exact rounding sequence of operator+ followed by
+  // add_row_broadcast_inplace followed by sigmoid/tanh on the allocating
+  // path, with no temporaries.
   const double* brow = bias.row_ptr(0);
-  for (std::size_t i = r0; i < r1; ++i) {  // gru_gate_into's epilogue
+  for (std::size_t i = r0; i < r1; ++i) {
     double* orow = out.row_ptr(i);
     const double* srow = scratch.row_ptr(i);
     for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
@@ -1037,7 +661,7 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
 
 void adam_update(double* w, const double* g, double* m, double* v,
                  std::size_t n, const AdamCoeffs& k) {
-  if (row_tier() == SimdTier::kAvx2) {
+  if (tier() == SimdTier::kAvx2) {
     simd::adam_update(w, g, m, v, n, k.beta1, k.beta2, k.lr, k.eps, k.bc1,
                       k.bc2);
     return;

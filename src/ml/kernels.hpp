@@ -1,12 +1,13 @@
-// Cache-blocked, row-panel-parallel matmul kernels — the hot path under
-// every GAN training step (GRU BPTT, MLP discriminators, baselines).
+// Serial matmul kernels — the leaves under every GAN training step (GRU
+// BPTT, MLP discriminators, baselines). Parallelism lives above them:
+// callers cut a batch into row ranges and run each range on one thread.
 //
 // Determinism contract (see DESIGN.md §5): for every output element the
 // reduction over the inner dimension runs in ascending-k order with one
 // rounding per partial product, exactly as in the serial reference kernels
-// in matrix.cpp, and parallel workers write disjoint row panels of the
-// output. Results are therefore bitwise identical to the serial reference
-// for any thread count, any block size, and any row partition. The kernel
+// in matrix.cpp, and a row's value never depends on the row range it was
+// computed in. Results are therefore bitwise identical to the serial
+// reference however a caller splits the rows between threads. The kernel
 // translation unit is compiled without FP contraction so no FMA fuses the
 // multiply-add rounding steps away.
 #pragma once
@@ -35,66 +36,29 @@ SimdTier active_tier();
 // Recognized "off" spellings: "off", "scalar", "0".
 void reload_simd_env();
 
-// Process-wide kernel tuning. `threads` is the thread budget of the current
-// phase: the most row panels one product is split into, and also the width
-// of the coarse task fan-out inside a DoppelGANger training iteration
-// (DESIGN.md §5). Both run on the shared executor (ThreadPool::shared()),
-// the calling thread taking part, so the budget caps concurrency but never
-// creates threads. `threads == 0` resolves, in order, to the
-// NETSHARE_KERNEL_THREADS environment variable and then to
-// std::thread::hardware_concurrency(). Products whose flop count
-// (2*rows*inner*cols) falls below `min_parallel_flops` run serially on the
-// calling thread; parallelism never changes results, only wall-clock.
+// Process-wide kernel settings, each held in an atomic (no lock). `threads`
+// is the thread budget of the current phase: the width of the row-sliced
+// stages of a DoppelGANger training iteration (DESIGN.md §5). The stages
+// run on the shared executor (ThreadPool::shared()), the calling thread
+// taking part, so the budget caps concurrency but never creates threads;
+// the kernels themselves always run on the calling thread. `threads == 0`
+// resolves, in order, to the NETSHARE_KERNEL_THREADS environment variable
+// and then to std::thread::hardware_concurrency().
 struct KernelConfig {
   std::size_t threads = 0;
-  std::size_t min_parallel_flops = 1u << 20;
-  std::size_t block_k = 64;   // inner-dimension tile (L1 reuse of the A row)
-  std::size_t block_j = 256;  // output-column tile (L2 reuse of the B panel)
   // Requested tier ceiling: the dispatcher never exceeds it, and drops to
   // kScalar when the CPU or NETSHARE_SIMD says so. Identical results either
   // way (the property suite in tests/test_simd.cpp enforces this).
   SimdTier simd = SimdTier::kAvx2;
-  // Online autotuner toggle for the SIMD tier's register-block width: when
-  // on, the first few dispatches of each (op, shape) time one candidate
-  // each on the real operands and memoize the winner process-wide. All
-  // candidates are bitwise-identical, so tuning never perturbs results.
-  bool autotune = true;
-  // Nonzero pins every SIMD dispatch to this register-block width (8, 16,
-  // or 32 output columns), bypassing the autotuner — the property tests use
-  // it to sweep every candidate against the scalar oracle.
-  unsigned force_jtile = 0;
 };
 
-// Shapes are tuned per operation family; the fused bias variant shares
-// kMatmul plans and the accumulating Aᵀ·B variant shares kTransA plans
-// (identical inner-loop structure, one memo each).
-enum class TuneOp { kMatmul = 0, kTransA = 1, kTransB = 2, kGate = 3 };
-
-// An autotuned execution plan for one (op, shape). Plans select speed only;
-// every candidate produces bitwise-identical output.
-struct TunePlan {
-  unsigned jtile = 16;    // register-block width in output columns
-  bool decided = false;   // true once the process-wide autotuner has voted
-};
-
-// The process-wide memoized plan for (op, rows × inner × cols). Returns the
-// default (undecided) plan until enough dispatches of that shape have been
-// timed. Same shapes always yield the same plan within a process.
-TunePlan tuned_plan(TuneOp op, std::size_t rows, std::size_t inner,
-                    std::size_t cols);
-
-// Reads / replaces the process-wide config. A new thread count applies from
-// the next dispatch on; in-flight kernels keep the split they started with.
+// Reads / replaces the process-wide config. A new value applies from the
+// next read on; stages already running keep the width they started with.
 KernelConfig config();
 void set_config(const KernelConfig& cfg);
 
-// Thread count a parallel dispatch would use right now (>= 1).
+// Stage width `threads` resolves to right now (>= 1).
 std::size_t effective_threads();
-
-// True when the calling thread is executing a kernel row-panel task (nested
-// dispatches already run serially; callers higher up the stack can use this
-// to avoid spawning further parallelism from inside a kernel).
-bool in_kernel_task();
 
 // RAII override of the process-wide config (tests, trainer thread budgeting).
 class ConfigOverride {
@@ -113,6 +77,7 @@ class ConfigOverride {
 // Destination-passing kernels. `c` is reshaped to the product shape via
 // Matrix::resize — after a one-iteration warm-up the reshape reuses capacity
 // and the call performs no heap allocation. `c` must not alias an input.
+// Each whole-matrix entry point is its *_rows form below on [0, rows).
 // C = A (r×k) * B (k×c).
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 // C = Aᵀ * B with A stored k×r (i.e. matmul(transpose(a), b)).
@@ -136,7 +101,7 @@ void pack_trans_b(const Matrix& b, PackedTransB& out);
 // A·B[row0:row1)ᵀ (a conditioned GRU's cond rows of Wx).
 void pack_trans_b(const Matrix& b, std::size_t row0, std::size_t row1,
                   PackedTransB& out);
-// C = A * Bᵀ against a pack, with row panels like matmul_trans_b_into.
+// C = A * Bᵀ against a pack.
 void matmul_trans_b_into(const Matrix& a, const PackedTransB& b, Matrix& c);
 
 // C = A·B + bias (bias is 1 × cols(b), broadcast to every row). Bitwise
@@ -155,10 +120,10 @@ void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias,
 void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 
 // Fused GRU gate: out = act(x·wx + h·wh + bias), written into caller-owned
-// buffers (out and a same-shaped scratch for the second product) with no
-// temporaries. On the SIMD tier both products stay register-resident and
-// `scratch` is left untouched; its contents are unspecified after the call
-// on every tier. Bitwise contract: the two products run through the blocked
+// buffers (out and a scratch, reshaped to out's shape, for the second
+// product) with no temporaries. On the SIMD tier both products stay
+// register-resident and `scratch` only gets its shape; its contents are
+// unspecified after the call on every tier. Bitwise contract: the two products run through the blocked
 // matmul kernels above (ascending-k reduction, one rounding per partial
 // product); the epilogue then applies, per element, exactly the rounding
 // sequence of the unfused composition
@@ -183,11 +148,9 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
                    Matrix& scratch, Matrix& out,
                    const Matrix* seed = nullptr);
 
-// Serial row-range forms (DESIGN.md §5, *Row-sliced stages*): rows
-// [r0, r1) of exactly the product the entry point of the same name
-// computes, run on the calling thread alone — no row panels, no config
-// mutex, no autotuner — into an output the caller has already shaped to the
-// whole batch. Each call reads only rows [r0, r1) of the row operands and
+// Row-range forms (DESIGN.md §5, *Row-sliced stages*): rows [r0, r1) of
+// exactly the product the entry point of the same name computes, into an
+// output the caller has already shaped to the whole batch. Each call reads only rows [r0, r1) of the row operands and
 // writes only rows [r0, r1) of `c` / `out` / `scratch`, so several threads
 // may fill disjoint row ranges of one output at once. A row's value never
 // depends on the range it was computed in, which is why slicing a batch

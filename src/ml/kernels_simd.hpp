@@ -27,13 +27,12 @@ namespace netshare::ml::kernels::simd {
 bool cpu_supports_avx2();
 
 // C[r0..r1) = A·B. A is (rows×K, stride lda), B is (K×C, stride ldb),
-// C is (rows×C, stride ldc). `jtile` is the register-block width in output
-// columns (8, 16, or 32 — autotuned; any other value falls back to 16).
-// Preserves the reference kernels' a(i,k)==0.0 skip semantics.
+// C is (rows×C, stride ldc). Register blocks are 16 output columns wide,
+// then 4-wide and scalar column tails. Preserves the reference kernels'
+// a(i,k)==0.0 skip semantics.
 void matmul_panel(const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc, std::size_t K,
-                  std::size_t C, std::size_t r0, std::size_t r1,
-                  unsigned jtile);
+                  std::size_t C, std::size_t r0, std::size_t r1);
 
 // Same as matmul_panel plus a fused bias-add epilogue: each element gets
 // (full ascending-k sum) + bias[j] — the exact rounding sequence of
@@ -41,22 +40,16 @@ void matmul_panel(const double* a, std::size_t lda, const double* b,
 void matmul_bias_panel(const double* a, std::size_t lda, const double* b,
                        std::size_t ldb, const double* bias, double* c,
                        std::size_t ldc, std::size_t K, std::size_t C,
-                       std::size_t r0, std::size_t r1, unsigned jtile);
+                       std::size_t r0, std::size_t r1);
 
-// C[r0..r1) = Aᵀ·B with A stored K×rows (stride lda): c(i,j) reduces over
-// a(k,i)·b(k,j) in ascending-k order with the reference a(k,i)==0.0 skip.
-void matmul_trans_a_panel(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc,
-                          std::size_t K, std::size_t C, std::size_t r0,
-                          std::size_t r1, unsigned jtile);
-
-// C[r0..r1) += Aᵀ·B: each output element forms the full ascending-k sum in
-// a register first, then adds it to the existing value with one rounding —
-// the exact sequence of matmul_trans_a_into followed by `acc += product`.
+// C[r0..r1) += Aᵀ·B with A stored K×rows (stride lda): each output element
+// forms the full sum of a(k,i)·b(k,j) in a register first (ascending k, the
+// reference a(k,i)==0.0 skip), then adds it to the existing value with one
+// rounding — the `acc += product` sequence.
 void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
                               const double* b, std::size_t ldb, double* c,
                               std::size_t ldc, std::size_t K, std::size_t C,
-                              std::size_t r0, std::size_t r1, unsigned jtile);
+                              std::size_t r0, std::size_t r1);
 
 // C[r0..r1) = A·Bᵀ where `bt` is the pre-packed transpose of B produced by
 // kernels::pack_trans_b: bt[k*C + j] == B(j,k), so the ascending-k inner
@@ -64,8 +57,7 @@ void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
 // kernel and the serial reference, which accumulate every partial product.
 void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
                           double* c, std::size_t ldc, std::size_t K,
-                          std::size_t C, std::size_t r0, std::size_t r1,
-                          unsigned jtile);
+                          std::size_t C, std::size_t r0, std::size_t r1);
 
 // Adam update of n elements in place (kernels::adam_update's per-element
 // sequence), four lanes at a time with a scalar tail; every lane runs the
@@ -86,7 +78,6 @@ void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 const double* wh, std::size_t ldwh, const double* bias,
                 const double* seed, std::size_t lds, double* out,
                 std::size_t ldo, std::size_t in_dim, std::size_t h_dim,
-                std::size_t gate_dim, std::size_t r0, std::size_t r1,
-                unsigned jtile);
+                std::size_t gate_dim, std::size_t r0, std::size_t r1);
 
 }  // namespace netshare::ml::kernels::simd

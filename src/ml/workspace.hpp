@@ -21,12 +21,9 @@
 // stays at the largest epoch's.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 
 namespace netshare::ml {
@@ -47,19 +44,9 @@ class Workspace {
   std::size_t pooled_buffers() const { return slots_.size(); }
   std::size_t pooled_doubles() const;
 
-  // Per-model snapshot of the kernel autotuner (DESIGN.md §10): delegates to
-  // the process-wide kernels::tuned_plan and, once that shape's plan is
-  // decided, memoizes it here so the model's own lock-free cache answers all
-  // later queries. Undecided shapes return the default plan uncached, so the
-  // snapshot never goes stale. Same shapes always yield the same plan.
-  kernels::TunePlan tune_plan(kernels::TuneOp op, std::size_t rows,
-                              std::size_t inner, std::size_t cols);
-  std::size_t cached_plans() const { return plans_.size(); }
-
  private:
   std::vector<std::unique_ptr<Matrix>> slots_;
   std::size_t next_ = 0;  // next slot get() hands out this epoch
-  std::unordered_map<std::uint64_t, kernels::TunePlan> plans_;
 };
 
 }  // namespace netshare::ml

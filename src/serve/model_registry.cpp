@@ -85,10 +85,12 @@ void LoadedModel::sample_part(std::size_t c, std::size_t target,
                               std::uint64_t seed, net::FlowTrace& out) {
   out = net::FlowTrace{};
   if (target == 0 || !trainer_->has_model(c)) return;
-  // Width 1: the service already runs one task per chunk on the shared
-  // executor, so a part stays on its task's thread.
+  // The model config's thread budget is the part's slice width: the service
+  // runs one task per chunk on the shared executor, and a part's slices
+  // queue on the same executor, so idle cores pick up the slices of a large
+  // part. Values never depend on the width.
   core::sample_flow_chunk_part(encoder_.chunks(), c, target, seed, config_,
-                               *trainer_, encoder_, /*width=*/1, out);
+                               *trainer_, encoder_, config_.threads, out);
   core::export_flow_chunk_part(target, out);
 }
 

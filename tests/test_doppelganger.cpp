@@ -124,13 +124,11 @@ TEST(DoppelGanger, SnapshotRestoreReproducesSamples) {
   EXPECT_EQ(sa.lengths, sb.lengths);
 }
 
-// Kernel budget for a test scope. The budget is also the width of a
-// training iteration's stages; min_parallel_flops 0 splits every product
-// the entry points still run into row panels too.
+// Kernel budget for a test scope: the width of a training iteration's
+// stages.
 ml::kernels::KernelConfig width_config(std::size_t width) {
   ml::kernels::KernelConfig kc;
   kc.threads = width;
-  kc.min_parallel_flops = 0;
   return kc;
 }
 

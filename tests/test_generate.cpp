@@ -159,7 +159,6 @@ TEST(SampleInto, KernelThreadCountInvariant) {
   {
     ml::kernels::KernelConfig cfg;
     cfg.threads = 4;
-    cfg.min_parallel_flops = 0;
     ml::kernels::ConfigOverride guard(cfg);
     model.sample_into(32, 5, 0, parallel, scratch);
   }
@@ -170,7 +169,6 @@ TEST(SampleInto, ZeroSteadyStateAllocations) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ml::kernels::KernelConfig cfg;
     cfg.threads = threads;
-    cfg.min_parallel_flops = 0;
     ml::kernels::ConfigOverride guard(cfg);
     const gan::DoppelGanger& model = tiny_trained_model();
     // Each scratch warms up on its own; a second, fresh scratch must reach
@@ -556,16 +554,20 @@ TEST(DeficitLoop, SlicedPartsEqualUnslicedOracle) {
   for (std::size_t c = 0; c < enc.chunks().size(); ++c) {
     ASSERT_TRUE(trainer.has_model(c));
     // First rounds of: less than one slice, exactly 2 slices, 2 slices plus
-    // one series.
-    for (const std::size_t round : {S / 2, 2 * S, 2 * S + 1}) {
+    // one series, one batch plus one series and three batches less five
+    // (rounds a width cuts into slices of under a slice, whose boundaries
+    // fall inside sampler batches).
+    const std::size_t B = cfg.dg.batch_size;
+    for (const std::size_t round :
+         {S / 2, 2 * S, 2 * S + 1, B + 1, 3 * B - 5}) {
       const std::size_t target =
           target_for_round(enc.chunks()[c], cfg.max_seq_len, round);
       ASSERT_GT(target, 0u) << "round " << round;
       const net::FlowTrace oracle = oracle_part<net::FlowTrace>(
           enc, trainer, cfg.max_seq_len, c, target, seed, records);
       ASSERT_EQ(oracle.size(), target);
-      for (const std::size_t width :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}, std::size_t{8}}) {
         net::FlowTrace part;
         core::sample_flow_chunk_part(enc.chunks(), c, target, seed, cfg,
                                      trainer, enc, width, part);
@@ -585,7 +587,8 @@ TEST(DeficitLoop, SlicedPartsEqualUnslicedOracle) {
   core::ChunkedTrainer ptrainer(penc.spec(), pcfg);
   ptrainer.fit(penc.encode(packets));
   // Request sizes whose largest chunk's first round is under one slice,
-  // exactly 2 slices, and 2 slices plus one series.
+  // exactly 2 slices, 2 slices plus one series, one batch plus one series
+  // and three batches less five.
   const auto& pchunks = penc.chunks();
   std::size_t big = 0;
   for (std::size_t c = 0; c < pchunks.size(); ++c) {
@@ -593,7 +596,9 @@ TEST(DeficitLoop, SlicedPartsEqualUnslicedOracle) {
   }
   const double big_rpf = oracle_rpf(pchunks[big], pcfg.max_seq_len);
   std::vector<std::size_t> requests;
-  for (const std::size_t round : {S / 2, 2 * S, 2 * S + 1}) {
+  const std::size_t PB = pcfg.dg.batch_size;
+  for (const std::size_t round :
+       {S / 2, 2 * S, 2 * S + 1, PB + 1, 3 * PB - 5}) {
     for (std::size_t n = 1; n < 200 * S; ++n) {
       const std::size_t t = core::chunk_record_targets(pchunks, n)[big];
       if (oracle_round_series(t, big_rpf, 0, 0) == round) {
@@ -602,7 +607,7 @@ TEST(DeficitLoop, SlicedPartsEqualUnslicedOracle) {
       }
     }
   }
-  ASSERT_EQ(requests.size(), 3u);
+  ASSERT_EQ(requests.size(), 5u);
   const auto pkts = [](auto& trace) -> auto& { return trace.packets; };
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {

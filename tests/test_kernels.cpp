@@ -1,5 +1,5 @@
-// Determinism/regression harness for the blocked parallel matmul kernels:
-// bitwise equivalence against the serial reference kernels across shapes and
+// Determinism/regression harness for the blocked matmul kernels: bitwise
+// equivalence against the serial reference kernels across shapes and
 // thread counts, the prepacked trans_b and the serial row-range forms
 // against the whole-batch entry points, Adam's per-parameter update against
 // its serial step, config plumbing, the transcendentals' error against
@@ -48,7 +48,7 @@ struct Shape {
 };
 
 // Tall, wide, inner-dim 1, tile-aligned, and non-multiple-of-tile shapes
-// (default tiles are block_k=64, block_j=256).
+// (the scalar tier tiles 64 inner steps by 256 output columns).
 const Shape kShapes[] = {
     {300, 8, 4, "tall"},
     {6, 7, 301, "wide"},
@@ -72,7 +72,6 @@ TEST(Kernels, BitwiseIdenticalToReferenceAcrossShapesAndThreads) {
     for (std::size_t threads = 1; threads <= 8; ++threads) {
       kernels::KernelConfig cfg;
       cfg.threads = threads;
-      cfg.min_parallel_flops = 0;  // force the parallel dispatch path
       kernels::ConfigOverride guard(cfg);
       SCOPED_TRACE(std::string(s.label) + " threads=" +
                    std::to_string(threads));
@@ -99,7 +98,6 @@ TEST(Kernels, IntoVariantsMatchAllocatingAndReferenceAcrossThreads) {
     for (std::size_t threads = 1; threads <= 8; ++threads) {
       kernels::KernelConfig cfg;
       cfg.threads = threads;
-      cfg.min_parallel_flops = 0;
       kernels::ConfigOverride guard(cfg);
       SCOPED_TRACE(std::string(s.label) + " threads=" +
                    std::to_string(threads));
@@ -162,7 +160,6 @@ TEST(Kernels, FusedGruGateMatchesUnfusedCompositionAcrossThreads) {
     for (std::size_t threads = 1; threads <= 8; ++threads) {
       kernels::KernelConfig cfg;
       cfg.threads = threads;
-      cfg.min_parallel_flops = 0;
       kernels::ConfigOverride guard(cfg);
       SCOPED_TRACE(std::string(act == kernels::GateAct::kSigmoid
                                    ? "sigmoid"
@@ -184,7 +181,6 @@ TEST(Kernels, ZeroEntriesTakeTheSkipPathIdentically) {
   for (std::size_t k = 0; k < a.cols(); ++k) a(20, k) = 0.0;
   kernels::KernelConfig cfg;
   cfg.threads = 5;
-  cfg.min_parallel_flops = 0;
   kernels::ConfigOverride guard(cfg);
   expect_bitwise(matmul(a, b), reference::matmul(a, b), "matmul with zeros");
   // trans_a reduces over rows of a: b2 must share a's row count.
@@ -193,57 +189,29 @@ TEST(Kernels, ZeroEntriesTakeTheSkipPathIdentically) {
                  "matmul_trans_a with zeros");
 }
 
-TEST(Kernels, OddBlockSizesDoNotChangeResults) {
-  Rng rng(103);
-  const Matrix a = Matrix::randn(45, 83, rng);
-  const Matrix b = Matrix::randn(83, 61, rng);
-  const Matrix ref = reference::matmul(a, b);
-  for (std::size_t bk : {1u, 3u, 64u, 1000u}) {
-    kernels::KernelConfig cfg;
-    cfg.threads = 3;
-    cfg.min_parallel_flops = 0;
-    cfg.block_k = bk;
-    cfg.block_j = bk == 3 ? 7 : 128;
-    kernels::ConfigOverride guard(cfg);
-    SCOPED_TRACE("block_k=" + std::to_string(bk));
-    expect_bitwise(matmul(a, b), ref, "matmul");
-  }
-}
-
-TEST(Kernels, SerialFallbackBelowFlopThreshold) {
-  Rng rng(104);
-  const Matrix a = Matrix::randn(16, 16, rng);
-  const Matrix b = Matrix::randn(16, 16, rng);
-  kernels::KernelConfig cfg;
-  cfg.threads = 8;
-  cfg.min_parallel_flops = ~std::size_t{0};  // everything below threshold
-  kernels::ConfigOverride guard(cfg);
-  expect_bitwise(matmul(a, b), reference::matmul(a, b), "serial fallback");
-}
-
 TEST(Kernels, ConfigRoundTripAndOverrideRestore) {
   const kernels::KernelConfig before = kernels::config();
   {
     kernels::KernelConfig cfg;
     cfg.threads = 6;
-    cfg.block_k = 32;
+    cfg.simd = kernels::SimdTier::kScalar;
     kernels::ConfigOverride guard(cfg);
     EXPECT_EQ(kernels::config().threads, 6u);
-    EXPECT_EQ(kernels::config().block_k, 32u);
+    EXPECT_EQ(kernels::config().simd, kernels::SimdTier::kScalar);
     EXPECT_EQ(kernels::effective_threads(), 6u);
+    EXPECT_EQ(kernels::active_tier(), kernels::SimdTier::kScalar);
   }
   EXPECT_EQ(kernels::config().threads, before.threads);
-  EXPECT_EQ(kernels::config().block_k, before.block_k);
+  EXPECT_EQ(kernels::config().simd, before.simd);
 }
 
 TEST(Kernels, ConcurrentCallersShareThePoolSafely) {
-  // Several caller threads issuing parallel matmuls against the shared
-  // kernel pool at once — the situation ChunkedTrainer creates during
-  // parallel chunk fine-tuning. Run under NETSHARE_SANITIZE=thread this is
-  // the central race check.
+  // Several caller threads issuing matmuls at once, each through its own
+  // thread-local scratch and the lock-free config — the situation
+  // ChunkedTrainer creates during parallel chunk fine-tuning. Run under
+  // NETSHARE_SANITIZE=thread this is the central race check.
   kernels::KernelConfig cfg;
   cfg.threads = 4;
-  cfg.min_parallel_flops = 0;
   kernels::ConfigOverride guard(cfg);
   std::vector<std::thread> callers;
   std::vector<int> ok(4, 0);
@@ -275,7 +243,6 @@ TEST(Kernels, ScalarKernelPropertySweepRaggedAndEmptyShapes) {
   kernels::KernelConfig cfg;
   cfg.simd = kernels::SimdTier::kScalar;
   cfg.threads = 2;
-  cfg.min_parallel_flops = 0;
   kernels::ConfigOverride guard(cfg);
   Rng rng(606);
   std::vector<std::array<std::size_t, 3>> shapes = {
@@ -334,7 +301,6 @@ kernels::KernelConfig tier_config(kernels::SimdTier tier) {
   kernels::KernelConfig cfg;
   cfg.simd = tier;
   cfg.threads = 4;
-  cfg.min_parallel_flops = 0;  // the entry points split into row panels
   return cfg;
 }
 
@@ -674,7 +640,6 @@ std::vector<double> train_and_snapshot(std::size_t kernel_threads,
                                        gan::GeneratedSeries* sampled) {
   kernels::KernelConfig cfg;
   cfg.threads = kernel_threads;
-  cfg.min_parallel_flops = kernel_threads > 1 ? 0 : cfg.min_parallel_flops;
   kernels::ConfigOverride guard(cfg);
 
   gan::DgConfig dg;

@@ -368,14 +368,12 @@ TEST(GradCheck, ConditionedGruBptt) {
   check_gru_gradients(gru, c, 1, 1e-5);
 }
 
-// Batched BPTT through the blocked *parallel* kernels: same finite-difference
-// check, but with a batch and shapes big enough that every whole-batch
-// product takes the multi-threaded dispatch path (the per-module checks
-// above run serial-sized problems).
+// Batched BPTT at a kernel budget of 4: same finite-difference check, with
+// Gru::backward's gradient tasks fanned out over the shared executor (the
+// per-module checks above run at the default budget).
 TEST(GradCheck, GruBpttBatchedThroughParallelKernels) {
   kernels::KernelConfig kcfg;
   kcfg.threads = 4;
-  kcfg.min_parallel_flops = 0;  // force parallel dispatch at any size
   kernels::ConfigOverride kernel_guard(kcfg);
 
   Rng rng(21);
@@ -390,7 +388,6 @@ TEST(GradCheck, GruBatchedForwardBackwardBitwiseStableAcrossThreads) {
   auto run = [](std::size_t threads) {
     kernels::KernelConfig kcfg;
     kcfg.threads = threads;
-    kcfg.min_parallel_flops = 0;
     kernels::ConfigOverride kernel_guard(kcfg);
     Rng rng(22);
     Gru gru(4, 2, 9, rng);

@@ -407,6 +407,8 @@ TEST(ChunkFaults, UnrecoverableChunkFallsBackToSeedSnapshot) {
   EXPECT_EQ(failed.status, core::ChunkTrainReport::Status::kSeedFallback);
   EXPECT_EQ(failed.rollbacks, 1);
   EXPECT_EQ(failed.attempts, 2);
+  // Both attempts trained, and their CPU counts toward the cost axis.
+  EXPECT_GT(failed.train_cpu_sec, 0.0);
   EXPECT_NE(failed.error.find("diverged"), std::string::npos) << failed.error;
   EXPECT_EQ(report.count(core::ChunkTrainReport::Status::kSeedFallback), 1u);
   if (telemetry::kCompiledIn) {

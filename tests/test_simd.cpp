@@ -1,9 +1,7 @@
 // Lockdown suite for the SIMD kernel tier (DESIGN.md §10): randomized
-// ragged-shape property sweep against the scalar-tier oracle across every
-// register-block candidate and thread count, forced-fallback equivalence
-// (NETSHARE_SIMD=off env and KernelConfig::simd API), autotuner determinism
-// (same shapes → same plan, global memo and Workspace snapshot), the
-// transcendentals (exp, sigmoid, tanh, softmax) on special and ragged
+// ragged-shape property sweep against the scalar-tier oracle across thread
+// counts, forced-fallback equivalence (NETSHARE_SIMD=off env and
+// KernelConfig::simd API), the transcendentals (exp, sigmoid, tanh, softmax) on special and ragged
 // inputs, and a per-tier end-to-end DoppelGanger fit+sample bitwise check.
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
-#include "ml/workspace.hpp"
 
 namespace netshare::ml {
 namespace {
@@ -42,13 +39,10 @@ bool simd_available() {
   return kernels::supported_tier() == kernels::SimdTier::kAvx2;
 }
 
-kernels::KernelConfig tier_cfg(kernels::SimdTier tier, std::size_t threads,
-                               unsigned force_jtile = 0) {
+kernels::KernelConfig tier_cfg(kernels::SimdTier tier, std::size_t threads) {
   kernels::KernelConfig cfg;
   cfg.threads = threads;
-  cfg.min_parallel_flops = threads > 1 ? 0 : cfg.min_parallel_flops;
   cfg.simd = tier;
-  cfg.force_jtile = force_jtile;
   return cfg;
 }
 
@@ -91,8 +85,8 @@ struct RaggedShape {
   std::size_t m, k, n;
 };
 
-// Ragged tails 1..17, primes, tile boundaries of every jtile candidate
-// (8/16/32 plus the 4-wide and scalar column tails), and empty matrices.
+// Ragged tails 1..17, primes, tile boundaries around the 16-column register
+// block (and the 4-wide and scalar column tails), and empty matrices.
 std::vector<RaggedShape> ragged_shapes() {
   std::vector<RaggedShape> shapes = {
       {0, 5, 7}, {5, 0, 7},  {5, 7, 0},  {0, 0, 0},  {1, 1, 1},
@@ -140,32 +134,28 @@ TEST(Simd, PropertySweepRaggedShapesMatchScalarOracle) {
   Matrix got;
   for (const RaggedShape& s : ragged_shapes()) {
     const OracleCase oc = make_oracle(s, rng);
-    // jtile 0 = autotuned path; 8/16/32 pin each register-block candidate.
-    for (const unsigned jt : {0u, 8u, 16u, 32u}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        kernels::ConfigOverride guard(
-            tier_cfg(kernels::SimdTier::kAvx2, threads, jt));
-        SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" +
-                     std::to_string(s.k) + "x" + std::to_string(s.n) +
-                     " jtile=" + std::to_string(jt) +
-                     " threads=" + std::to_string(threads));
-        kernels::matmul_into(oc.a, oc.b, got);
-        expect_bitwise(got, oc.want_mm, "matmul_into");
-        kernels::matmul_bias_into(oc.a, oc.b, oc.bias, got);
-        expect_bitwise(got, oc.want_bias, "matmul_bias_into");
-        kernels::matmul_trans_a_into(oc.at, oc.b, got);
-        expect_bitwise(got, oc.want_ta, "matmul_trans_a_into");
-        got = oc.acc0;
-        kernels::matmul_trans_a_acc_into(oc.at, oc.b, got);
-        expect_bitwise(got, oc.want_acc, "matmul_trans_a_acc_into");
-        kernels::matmul_trans_b_into(oc.a, oc.bt, got);
-        expect_bitwise(got, oc.want_tb, "matmul_trans_b_into");
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      kernels::ConfigOverride guard(
+          tier_cfg(kernels::SimdTier::kAvx2, threads));
+      SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" +
+                   std::to_string(s.k) + "x" + std::to_string(s.n) +
+                   " threads=" + std::to_string(threads));
+      kernels::matmul_into(oc.a, oc.b, got);
+      expect_bitwise(got, oc.want_mm, "matmul_into");
+      kernels::matmul_bias_into(oc.a, oc.b, oc.bias, got);
+      expect_bitwise(got, oc.want_bias, "matmul_bias_into");
+      kernels::matmul_trans_a_into(oc.at, oc.b, got);
+      expect_bitwise(got, oc.want_ta, "matmul_trans_a_into");
+      got = oc.acc0;
+      kernels::matmul_trans_a_acc_into(oc.at, oc.b, got);
+      expect_bitwise(got, oc.want_acc, "matmul_trans_a_acc_into");
+      kernels::matmul_trans_b_into(oc.a, oc.bt, got);
+      expect_bitwise(got, oc.want_tb, "matmul_trans_b_into");
     }
   }
 }
 
-TEST(Simd, FusedGateMatchesScalarOracleAcrossCandidatesAndThreads) {
+TEST(Simd, FusedGateMatchesScalarOracleAcrossThreads) {
   if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
   Rng rng(9002);
   const RaggedShape gate_shapes[] = {
@@ -186,17 +176,14 @@ TEST(Simd, FusedGateMatchesScalarOracleAcrossCandidatesAndThreads) {
             tier_cfg(kernels::SimdTier::kScalar, 1));
         kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, want);
       }
-      for (const unsigned jt : {0u, 8u, 16u, 32u}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-          kernels::ConfigOverride guard(
-              tier_cfg(kernels::SimdTier::kAvx2, threads, jt));
-          SCOPED_TRACE("gate=" + std::to_string(s.m) + "x" +
-                       std::to_string(s.k) + "x" + std::to_string(s.n) +
-                       " jtile=" + std::to_string(jt) +
-                       " threads=" + std::to_string(threads));
-          kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
-          expect_bitwise(out, want, "gru_gate_into");
-        }
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        kernels::ConfigOverride guard(
+            tier_cfg(kernels::SimdTier::kAvx2, threads));
+        SCOPED_TRACE("gate=" + std::to_string(s.m) + "x" +
+                     std::to_string(s.k) + "x" + std::to_string(s.n) +
+                     " threads=" + std::to_string(threads));
+        kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
+        expect_bitwise(out, want, "gru_gate_into");
       }
     }
   }
@@ -424,69 +411,6 @@ TEST(Simd, ApiForcedFallbackMatchesDispatchedPath) {
     kernels::matmul_bias_into(a, b, bias, fallback);
   }
   expect_bitwise(fallback, dispatched, "API-forced scalar fallback");
-}
-
-TEST(Simd, AutotunerDecidesDeterministicPlanAndWorkspaceCachesIt) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(9005);
-  // Unique prime dims so this test owns the memo entry regardless of what
-  // other tests dispatched before it; flops are far above the tuning floor.
-  const std::size_t m = 59, k = 61, n = 53;
-  const Matrix a = Matrix::randn(m, k, rng);
-  const Matrix b = Matrix::randn(k, n, rng);
-  Matrix c;
-  kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-  // 3 candidates × 2 timing rounds: the 7th dispatch runs on a decided plan.
-  for (int i = 0; i < 8; ++i) kernels::matmul_into(a, b, c);
-  const kernels::TunePlan plan =
-      kernels::tuned_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_TRUE(plan.decided) << "autotuner should have converged";
-  EXPECT_TRUE(plan.jtile == 8 || plan.jtile == 16 || plan.jtile == 32);
-  // Same shapes → same plan: the memo is immutable once decided.
-  for (int i = 0; i < 3; ++i) {
-    const kernels::TunePlan again =
-        kernels::tuned_plan(kernels::TuneOp::kMatmul, m, k, n);
-    EXPECT_EQ(again.decided, plan.decided);
-    EXPECT_EQ(again.jtile, plan.jtile);
-  }
-  // The per-model Workspace snapshot returns the same plan and memoizes it.
-  Workspace ws;
-  const kernels::TunePlan from_ws =
-      ws.tune_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_TRUE(from_ws.decided);
-  EXPECT_EQ(from_ws.jtile, plan.jtile);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-  const kernels::TunePlan cached =
-      ws.tune_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_EQ(cached.jtile, plan.jtile);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-  // An undecided shape reports the default plan and is never cached stale.
-  const kernels::TunePlan undecided =
-      ws.tune_plan(kernels::TuneOp::kTransB, 997, 991, 983);
-  EXPECT_FALSE(undecided.decided);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-}
-
-TEST(Simd, AutotunerConvergesForTheFusedGate) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(9006);
-  const std::size_t batch = 43, in = 19, hid = 47;
-  const Matrix x = Matrix::randn(batch, in, rng);
-  const Matrix wx = Matrix::randn(in, hid, rng);
-  const Matrix h = Matrix::randn(batch, hid, rng);
-  const Matrix wh = Matrix::randn(hid, hid, rng);
-  const Matrix bias = Matrix::randn(1, hid, rng);
-  Matrix scratch, out;
-  kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-  for (int i = 0; i < 6; ++i) {  // 2 gate candidates × 2 rounds, plus slack
-    kernels::gru_gate_into(x, wx, h, wh, bias, kernels::GateAct::kSigmoid,
-                           scratch, out);
-  }
-  const kernels::TunePlan plan =
-      kernels::tuned_plan(kernels::TuneOp::kGate, batch, in + hid, hid);
-  EXPECT_TRUE(plan.decided);
-  EXPECT_TRUE(plan.jtile == 8 || plan.jtile == 16)
-      << "gate competes only the 8/16 candidates (register pressure)";
 }
 
 // --- end-to-end: full DoppelGanger fit+sample per kernel tier -------------
