@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -151,30 +152,50 @@ struct DgResult {
   double allocs_per_iter;  // worst rep's steady-state Matrix allocs per iter
 };
 
+// One width's rows: the dispatched tier and the pinned scalar tier.
+struct DgRow {
+  DgResult kernel, scalar;
+};
+
 // Each rep trains a fresh model: `warmup` iterations populate its workspace
-// pools and module buffers, then `iterations`
-// are timed. A single cold sample per row mostly measured which rep the
-// host's scheduler happened to favour; the median of several reps, each
-// after its own warm-up, measures the width.
-DgResult bench_dg_iters_per_sec(ml::kernels::SimdTier tier,
-                                std::size_t threads, int warmup,
-                                int iterations, int reps) {
-  ml::kernels::ConfigOverride guard(tier_cfg(tier, threads));
+// pools and module buffers, then `iterations` are timed. A single cold
+// sample per row mostly measured which rep the host's scheduler happened to
+// favour; the median of several reps, each after its own warm-up, measures
+// the width. The reps run in rounds, each round one rep of every width and
+// tier in turn (1, 2, 4, 1, 2, 4, ...), so a window in which the host is
+// disturbed costs every row one rep instead of costing one row all of its.
+std::vector<DgRow> bench_dg_rows(const std::vector<std::size_t>& widths,
+                                 int warmup, int iterations, int reps) {
   const gan::TimeSeriesDataset data = toy_data(256);
-  gan::DgConfig dg;  // paper-shaped defaults: rnn 48, disc {96,96}
-  std::vector<double> ips;
-  double allocs = 0.0;
+  const gan::DgConfig dg;  // paper-shaped defaults: rnn 48, disc {96,96}
+  const ml::kernels::SimdTier tiers[] = {ml::kernels::SimdTier::kAvx2,
+                                         ml::kernels::SimdTier::kScalar};
+  // Row (width w, tier t) at index 2 * w + t.
+  std::vector<std::vector<double>> ips(2 * widths.size());
+  std::vector<double> allocs(2 * widths.size(), 0.0);
   for (int r = 0; r < reps; ++r) {
-    gan::DoppelGanger model(data.spec, dg, 99);
-    model.fit(data, warmup);
-    ml::alloc_counter::reset();
-    Stopwatch sw;
-    model.fit(data, iterations);
-    ips.push_back(iterations / sw.seconds());
-    allocs = std::max(allocs, static_cast<double>(ml::alloc_counter::count()) /
-                                  iterations);
+    for (std::size_t w = 0; w < widths.size(); ++w) {
+      for (std::size_t t = 0; t < 2; ++t) {
+        ml::kernels::ConfigOverride guard(tier_cfg(tiers[t], widths[w]));
+        gan::DoppelGanger model(data.spec, dg, 99);
+        model.fit(data, warmup);
+        ml::alloc_counter::reset();
+        Stopwatch sw;
+        model.fit(data, iterations);
+        const std::size_t row = 2 * w + t;
+        ips[row].push_back(iterations / sw.seconds());
+        allocs[row] = std::max(
+            allocs[row],
+            static_cast<double>(ml::alloc_counter::count()) / iterations);
+      }
+    }
   }
-  return {bench::median_iqr(ips), allocs};
+  std::vector<DgRow> rows;
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    rows.push_back({{bench::median_iqr(ips[2 * w]), allocs[2 * w]},
+                    {bench::median_iqr(ips[2 * w + 1]), allocs[2 * w + 1]}});
+  }
+  return rows;
 }
 
 // Fused GRU gate vs the unfused matmul + add + bias + activation
@@ -337,6 +358,63 @@ MedianIqr bench_seeded_gate(ml::kernels::GateAct act,
   }, kKernelReps);
 }
 
+// Operands as the model hands them to the kernels: about half the entries
+// exact zeros (ReLU outputs, one-hot and bit-encoded fields, zero-padded
+// steps), kSparseOperands distinct ones rotated call by call so no branch
+// predictor can learn where the zeros sit. Info rows: nothing gates them.
+constexpr std::size_t kSparseOperands = 16;
+
+std::vector<Matrix> sparse_operands(std::size_t rows, std::size_t cols,
+                                    Rng& rng) {
+  std::vector<Matrix> out;
+  for (std::size_t i = 0; i < kSparseOperands; ++i) {
+    Matrix m = Matrix::randn(rows, cols, rng);
+    for (double& v : m.data()) {
+      if (rng.bernoulli(0.5)) v = 0.0;
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+struct SparseRow {
+  MedianIqr avx2, scalar;  // GFLOP/s
+};
+
+// matmul_bias at the attribute MLP's 64x64x64 (a sparse ReLU batch against
+// dense weights), or trans_a_acc at the caida critic's first layer: the
+// weight gradient of a 64-row batch of 190-wide sparse inputs (110
+// attribute columns, 16 steps of 5) against 96 dense hidden-unit gradients.
+SparseRow bench_sparse(bool trans_a) {
+  Rng rng(trans_a ? 17 : 15);
+  const std::size_t rows = 64, inner = trans_a ? 190 : 64;
+  const std::size_t cols = trans_a ? 96 : 64;
+  const std::vector<Matrix> ops = sparse_operands(rows, inner, rng);
+  const Matrix w = Matrix::randn(trans_a ? rows : inner, cols, rng);
+  const Matrix bias = Matrix::randn(1, cols, rng);
+  Matrix out(trans_a ? inner : rows, cols);
+  std::size_t next = 0;
+  const auto run = [&] {
+    const Matrix& a = ops[next++ % kSparseOperands];
+    if (trans_a) {
+      ml::kernels::matmul_trans_a_acc_into(a, w, out);
+    } else {
+      ml::kernels::matmul_bias_into(a, w, bias, out);
+    }
+  };
+  const double gflop = 2.0 * rows * inner * cols / 1e9;
+  SparseRow row;
+  {
+    ml::kernels::ConfigOverride guard(
+        tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
+    row.avx2 = rate_reps(gflop, run, kKernelReps);
+  }
+  ml::kernels::ConfigOverride guard(
+      tier_cfg(ml::kernels::SimdTier::kScalar, 1));
+  row.scalar = rate_reps(gflop, run, kKernelReps);
+  return row;
+}
+
 std::string json_array(const std::vector<double>& v) {
   std::string s = "[";
   char buf[32];
@@ -404,7 +482,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
   const int dg_warmup = 5;
   const int dg_iterations = 40;
-  const int dg_reps = 5;
+  const int dg_reps = 7;
 
   const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<std::size_t> threads = clamped_thread_counts();
@@ -495,20 +573,32 @@ int main(int argc, char** argv) {
                 1e6 / g.scalar.median, g.scalar.iqr);
   }
 
+  const SparseRow sparse_mm = bench_sparse(false);
+  const SparseRow sparse_ta = bench_sparse(true);
+  for (const auto* row : {&sparse_mm, &sparse_ta}) {
+    std::printf("%s, 50%% zeros, %zu rotated operands: avx2 %.2f (IQR %.2f), "
+                "scalar %.2f (IQR %.2f) GFLOP/s\n",
+                row == &sparse_mm ? "sparse matmul_bias 64x64x64"
+                                  : "sparse trans_a_acc 190x64x96",
+                kSparseOperands, row->avx2.median, row->avx2.iqr,
+                row->scalar.median, row->scalar.iqr);
+  }
+
   std::vector<double> dg_ips, dg_iqr, dg_allocs, dg_scalar_ips, dg_scalar_iqr;
-  for (const std::size_t t : threads) {
-    const DgResult r = bench_dg_iters_per_sec(
-        ml::kernels::SimdTier::kAvx2, t, dg_warmup, dg_iterations, dg_reps);
-    const DgResult rs = bench_dg_iters_per_sec(
-        ml::kernels::SimdTier::kScalar, t, dg_warmup, dg_iterations, dg_reps);
+  const std::vector<DgRow> dg_rows =
+      bench_dg_rows(threads, dg_warmup, dg_iterations, dg_reps);
+  for (std::size_t w = 0; w < threads.size(); ++w) {
+    const DgResult& r = dg_rows[w].kernel;
+    const DgResult& rs = dg_rows[w].scalar;
     dg_ips.push_back(r.iters_per_sec.median);
     dg_iqr.push_back(r.iters_per_sec.iqr);
     dg_allocs.push_back(r.allocs_per_iter);
     dg_scalar_ips.push_back(rs.iters_per_sec.median);
     dg_scalar_iqr.push_back(rs.iters_per_sec.iqr);
     std::printf("doppelganger @%zu threads: %.2f iters/sec (IQR %.2f; scalar "
-                "tier %.2f, IQR %.2f), %.1f allocs/iter, median of %d reps\n",
-                t, r.iters_per_sec.median, r.iters_per_sec.iqr,
+                "tier %.2f, IQR %.2f), %.1f allocs/iter, median of %d "
+                "interleaved reps\n",
+                threads[w], r.iters_per_sec.median, r.iters_per_sec.iqr,
                 rs.iters_per_sec.median, rs.iters_per_sec.iqr,
                 r.allocs_per_iter, dg_reps);
   }
@@ -586,6 +676,19 @@ int main(int argc, char** argv) {
                  "\"scalar\": %.1f, \"scalar_iqr\": %.1f}",
                  g.name, g.avx2.median, g.avx2.iqr, g.scalar.median,
                  g.scalar.iqr);
+  }
+  std::fprintf(f, "},\n");
+  std::fprintf(f,
+               "  \"sparse_gflops\": {\"zero_frac\": 0.5, \"operands\": %zu",
+               kSparseOperands);
+  for (const auto* row : {&sparse_mm, &sparse_ta}) {
+    std::fprintf(f,
+                 ", \"%s\": {\"avx2\": %.3f, \"avx2_iqr\": %.3f, "
+                 "\"scalar\": %.3f, \"scalar_iqr\": %.3f}",
+                 row == &sparse_mm ? "matmul_bias_64x64x64"
+                                   : "trans_a_acc_190x64x96",
+                 row->avx2.median, row->avx2.iqr, row->scalar.median,
+                 row->scalar.iqr);
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,

@@ -497,15 +497,10 @@ void Ip2Vec::nearest_batch_reference(
     bool has_best = false;
     for (std::size_t j = 0; j < m; ++j) {
       const double* e = in_row(ki, j);
-      // Ascending-k accumulation with one rounding per product and the
-      // reference kernel's zero-skip — bitwise the chain matmul_into
-      // produces for this element.
+      // Ascending-k accumulation with one rounding per product — bitwise
+      // the chain matmul_into produces for this element.
       double acc = 0.0;
-      for (std::size_t k = 0; k < dim_; ++k) {
-        const double qk = q[k];
-        if (qk == 0.0) continue;
-        acc += qk * e[k];
-      }
+      for (std::size_t k = 0; k < dim_; ++k) acc += q[k] * e[k];
       const double s = norms[j] - 2.0 * acc;
       if (s < any) {
         any = s;

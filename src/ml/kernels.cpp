@@ -138,19 +138,6 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
         for (; k + 4 <= kend; k += 4) {
           const double a0 = arow[k], a1 = arow[k + 1];
           const double a2 = arow[k + 2], a3 = arow[k + 3];
-          if (a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0) {
-            // The reference skips zero multiplicands entirely (c + 0*inf
-            // would differ); keep its per-k skip semantics on this block.
-            for (std::size_t k2 = k; k2 < k + 4; ++k2) {
-              const double aik = arow[k2];
-              if (aik == 0.0) continue;
-              const double* brow = b.row_ptr(b_row0 + k2);
-              for (std::size_t j = jj; j < jend; ++j) {
-                crow[j] += aik * brow[j];
-              }
-            }
-            continue;
-          }
           const double* b0 = b.row_ptr(b_row0 + k);
           const double* b1 = b.row_ptr(b_row0 + k + 1);
           const double* b2 = b.row_ptr(b_row0 + k + 2);
@@ -166,7 +153,6 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
         }
         for (; k < kend; ++k) {
           const double aik = arow[k];
-          if (aik == 0.0) continue;
           const double* brow = b.row_ptr(b_row0 + k);
           for (std::size_t j = jj; j < jend; ++j) crow[j] += aik * brow[j];
         }
@@ -176,8 +162,8 @@ void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
 }
 
 // Rows [r0, r1) of C = A·Bᵀ against a pack. On the scalar tier eight dot
-// products advance together, each a plain ascending-k chain with no
-// zero-skip (the reference's), reading contiguous lanes of the pack.
+// products advance together, each a plain ascending-k chain (the
+// reference's), reading contiguous lanes of the pack.
 void trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
                   std::size_t r0, std::size_t r1) {
   const std::size_t K = b.cols, C = b.rows;
@@ -603,8 +589,8 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
                                    acc.row_ptr(acc_row0), C, K, C, r0, r1);
     return;
   }
-  // Scalar tier: the full product row first (ascending k, zero-skip), then
-  // one add per element into acc.
+  // Scalar tier: the full product row first (ascending k), then one add per
+  // element into acc.
   static thread_local std::vector<double> tl_row;
   if (tl_row.size() < C) tl_row.resize(C);
   double* prod = tl_row.data();
@@ -612,7 +598,6 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
     std::fill(prod, prod + C, 0.0);
     for (std::size_t k = 0; k < K; ++k) {
       const double aki = a.row_ptr(k)[i];
-      if (aki == 0.0) continue;
       const double* brow = b.row_ptr(k);
       for (std::size_t j = 0; j < C; ++j) prod[j] += aki * brow[j];
     }

@@ -10,6 +10,12 @@
 // reference however a caller splits the rows between threads. The kernel
 // translation unit is compiled without FP contraction so no FMA fuses the
 // multiply-add rounding steps away.
+//
+// Every chain takes every product: no zero multiplicand is skipped, so
+// 0·inf and 0·NaN put NaN into the chain on every tier and in the reference
+// alike. On finite operands a ±0 product leaves a chain that started at +0
+// bitwise unchanged (such a chain never reaches −0), which is why taking
+// the zeros costs no value anywhere.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +94,7 @@ void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 // Bᵀ packed once, for every A·Bᵀ product against the same B: a weight read
 // by each step of a BPTT pass or by each row slice of a stage. Packing is
 // pure data movement, so a product against the pack is bitwise the
-// per-call-packing matmul_trans_b_into (no zero-skip, ascending k). The
+// per-call-packing matmul_trans_b_into (ascending k, every product). The
 // pack holds a copy: repack after B changes (once per pass).
 struct PackedTransB {
   std::size_t rows = 0;     // rows of B = columns of the product

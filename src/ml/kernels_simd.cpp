@@ -46,8 +46,8 @@ namespace {
 // Processes register tiles of NV 4-wide vectors (4*NV output columns)
 // starting at column j0; returns the first unprocessed column. The k loop
 // carries one accumulator chain per output column, ascending k, mul rounded
-// then add rounded, with the reference a(i,k)==0.0 skip. kBias adds bias[j]
-// to the completed sum (one extra rounding, matching
+// then add rounded, taking every product (a zero a(i,k) included). kBias
+// adds bias[j] to the completed sum (one extra rounding, matching
 // add_row_broadcast_inplace after matmul_into).
 template <int NV, bool kBias>
 std::size_t mm_tiles(const double* a, std::size_t lda, const double* b,
@@ -61,9 +61,7 @@ std::size_t mm_tiles(const double* a, std::size_t lda, const double* b,
       __m256d acc[NV];
       for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
       for (std::size_t k = 0; k < K; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(aik);
+        const __m256d av = _mm256_set1_pd(arow[k]);
         const double* bp = b + k * ldb + j0;
         for (int v = 0; v < NV; ++v) {
           acc[v] = _mm256_add_pd(
@@ -92,15 +90,11 @@ void mm_panel(const double* a, std::size_t lda, const double* b,
   std::size_t j0 =
       mm_tiles<4, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, 0, r0, r1);
   j0 = mm_tiles<1, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, j0, r0, r1);
-  for (; j0 < C; ++j0) {  // scalar column tail: same chain, same skip
+  for (; j0 < C; ++j0) {  // scalar column tail: the same chain
     for (std::size_t i = r0; i < r1; ++i) {
       const double* arow = a + i * lda;
       double acc = 0.0;
-      for (std::size_t k = 0; k < K; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        acc += aik * b[k * ldb + j0];
-      }
+      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * b[k * ldb + j0];
       c[i * ldc + j0] = kBias ? acc + bias[j0] : acc;
     }
   }
@@ -120,9 +114,7 @@ std::size_t ta_tiles(const double* a, std::size_t lda, const double* b,
       __m256d acc[NV];
       for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
       for (std::size_t k = 0; k < K; ++k) {
-        const double aki = a[k * lda + i];
-        if (aki == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(aki);
+        const __m256d av = _mm256_set1_pd(a[k * lda + i]);
         const double* bp = b + k * ldb + j0;
         for (int v = 0; v < NV; ++v) {
           acc[v] = _mm256_add_pd(
@@ -141,7 +133,7 @@ std::size_t ta_tiles(const double* a, std::size_t lda, const double* b,
 
 // A·Bᵀ tiles over the packed transpose bt (stride C): the ascending-k loop
 // reads contiguous lanes, so each of the 4*NV concurrent dot products is a
-// plain scalar chain — no zero-skip, matching the scalar trans_b kernel.
+// plain scalar chain, matching the scalar trans_b kernel.
 template <int NV>
 std::size_t tb_tiles(const double* a, std::size_t lda, const double* bt,
                      double* c, std::size_t ldc, std::size_t K, std::size_t C,
@@ -197,9 +189,7 @@ void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
     for (std::size_t i = r0; i < r1; ++i) {
       double acc = 0.0;
       for (std::size_t k = 0; k < K; ++k) {
-        const double aki = a[k * lda + i];
-        if (aki == 0.0) continue;
-        acc += aki * b[k * ldb + j0];
+        acc += a[k * lda + i] * b[k * ldb + j0];
       }
       c[i * ldc + j0] += acc;
     }
@@ -253,8 +243,8 @@ void adam_update(double* w, const double* g, double* m, double* v,
 namespace {
 
 // Fused-gate register tiles. Both product sums complete in registers (each
-// its own ascending-k chain with the reference zero-skip; the x·wx chain
-// starts from the seed row when there is one), then the epilogue stores
+// its own ascending-k chain over every product; the x·wx chain starts from
+// the seed row when there is one), then the epilogue stores
 // (sum_x + sum_h) + bias — the scalar tier's rounding sequence.
 template <int NV>
 std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
@@ -276,9 +266,7 @@ std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
         for (int v = 0; v < NV; ++v) ax[v] = _mm256_setzero_pd();
       }
       for (std::size_t k = 0; k < in_dim; ++k) {
-        const double xik = xrow[k];
-        if (xik == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(xik);
+        const __m256d av = _mm256_set1_pd(xrow[k]);
         const double* wp = wx + k * ldwx + j0;
         for (int v = 0; v < NV; ++v) {
           ax[v] = _mm256_add_pd(ax[v],
@@ -289,9 +277,7 @@ std::size_t gate_tiles(const double* x, std::size_t ldx, const double* wx,
       __m256d ah[NV];
       for (int v = 0; v < NV; ++v) ah[v] = _mm256_setzero_pd();
       for (std::size_t k = 0; k < h_dim; ++k) {
-        const double hik = hrow[k];
-        if (hik == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(hik);
+        const __m256d av = _mm256_set1_pd(hrow[k]);
         const double* wp = wh + k * ldwh + j0;
         for (int v = 0; v < NV; ++v) {
           ah[v] = _mm256_add_pd(ah[v],
@@ -328,18 +314,10 @@ void gate_panel(const double* x, std::size_t ldx, const double* wx,
     for (std::size_t j = j0; j < gate_dim; ++j) {  // scalar tail, same chains
       const double* xrow = x + i * ldx;
       double sx = seed != nullptr ? seed[i * lds + j] : 0.0;
-      for (std::size_t k = 0; k < in_dim; ++k) {
-        const double xik = xrow[k];
-        if (xik == 0.0) continue;
-        sx += xik * wx[k * ldwx + j];
-      }
+      for (std::size_t k = 0; k < in_dim; ++k) sx += xrow[k] * wx[k * ldwx + j];
       const double* hrow = h + i * ldh;
       double sh = 0.0;
-      for (std::size_t k = 0; k < h_dim; ++k) {
-        const double hik = hrow[k];
-        if (hik == 0.0) continue;
-        sh += hik * wh[k * ldwh + j];
-      }
+      for (std::size_t k = 0; k < h_dim; ++k) sh += hrow[k] * wh[k * ldwh + j];
       orow[j] = (sx + sh) + bias[j];
     }
   }

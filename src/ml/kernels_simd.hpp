@@ -5,11 +5,12 @@
 // output columns only. For each output element the reduction over the inner
 // dimension is one scalar chain in ascending-k order, one rounding per
 // partial product (mul, then add — never an FMA), exactly as in the scalar
-// kernels and the serial reference in matrix.cpp. Since _mm256_add_pd /
-// _mm256_mul_pd / _mm256_div_pd are lane-wise IEEE-754 double ops with the
-// same round-to-nearest-even behaviour as the corresponding scalar
-// operators, every lane computes bit-for-bit the scalar result; the tier
-// is therefore memcmp-identical to the scalar tier for all inputs. The
+// kernels and the serial reference in matrix.cpp, taking every product (no
+// zero multiplicand is skipped). Since _mm256_add_pd / _mm256_mul_pd /
+// _mm256_div_pd are lane-wise IEEE-754 double ops with the same
+// round-to-nearest-even behaviour as the corresponding scalar operators,
+// every lane computes bit-for-bit the scalar result; the tier is therefore
+// memcmp-identical to the scalar tier for all inputs. The
 // translation unit is compiled with -mavx2 but WITHOUT -mfma and with
 // -ffp-contract=off, so neither intrinsic selection nor the compiler can
 // fuse the mul+add rounding steps away.
@@ -28,8 +29,7 @@ bool cpu_supports_avx2();
 
 // C[r0..r1) = A·B. A is (rows×K, stride lda), B is (K×C, stride ldb),
 // C is (rows×C, stride ldc). Register blocks are 16 output columns wide,
-// then 4-wide and scalar column tails. Preserves the reference kernels'
-// a(i,k)==0.0 skip semantics.
+// then 4-wide and scalar column tails.
 void matmul_panel(const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc, std::size_t K,
                   std::size_t C, std::size_t r0, std::size_t r1);
@@ -43,9 +43,9 @@ void matmul_bias_panel(const double* a, std::size_t lda, const double* b,
                        std::size_t r0, std::size_t r1);
 
 // C[r0..r1) += Aᵀ·B with A stored K×rows (stride lda): each output element
-// forms the full sum of a(k,i)·b(k,j) in a register first (ascending k, the
-// reference a(k,i)==0.0 skip), then adds it to the existing value with one
-// rounding — the `acc += product` sequence.
+// forms the full sum of a(k,i)·b(k,j) in a register first (ascending k),
+// then adds it to the existing value with one rounding — the
+// `acc += product` sequence.
 void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
                               const double* b, std::size_t ldb, double* c,
                               std::size_t ldc, std::size_t K, std::size_t C,
@@ -53,8 +53,8 @@ void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
 
 // C[r0..r1) = A·Bᵀ where `bt` is the pre-packed transpose of B produced by
 // kernels::pack_trans_b: bt[k*C + j] == B(j,k), so the ascending-k inner
-// loop reads contiguous lanes. No zero-skip — matching the scalar trans_b
-// kernel and the serial reference, which accumulate every partial product.
+// loop reads contiguous lanes, matching the scalar trans_b kernel and the
+// serial reference.
 void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
                           double* c, std::size_t ldc, std::size_t K,
                           std::size_t C, std::size_t r0, std::size_t r1);
@@ -68,11 +68,11 @@ void adam_update(double* w, const double* g, double* m, double* v,
 
 // Fused GRU gate pre-activations, rows [r0..r1): out = (x·wx + h·wh) + bias
 // with both products register-resident. Per element the rounding sequence
-// is: full ascending-k sum of x·wx (zero-skip; started from seed(i, j)
-// instead of zero when `seed`, stride lds, is non-null), full ascending-k
-// sum of h·wh (zero-skip), one add of the two sums, one bias add —
-// identical to the scalar tier's matmul_into + matmul_into + epilogue. The
-// caller activates the finished block (kernels::gru_gate_rows).
+// is: full ascending-k sum of x·wx (started from seed(i, j) instead of
+// zero when `seed`, stride lds, is non-null), full ascending-k sum of h·wh,
+// one add of the two sums, one bias add — identical to the scalar tier's
+// matmul_into + matmul_into + epilogue. The caller activates the finished
+// block (kernels::gru_gate_rows).
 void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 std::size_t ldwx, const double* h, std::size_t ldh,
                 const double* wh, std::size_t ldwh, const double* bias,

@@ -105,7 +105,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
     double* crow = c.row_ptr(i);
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const double aik = a(i, k);
-      if (aik == 0.0) continue;
       const double* brow = b.row_ptr(k);
       for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
     }
@@ -121,7 +120,6 @@ Matrix matmul_trans_a(const Matrix& a, const Matrix& b) {
     const double* brow = b.row_ptr(k);
     for (std::size_t i = 0; i < a.cols(); ++i) {
       const double aki = arow[i];
-      if (aki == 0.0) continue;
       double* crow = c.row_ptr(i);
       for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
     }

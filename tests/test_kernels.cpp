@@ -7,6 +7,7 @@
 // DoppelGanger training is bit-for-bit unchanged by kernel parallelism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cfloat>
@@ -171,24 +172,6 @@ TEST(Kernels, FusedGruGateMatchesUnfusedCompositionAcrossThreads) {
   }
 }
 
-TEST(Kernels, ZeroEntriesTakeTheSkipPathIdentically) {
-  Rng rng(102);
-  Matrix a = Matrix::randn(70, 66, rng);
-  Matrix b = Matrix::randn(66, 70, rng);
-  // Exact zeros exercise the aik == 0.0 skip branch shared with the seed
-  // kernels; a fully zero row exercises empty accumulation.
-  for (std::size_t k = 0; k < a.cols(); k += 3) a(7, k) = 0.0;
-  for (std::size_t k = 0; k < a.cols(); ++k) a(20, k) = 0.0;
-  kernels::KernelConfig cfg;
-  cfg.threads = 5;
-  kernels::ConfigOverride guard(cfg);
-  expect_bitwise(matmul(a, b), reference::matmul(a, b), "matmul with zeros");
-  // trans_a reduces over rows of a: b2 must share a's row count.
-  const Matrix b2 = Matrix::randn(70, 50, rng);
-  expect_bitwise(matmul_trans_a(a, b2), reference::matmul_trans_a(a, b2),
-                 "matmul_trans_a with zeros");
-}
-
 TEST(Kernels, ConfigRoundTripAndOverrideRestore) {
   const kernels::KernelConfig before = kernels::config();
   {
@@ -261,7 +244,7 @@ TEST(Kernels, ScalarKernelPropertySweepRaggedAndEmptyShapes) {
     Matrix b = Matrix::randn(k, n, rng);
     Matrix at = Matrix::randn(k, m, rng);
     Matrix bt = Matrix::randn(n, k, rng);
-    for (auto* mat : {&a, &b, &at, &bt}) {  // drive the zero-skip branches
+    for (auto* mat : {&a, &b, &at, &bt}) {  // exact zeros, as in ReLU output
       for (auto& v : mat->data()) {
         if (rng.bernoulli(0.2)) v = 0.0;
       }
@@ -304,8 +287,8 @@ kernels::KernelConfig tier_config(kernels::SimdTier tier) {
   return cfg;
 }
 
-// Seeds exact zeros (and a -0.0) among random entries, so the zero-skip
-// semantics of each kernel are exercised too.
+// Seeds exact zeros (and a -0.0) among random entries, the operands the
+// model's one-hot fields and ReLU layers hand the kernels.
 Matrix randn_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m = Matrix::randn(rows, cols, rng);
   for (std::size_t i = 0; i < m.size(); i += 7) m.data()[i] = 0.0;
@@ -500,6 +483,198 @@ TEST(Kernels, RowBlockOperandsMatchCopiedBlocks) {
   kernels::PackedTransB pack;
   EXPECT_THROW(kernels::pack_trans_b(Matrix(4, 3), 2, 5, pack),
                std::invalid_argument);
+}
+
+// Random rows x cols operand with an exact zero in every third place and
+// `special` in every 33rd place from `first` on.
+Matrix with_specials(std::size_t rows, std::size_t cols, double special,
+                     std::size_t first, Rng& rng) {
+  Matrix m = Matrix::randn(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += 3) m.data()[i] = 0.0;
+  for (std::size_t i = first; i < m.size(); i += 33) m.data()[i] = special;
+  return m;
+}
+
+// A left operand: zeros in every third place and all of row `zero_row`, and
+// its one special in the last row, where it meets the right operand's zeros
+// without hiding what the zero row meets.
+Matrix left_operand(std::size_t rows, std::size_t cols, double special,
+                    std::size_t zero_row, Rng& rng) {
+  Matrix m = with_specials(rows, cols, special, (rows - 1) * cols + 1, rng);
+  std::fill(m.row_ptr(zero_row), m.row_ptr(zero_row) + cols, 0.0);
+  return m;
+}
+
+// The unfused gate on the reference kernels: act((x·wx + h·wh) + bias).
+Matrix reference_gate(const Matrix& x, const Matrix& wx, const Matrix& h,
+                      const Matrix& wh, const Matrix& bias,
+                      kernels::GateAct act) {
+  Matrix out = reference::matmul(x, wx);
+  out += reference::matmul(h, wh);
+  add_row_broadcast_inplace(out, bias);
+  if (act == kernels::GateAct::kSigmoid) {
+    sigmoid_inplace(out);
+  } else {
+    tanh_inplace(out);
+  }
+  return out;
+}
+
+// Every reduction chain takes every product (DESIGN.md §10), so a zero
+// multiplicand facing inf or NaN puts NaN into the chain. Each kernel, whole
+// batch and in row ranges on every host tier, gives the ml::reference
+// oracle's bits. A case carries one special value, so its NaNs share one bit
+// pattern whichever operand an add takes it from. The zero rows of the left
+// operands meet the right operands' specials in the 16- and 4-wide column
+// tiles and the scalar column tail, and in the scalar tier's 4-step k
+// blocks and its k tail; the gate's h zero row (row 1) meets wh's specials
+// in columns where row 1 of x·wx stays finite, and x's (row 0) meets wx's
+// where row 0 of h·wh does, so restoring a zero-skip in either chain of
+// any tile shows.
+TEST(Kernels, ZeroMultiplicandsGiveTheSameBitsOnEveryPath) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {kInf, -kInf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  constexpr std::size_t R = 9, K = 10, C = 23, H = 7, A = 6;
+  const auto acts = {kernels::GateAct::kSigmoid, kernels::GateAct::kTanh};
+  Rng rng(1203);
+  for (const double special : specials) {
+    SCOPED_TRACE("special=" + std::to_string(special));
+    const Matrix a = left_operand(R, K, special, 0, rng);
+    const Matrix at = left_operand(K, R, special, 0, rng);  // trans_a input
+    const Matrix h = left_operand(R, H, special, 1, rng);
+    const Matrix cond = left_operand(R, A, special, 0, rng);
+    const Matrix b = with_specials(K, C, special, 1, rng);
+    const Matrix bt = with_specials(C, K, special, 1, rng);  // trans_b input
+    const Matrix wx = with_specials(K + A, C, special, 1, rng);  // step rows
+    const Matrix wh = with_specials(H, C, special, 2, rng);      // first
+    const Matrix bias = Matrix::randn(1, C, rng);
+    const Matrix acc0 = Matrix::randn(R, C, rng);
+
+    const Matrix want_mm = reference::matmul(a, row_block(wx, 0, K));
+    Matrix want_bias = reference::matmul(a, b);
+    add_row_broadcast_inplace(want_bias, bias);
+    const Matrix want_ta = reference::matmul_trans_a(at, b);
+    Matrix want_acc = acc0;
+    want_acc += reference::matmul_trans_a(at, b);
+    const Matrix want_tb = reference::matmul_trans_b(a, bt);
+    // The seeded gate's oracle: the unseeded gate on [cond | a] against
+    // wx's cond rows stacked over its step rows.
+    Matrix xc(R, A + K), wx_cf(A + K, C);
+    for (std::size_t i = 0; i < R; ++i) {
+      std::copy(cond.row_ptr(i), cond.row_ptr(i) + A, xc.row_ptr(i));
+      std::copy(a.row_ptr(i), a.row_ptr(i) + K, xc.row_ptr(i) + A);
+    }
+    std::copy(wx.row_ptr(K), wx.row_ptr(K + A), wx_cf.row_ptr(0));
+    std::copy(wx.row_ptr(0), wx.row_ptr(K), wx_cf.row_ptr(A));
+
+    for (const kernels::SimdTier tier : host_tiers()) {
+      kernels::ConfigOverride guard(tier_config(tier));
+      SCOPED_TRACE(tier == kernels::SimdTier::kAvx2 ? "avx2" : "scalar");
+      Matrix got, rows(R, C), scratch(R, C);
+      kernels::matmul_into(a, row_block(wx, 0, K), got);
+      expect_bitwise(got, want_mm, "matmul_into");
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_rows(a, wx, 0, rows, r0, r1);
+      }
+      expect_bitwise(rows, want_mm, "matmul_rows");
+      kernels::matmul_bias_into(a, b, bias, got);
+      expect_bitwise(got, want_bias, "matmul_bias_into");
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_bias_rows(a, b, bias, rows, r0, r1);
+      }
+      expect_bitwise(rows, want_bias, "matmul_bias_rows");
+      kernels::matmul_trans_a_into(at, b, got);
+      expect_bitwise(got, want_ta, "matmul_trans_a_into");
+      got = acc0;
+      kernels::matmul_trans_a_acc_into(at, b, got);
+      expect_bitwise(got, want_acc, "matmul_trans_a_acc_into");
+      rows = acc0;
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_trans_a_acc_rows(at, b, rows, r0, r1);
+      }
+      expect_bitwise(rows, want_acc, "matmul_trans_a_acc_rows");
+      kernels::matmul_trans_b_into(a, bt, got);
+      expect_bitwise(got, want_tb, "matmul_trans_b_into");
+      kernels::PackedTransB pack;
+      kernels::pack_trans_b(bt, pack);
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_trans_b_rows(a, pack, rows, r0, r1);
+      }
+      expect_bitwise(rows, want_tb, "matmul_trans_b_rows");
+
+      Matrix seed(R, C);
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::matmul_rows(cond, wx, K, seed, r0, r1);
+      }
+      for (const auto act : acts) {
+        const Matrix want = reference_gate(a, row_block(wx, 0, K), h, wh,
+                                           bias, act);
+        kernels::gru_gate_into(a, row_block(wx, 0, K), h, wh, bias, act,
+                               scratch, got);
+        expect_bitwise(got, want, "gru_gate_into");
+        for (const auto& [r0, r1] : ragged_slices(R)) {
+          kernels::gru_gate_rows(a, row_block(wx, 0, K), h, wh, bias, act,
+                                 scratch, rows, r0, r1);
+        }
+        expect_bitwise(rows, want, "gru_gate_rows");
+        const Matrix want_seeded = reference_gate(xc, wx_cf, h, wh, bias, act);
+        kernels::gru_gate_into(a, wx, h, wh, bias, act, scratch, got, &seed);
+        expect_bitwise(got, want_seeded, "seeded gru_gate_into");
+        for (const auto& [r0, r1] : ragged_slices(R)) {
+          kernels::gru_gate_rows(a, wx, h, wh, bias, act, scratch, rows, r0,
+                                 r1, &seed);
+        }
+        expect_bitwise(rows, want_seeded, "seeded gru_gate_rows");
+      }
+    }
+  }
+}
+
+// A seeded chain that starts at -0.0 is the one finite case where taking a
+// zero product changes a sum: -0 + (+0) is +0. The gate's output cannot
+// show it (the h·wh chain starts at +0 and -0 + +0 is +0), but every path
+// must still agree: an all-zero x row against a -0.0 seed gives, on every
+// tier, whole batch and in row ranges, the bits of the element chain
+// written out — seed, then every product in ascending k.
+TEST(Kernels, NegativeZeroSeedGivesTheSameBitsOnEveryPath) {
+  constexpr std::size_t R = 5, S = 6, G = 23, H = 4;
+  Rng rng(1207);
+  const Matrix x(R, S);  // all zero
+  const Matrix wx = Matrix::randn(S, G, rng);
+  Matrix h = Matrix::randn(R, H, rng);
+  std::fill(h.row_ptr(1), h.row_ptr(2), 0.0);
+  const Matrix wh = Matrix::randn(H, G, rng);
+  Matrix bias = Matrix::randn(1, G, rng);
+  bias(0, 3) = -0.0;
+  const Matrix seed(R, G, -0.0);
+  for (const auto act : {kernels::GateAct::kSigmoid, kernels::GateAct::kTanh}) {
+    Matrix want(R, G);
+    for (std::size_t i = 0; i < R; ++i) {
+      for (std::size_t j = 0; j < G; ++j) {
+        double sx = seed(i, j), sh = 0.0;
+        for (std::size_t k = 0; k < S; ++k) sx += x(i, k) * wx(k, j);
+        for (std::size_t k = 0; k < H; ++k) sh += h(i, k) * wh(k, j);
+        want(i, j) = (sx + sh) + bias(0, j);
+      }
+    }
+    if (act == kernels::GateAct::kSigmoid) {
+      sigmoid_inplace(want);
+    } else {
+      tanh_inplace(want);
+    }
+    for (const kernels::SimdTier tier : host_tiers()) {
+      kernels::ConfigOverride guard(tier_config(tier));
+      Matrix got, scratch(R, G), rows(R, G);
+      kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, got, &seed);
+      expect_bitwise(got, want, "-0.0-seeded gru_gate_into");
+      for (const auto& [r0, r1] : ragged_slices(R)) {
+        kernels::gru_gate_rows(x, wx, h, wh, bias, act, scratch, rows, r0, r1,
+                               &seed);
+      }
+      expect_bitwise(rows, want, "-0.0-seeded gru_gate_rows");
+    }
+  }
 }
 
 TEST(Kernels, RowFormsRejectUnshapedOutputs) {

@@ -25,7 +25,7 @@ namespace netshare::ml {
 namespace {
 
 // memcmp, not double ==: even a -0.0 vs +0.0 divergence (a reduction-order
-// or zero-skip tell) must fail.
+// tell) must fail.
 void expect_bitwise(const Matrix& got, const Matrix& want, const char* what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
@@ -71,8 +71,8 @@ class ScopedEnv {
   std::string saved_;
 };
 
-// Random matrix with exact zeros sprinkled in, to drive the zero-skip
-// branches through the same path on both tiers.
+// Random matrix with exact zeros sprinkled in, as one-hot fields and ReLU
+// layers hand them to the kernels on both tiers.
 Matrix randn_with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m = Matrix::randn(rows, cols, rng);
   for (auto& v : m.data()) {
