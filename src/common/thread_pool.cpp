@@ -294,8 +294,8 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   const std::size_t helpers =
       std::min({std::max<std::size_t>(1, max_parallel), n, size() + 1}) - 1;
-  // No span here: the training iteration's stages and the BPTT fan-out call
-  // this hundreds of times per iteration and would flood the span rings;
+  // No span here: the training iteration's stages call this hundreds of
+  // times per iteration and would flood the span rings;
   // the coarse callers (train.finetune, serve.batch, ...) have their own.
   auto loop = std::make_shared<Loop>();
   loop->fn = &fn;

@@ -1,10 +1,10 @@
 // Fixed-size thread pool. One process-wide instance, ThreadPool::shared(),
 // is the executor for every parallel phase (DESIGN.md §7): chunk
-// fine-tuning and sampling (NetShare Insight 3), the task graph of a
-// DoppelGANger training iteration and its BPTT fan-out, the generation
-// slices of offline and served chunk parts, the parallel postprocess
-// ranges, and the per-chunk fan-out of served batches. Only the service's batch workers
-// still own a separate pool.
+// fine-tuning and sampling (NetShare Insight 3), the stages of a
+// DoppelGANger training iteration, the generation slices of offline and
+// served chunk parts, the parallel postprocess ranges, and the per-chunk
+// fan-out of served batches. Only the service's batch workers still own a
+// separate pool.
 //
 // Exception semantics: a throwing task never kills its worker — the
 // exception is captured in the task's future and rethrown from get().

@@ -36,8 +36,10 @@ std::size_t LogisticRegression::predict(std::span<const double> x) const {
   if (!linear_) throw std::logic_error("LogisticRegression: fit first");
   ml::Matrix row(1, x.size());
   std::copy(x.begin(), x.end(), row.row_ptr(0));
-  const ml::Matrix logits =
-      const_cast<ml::Linear&>(*linear_).forward(row);
+  // The forward-only row form reads only the weights, so concurrent
+  // predicts each write their own logits.
+  ml::Matrix logits;
+  linear_->forward_into(row, logits);
   std::size_t best = 0;
   for (std::size_t j = 1; j < logits.cols(); ++j) {
     if (logits(0, j) > logits(0, best)) best = j;

@@ -40,7 +40,11 @@ std::size_t MlpClassifier::predict(std::span<const double> x) const {
   if (!net_) throw std::logic_error("MlpClassifier: fit first");
   ml::Matrix row(1, x.size());
   std::copy(x.begin(), x.end(), row.row_ptr(0));
-  const ml::Matrix logits = const_cast<ml::Mlp&>(*net_).forward(row);
+  // The forward-only row form reads only the weights, so concurrent
+  // predicts each write their own buffers.
+  std::vector<ml::Matrix> bufs;
+  net_->prepare_forward_into(1, row.cols(), bufs);
+  const ml::Matrix& logits = net_->forward_rows_into(row, bufs, 0, 1);
   std::size_t best = 0;
   for (std::size_t j = 1; j < logits.cols(); ++j) {
     if (logits(0, j) > logits(0, best)) best = j;

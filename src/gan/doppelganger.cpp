@@ -254,8 +254,8 @@ void DoppelGanger::generator_forward(const Matrix& za,
     }
     k -= first;
     if (k == tasks) {
-      out_head_->prepare_backward();
-      out_linear_->prepare_backward();
+      out_head_->prepare_backward(true);
+      out_linear_->prepare_backward(true);
       rnn_->prepare_backward();
       attr_gen_->prepare_backward(false);  // its input is noise
       return;
@@ -1001,7 +1001,9 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
   while (done < n) {
     const std::size_t b = std::min(config_.batch_size, n - done);
     stage_attr_noise(b, stream_seed, first_series + done, scratch);
-    const Matrix& attr = attr_gen_->forward_into(scratch.za, g.attr);
+    attr_gen_->prepare_forward_into(b, scratch.za.cols(), g.attr);
+    const Matrix& attr =
+        attr_gen_->forward_rows_into(scratch.za, g.attr, 0, b);
     for (std::size_t i = 0; i < b; ++i) {
       const double* asrc = attr.row_ptr(i);
       std::copy(asrc, asrc + A, out.attributes.row_ptr(done + i));

@@ -53,8 +53,8 @@ struct DgConfig {
   ml::health::HealthConfig health;
 };
 
-// Scratch of the forward-only generator path: the attribute MLP's two
-// ping-pong buffers, the GRU's projections of the attributes (its
+// Scratch of the forward-only generator path: the attribute MLP's output
+// buffer per layer, the GRU's projections of the attributes (its
 // step-invariant input), one GRU step's scratch, the hidden-state pair, the
 // step input z_t and the output layer's two buffers. Each concurrent user
 // owns one.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "ml/kernels.hpp"
 
 namespace netshare::ml {
@@ -135,23 +134,10 @@ void Gru::step_into(const Matrix& x, const GateRows& p, const Matrix& h_prev,
   if (h_prev.rows() != x.rows() || h_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("Gru::step_into: hidden shape mismatch");
   }
-  // Mirror of one forward() step through the whole-batch entry points of
-  // the same fused-gate kernels, so each row matches the full unroll
-  // bitwise (s.gate is per-call scratch inside gru_gate_into and carries
-  // nothing across calls).
-  using kernels::GateAct;
-  kernels::gru_gate_into(x, wxz_.value, h_prev, whz_.value, bz_.value,
-                         GateAct::kSigmoid, s.gate, s.z, &p.z);
-  kernels::gru_gate_into(x, wxr_.value, h_prev, whr_.value, br_.value,
-                         GateAct::kSigmoid, s.gate, s.r, &p.r);
-  hadamard_into(s.r, h_prev, s.rh);
-  kernels::gru_gate_into(x, wxc_.value, s.rh, whc_.value, bc_.value,
-                         GateAct::kTanh, s.gate, s.c, &p.c);
-  h_out.resize(x.rows(), hidden_dim_);
-  for (std::size_t i = 0; i < h_out.size(); ++i) {
-    h_out.data()[i] = (1.0 - s.z.data()[i]) * h_prev.data()[i] +
-                      s.z.data()[i] * s.c.data()[i];
+  for (Matrix* m : {&s.z, &s.r, &s.c, &s.rh, &s.gate, &h_out}) {
+    m->resize(x.rows(), hidden_dim_);
   }
+  step_rows(x, p, h_prev, h_out, s.z, s.r, s.c, s.rh, s.gate, 0, x.rows());
 }
 
 void Gru::step_rows_into(const Matrix& x, const GateRows& p,
@@ -163,15 +149,8 @@ void Gru::step_rows_into(const Matrix& x, const GateRows& p,
 const Matrix& Gru::backward(const std::vector<Matrix>& grad_hs) {
   prepare_backward();
   backward_rows(grad_hs, 0, cond_.rows());
-  const std::size_t width =
-      std::max<std::size_t>(1, kernels::effective_threads());
-  ThreadPool::shared().parallel_for(
-      kGradTasks,
-      [&](std::size_t k) {
-        const std::size_t rows[3] = {step_dim_ + cond_dim_, hidden_dim_, 1};
-        grad_task(k, 0, rows[k % 3]);
-      },
-      width);
+  const std::size_t rows[3] = {step_dim_ + cond_dim_, hidden_dim_, 1};
+  for (std::size_t k = 0; k < kGradTasks; ++k) grad_task(k, 0, rows[k % 3]);
   return cond_grad_;
 }
 

@@ -18,11 +18,14 @@ namespace netshare::ml {
 // Sequences are std::vector<Matrix> of length T; each element is
 // [batch, step_dim]. The hidden state starts at zero.
 //
-// forward()/backward() return references to member buffers, valid until the
-// next forward()/backward() call (see ml/layers.hpp). The per-step caches
-// and every backward scratch are persistent members reused across calls, so
-// with stable (T, batch) shapes the whole BPTT pass performs no heap
-// allocation after the first call.
+// Each pass is implemented once, as its row form (DESIGN.md §5):
+// forward() and backward() are the prepare calls plus one row call on every
+// row (and, for backward(), every parameter task on its whole parameter),
+// and step_into() is step_rows_into() on every row. forward()/backward()
+// return references to member buffers, valid until the next pass (see
+// ml/layers.hpp). The per-step caches and every backward scratch are
+// persistent members reused across calls, so with stable (T, batch) shapes
+// the whole BPTT pass performs no heap allocation after the first call.
 class Gru {
  public:
   // Caller-owned scratch of one forward-only step (gate activations, r ⊙ h
@@ -48,16 +51,14 @@ class Gru {
   // parameter gradients and returns dLoss/dcond; the step inputs get no
   // gradient. Consumes the forward caches (each step's gate gradients are
   // written over its dead gate activations), so every backward() needs a
-  // fresh forward(). The recurrence runs serially; the nine parameter tasks
-  // then fan out over ThreadPool::shared(), kernels::effective_threads()
-  // wide. Each parameter still accumulates over t in descending order, so
-  // the result is bitwise identical at every width.
+  // fresh forward(). Runs on the calling thread; a caller that wants width
+  // runs the row form below as tasks.
   const Matrix& backward(const std::vector<Matrix>& grad_hs);
 
-  // Row-sliced twins of forward() and backward() (DESIGN.md §5): every
-  // cache stays a whole-batch matrix and a slice writes only its rows, so
-  // slices of disjoint row ranges may run on several threads at once and
-  // the values are forward()/backward()'s, bitwise.
+  // The row form of forward() and backward() (DESIGN.md §5): every cache
+  // stays a whole-batch matrix and a slice writes only its rows, so slices
+  // of disjoint row ranges may run on several threads at once, with the
+  // values of forward()/backward() bitwise.
   //   prepare_forward(T, batch)       shape the caches (one thread);
   //   forward_rows(xs, cond, r0, r1)  the cond projection and all T steps
   //                                   for rows [r0, r1); hidden() holds
@@ -87,12 +88,13 @@ class Gru {
   void project_cond_rows(const Matrix& cond, GateRows& p, std::size_t r0,
                          std::size_t r1) const;
   // Forward-only single step: h_out = GRU(x, h_prev) seeded with p's rows,
-  // using exactly the same fused-gate kernel calls as forward(), so a
-  // step's output row is bitwise identical to the corresponding row of a
-  // full forward() unroll. Reads only the weights and writes only h_out and
-  // `s`, so it may run on several threads at once (distinct scratch) and
-  // beside a training forward()/backward() pair. `h_out` must not alias
-  // `h_prev`; zero-allocation once the scratch capacities are warm.
+  // through the step kernel forward() runs, so a step's output row is
+  // bitwise identical to the corresponding row of a full forward() unroll.
+  // Shapes h_out and `s` to the batch, then runs every row. Reads only the
+  // weights and writes only h_out and `s`, so it may run on several threads
+  // at once (distinct scratch) and beside a training forward()/backward()
+  // pair. `h_out` must not alias `h_prev`; zero-allocation once the scratch
+  // capacities are warm.
   void step_into(const Matrix& x, const GateRows& p, const Matrix& h_prev,
                  Matrix& h_out, StepScratch& s) const;
   // Rows [r0, r1) of step_into, into h_out and scratch already shaped to

@@ -45,9 +45,9 @@ void reload_simd_env();
 // Process-wide kernel settings, each held in an atomic (no lock). `threads`
 // is the thread budget of the current phase: the width of the row-sliced
 // stages of a DoppelGANger training iteration (DESIGN.md §5). The stages
-// run on the shared executor (ThreadPool::shared()), the calling thread
-// taking part, so the budget caps concurrency but never creates threads;
-// the kernels themselves always run on the calling thread. `threads == 0`
+// run on the shared executor, the calling thread taking part, so the budget
+// caps concurrency but never creates threads; the kernels themselves always
+// run on the calling thread. `threads == 0`
 // resolves, in order, to the NETSHARE_KERNEL_THREADS environment variable
 // and then to std::thread::hardware_concurrency().
 struct KernelConfig {

@@ -1,23 +1,25 @@
 // Module interface and elementary layers with manual backprop.
 //
-// Convention: inputs/outputs are [batch, features]. forward() caches what
-// backward() needs; backward() accumulates parameter gradients (so several
-// forward/backward passes between optimizer steps sum up, which WGAN critic
-// training relies on) and returns the gradient w.r.t. its input (so the
-// generator receives gradients *through* the discriminator).
+// Convention: inputs/outputs are [batch, features]. Each module implements
+// every pass once, as its row form (DESIGN.md §5, *Row-sliced stages*); the
+// whole-batch passes are wrappers over it, defined once on Module. A row's
+// value never depends on its range, so both give bitwise the same values.
+// forward() caches what the backward passes need. backward() accumulates
+// parameter gradients (so several passes between optimizer steps sum up,
+// which WGAN critic training relies on) and returns the gradient w.r.t. its
+// input (so the generator receives gradients *through* the discriminator);
+// backward_input() forms only the input gradient, backward_params() only
+// the parameter gradients.
 //
-// Buffer ownership (DESIGN.md §6): forward()/backward() return a const
-// reference to a buffer owned by the module, valid until the module's next
-// forward()/backward() call. Callers that need the value past that point
-// copy it (`Matrix y = m.forward(x)`); the training hot path chains the
-// references without copying. After a one-iteration warm-up with stable
-// shapes these calls perform no heap allocation.
+// Buffer ownership (DESIGN.md §6): the passes return a const reference to a
+// buffer owned by the module, valid until its next pass; callers that need
+// the value longer copy it (`Matrix y = m.forward(x)`). After a one-iteration
+// warm-up with stable shapes these calls perform no heap allocation.
 //
-// forward_into() is the forward-only twin: same kernels in the same order,
-// so its output is bitwise identical to forward()'s, but it reads only the
-// parameters and writes only the caller-owned `y` — no caches. Several
-// threads may run it on one module at once (each with its own `y`), and
-// beside a forward()/backward() pair on another thread (DESIGN.md §6).
+// Layer::forward_rows_into() is the forward-only row form: the same kernels
+// in the same order, but it reads only the parameters and writes only the
+// caller-owned `y`, so several threads may run it on one layer at once, and
+// beside a training pass on another thread (DESIGN.md §6).
 #pragma once
 
 #include <memory>
@@ -41,77 +43,83 @@ struct Parameter {
 class Module {
  public:
   virtual ~Module() = default;
-  virtual const Matrix& forward(const Matrix& x) = 0;
-  virtual const Matrix& backward(const Matrix& grad_out) = 0;
   virtual std::vector<Parameter*> parameters() { return {}; }
-  // Forward-only pass into caller-owned `y` (must not alias `x`). Composite
-  // modules need scratch per layer and offer their own overload instead.
-  virtual void forward_into(const Matrix& x, Matrix& y) const;
 
-  // The two halves of backward(), for callers that read only one of them:
-  // backward_input() returns the input gradient without accumulating
-  // parameter gradients, backward_params() accumulates the parameter
-  // gradients without forming the input gradient. Each computes bitwise the
-  // values backward() does. The defaults run the whole backward().
-  virtual const Matrix& backward_input(const Matrix& grad_out) {
-    return backward(grad_out);
-  }
-  virtual void backward_params(const Matrix& grad_out) { backward(grad_out); }
-
-  // Row-sliced pass (DESIGN.md §5, *Row-sliced stages*): the same values as
-  // forward() / backward_input(), computed a row range at a time into
-  // whole-batch buffers. prepare_forward(rows, cols) shapes the caches and the
-  // output for a rows × cols input batch, and prepare_backward() the input
-  // gradient (after the forward pass, before any backward slice; both on one
-  // thread). forward_rows(x, r0, r1) then fills rows [r0, r1) of the caches
-  // and of output(), and backward_input_rows(g, r0, r1) rows [r0, r1) of
-  // input_grad(); slices of disjoint ranges may run on several threads at
-  // once, each reading only its own rows of x and g. The defaults throw.
-  virtual void prepare_forward(std::size_t rows, std::size_t cols);
-  virtual void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1);
-  virtual const Matrix& output() const;
-  virtual void prepare_backward();
+  // The row form of every pass. prepare_forward(rows, cols) shapes the
+  // caches and the output for a rows × cols input batch; forward_rows(x, r0,
+  // r1) then fills rows [r0, r1) of the caches and of output().
+  // prepare_backward(input_grad) shapes the backward buffers after the
+  // forward pass; without input_grad it leaves out what only the input
+  // gradient needs. backward_input_rows(g, r0, r1) fills rows [r0, r1) of
+  // input_grad() and of every inner gradient; backward_delta_rows(g, r0, r1)
+  // fills those rows of the inner gradients alone (what the parameter
+  // gradients read; nothing for a single layer). Prepare calls run on one
+  // thread; row calls of disjoint ranges may run on several threads at once,
+  // each reading only its own rows of x and g.
+  virtual void prepare_forward(std::size_t rows, std::size_t cols) = 0;
+  virtual void forward_rows(const Matrix& x, std::size_t r0,
+                            std::size_t r1) = 0;
+  virtual const Matrix& output() const = 0;
+  virtual void prepare_backward(bool input_grad) = 0;
   virtual void backward_input_rows(const Matrix& grad_out, std::size_t r0,
-                                   std::size_t r1);
-  virtual const Matrix& input_grad() const;
-  // Forward-only row form: rows [r0, r1) of forward_into(x, y), into a `y`
-  // already shaped to x.rows() × out_cols(x.cols()). Reads only the
-  // parameters; the default throws.
-  virtual std::size_t out_cols(std::size_t in_cols) const { return in_cols; }
-  virtual void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
-                                 std::size_t r1) const;
+                                   std::size_t r1) = 0;
+  virtual void backward_delta_rows(const Matrix& grad_out, std::size_t r0,
+                                   std::size_t r1) = 0;
+  virtual const Matrix& input_grad() const = 0;
+  // Once every backward row call has run: adds the parameter gradients of
+  // the whole batch to each Parameter::grad.
+  virtual void accumulate_grads(const Matrix& grad_out) = 0;
+
+  // The whole-batch passes, each over the row form on [0, rows).
+  const Matrix& forward(const Matrix& x);
+  const Matrix& backward(const Matrix& grad_out);
+  const Matrix& backward_input(const Matrix& grad_out);
+  void backward_params(const Matrix& grad_out);
 
   void zero_grad() {
     for (Parameter* p : parameters()) p->zero_grad();
   }
 };
 
+// A single layer, which adds the forward-only row form:
+// forward_rows_into(x, y, r0, r1) fills rows [r0, r1) of a `y` already
+// shaped to x.rows() × out_cols(x.cols()) (must not alias `x`), reading only
+// the parameters; forward_into(x, y) shapes `y` and runs it on every row.
+class Layer : public Module {
+ public:
+  // Throws std::invalid_argument for an input width the layer cannot take.
+  virtual std::size_t out_cols(std::size_t in_cols) const = 0;
+  virtual void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
+                                 std::size_t r1) const = 0;
+  void forward_into(const Matrix& x, Matrix& y) const {
+    y.resize(x.rows(), out_cols(x.cols()));
+    forward_rows_into(x, y, 0, x.rows());
+  }
+
+  void backward_delta_rows(const Matrix&, std::size_t, std::size_t) override {
+  }
+  void accumulate_grads(const Matrix&) override {}
+};
+
 // y = x W + b, W: [in, out], b: [1, out].
-class Linear : public Module {
+class Linear : public Layer {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng);
 
-  const Matrix& forward(const Matrix& x) override;
-  const Matrix& backward(const Matrix& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
-  void forward_into(const Matrix& x, Matrix& y) const override;
-  const Matrix& backward_input(const Matrix& grad_out) override;
-  void backward_params(const Matrix& grad_out) override;
-
   void prepare_forward(std::size_t rows, std::size_t cols) override;
   void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
   const Matrix& output() const override { return y_; }
-  // Also packs Wᵀ once for every slice's input-gradient product.
-  void prepare_backward() override;
+  // With input_grad, also packs Wᵀ once for every slice's input gradient.
+  void prepare_backward(bool input_grad) override;
   void backward_input_rows(const Matrix& grad_out, std::size_t r0,
                            std::size_t r1) override;
   const Matrix& input_grad() const override { return gx_; }
-  std::size_t out_cols(std::size_t) const override {
-    return w_.value.cols();
-  }
+  void accumulate_grads(const Matrix& grad_out) override;
+  std::size_t out_cols(std::size_t in_cols) const override;
   void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
                          std::size_t r1) const override;
-  // backward_params in its two per-parameter halves (whole batch, the
+  // accumulate_grads in its two per-parameter halves (whole batch, the
   // forward caches' rows in order): W.grad rows [r0, r1) += xᵀ·grad_out,
   // and b.grad += the column sums of grad_out.
   void weight_grad_rows(const Matrix& grad_out, std::size_t r0,
@@ -133,22 +141,19 @@ class Linear : public Module {
 enum class Activation { kRelu, kLeakyRelu, kTanh, kSigmoid, kIdentity };
 
 // Elementwise activation layer.
-class ActivationLayer : public Module {
+class ActivationLayer : public Layer {
  public:
   explicit ActivationLayer(Activation kind, double leaky_slope = 0.2)
       : kind_(kind), slope_(leaky_slope) {}
 
-  const Matrix& forward(const Matrix& x) override;
-  const Matrix& backward(const Matrix& grad_out) override;
-  void forward_into(const Matrix& x, Matrix& y) const override;
-
   void prepare_forward(std::size_t rows, std::size_t cols) override;
   void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
   const Matrix& output() const override { return y_cache_; }
-  void prepare_backward() override;
+  void prepare_backward(bool input_grad) override;
   void backward_input_rows(const Matrix& grad_out, std::size_t r0,
                            std::size_t r1) override;
   const Matrix& input_grad() const override { return g_; }
+  std::size_t out_cols(std::size_t in_cols) const override { return in_cols; }
   void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
                          std::size_t r1) const override;
 
@@ -156,12 +161,6 @@ class ActivationLayer : public Module {
   bool keeps_input() const {  // the relu family's backward reads x
     return kind_ == Activation::kRelu || kind_ == Activation::kLeakyRelu;
   }
-  // Rows [r0, r1) of y = act(x) and of g = grad_out ⊙ act'(.) — forward's
-  // and backward's per-element sequences.
-  void activate_rows(const Matrix& x, Matrix& y, std::size_t r0,
-                     std::size_t r1) const;
-  void gradient_rows(const Matrix& grad_out, std::size_t r0,
-                     std::size_t r1);
 
   Activation kind_;
   double slope_;
@@ -182,21 +181,18 @@ struct OutputSegment {
   std::size_t width;
 };
 
-class MixedHead : public Module {
+class MixedHead : public Layer {
  public:
   explicit MixedHead(std::vector<OutputSegment> segments);
-
-  const Matrix& forward(const Matrix& x) override;
-  const Matrix& backward(const Matrix& grad_out) override;
-  void forward_into(const Matrix& x, Matrix& y) const override;
 
   void prepare_forward(std::size_t rows, std::size_t cols) override;
   void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) override;
   const Matrix& output() const override { return y_cache_; }
-  void prepare_backward() override;
+  void prepare_backward(bool input_grad) override;
   void backward_input_rows(const Matrix& grad_out, std::size_t r0,
                            std::size_t r1) override;
   const Matrix& input_grad() const override { return g_; }
+  std::size_t out_cols(std::size_t in_cols) const override;
   void forward_rows_into(const Matrix& x, Matrix& y, std::size_t r0,
                          std::size_t r1) const override;
 
@@ -206,7 +202,6 @@ class MixedHead : public Module {
  private:
   void activate_rows(Matrix& y, std::size_t r0,
                      std::size_t r1) const;  // in place
-  void gradient_rows(const Matrix& grad_out, std::size_t r0, std::size_t r1);
 
   // Adjacent sigmoid or tanh segments merged into one run of columns
   // [at, at + width); each softmax segment is its own run; identity and

@@ -32,51 +32,6 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, Activation hidden,
   layers_.push_back(std::make_unique<MixedHead>(std::move(output_segments)));
 }
 
-const Matrix& Mlp::forward(const Matrix& x) {
-  // Chain layer output references without copying; every layer owns its
-  // output buffer, so the returned reference is valid until the next call.
-  const Matrix* cur = &x;
-  for (auto& layer : layers_) cur = &layer->forward(*cur);
-  return *cur;
-}
-
-const Matrix& Mlp::forward_into(const Matrix& x,
-                               std::vector<Matrix>& bufs) const {
-  // Layers write alternately into two buffers, so no layer's output aliases
-  // its input and the scratch is two activations, not one per layer.
-  bufs.resize(2);
-  const Matrix* cur = &x;
-  for (std::size_t k = 0; k < layers_.size(); ++k) {
-    layers_[k]->forward_into(*cur, bufs[k % 2]);
-    cur = &bufs[k % 2];
-  }
-  return *cur;
-}
-
-const Matrix& Mlp::backward(const Matrix& grad_out) {
-  const Matrix* cur = &grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = &(*it)->backward(*cur);
-  }
-  return *cur;
-}
-
-const Matrix& Mlp::backward_input(const Matrix& grad_out) {
-  const Matrix* cur = &grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = &(*it)->backward_input(*cur);
-  }
-  return *cur;
-}
-
-void Mlp::backward_params(const Matrix& grad_out) {
-  const Matrix* cur = &grad_out;
-  for (std::size_t k = layers_.size(); k-- > 1;) {
-    cur = &layers_[k]->backward(*cur);
-  }
-  layers_.front()->backward_params(*cur);
-}
-
 void Mlp::prepare_forward_into(std::size_t rows, std::size_t cols,
                                std::vector<Matrix>& bufs) const {
   bufs.resize(layers_.size());
@@ -113,38 +68,43 @@ void Mlp::forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) {
 }
 
 void Mlp::prepare_backward(bool input_grad) {
-  for (std::size_t k = input_grad ? 0 : 1; k < layers_.size(); ++k) {
-    layers_[k]->prepare_backward();
+  for (std::size_t k = 0; k < layers_.size(); ++k) {
+    layers_[k]->prepare_backward(k > 0 || input_grad);
   }
+}
+
+const Matrix& Mlp::delta(std::size_t k, const Matrix& grad_out) const {
+  return k + 1 < layers_.size() ? layers_[k + 1]->input_grad() : grad_out;
 }
 
 void Mlp::backward_delta_rows(const Matrix& grad_out, std::size_t r0,
                               std::size_t r1) {
-  const Matrix* cur = &grad_out;
   for (std::size_t k = layers_.size(); k-- > 1;) {
-    layers_[k]->backward_input_rows(*cur, r0, r1);
-    cur = &layers_[k]->input_grad();
+    layers_[k]->backward_input_rows(delta(k, grad_out), r0, r1);
   }
+  layers_.front()->backward_delta_rows(delta(0, grad_out), r0, r1);
 }
 
 void Mlp::backward_input_rows(const Matrix& grad_out, std::size_t r0,
                               std::size_t r1) {
   backward_delta_rows(grad_out, r0, r1);
-  layers_.front()->backward_input_rows(
-      layers_.size() > 1 ? layers_[1]->input_grad() : grad_out, r0, r1);
+  layers_.front()->backward_input_rows(delta(0, grad_out), r0, r1);
+}
+
+void Mlp::accumulate_grads(const Matrix& grad_out) {
+  for (std::size_t k = 0; k < layers_.size(); ++k) {
+    layers_[k]->accumulate_grads(delta(k, grad_out));
+  }
 }
 
 void Mlp::grad_task(std::size_t k, const Matrix& grad_out, std::size_t r0,
                     std::size_t r1) {
   const std::size_t at = linears_.at(k / 2);
   auto& lin = static_cast<Linear&>(*layers_[at]);
-  // The gradient at this layer's output: the next layer's input gradient.
-  const Matrix& delta =
-      at + 1 < layers_.size() ? layers_[at + 1]->input_grad() : grad_out;
   if (k % 2 == 0) {
-    lin.weight_grad_rows(delta, r0, r1);
+    lin.weight_grad_rows(delta(at, grad_out), r0, r1);
   } else if (r1 > r0) {
-    lin.bias_grad(delta);
+    lin.bias_grad(delta(at, grad_out));
   }
 }
 

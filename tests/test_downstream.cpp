@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "datagen/presets.hpp"
 #include "downstream/classifier.hpp"
@@ -70,6 +73,33 @@ TEST_P(AllClassifiers, BeatsChanceOnTrafficTypes) {
   clf->fit(train);
   // Majority class (benign) is ~50-65%; a real model should beat 0.55.
   EXPECT_GT(clf->accuracy(test), 0.55) << GetParam();
+}
+
+// predict() is const: two threads predicting on one const classifier at
+// once must each get what serial calls get (and race on nothing, which the
+// tsan preset checks).
+TEST_P(AllClassifiers, ConcurrentPredictsMatchSerial) {
+  const auto train = separable_dataset(300, 8);
+  const auto test = separable_dataset(150, 9);
+  auto fitted = make_classifier(GetParam(), 10);
+  fitted->fit(train);
+  const Classifier& clf = *fitted;
+  const auto predict_all = [&](std::vector<std::size_t>& out) {
+    out.resize(test.size());
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      out[i] = clf.predict(
+          std::span<const double>(test.x.row_ptr(i), test.x.cols()));
+    }
+  };
+  std::vector<std::size_t> serial;
+  predict_all(serial);
+  std::vector<std::size_t> a, b;
+  std::thread ta([&] { predict_all(a); });
+  std::thread tb([&] { predict_all(b); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, serial) << GetParam();
+  EXPECT_EQ(b, serial) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(FivePaperModels, AllClassifiers,

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 
+#include "common/thread_pool.hpp"
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
 #include "ml/loss.hpp"
@@ -269,7 +270,7 @@ TEST(MixedHead, BlockActivationMatchesPerRowSegments) {
       }
       same(head.output(), want, "forward_rows, " + what);
       same(rows_into, want, "forward_rows_into, " + what);
-      head.prepare_backward();
+      head.prepare_backward(true);
       for (std::size_t c = std::size(cuts) - 1; c > 0; --c) {
         head.backward_input_rows(g, cuts[c - 1], cuts[c]);
       }
@@ -368,37 +369,102 @@ TEST(GradCheck, ConditionedGruBptt) {
   check_gru_gradients(gru, c, 1, 1e-5);
 }
 
-// Batched BPTT at a kernel budget of 4: same finite-difference check, with
-// Gru::backward's gradient tasks fanned out over the shared executor (the
-// per-module checks above run at the default budget).
-TEST(GradCheck, GruBpttBatchedThroughParallelKernels) {
-  kernels::KernelConfig kcfg;
-  kcfg.threads = 4;
-  kernels::ConfigOverride kernel_guard(kcfg);
+// The GRU's passes as DoppelGanger::fit runs them: forward_rows and
+// backward_rows slices, then grad_task parts (weights cut by output rows,
+// biases whole), each as tasks on the shared executor, `width` wide.
+const Matrix& gru_passes_on_pool(Gru& gru, const GruCase& c,
+                                 std::size_t width) {
+  const std::size_t T = c.xs.size(), B = c.cond.rows();
+  const auto begin = [&](std::size_t k, std::size_t n) {
+    return k * n / width;
+  };
+  ThreadPool& pool = ThreadPool::shared();
+  gru.prepare_forward(T, B);
+  pool.parallel_for(
+      width,
+      [&](std::size_t k) {
+        gru.forward_rows(c.xs, c.cond, begin(k, B), begin(k + 1, B));
+      },
+      width);
+  gru.prepare_backward();
+  pool.parallel_for(
+      width,
+      [&](std::size_t k) {
+        gru.backward_rows(c.coeff, begin(k, B), begin(k + 1, B));
+      },
+      width);
+  struct Part {
+    std::size_t param, r0, r1;
+  };
+  std::vector<Part> parts;
+  const std::vector<Parameter*> params = gru.parameters();
+  for (std::size_t p = 0; p < Gru::kGradTasks; ++p) {
+    const std::size_t rows = params[p]->grad.rows();
+    const std::size_t n = rows == 1 ? 1 : width;
+    for (std::size_t k = 0; k < n; ++k) {
+      parts.push_back({p, k * rows / n, (k + 1) * rows / n});
+    }
+  }
+  pool.parallel_for(
+      parts.size(),
+      [&](std::size_t i) {
+        gru.grad_task(parts[i].param, parts[i].r0, parts[i].r1);
+      },
+      width);
+  return gru.cond_grad();
+}
 
+// Batched BPTT through the row form on the shared executor at widths 2, 5
+// and 8: the same finite-difference check (against the whole-batch loss)
+// as the single-thread checks above.
+TEST(GradCheck, GruBpttRowSlicedOnSharedPool) {
   Rng rng(21);
   Gru gru(5, 3, 7, rng);
   const GruCase c = make_gru_case(gru, 4, 8, rng);
-  check_gru_gradients(gru, c, 7, 1e-4);
+  for (std::size_t width : {2u, 5u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    gru.zero_grad();
+    const Matrix cond_grad = gru_passes_on_pool(gru, c, width);
+    const double h = 1e-6, tol = 1e-4;
+    for (std::size_t idx = 0; idx < c.cond.size(); idx += 7) {
+      Matrix cp = c.cond, cm = c.cond;
+      cp.data()[idx] += h;
+      cm.data()[idx] -= h;
+      const double numeric =
+          (gru_loss(gru, c, cp) - gru_loss(gru, c, cm)) / (2 * h);
+      EXPECT_NEAR(cond_grad.data()[idx], numeric, tol) << "cond " << idx;
+    }
+    std::size_t k = 0;
+    for (Parameter* p : gru.parameters()) {
+      for (std::size_t idx = 0; idx < p->value.size(); idx += 7) {
+        const double orig = p->value.data()[idx];
+        p->value.data()[idx] = orig + h;
+        const double fp = gru_loss(gru, c, c.cond);
+        p->value.data()[idx] = orig - h;
+        const double fm = gru_loss(gru, c, c.cond);
+        p->value.data()[idx] = orig;
+        EXPECT_NEAR(p->grad.data()[idx], (fp - fm) / (2 * h), tol)
+            << "parameter " << k << " idx " << idx;
+      }
+      ++k;
+    }
+  }
 }
 
-// The batched forward/backward must also be bitwise independent of the
-// kernel thread count (the GRU is the deepest matmul consumer).
-TEST(GradCheck, GruBatchedForwardBackwardBitwiseStableAcrossThreads) {
-  auto run = [](std::size_t threads) {
-    kernels::KernelConfig kcfg;
-    kcfg.threads = threads;
-    kernels::ConfigOverride kernel_guard(kcfg);
+// The row form on the shared executor must be bitwise independent of its
+// width (the GRU is the deepest matmul consumer): hidden states, the cond
+// gradient and every parameter gradient at widths 1, 2, 5 and 8.
+TEST(GradCheck, GruRowSlicedBitwiseStableAcrossWidths) {
+  auto run = [](std::size_t width) {
     Rng rng(22);
     Gru gru(4, 2, 9, rng);
     const GruCase c = make_gru_case(gru, 5, 16, rng);
-    const auto& hs = gru.forward(c.xs, c.cond);
+    gru.zero_grad();
+    const Matrix& cond_grad = gru_passes_on_pool(gru, c, width);
     std::vector<double> flat;
-    for (const auto& hmat : hs) {
+    for (const auto& hmat : gru.hidden()) {
       flat.insert(flat.end(), hmat.data().begin(), hmat.data().end());
     }
-    gru.zero_grad();
-    const Matrix& cond_grad = gru.backward(c.coeff);
     flat.insert(flat.end(), cond_grad.data().begin(), cond_grad.data().end());
     for (Parameter* p : gru.parameters()) {
       flat.insert(flat.end(), p->grad.data().begin(), p->grad.data().end());
@@ -406,13 +472,13 @@ TEST(GradCheck, GruBatchedForwardBackwardBitwiseStableAcrossThreads) {
     return flat;
   };
   const std::vector<double> serial = run(1);
-  for (std::size_t threads : {2u, 5u, 8u}) {
-    const std::vector<double> parallel = run(threads);
+  for (std::size_t width : {2u, 5u, 8u}) {
+    const std::vector<double> parallel = run(width);
     ASSERT_EQ(serial.size(), parallel.size());
     EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
                           serial.size() * sizeof(double)),
               0)
-        << "threads=" << threads;
+        << "width=" << width;
   }
 }
 
@@ -478,7 +544,7 @@ TEST(RowSliced, GruAndMlpMatchWholeBatchPasses) {
   mw.zero_grad();
   const Matrix gx = mw.backward(seed);
   ms.prepare_forward(B, in);
-  ms.prepare_backward();
+  ms.prepare_backward(true);
   std::vector<Matrix> bufs;
   ms.prepare_forward_into(B, in, bufs);
   for (const auto& [r0, r1] : slices) {
@@ -526,7 +592,9 @@ TEST(ForwardInto, MatchesForwardBitwise) {
            {OutputSegment::Kind::kSigmoid, 1}},
           rng);
   std::vector<Matrix> bufs;
-  EXPECT_TRUE(bitwise_equal(mlp.forward_into(x, bufs), mlp.forward(x)));
+  mlp.prepare_forward_into(x.rows(), x.cols(), bufs);
+  EXPECT_TRUE(bitwise_equal(mlp.forward_rows_into(x, bufs, 0, x.rows()),
+                            mlp.forward(x)));
 
   // One GRU step from a zero state equals the first step of the unroll, and
   // leaves a pending forward()/backward() pair's caches alone.
@@ -549,6 +617,317 @@ TEST(ForwardInto, MatchesForwardBitwise) {
     EXPECT_TRUE(bitwise_equal(gru.parameters()[p]->grad,
                               twin.parameters()[p]->grad))
         << "parameter " << p;
+  }
+}
+
+// --- an independent oracle for every layer's passes -------------------------
+//
+// Each layer implements every pass once, as its row form, and the
+// whole-batch passes wrap it; comparing the two only compares the code with
+// itself. The oracle below rebuilds each pass from the serial
+// ml::reference products, a row-broadcast bias add, column sums and
+// one-element activation calls (a value never depends on a call's length),
+// and every form of every pass must match it bitwise.
+
+// y = x W + b: the full product chain first, then one bias add.
+Matrix oracle_affine(const Matrix& x, const Matrix& w, const Matrix& b) {
+  Matrix y = reference::matmul(x, w);
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    for (std::size_t j = 0; j < y.cols(); ++j) y(i, j) += b(0, j);
+  }
+  return y;
+}
+
+Matrix oracle_column_sums(const Matrix& g) {
+  Matrix s(1, g.cols(), 0.0);
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    for (std::size_t j = 0; j < g.cols(); ++j) s(0, j) += g(i, j);
+  }
+  return s;
+}
+
+Matrix oracle_activate(Activation kind, const Matrix& x) {
+  Matrix y(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double* in = &x.data()[i];
+    double* out = &y.data()[i];
+    switch (kind) {
+      case Activation::kRelu: kernels::relu_into(in, out, 1); break;
+      case Activation::kLeakyRelu:
+        kernels::leaky_relu_into(in, out, 1, 0.2);
+        break;
+      case Activation::kTanh: kernels::tanh_into(in, out, 1); break;
+      case Activation::kSigmoid: kernels::sigmoid_into(in, out, 1); break;
+      case Activation::kIdentity: *out = *in; break;
+    }
+  }
+  return y;
+}
+
+// The input gradient from the pre-activation x, the activation y and the
+// output gradient g.
+Matrix oracle_activation_grad(Activation kind, const Matrix& x,
+                              const Matrix& y, const Matrix& g) {
+  Matrix gx(g.rows(), g.cols());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const double* gi = &g.data()[i];
+    double* out = &gx.data()[i];
+    switch (kind) {
+      case Activation::kRelu:
+        kernels::relu_grad_into(&x.data()[i], gi, out, 1);
+        break;
+      case Activation::kLeakyRelu:
+        kernels::leaky_relu_grad_into(&x.data()[i], gi, out, 1, 0.2);
+        break;
+      case Activation::kTanh:
+        kernels::tanh_grad_into(&y.data()[i], gi, out, 1);
+        break;
+      case Activation::kSigmoid:
+        kernels::sigmoid_grad_into(&y.data()[i], gi, out, 1);
+        break;
+      case Activation::kIdentity: *out = *gi; break;
+    }
+  }
+  return gx;
+}
+
+// A MixedHead segment by segment, row by row: softmax through
+// kernels::softmax_inplace and its Jacobian-vector product, sigmoid and tanh
+// one element at a time.
+void oracle_head(const std::vector<OutputSegment>& segs, const Matrix& x,
+                 const Matrix& g, Matrix& y, Matrix& gx) {
+  using K = OutputSegment::Kind;
+  y = x;
+  gx = g;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    std::size_t at = 0;
+    for (const OutputSegment& seg : segs) {
+      double* v = y.row_ptr(i) + at;
+      double* gv = gx.row_ptr(i) + at;
+      if (seg.kind == K::kSoftmax) {
+        kernels::softmax_inplace(v, seg.width);
+        double dot = 0.0;
+        for (std::size_t j = 0; j < seg.width; ++j) dot += gv[j] * v[j];
+        for (std::size_t j = 0; j < seg.width; ++j) {
+          gv[j] = v[j] * (gv[j] - dot);
+        }
+      }
+      for (std::size_t j = 0; j < seg.width; ++j) {
+        if (seg.kind == K::kSigmoid) {
+          kernels::sigmoid_into(v + j, v + j, 1);
+          kernels::sigmoid_grad_into(v + j, gv + j, gv + j, 1);
+        } else if (seg.kind == K::kTanh) {
+          kernels::tanh_into(v + j, v + j, 1);
+          kernels::tanh_grad_into(v + j, gv + j, gv + j, 1);
+        }
+      }
+      at += seg.width;
+    }
+  }
+}
+
+// What every pass of a module must produce for input x and output gradient
+// g: the output, the input gradient, and each parameter's gradient as added
+// to whatever the gradient held before.
+struct OraclePasses {
+  Matrix y, gx;
+  std::vector<Matrix> grads;
+};
+
+// A Linear layer's passes on (W, b); `grads` gets {dW, db}.
+void oracle_linear(const Matrix& w, const Matrix& b, const Matrix& x,
+                   const Matrix& g, OraclePasses& out) {
+  out.y = oracle_affine(x, w, b);
+  out.gx = reference::matmul_trans_b(g, w);
+  out.grads.push_back(reference::matmul_trans_a(x, g));
+  out.grads.push_back(oracle_column_sums(g));
+}
+
+// Checks every form of every pass of `m` against the oracle: the
+// whole-batch wrappers, the row form and (for a single layer or an Mlp) the
+// forward-only row form, the row forms over ragged slicings. Parameter
+// gradients start from random values, so accumulation is checked too.
+void expect_passes(Module& m, const Matrix& x, const Matrix& g,
+                   const OraclePasses& want, const std::string& what) {
+  const auto same = [&](const Matrix& got, const Matrix& w,
+                        const std::string& pass) {
+    ASSERT_EQ(got.rows(), w.rows()) << what << ", " << pass;
+    ASSERT_EQ(got.cols(), w.cols()) << what << ", " << pass;
+    EXPECT_EQ(std::memcmp(got.data().data(), w.data().data(),
+                          got.size() * sizeof(double)),
+              0)
+        << what << ", " << pass;
+  };
+  const std::vector<Parameter*> params = m.parameters();
+  ASSERT_EQ(params.size(), want.grads.size()) << what;
+  Rng rng(97);
+  std::vector<Matrix> before;
+  for (Parameter* p : params) {
+    before.push_back(Matrix::randn(p->grad.rows(), p->grad.cols(), rng));
+  }
+  const auto reset_grads = [&] {
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      params[k]->grad = before[k];
+    }
+  };
+  const auto grads_are = [&](bool accumulated, const std::string& pass) {
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      Matrix w = before[k];
+      if (accumulated) w += want.grads[k];
+      same(params[k]->grad, w, pass + ", parameter " + std::to_string(k));
+    }
+  };
+  const std::size_t B = x.rows();
+  const std::vector<std::size_t> cuts = {0, 1, B / 3, B / 3 + 1, B - 1, B};
+
+  // The whole-batch wrappers.
+  reset_grads();
+  same(m.forward(x), want.y, "forward");
+  same(m.backward(g), want.gx, "backward");
+  grads_are(true, "backward");
+  reset_grads();
+  m.forward(x);
+  same(m.backward_input(g), want.gx, "backward_input");
+  grads_are(false, "backward_input");
+  m.forward(x);
+  m.backward_params(g);
+  grads_are(true, "backward_params");
+
+  // The row form over ragged slices, the forward run last slice first.
+  reset_grads();
+  m.prepare_forward(B, x.cols());
+  for (std::size_t c = cuts.size() - 1; c > 0; --c) {
+    m.forward_rows(x, cuts[c - 1], cuts[c]);
+  }
+  same(m.output(), want.y, "forward_rows");
+  m.prepare_backward(true);
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    m.backward_input_rows(g, cuts[c], cuts[c + 1]);
+  }
+  same(m.input_grad(), want.gx, "backward_input_rows");
+  m.accumulate_grads(g);
+  grads_are(true, "accumulate_grads");
+  reset_grads();
+  m.prepare_forward(B, x.cols());
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    m.forward_rows(x, cuts[c], cuts[c + 1]);
+  }
+  m.prepare_backward(false);
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    m.backward_delta_rows(g, cuts[c], cuts[c + 1]);
+  }
+  m.accumulate_grads(g);
+  grads_are(true, "backward_delta_rows");
+
+  // The forward-only row form.
+  if (const auto* layer = dynamic_cast<const Layer*>(&m)) {
+    Matrix y;
+    layer->forward_into(x, y);
+    same(y, want.y, "forward_into");
+    Matrix rows(B, want.y.cols());
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      layer->forward_rows_into(x, rows, cuts[c], cuts[c + 1]);
+    }
+    same(rows, want.y, "forward_rows_into");
+  } else if (const auto* mlp = dynamic_cast<const Mlp*>(&m)) {
+    std::vector<Matrix> bufs;
+    mlp->prepare_forward_into(B, x.cols(), bufs);
+    for (std::size_t c = cuts.size() - 1; c > 0; --c) {
+      mlp->forward_rows_into(x, bufs, cuts[c - 1], cuts[c]);
+    }
+    same(bufs.back(), want.y, "forward_rows_into");
+  }
+}
+
+// Linear at odd shapes (tails of every column tile), each Activation, a
+// MixedHead and a 3-layer Mlp with a MixedHead output, on both kernel
+// tiers, all parameters random (the biases included).
+TEST(Module, PassesMatchReferenceComposition) {
+  using K = OutputSegment::Kind;
+  const std::vector<OutputSegment> segs = {
+      {K::kSoftmax, 3}, {K::kSigmoid, 2}, {K::kTanh, 1},
+      {K::kIdentity, 2}, {K::kSigmoid, 1}, {K::kSoftmax, 1}};
+  const std::size_t B = 13;
+  const auto randomize = [](Module& m, Rng& rng) {
+    for (Parameter* p : m.parameters()) {
+      p->value = Matrix::randn(p->value.rows(), p->value.cols(), rng);
+    }
+  };
+  for (const auto tier :
+       {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2}) {
+    kernels::KernelConfig cfg;
+    cfg.simd = tier;
+    kernels::ConfigOverride guard(cfg);
+    const std::string tier_name =
+        "tier " + std::to_string(static_cast<int>(tier));
+    Rng rng(71);
+
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {7, 17}, {33, 5}, {3, 37}};
+    for (const auto& [in, out] : shapes) {
+      Linear lin(in, out, rng);
+      randomize(lin, rng);
+      const Matrix x = Matrix::randn(B, in, rng);
+      const Matrix g = Matrix::randn(B, out, rng);
+      OraclePasses want;
+      oracle_linear(lin.weight().value, lin.bias().value, x, g, want);
+      expect_passes(lin, x, g, want,
+                    "Linear " + std::to_string(in) + "x" +
+                        std::to_string(out) + ", " + tier_name);
+    }
+
+    for (Activation kind : {Activation::kRelu, Activation::kLeakyRelu,
+                            Activation::kTanh, Activation::kSigmoid,
+                            Activation::kIdentity}) {
+      ActivationLayer act(kind);
+      Matrix x = Matrix::randn(B, 11, rng, 3.0);
+      x(0, 0) = 0.0;  // the relu family's kink
+      const Matrix g = Matrix::randn(B, 11, rng);
+      OraclePasses want;
+      want.y = oracle_activate(kind, x);
+      want.gx = oracle_activation_grad(kind, x, want.y, g);
+      expect_passes(act, x, g, want,
+                    "Activation " + std::to_string(static_cast<int>(kind)) +
+                        ", " + tier_name);
+    }
+
+    MixedHead head(segs);
+    const Matrix hx = Matrix::randn(B, head.width(), rng, 3.0);
+    const Matrix hg = Matrix::randn(B, head.width(), rng);
+    OraclePasses hwant;
+    oracle_head(segs, hx, hg, hwant.y, hwant.gx);
+    expect_passes(head, hx, hg, hwant, "MixedHead, " + tier_name);
+
+    // Linear → leaky relu → Linear → leaky relu → Linear → MixedHead.
+    const std::size_t dims[] = {7, 9, 5, head.width()};
+    Mlp mlp({dims[0], dims[1], dims[2], dims[3]}, Activation::kLeakyRelu,
+            segs, rng);
+    randomize(mlp, rng);
+    const std::vector<Parameter*> p = mlp.parameters();
+    const Matrix x = Matrix::randn(B, dims[0], rng);
+    const Matrix g = Matrix::randn(B, dims[3], rng);
+    Matrix a[3], z[3];  // pre-activations and activations per hidden layer
+    a[0] = oracle_affine(x, p[0]->value, p[1]->value);
+    z[0] = oracle_activate(Activation::kLeakyRelu, a[0]);
+    a[1] = oracle_affine(z[0], p[2]->value, p[3]->value);
+    z[1] = oracle_activate(Activation::kLeakyRelu, a[1]);
+    a[2] = oracle_affine(z[1], p[4]->value, p[5]->value);
+    OraclePasses want;
+    Matrix d2;  // the gradient at the last Linear's output
+    oracle_head(segs, a[2], g, want.y, d2);
+    const Matrix gz1 = reference::matmul_trans_b(d2, p[4]->value);
+    const Matrix d1 =
+        oracle_activation_grad(Activation::kLeakyRelu, a[1], z[1], gz1);
+    const Matrix gz0 = reference::matmul_trans_b(d1, p[2]->value);
+    const Matrix d0 =
+        oracle_activation_grad(Activation::kLeakyRelu, a[0], z[0], gz0);
+    want.gx = reference::matmul_trans_b(d0, p[0]->value);
+    want.grads = {reference::matmul_trans_a(x, d0), oracle_column_sums(d0),
+                  reference::matmul_trans_a(z[0], d1),
+                  oracle_column_sums(d1),
+                  reference::matmul_trans_a(z[1], d2),
+                  oracle_column_sums(d2)};
+    expect_passes(mlp, x, g, want, "Mlp, " + tier_name);
   }
 }
 
