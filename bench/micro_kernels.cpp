@@ -1,20 +1,20 @@
-// Micro-benchmark of the kernel layer: serial reference vs the scalar tier
-// vs the dispatched (SIMD where supported) tier, plus end-to-end
-// DoppelGANger training throughput. Every row is the median of several
-// repetitions, with its IQR recorded beside it. The kernels are serial
+// Micro-benchmark of the kernel layer: the serial reference vs the
+// register-tiled kernels, the fused GRU gate against the unfused
+// composition as interleaved pairs, plus end-to-end DoppelGANger training
+// throughput. Every row is the median of several repetitions, with its IQR
+// recorded beside it. The kernels are serial
 // leaves (parallelism lives in the callers' row slices), so kernel rows are
 // measured at one width; the DoppelGANger rows sweep the stage width,
 // clamped to hardware_concurrency — widths beyond the machine's cores
 // measure oversubscription, not scaling — with the requested sweep and the
 // clamp recorded in the JSON. The JSON also records the host fingerprint
-// (core count, CPU model, SIMD tiers, compiler, build type) that
-// perfbench/nsbench.cpp records. Emits BENCH_kernels.json (path overridable
+// (bench/fingerprint.hpp: perfbench's fields plus the kernel TU's ISA and
+// compile flags). Emits BENCH_kernels.json (path overridable
 // via argv[1]); scripts/check_bench_regression gates it against the
 // committed baseline from the same kind of host.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "fingerprint.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "gan/doppelganger.hpp"
@@ -51,11 +52,9 @@ std::vector<std::size_t> clamped_thread_counts() {
   return counts;
 }
 
-ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
-                                   std::size_t threads) {
+ml::kernels::KernelConfig width_cfg(std::size_t threads) {
   ml::kernels::KernelConfig cfg;
   cfg.threads = threads;
-  cfg.simd = tier;
   return cfg;
 }
 
@@ -63,10 +62,9 @@ ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
 // reports their median with the IQR beside it.
 constexpr int kKernelReps = 5;
 
-// One throughput row: serial reference, the dispatched tier ("kernel") and
-// the pinned scalar tier ("scalar").
-struct TierRow {
-  MedianIqr reference, kernel, scalar;
+// One throughput row: serial reference and the kernel.
+struct KernelRow {
+  MedianIqr reference, kernel;
 };
 
 MedianIqr gflops_reps(std::size_t n, const std::function<void()>& fn) {
@@ -87,11 +85,11 @@ std::vector<double> iqrs(const std::vector<MedianIqr>& v) {
 
 enum class Op { kMatmul, kTransA, kTransB };
 
-TierRow bench_op(Op op, std::size_t n) {
+KernelRow bench_op(Op op, std::size_t n) {
   Rng rng(op == Op::kMatmul ? 2 : 3);
   const Matrix a = Matrix::randn(n, n, rng);
   const Matrix b = Matrix::randn(n, n, rng);
-  TierRow row;
+  KernelRow row;
   const auto run_ref = [&] {
     switch (op) {
       case Op::kMatmul: ml::reference::matmul(a, b); break;
@@ -107,22 +105,14 @@ TierRow bench_op(Op op, std::size_t n) {
       case Op::kTransB: ml::matmul_trans_b(a, b); break;
     }
   };
-  {
-    ml::kernels::ConfigOverride guard(
-        tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
-    row.kernel = gflops_reps(n, run_kernel);
-  }
-  {
-    ml::kernels::ConfigOverride guard(
-        tier_cfg(ml::kernels::SimdTier::kScalar, 1));
-    row.scalar = gflops_reps(n, run_kernel);
-  }
+  ml::kernels::ConfigOverride guard(width_cfg(1));
+  row.kernel = gflops_reps(n, run_kernel);
   return row;
 }
 
 // End-to-end: DoppelGANger iterations/sec on a toy trace at each benched
-// thread count, dispatched tier and pinned-scalar tier. Training is bitwise
-// identical across every row; only wall-clock may differ.
+// thread count. Training is bitwise identical across every row; only
+// wall-clock may differ.
 gan::TimeSeriesDataset toy_data(std::size_t n) {
   gan::TimeSeriesSpec spec;
   spec.attribute_segments = {{ml::OutputSegment::Kind::kSoftmax, 3},
@@ -152,57 +142,57 @@ struct DgResult {
   double allocs_per_iter;  // worst rep's steady-state Matrix allocs per iter
 };
 
-// One width's rows: the dispatched tier and the pinned scalar tier.
-struct DgRow {
-  DgResult kernel, scalar;
-};
-
 // Each rep trains a fresh model: `warmup` iterations populate its workspace
 // pools and module buffers, then `iterations` are timed. A single cold
 // sample per row mostly measured which rep the host's scheduler happened to
 // favour; the median of several reps, each after its own warm-up, measures
-// the width. The reps run in rounds, each round one rep of every width and
-// tier in turn (1, 2, 4, 1, 2, 4, ...), so a window in which the host is
-// disturbed costs every row one rep instead of costing one row all of its.
-std::vector<DgRow> bench_dg_rows(const std::vector<std::size_t>& widths,
-                                 int warmup, int iterations, int reps) {
+// the width. The reps run in rounds, each round one rep of every width in
+// turn (1, 2, 4, 1, 2, 4, ...), so a window in which the host is disturbed
+// costs every row one rep instead of costing one row all of its.
+std::vector<DgResult> bench_dg_rows(const std::vector<std::size_t>& widths,
+                                    int warmup, int iterations, int reps) {
   const gan::TimeSeriesDataset data = toy_data(256);
   const gan::DgConfig dg;  // paper-shaped defaults: rnn 48, disc {96,96}
-  const ml::kernels::SimdTier tiers[] = {ml::kernels::SimdTier::kAvx2,
-                                         ml::kernels::SimdTier::kScalar};
-  // Row (width w, tier t) at index 2 * w + t.
-  std::vector<std::vector<double>> ips(2 * widths.size());
-  std::vector<double> allocs(2 * widths.size(), 0.0);
+  std::vector<std::vector<double>> ips(widths.size());
+  std::vector<double> allocs(widths.size(), 0.0);
   for (int r = 0; r < reps; ++r) {
     for (std::size_t w = 0; w < widths.size(); ++w) {
-      for (std::size_t t = 0; t < 2; ++t) {
-        ml::kernels::ConfigOverride guard(tier_cfg(tiers[t], widths[w]));
-        gan::DoppelGanger model(data.spec, dg, 99);
-        model.fit(data, warmup);
-        ml::alloc_counter::reset();
-        Stopwatch sw;
-        model.fit(data, iterations);
-        const std::size_t row = 2 * w + t;
-        ips[row].push_back(iterations / sw.seconds());
-        allocs[row] = std::max(
-            allocs[row],
-            static_cast<double>(ml::alloc_counter::count()) / iterations);
-      }
+      ml::kernels::ConfigOverride guard(width_cfg(widths[w]));
+      gan::DoppelGanger model(data.spec, dg, 99);
+      model.fit(data, warmup);
+      ml::alloc_counter::reset();
+      Stopwatch sw;
+      model.fit(data, iterations);
+      ips[w].push_back(iterations / sw.seconds());
+      allocs[w] = std::max(
+          allocs[w],
+          static_cast<double>(ml::alloc_counter::count()) / iterations);
     }
   }
-  std::vector<DgRow> rows;
+  std::vector<DgResult> rows;
   for (std::size_t w = 0; w < widths.size(); ++w) {
-    rows.push_back({{bench::median_iqr(ips[2 * w]), allocs[2 * w]},
-                    {bench::median_iqr(ips[2 * w + 1]), allocs[2 * w + 1]}});
+    rows.push_back({bench::median_iqr(ips[w]), allocs[w]});
   }
   return rows;
 }
 
 // Fused GRU gate vs the unfused matmul + add + bias + activation
-// composition, at the paper-shaped GRU step (batch 64, input 12, hidden 48).
-// fused_scalar pins the scalar tier for the SIMD-vs-scalar delta.
-MedianIqr bench_gate(bool fused, ml::kernels::SimdTier tier) {
-  ml::kernels::ConfigOverride guard(tier_cfg(tier, 1));
+// composition, at the paper-shaped GRU step (batch 64, input 12, hidden
+// 48), timed as kGatePairs interleaved pairs: each pair takes one best-of
+// window of either form, the pair's first form alternating, and gives one
+// fused / unfused throughput ratio. The gated number is the median of those
+// ratios: a host that slows down for a while slows both halves of a pair,
+// so the ratio keeps the fused gate's margin where separate medians of the
+// two forms, each measured in its own window, let the drift decide.
+constexpr int kGatePairs = 21;
+
+struct GatePairs {
+  MedianIqr fused, unfused;  // gates/s, the medians of each form's windows
+  MedianIqr ratio;           // fused / unfused, per pair
+};
+
+GatePairs bench_gate_pairs() {
+  ml::kernels::ConfigOverride guard(width_cfg(1));
   Rng rng(5);
   const Matrix x = Matrix::randn(64, 12, rng);
   const Matrix wx = Matrix::randn(12, 48, rng);
@@ -210,19 +200,34 @@ MedianIqr bench_gate(bool fused, ml::kernels::SimdTier tier) {
   const Matrix wh = Matrix::randn(48, 48, rng);
   const Matrix bias = Matrix::randn(1, 48, rng);
   Matrix scratch, out;
-  return rate_reps(1.0, [&] {  // gates/sec
-    if (fused) {
-      ml::kernels::gru_gate_into(x, wx, h, wh, bias,
-                                 ml::kernels::GateAct::kSigmoid, scratch, out);
+  const auto fused = [&] {
+    ml::kernels::gru_gate_into(x, wx, h, wh, bias,
+                               ml::kernels::GateAct::kSigmoid, scratch, out);
+  };
+  const auto unfused = [&] {
+    Matrix u = ml::matmul(x, wx) + ml::matmul(h, wh);
+    ml::add_row_broadcast_inplace(u, bias);
+    ml::sigmoid_inplace(u);
+  };
+  std::vector<double> fused_rate, unfused_rate, ratio;
+  for (int p = 0; p < kGatePairs; ++p) {
+    double f = 0.0, u = 0.0;
+    if (p % 2 == 0) {
+      f = 1.0 / bench::time_best(fused, 0.03);
+      u = 1.0 / bench::time_best(unfused, 0.03);
     } else {
-      Matrix u = ml::matmul(x, wx) + ml::matmul(h, wh);
-      ml::add_row_broadcast_inplace(u, bias);
-      ml::sigmoid_inplace(u);
+      u = 1.0 / bench::time_best(unfused, 0.03);
+      f = 1.0 / bench::time_best(fused, 0.03);
     }
-  }, kKernelReps);
+    fused_rate.push_back(f);
+    unfused_rate.push_back(u);
+    ratio.push_back(f / u);
+  }
+  return {bench::median_iqr(fused_rate), bench::median_iqr(unfused_rate),
+          bench::median_iqr(ratio)};
 }
 
-// The repo-owned transcendentals (one body on every tier), in elements/s
+// The repo-owned transcendentals, in elements/s
 // over 4096 N(0, 3²) inputs (the range gate pre-activations span) cut into
 // calls of each width (the last call takes the remainder): 1 and 3 are
 // output-head segment widths, 48 the gate's, 4096 a whole block. Info rows:
@@ -341,9 +346,8 @@ std::vector<HeadRow> bench_mixed_heads() {
 // The conditioned GRU's seeded gate at the sampler's shape: 64 series, 8
 // step inputs seeded with the cond projection, hidden 48, gate width 48,
 // one row-range call per gate as Gru::step_into makes it. Gates/s, info.
-MedianIqr bench_seeded_gate(ml::kernels::GateAct act,
-                            ml::kernels::SimdTier tier) {
-  ml::kernels::ConfigOverride guard(tier_cfg(tier, 1));
+MedianIqr bench_seeded_gate(ml::kernels::GateAct act) {
+  ml::kernels::ConfigOverride guard(width_cfg(1));
   Rng rng(11);
   const Matrix x = Matrix::randn(64, 8, rng);
   const Matrix wx = Matrix::randn(8 + 48, 48, rng);
@@ -377,15 +381,11 @@ std::vector<Matrix> sparse_operands(std::size_t rows, std::size_t cols,
   return out;
 }
 
-struct SparseRow {
-  MedianIqr avx2, scalar;  // GFLOP/s
-};
-
 // matmul_bias at the attribute MLP's 64x64x64 (a sparse ReLU batch against
 // dense weights), or trans_a_acc at the caida critic's first layer: the
 // weight gradient of a 64-row batch of 190-wide sparse inputs (110
 // attribute columns, 16 steps of 5) against 96 dense hidden-unit gradients.
-SparseRow bench_sparse(bool trans_a) {
+MedianIqr bench_sparse(bool trans_a) {  // GFLOP/s
   Rng rng(trans_a ? 17 : 15);
   const std::size_t rows = 64, inner = trans_a ? 190 : 64;
   const std::size_t cols = trans_a ? 96 : 64;
@@ -403,16 +403,8 @@ SparseRow bench_sparse(bool trans_a) {
     }
   };
   const double gflop = 2.0 * rows * inner * cols / 1e9;
-  SparseRow row;
-  {
-    ml::kernels::ConfigOverride guard(
-        tier_cfg(ml::kernels::SimdTier::kAvx2, 1));
-    row.avx2 = rate_reps(gflop, run, kKernelReps);
-  }
-  ml::kernels::ConfigOverride guard(
-      tier_cfg(ml::kernels::SimdTier::kScalar, 1));
-  row.scalar = rate_reps(gflop, run, kKernelReps);
-  return row;
+  ml::kernels::ConfigOverride guard(width_cfg(1));
+  return rate_reps(gflop, run, kKernelReps);
 }
 
 std::string json_array(const std::vector<double>& v) {
@@ -433,47 +425,6 @@ std::string json_array(const std::vector<std::size_t>& v) {
     s += buf;
   }
   return s + "]";
-}
-
-const char* tier_name(ml::kernels::SimdTier t) {
-  return t == ml::kernels::SimdTier::kAvx2 ? "avx2" : "scalar";
-}
-
-std::string cpu_model() {
-  std::ifstream f("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        std::string v = line.substr(colon + 1);
-        v.erase(0, v.find_first_not_of(' '));
-        return v;
-      }
-    }
-  }
-  return "unknown";
-}
-
-// The host fingerprint, with the fields and spellings of perfbench's:
-// baselines are only comparable between hosts whose fingerprints match.
-std::string fingerprint_json(unsigned hw) {
-  std::string model = cpu_model();
-  std::string escaped;
-  for (const char ch : model) {
-    if (ch == '"' || ch == '\\') escaped += '\\';
-    escaped += ch;
-  }
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\"nproc\": %u, \"cpu_model\": \"%s\", "
-                "\"simd_supported\": \"%s\", \"simd_active\": \"%s\", "
-                "\"compiler\": \"%s\", \"build_type\": \"%s\"}",
-                hw > 0 ? hw : 1, escaped.c_str(),
-                tier_name(ml::kernels::supported_tier()),
-                tier_name(ml::kernels::active_tier()), NETSHARE_BENCH_COMPILER,
-                NETSHARE_BENCH_BUILD_TYPE);
-  return buf;
 }
 
 }  // namespace
@@ -500,41 +451,38 @@ int main(int argc, char** argv) {
   }
   const bool simd_supported =
       ml::kernels::supported_tier() == ml::kernels::SimdTier::kAvx2;
-  const char* simd_active = tier_name(ml::kernels::active_tier());
-  std::printf("simd: supported=%s active=%s\n",
-              simd_supported ? "true" : "false", simd_active);
+  const char* simd_active = bench::tier_name(ml::kernels::active_tier());
+  std::printf("simd: supported=%s active=%s kernel_isa=%s flags=\"%s\"\n",
+              simd_supported ? "true" : "false", simd_active,
+              ml::kernels::kernel_isa(), ml::kernels::kernel_flags());
 
   const std::size_t mm_sizes[] = {128, 256, 512};
-  std::vector<TierRow> mm;
+  std::vector<KernelRow> mm;
   for (std::size_t n : mm_sizes) {
     mm.push_back(bench_op(Op::kMatmul, n));
-    const TierRow& r = mm.back();
-    std::printf("matmul %zu^3: ref %.2f, scalar %.2f, kernel %.2f (IQR %.2f) "
-                "GFLOP/s (simd/scalar %.2fx), median of %d reps\n",
-                n, r.reference.median, r.scalar.median, r.kernel.median,
-                r.kernel.iqr, r.kernel.median / r.scalar.median, kKernelReps);
+    const KernelRow& r = mm.back();
+    std::printf("matmul %zu^3: ref %.2f, kernel %.2f (IQR %.2f) GFLOP/s, "
+                "median of %d reps\n",
+                n, r.reference.median, r.kernel.median, r.kernel.iqr,
+                kKernelReps);
   }
-  const TierRow ta = bench_op(Op::kTransA, 256);
-  const TierRow tb = bench_op(Op::kTransB, 256);
+  const KernelRow ta = bench_op(Op::kTransA, 256);
+  const KernelRow tb = bench_op(Op::kTransB, 256);
   for (const auto* row : {&ta, &tb}) {
-    std::printf("%s 256: ref %.2f, scalar %.2f, kernel %.2f (IQR %.2f) "
-                "GFLOP/s (simd/scalar %.2fx, kernel/ref %.2fx)\n",
+    std::printf("%s 256: ref %.2f, kernel %.2f (IQR %.2f) GFLOP/s "
+                "(kernel/ref %.2fx)\n",
                 row == &ta ? "matmul_trans_a" : "matmul_trans_b",
-                row->reference.median, row->scalar.median, row->kernel.median,
-                row->kernel.iqr, row->kernel.median / row->scalar.median,
+                row->reference.median, row->kernel.median, row->kernel.iqr,
                 row->kernel.median / row->reference.median);
   }
 
-  const MedianIqr gate_unfused =
-      bench_gate(false, ml::kernels::SimdTier::kAvx2);
-  const MedianIqr gate_fused = bench_gate(true, ml::kernels::SimdTier::kAvx2);
-  const MedianIqr gate_fused_scalar =
-      bench_gate(true, ml::kernels::SimdTier::kScalar);
-  std::printf("gru gate 64x12x48: unfused %.0f/s (IQR %.0f), fused %.0f/s "
-              "(IQR %.0f, %.2fx), fused_scalar %.0f/s\n",
-              gate_unfused.median, gate_unfused.iqr, gate_fused.median,
-              gate_fused.iqr, gate_fused.median / gate_unfused.median,
-              gate_fused_scalar.median);
+  const GatePairs gate = bench_gate_pairs();
+  std::printf("gru gate 64x12x48, %d interleaved pairs: fused / unfused "
+              "%.3fx (IQR %.3f); unfused %.0f/s (IQR %.0f), fused %.0f/s "
+              "(IQR %.0f)\n",
+              kGatePairs, gate.ratio.median, gate.ratio.iqr,
+              gate.unfused.median, gate.unfused.iqr, gate.fused.median,
+              gate.fused.iqr);
 
   const std::vector<TranscendentalRow> trans = bench_transcendentals();
   for (const TranscendentalRow& r : trans) {
@@ -557,49 +505,40 @@ int main(int argc, char** argv) {
   }
   struct SeededGate {
     const char* name;
-    MedianIqr avx2, scalar;
+    MedianIqr rate;
   };
   std::vector<SeededGate> seeded;
   for (const auto act :
        {ml::kernels::GateAct::kSigmoid, ml::kernels::GateAct::kTanh}) {
     seeded.push_back(
         {act == ml::kernels::GateAct::kSigmoid ? "sigmoid" : "tanh",
-         bench_seeded_gate(act, ml::kernels::SimdTier::kAvx2),
-         bench_seeded_gate(act, ml::kernels::SimdTier::kScalar)});
+         bench_seeded_gate(act)});
     const SeededGate& g = seeded.back();
-    std::printf("seeded gate 64x(8+48)->48 %s: avx2 %.1f us (IQR %.0f/s), "
-                "scalar %.1f us (IQR %.0f/s)\n",
-                g.name, 1e6 / g.avx2.median, g.avx2.iqr,
-                1e6 / g.scalar.median, g.scalar.iqr);
+    std::printf("seeded gate 64x(8+48)->48 %s: %.1f us (IQR %.0f/s)\n",
+                g.name, 1e6 / g.rate.median, g.rate.iqr);
   }
 
-  const SparseRow sparse_mm = bench_sparse(false);
-  const SparseRow sparse_ta = bench_sparse(true);
+  const MedianIqr sparse_mm = bench_sparse(false);
+  const MedianIqr sparse_ta = bench_sparse(true);
   for (const auto* row : {&sparse_mm, &sparse_ta}) {
-    std::printf("%s, 50%% zeros, %zu rotated operands: avx2 %.2f (IQR %.2f), "
-                "scalar %.2f (IQR %.2f) GFLOP/s\n",
+    std::printf("%s, 50%% zeros, %zu rotated operands: %.2f (IQR %.2f) "
+                "GFLOP/s\n",
                 row == &sparse_mm ? "sparse matmul_bias 64x64x64"
                                   : "sparse trans_a_acc 190x64x96",
-                kSparseOperands, row->avx2.median, row->avx2.iqr,
-                row->scalar.median, row->scalar.iqr);
+                kSparseOperands, row->median, row->iqr);
   }
 
-  std::vector<double> dg_ips, dg_iqr, dg_allocs, dg_scalar_ips, dg_scalar_iqr;
-  const std::vector<DgRow> dg_rows =
+  std::vector<double> dg_ips, dg_iqr, dg_allocs;
+  const std::vector<DgResult> dg_rows =
       bench_dg_rows(threads, dg_warmup, dg_iterations, dg_reps);
   for (std::size_t w = 0; w < threads.size(); ++w) {
-    const DgResult& r = dg_rows[w].kernel;
-    const DgResult& rs = dg_rows[w].scalar;
+    const DgResult& r = dg_rows[w];
     dg_ips.push_back(r.iters_per_sec.median);
     dg_iqr.push_back(r.iters_per_sec.iqr);
     dg_allocs.push_back(r.allocs_per_iter);
-    dg_scalar_ips.push_back(rs.iters_per_sec.median);
-    dg_scalar_iqr.push_back(rs.iters_per_sec.iqr);
-    std::printf("doppelganger @%zu threads: %.2f iters/sec (IQR %.2f; scalar "
-                "tier %.2f, IQR %.2f), %.1f allocs/iter, median of %d "
-                "interleaved reps\n",
+    std::printf("doppelganger @%zu threads: %.2f iters/sec (IQR %.2f), "
+                "%.1f allocs/iter, median of %d interleaved reps\n",
                 threads[w], r.iters_per_sec.median, r.iters_per_sec.iqr,
-                rs.iters_per_sec.median, rs.iters_per_sec.iqr,
                 r.allocs_per_iter, dg_reps);
   }
 
@@ -616,37 +555,37 @@ int main(int argc, char** argv) {
                clamped ? "true" : "false");
   std::fprintf(f, "  \"simd\": {\"supported\": %s, \"active\": \"%s\"},\n",
                simd_supported ? "true" : "false", simd_active);
-  std::fprintf(f, "  \"fingerprint\": %s,\n", fingerprint_json(hw).c_str());
+  std::fprintf(f, "  \"fingerprint\": %s,\n",
+               bench::fingerprint_json(hw).c_str());
   // Kernel rows, at one width: medians, each IQR beside it.
   std::fprintf(f, "  \"kernel_reps\": %d,\n", kKernelReps);
-  const auto tier_row = [&](const TierRow& r) {
+  const auto kernel_row = [&](const KernelRow& r) {
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "\"reference\": %.3f, \"reference_iqr\": %.3f, "
-                  "\"kernel\": %.3f, \"kernel_iqr\": %.3f, \"scalar\": %.3f, "
-                  "\"scalar_iqr\": %.3f, \"simd_speedup\": %.3f",
+                  "\"kernel\": %.3f, \"kernel_iqr\": %.3f",
                   r.reference.median, r.reference.iqr, r.kernel.median,
-                  r.kernel.iqr, r.scalar.median, r.scalar.iqr,
-                  r.kernel.median / r.scalar.median);
+                  r.kernel.iqr);
     return std::string(buf);
   };
   std::fprintf(f, "  \"matmul_gflops\": [\n");
   for (std::size_t i = 0; i < mm.size(); ++i) {
     std::fprintf(f, "    {\"size\": %zu, %s}%s\n", mm_sizes[i],
-                 tier_row(mm[i]).c_str(), i + 1 < mm.size() ? "," : "");
+                 kernel_row(mm[i]).c_str(), i + 1 < mm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   for (const auto* row : {&ta, &tb}) {
     std::fprintf(f, "  \"matmul_trans_%s_256_gflops\": {%s},\n",
-                 row == &ta ? "a" : "b", tier_row(*row).c_str());
+                 row == &ta ? "a" : "b", kernel_row(*row).c_str());
   }
   std::fprintf(f,
-               "  \"gru_gate_per_sec\": {\"unfused\": %.1f, "
-               "\"unfused_iqr\": %.1f, \"fused\": %.1f, \"fused_iqr\": %.1f, "
-               "\"fused_scalar\": %.1f, \"fused_scalar_iqr\": %.1f},\n",
-               gate_unfused.median, gate_unfused.iqr, gate_fused.median,
-               gate_fused.iqr, gate_fused_scalar.median,
-               gate_fused_scalar.iqr);
+               "  \"gru_gate_per_sec\": {\"pairs\": %d, "
+               "\"fused_over_unfused\": %.4f, "
+               "\"fused_over_unfused_iqr\": %.4f, \"unfused\": %.1f, "
+               "\"unfused_iqr\": %.1f, \"fused\": %.1f, \"fused_iqr\": %.1f},\n",
+               kGatePairs, gate.ratio.median, gate.ratio.iqr,
+               gate.unfused.median, gate.unfused.iqr, gate.fused.median,
+               gate.fused.iqr);
   std::fprintf(f,
                "  \"transcendentals_per_sec\": {\"n\": %zu, "
                "\"call_widths\": [1, 3, 48, 4096]",
@@ -671,33 +610,26 @@ int main(int argc, char** argv) {
   std::fprintf(f, "},\n");
   std::fprintf(f, "  \"seeded_gate_per_sec\": {\"shape\": [64, 8, 48, 48]");
   for (const SeededGate& g : seeded) {
-    std::fprintf(f,
-                 ", \"%s\": {\"avx2\": %.1f, \"avx2_iqr\": %.1f, "
-                 "\"scalar\": %.1f, \"scalar_iqr\": %.1f}",
-                 g.name, g.avx2.median, g.avx2.iqr, g.scalar.median,
-                 g.scalar.iqr);
+    std::fprintf(f, ", \"%s\": %.1f, \"%s_iqr\": %.1f", g.name,
+                 g.rate.median, g.name, g.rate.iqr);
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
                "  \"sparse_gflops\": {\"zero_frac\": 0.5, \"operands\": %zu",
                kSparseOperands);
   for (const auto* row : {&sparse_mm, &sparse_ta}) {
-    std::fprintf(f,
-                 ", \"%s\": {\"avx2\": %.3f, \"avx2_iqr\": %.3f, "
-                 "\"scalar\": %.3f, \"scalar_iqr\": %.3f}",
-                 row == &sparse_mm ? "matmul_bias_64x64x64"
-                                   : "trans_a_acc_190x64x96",
-                 row->avx2.median, row->avx2.iqr, row->scalar.median,
-                 row->scalar.iqr);
+    const char* name = row == &sparse_mm ? "matmul_bias_64x64x64"
+                                         : "trans_a_acc_190x64x96";
+    std::fprintf(f, ", \"%s\": %.3f, \"%s_iqr\": %.3f", name, row->median,
+                 name, row->iqr);
   }
   std::fprintf(f, "},\n");
   std::fprintf(f,
                "  \"doppelganger_iters_per_sec\": {\"iterations\": %d, "
                "\"warmup_iterations\": %d, \"reps\": %d, \"kernel\": %s, "
-               "\"kernel_iqr\": %s, \"scalar\": %s, \"scalar_iqr\": %s},\n",
+               "\"kernel_iqr\": %s},\n",
                dg_iterations, dg_warmup, dg_reps, json_array(dg_ips).c_str(),
-               json_array(dg_iqr).c_str(), json_array(dg_scalar_ips).c_str(),
-               json_array(dg_scalar_iqr).c_str());
+               json_array(dg_iqr).c_str());
   std::fprintf(f, "  \"doppelganger_allocs_per_iter\": %s\n",
                json_array(dg_allocs).c_str());
   std::fprintf(f, "}\n");

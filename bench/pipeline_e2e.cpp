@@ -7,10 +7,10 @@
 // the generate stage on the new path (length-adaptive sampling,
 // chunk-parallel on the thread budget) against the serial reference path
 // (full-unroll sampler, one chunk at a time, one kernel thread) — bitwise
-// identical. Emits BENCH_pipeline.json (path overridable
-// via argv[1]); the
-// committed baseline at the repo root is gated by
-// scripts/check_bench_regression (see EXPERIMENTS.md).
+// identical. Emits BENCH_pipeline.json (path overridable via argv[1]),
+// with the host fingerprint of bench/fingerprint.hpp; the committed
+// baseline at the repo root is gated by scripts/check_bench_regression
+// (see EXPERIMENTS.md), which compares only files of equal fingerprints.
 //
 // Bench honesty: the requested thread budget is clamped to
 // hardware_concurrency() before anything is measured (thread counts above
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "fingerprint.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "core/postprocess.hpp"
@@ -384,6 +385,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
+  std::fprintf(f, "  \"fingerprint\": %s,\n",
+               bench::fingerprint_json(hw).c_str());
   std::fprintf(f, "  \"threads_requested\": %zu,\n", threads_requested);
   std::fprintf(f, "  \"threads\": %zu,\n", config.threads);
   std::fprintf(f, "  \"records\": %zu,\n", kRecords);

@@ -40,12 +40,9 @@ struct NetShareConfig {
   // training: the seed phase gives the whole budget to one model's stages,
   // the fine-tune phase splits it between chunk workers and per-worker
   // stage widths (see ChunkedTrainer::fit). Every width is bitwise
-  // identical to width 1. kernels.simd is the vector-tier ceiling
-  // (DESIGN.md §10): kAvx2 (default) lets runtime CPUID dispatch pick the
-  // SIMD tier, kScalar pins the blocked scalar kernels. Either tier — like
-  // the NETSHARE_SIMD=off env override — produces bitwise-identical models,
-  // flows, and snapshots. Served chunk parts slice at `threads` wide
-  // (DESIGN.md §13).
+  // identical to width 1. There is no kernel tier to choose: each kernel
+  // has one body, built for the host by the kernel TU's flags (DESIGN.md
+  // §10). Served chunk parts slice at `threads` wide (DESIGN.md §13).
   ml::kernels::KernelConfig kernels;
 
   // --- Insight 4: differential privacy ---

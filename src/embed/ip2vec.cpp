@@ -423,7 +423,7 @@ void Ip2Vec::nearest_batch(const ml::Matrix& queries, TokenKind kind,
       const std::size_t mb = dec[b].cols();
       // Cross terms for the whole (query panel × candidate block) tile in
       // one kernel call: bitwise identical to the serial reference at any
-      // thread count / SIMD tier (DESIGN.md §5/§10).
+      // thread count (DESIGN.md §5/§10).
       ml::kernels::matmul_into(qb, dec[b], scores);
       for (std::size_t i = 0; i < nb; ++i) {
         const double* row = scores.row_ptr(i);

@@ -12,7 +12,7 @@
 // batch are computed against the state left by the previous batch, then
 // applied in interaction order), negatives come from a counter-driven alias
 // sampler (embed/alias_sampler.hpp), and decode is a blocked
-// nearest-neighbour kernel over the SIMD matmul tier. The
+// nearest-neighbour kernel over the register-tiled matmul. The
 // linear scan (nearest / nearest_if) and the serial scorer
 // (nearest_batch_reference) are retained as oracles.
 #pragma once
@@ -103,7 +103,7 @@ class Ip2Vec {
   // pooled buffers per call — zero allocations once warm); `ws` is not
   // reset, so callers may hold other pooled buffers across the call.
   // Output is bitwise identical to nearest_batch_reference at any kernel
-  // thread count / SIMD tier (the kernel determinism contract).
+  // thread count (the kernel determinism contract).
   void nearest_batch(const ml::Matrix& queries, TokenKind kind,
                      std::span<const std::uint8_t* const> masks,
                      std::span<Token> out, ml::Workspace& ws) const;

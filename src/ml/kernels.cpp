@@ -2,7 +2,7 @@
 // per-file optimization flags (see src/CMakeLists.txt) but with FP
 // contraction disabled: every partial product is rounded (mul) and then
 // accumulated (add) exactly like the serial reference in matrix.cpp, which
-// is what makes the blocked/vectorized loops bitwise-reproducible.
+// is what makes the register tiles below bitwise-reproducible.
 #include "ml/kernels.hpp"
 
 #include <algorithm>
@@ -16,15 +16,12 @@
 #include <thread>
 #include <vector>
 
-#include "ml/kernels_simd.hpp"
-
 namespace netshare::ml::kernels {
 namespace {
 
-// KernelConfig's two fields, each its own atomic: readers never lock, and
-// threads filling slices of one stage never queue on each other.
+// KernelConfig::threads, in an atomic: readers never lock, and threads
+// filling slices of one stage never queue on each other.
 std::atomic<std::size_t> g_threads{KernelConfig{}.threads};
-std::atomic<int> g_simd_ceiling{static_cast<int>(KernelConfig{}.simd)};
 
 std::size_t env_threads() {
   static const std::size_t cached = [] {
@@ -41,60 +38,47 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-// --- SIMD tier resolution --------------------------------------------------
-
-// NETSHARE_SIMD cap: 1 = no cap, 0 = scalar only, -1 = not yet read.
-std::atomic<int> g_simd_env_cap{-1};
-
-int simd_env_cap() {
-  int cap = g_simd_env_cap.load(std::memory_order_acquire);
-  if (cap < 0) {
-    reload_simd_env();
-    cap = g_simd_env_cap.load(std::memory_order_acquire);
-  }
-  return cap;
-}
-
-// min(config ceiling, NETSHARE_SIMD cap, what the CPU supports).
-SimdTier tier() {
-  if (g_simd_ceiling.load(std::memory_order_relaxed) ==
-      static_cast<int>(SimdTier::kScalar)) {
-    return SimdTier::kScalar;
-  }
-  if (simd_env_cap() == 0) return SimdTier::kScalar;
-  return supported_tier();
-}
-
 }  // namespace
 
 SimdTier supported_tier() {
-  return simd::cpu_supports_avx2() ? SimdTier::kAvx2 : SimdTier::kScalar;
+#if defined(__x86_64__) || defined(__i386__)
+  static const SimdTier tier = __builtin_cpu_supports("avx2") != 0
+                                   ? SimdTier::kAvx2
+                                   : SimdTier::kScalar;
+  return tier;
+#else
+  return SimdTier::kScalar;
+#endif
 }
 
-SimdTier active_tier() { return tier(); }
-
-void reload_simd_env() {
-  const char* s = std::getenv("NETSHARE_SIMD");
-  int cap = 1;
-  if (s != nullptr &&
-      (std::strcmp(s, "off") == 0 || std::strcmp(s, "scalar") == 0 ||
-       std::strcmp(s, "0") == 0)) {
-    cap = 0;
-  }
-  g_simd_env_cap.store(cap, std::memory_order_release);
+SimdTier active_tier() {
+#if defined(__AVX2__)
+  return SimdTier::kAvx2;
+#else
+  return SimdTier::kScalar;
+#endif
 }
+
+const char* kernel_isa() {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
+  return "avx2";
+#else
+  return "baseline";
+#endif
+}
+
+const char* kernel_flags() { return NETSHARE_KERNEL_FLAGS_STR; }
 
 KernelConfig config() {
   KernelConfig cfg;
   cfg.threads = g_threads.load(std::memory_order_relaxed);
-  cfg.simd =
-      static_cast<SimdTier>(g_simd_ceiling.load(std::memory_order_relaxed));
   return cfg;
 }
 
 void set_config(const KernelConfig& cfg) {
   g_threads.store(cfg.threads, std::memory_order_relaxed);
-  g_simd_ceiling.store(static_cast<int>(cfg.simd), std::memory_order_relaxed);
 }
 
 std::size_t effective_threads() {
@@ -107,98 +91,101 @@ std::size_t effective_threads() {
 
 namespace {
 
-// Scalar-tier cache tiles: inner dimension (L1 reuse of the A row) and
-// output columns (L2 reuse of the B panel). Tiling only reorders work
-// between elements, never the k-chain of one element.
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockJ = 256;
+// --- register tiles (DESIGN.md §10) ----------------------------------------
+//
+// Four doubles in a GNU vector: lane-wise IEEE mul and add, each rounded on
+// its own (no contraction in this TU), so every lane computes bit for bit
+// the scalar chain of its column. Loads and stores go through memcpy, so
+// rows need no alignment. A tile of NV such vectors, or of one double for
+// the column tail, holds its accumulators in registers. The type fixes the
+// 32-byte geometry; plain double arrays would leave the vector width to
+// the compiler's SLP pass (DESIGN.md §10 has the measurement).
+typedef double Vec4 __attribute__((vector_size(32), aligned(8)));
 
-// c[j] += a[0]·b[0][j], then a[1]·b[1][j], a[2]·b[2][j], a[3]·b[3][j], for
-// j in [j0, j1): four k-steps per pass over c. Each element still takes its
-// partial products one at a time in ascending k (mul rounded, then add
-// rounded), so results match the one-k-at-a-time reference bitwise while c
-// is loaded and stored 4x less often.
-inline void add_four_products(double* c, const double (&a)[4],
-                              const double* const (&b)[4], std::size_t j0,
-                              std::size_t j1) {
-  for (std::size_t j = j0; j < j1; ++j) {
-    double t = c[j];
-    t += a[0] * b[0][j];
-    t += a[1] * b[1][j];
-    t += a[2] * b[2][j];
-    t += a[3] * b[3][j];
-    c[j] = t;
+template <typename V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+template <typename V>
+inline V load(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename V>
+inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// Columns [0, C) in tiles: 16 wide (four vectors), then 4 wide (one), then
+// one column at a time. tile.template operator()<V, NV>(j) fills the
+// NV·kLanes<V> columns from j. Tiling splits work between elements only,
+// never the k-chain of one element. Inlined into its caller, so the tile's
+// captured operands stay in registers across rows instead of being
+// reloaded from an out-of-line closure.
+template <typename Tile>
+__attribute__((always_inline)) inline void column_tiles(std::size_t C,
+                                                        const Tile& tile) {
+  std::size_t j = 0;
+  for (; j + 16 <= C; j += 16) tile.template operator()<Vec4, 4>(j);
+  for (; j + 4 <= C; j += 4) tile.template operator()<Vec4, 1>(j);
+  for (; j < C; ++j) tile.template operator()<double, 1>(j);
+}
+
+// acc[v] += a[k·ak] · b[k·ldb + v·lanes] for k in [0, K): each lane one
+// chain in ascending k, the product rounded, then the add, every product
+// taken (a zero multiplicand included).
+template <typename V, int NV>
+inline void chain(V (&acc)[NV], const double* a, std::size_t ak,
+                  const double* b, std::size_t ldb, std::size_t K) {
+  for (std::size_t k = 0; k < K; ++k) {
+    const double av = a[k * ak];
+    const double* bk = b + k * ldb;
+    for (int v = 0; v < NV; ++v) acc[v] += av * load<V>(bk + v * kLanes<V>);
   }
 }
 
-// Scalar-tier rows [r0, r1) of C = A·B[b_row0, b_row0 + cols(A)). Zeroes
-// those rows of c first, unless `seeded`: then each element's chain starts
-// from the value already in c.
-void scalar_matmul_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                        std::size_t r0, std::size_t r1, std::size_t b_row0 = 0,
-                        bool seeded = false) {
-  const std::size_t K = a.cols(), C = b.cols();
-  if (r1 > r0 && C > 0 && !seeded) {
-    std::fill(c.row_ptr(r0), c.row_ptr(r0) + (r1 - r0) * C, 0.0);
-  }
-  for (std::size_t kk = 0; kk < K; kk += kBlockK) {
-    const std::size_t kend = std::min(K, kk + kBlockK);
-    for (std::size_t jj = 0; jj < C; jj += kBlockJ) {
-      const std::size_t jend = std::min(C, jj + kBlockJ);
-      for (std::size_t i = r0; i < r1; ++i) {
-        double* crow = c.row_ptr(i);
-        const double* arow = a.row_ptr(i);
-        std::size_t k = kk;
-        for (; k + 4 <= kend; k += 4) {
-          const double av[4] = {arow[k], arow[k + 1], arow[k + 2],
-                                arow[k + 3]};
-          const double* bv[4] = {
-              b.row_ptr(b_row0 + k), b.row_ptr(b_row0 + k + 1),
-              b.row_ptr(b_row0 + k + 2), b.row_ptr(b_row0 + k + 3)};
-          add_four_products(crow, av, bv, jj, jend);
-        }
-        for (; k < kend; ++k) {
-          const double aik = arow[k];
-          const double* brow = b.row_ptr(b_row0 + k);
-          for (std::size_t j = jj; j < jend; ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
-}
+// What a product tile does with its finished sums: store them, store them
+// plus bias[j] (one rounding), add them into the existing value (one
+// rounding, the `acc += product` sequence), or the gate's epilogue: add
+// them into the existing value, then add bias[j] (two roundings).
+enum class Epilogue { kStore, kBias, kAccumulate, kGate };
 
-// Rows [r0, r1) of C = A·Bᵀ against a pack. On the scalar tier eight dot
-// products advance together, each a plain ascending-k chain (the
-// reference's), reading contiguous lanes of the pack.
-void trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
-                  std::size_t r0, std::size_t r1) {
-  const std::size_t K = b.cols, C = b.rows;
-  if (r1 <= r0 || C == 0) return;
-  const double* bt = b.bt.data();
-  if (tier() == SimdTier::kAvx2) {
-    simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K, C, r0,
-                               r1);
-    return;
-  }
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* arow = a.row_ptr(i);
-    double* crow = c.row_ptr(i);
-    std::size_t j = 0;
-    for (; j + 8 <= C; j += 8) {
-      double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-      for (std::size_t k = 0; k < K; ++k) {
-        const double ak = arow[k];
-        const double* bk = bt + k * C + j;
-        for (std::size_t q = 0; q < 8; ++q) acc[q] += ak * bk[q];
+// Rows [r0, r1) of C = A·B. Element (i, k) of A is a[i·ai + k·ak] (row-major
+// A, or with ai = 1 and ak = lda the transpose of a K×R matrix); B is K×C
+// with row stride ldb. With `init` (C's shape and stride) each element's
+// chain starts from init(i, j) instead of zero.
+template <Epilogue E>
+void product_rows(const double* a, std::size_t ai, std::size_t ak,
+                  const double* b, std::size_t ldb, const double* bias,
+                  const double* init, double* c, std::size_t ldc,
+                  std::size_t K, std::size_t C, std::size_t r0,
+                  std::size_t r1) {
+  column_tiles(C, [=]<typename V, int NV>(std::size_t j) {
+    constexpr std::size_t L = kLanes<V>;
+    for (std::size_t i = r0; i < r1; ++i) {
+      V acc[NV] = {};
+      if (init != nullptr) {
+        for (int v = 0; v < NV; ++v) {
+          acc[v] = load<V>(init + i * ldc + j + v * L);
+        }
       }
-      for (std::size_t q = 0; q < 8; ++q) crow[j + q] = acc[q];
+      chain(acc, a + i * ai, ak, b + j, ldb, K);
+      double* cp = c + i * ldc + j;
+      for (int v = 0; v < NV; ++v) {
+        if constexpr (E == Epilogue::kStore) {
+          store(cp + v * L, acc[v]);
+        } else if constexpr (E == Epilogue::kBias) {
+          store(cp + v * L, acc[v] + load<V>(bias + j + v * L));
+        } else if constexpr (E == Epilogue::kAccumulate) {
+          store(cp + v * L, load<V>(cp + v * L) + acc[v]);
+        } else {
+          store(cp + v * L, (load<V>(cp + v * L) + acc[v]) +
+                                load<V>(bias + j + v * L));
+        }
+      }
     }
-    for (; j < C; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * bt[k * C + j];
-      crow[j] = acc;
-    }
-  }
+  });
 }
 
 void require_trans_b(const Matrix& a, const PackedTransB& b) {
@@ -282,7 +269,7 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
 
 // --- elementwise maps (DESIGN.md §10, *Transcendentals*) -------------------
 //
-// One body per function, on every tier: flat loops over n elements that gcc
+// One body per function: flat loops over n elements that gcc
 // vectorizes under this TU's -O3 -march=native. Vectorizing keeps each
 // element's IEEE op sequence (no contraction, no reassociation), so a value
 // never depends on where in a call it sits or how long the call is.
@@ -543,20 +530,10 @@ void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
   require_rows(a, c, b.cols(), r0, r1,
                "kernels::matmul_bias_rows: output not shaped or bad range");
   if (r1 <= r0 || b.cols() == 0) return;
-  if (tier() == SimdTier::kAvx2) {
-    simd::matmul_bias_panel(a.row_ptr(0), a.cols(), b.row_ptr(0), b.cols(),
-                            bias.row_ptr(0), c.row_ptr(0), c.cols(), a.cols(),
-                            b.cols(), r0, r1);
-    return;
-  }
-  // The product, then one bias add per element: matmul_into followed by
-  // add_row_broadcast_inplace.
-  scalar_matmul_rows(a, b, c, r0, r1);
-  const double* brow = bias.row_ptr(0);
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* crow = c.row_ptr(i);
-    for (std::size_t j = 0; j < c.cols(); ++j) crow[j] += brow[j];
-  }
+  product_rows<Epilogue::kBias>(a.row_ptr(0), a.cols(), 1, b.row_ptr(0),
+                                b.cols(), bias.row_ptr(0), nullptr,
+                                c.row_ptr(0), c.cols(), a.cols(), b.cols(),
+                                r0, r1);
 }
 
 void matmul_rows(const Matrix& a, const Matrix& b, std::size_t b_row0,
@@ -566,22 +543,26 @@ void matmul_rows(const Matrix& a, const Matrix& b, std::size_t b_row0,
   require_rows(a, c, b.cols(), r0, r1,
                "kernels::matmul_rows: output not shaped or bad range");
   if (r1 <= r0 || b.cols() == 0) return;
-  if (tier() == SimdTier::kAvx2) {
-    simd::matmul_panel(a.row_ptr(0), a.cols(), b.row_ptr(b_row0), b.cols(),
-                       c.row_ptr(0), c.cols(), a.cols(), b.cols(), r0, r1);
-    return;
-  }
-  scalar_matmul_rows(a, b, c, r0, r1, b_row0);
+  product_rows<Epilogue::kStore>(a.row_ptr(0), a.cols(), 1,
+                                 b.row_ptr(b_row0), b.cols(), nullptr,
+                                 nullptr, c.row_ptr(0), c.cols(), a.cols(),
+                                 b.cols(), r0, r1);
 }
 
+// The pack is K×C, so A·Bᵀ is the plain product against it.
 void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
                          std::size_t r0, std::size_t r1) {
   require_trans_b(a, b);
   require_rows(a, c, b.rows, r0, r1,
                "kernels::matmul_trans_b_rows: output not shaped or bad range");
-  trans_b_rows(a, b, c, r0, r1);
+  if (r1 <= r0 || b.rows == 0) return;
+  product_rows<Epilogue::kStore>(a.row_ptr(0), a.cols(), 1, b.bt.data(),
+                                 b.rows, nullptr, nullptr, c.row_ptr(0),
+                                 c.cols(), b.cols, b.rows, r0, r1);
 }
 
+// Output row i reduces over column i of A: element (i, k) of Aᵀ is
+// a.row_ptr(k)[i].
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
                              std::size_t r0, std::size_t r1,
                              std::size_t acc_row0) {
@@ -590,36 +571,15 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
           "kernels::matmul_trans_a_acc_rows: shape mismatch or bad range");
   const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
   if (r1 <= r0 || C == 0) return;
-  if (tier() == SimdTier::kAvx2) {
-    simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                   acc.row_ptr(acc_row0), C, K, C, r0, r1);
-    return;
-  }
-  // Scalar tier: the full product row first (ascending k), then one add per
-  // element into acc.
-  static thread_local std::vector<double> tl_row;
-  if (tl_row.size() < C) tl_row.resize(C);
-  double* prod = tl_row.data();
-  for (std::size_t i = r0; i < r1; ++i) {
-    std::fill(prod, prod + C, 0.0);
-    std::size_t k = 0;
-    for (; k + 4 <= K; k += 4) {
-      const double av[4] = {a.row_ptr(k)[i], a.row_ptr(k + 1)[i],
-                            a.row_ptr(k + 2)[i], a.row_ptr(k + 3)[i]};
-      const double* bv[4] = {b.row_ptr(k), b.row_ptr(k + 1), b.row_ptr(k + 2),
-                             b.row_ptr(k + 3)};
-      add_four_products(prod, av, bv, 0, C);
-    }
-    for (; k < K; ++k) {
-      const double aki = a.row_ptr(k)[i];
-      const double* brow = b.row_ptr(k);
-      for (std::size_t j = 0; j < C; ++j) prod[j] += aki * brow[j];
-    }
-    double* arow = acc.row_ptr(acc_row0 + i);
-    for (std::size_t j = 0; j < C; ++j) arow[j] += prod[j];
-  }
+  product_rows<Epilogue::kAccumulate>(a.row_ptr(0), 1, R, b.row_ptr(0), C,
+                                      nullptr, nullptr, acc.row_ptr(acc_row0),
+                                      C, K, C, r0, r1);
 }
 
+// Two passes of the product tile over the block: x·wx's chains (from the
+// seed when there is one) land in out's rows, then h·wh's chains finish
+// each element as (x·wx + h·wh) + bias, and the finished block is
+// activated.
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, std::size_t r0,
@@ -629,42 +589,20 @@ void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                "kernels::gru_gate_rows: output not shaped or bad range");
   require(scratch.rows() == out.rows() && scratch.cols() == out.cols(),
           "kernels::gru_gate_rows: scratch must have out's shape");
-  if (r1 <= r0 || wx.cols() == 0) return;
   const std::size_t G = wx.cols();
-  if (tier() == SimdTier::kAvx2) {
-    simd::gate_panel(x.row_ptr(0), x.cols(), wx.row_ptr(0), G, h.row_ptr(0),
-                     h.cols(), wh.row_ptr(0), G, bias.row_ptr(0),
-                     seed != nullptr ? seed->row_ptr(0) : nullptr, G,
-                     out.row_ptr(0), G, x.cols(), h.cols(), G, r0, r1);
-    activate_block(act, out, r0, r1);
-    return;
-  }
-  // out = x · Wx continuing from the seed, then scratch = h · Wh.
-  if (seed != nullptr) {
-    std::copy(seed->row_ptr(r0), seed->row_ptr(r1), out.row_ptr(r0));
-  }
-  scalar_matmul_rows(x, wx, out, r0, r1, 0, seed != nullptr);
-  scalar_matmul_rows(h, wh, scratch, r0, r1);
-  // Epilogue, per element: (out + scratch) rounded, + bias rounded, then the
-  // activation — the exact rounding sequence of operator+ followed by
-  // add_row_broadcast_inplace followed by sigmoid/tanh on the allocating
-  // path, with no temporaries.
-  const double* brow = bias.row_ptr(0);
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* orow = out.row_ptr(i);
-    const double* srow = scratch.row_ptr(i);
-    for (std::size_t j = 0; j < G; ++j) orow[j] = (orow[j] + srow[j]) + brow[j];
-  }
+  if (r1 <= r0 || G == 0) return;
+  const double* sp = seed != nullptr ? seed->row_ptr(0) : nullptr;
+  product_rows<Epilogue::kStore>(x.row_ptr(0), x.cols(), 1, wx.row_ptr(0), G,
+                                 nullptr, sp, out.row_ptr(0), G, x.cols(), G,
+                                 r0, r1);
+  product_rows<Epilogue::kGate>(h.row_ptr(0), h.cols(), 1, wh.row_ptr(0), G,
+                                bias.row_ptr(0), nullptr, out.row_ptr(0), G,
+                                h.cols(), G, r0, r1);
   activate_block(act, out, r0, r1);
 }
 
 void adam_update(double* w, const double* g, double* m, double* v,
                  std::size_t n, const AdamCoeffs& k) {
-  if (tier() == SimdTier::kAvx2) {
-    simd::adam_update(w, g, m, v, n, k.beta1, k.beta2, k.lr, k.eps, k.bc1,
-                      k.bc2);
-    return;
-  }
   for (std::size_t j = 0; j < n; ++j) {
     m[j] = k.beta1 * m[j] + (1.0 - k.beta1) * g[j];
     v[j] = k.beta2 * v[j] + (1.0 - k.beta2) * g[j] * g[j];

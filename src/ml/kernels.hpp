@@ -1,6 +1,9 @@
 // Serial matmul kernels — the leaves under every GAN training step (GRU
 // BPTT, MLP discriminators, baselines). Parallelism lives above them:
 // callers cut a batch into row ranges and run each range on one thread.
+// Each op has one body: register tiles of 16, then 4 output columns, then
+// a one-column tail, built for the host by the kernel TU's flags
+// (DESIGN.md §10).
 //
 // Determinism contract (see DESIGN.md §5): for every output element the
 // reduction over the inner dimension runs in ascending-k order with one
@@ -12,10 +15,10 @@
 // multiply-add rounding steps away.
 //
 // Every chain takes every product: no zero multiplicand is skipped, so
-// 0·inf and 0·NaN put NaN into the chain on every tier and in the reference
-// alike. On finite operands a ±0 product leaves a chain that started at +0
-// bitwise unchanged (such a chain never reaches −0), which is why taking
-// the zeros costs no value anywhere.
+// 0·inf and 0·NaN put NaN into the chain in the kernels and in the
+// reference alike. On finite operands a ±0 product leaves a chain that
+// started at +0 bitwise unchanged (such a chain never reaches −0), which is
+// why taking the zeros costs no value anywhere.
 #pragma once
 
 #include <cstddef>
@@ -25,24 +28,25 @@
 
 namespace netshare::ml::kernels {
 
-// Kernel tiers (DESIGN.md §10). Every tier writes bitwise-identical output
-// — the tier choice is a speed decision, never a values decision — so the
-// dispatcher is free to pick the fastest tier the host supports. kAvx2 is
-// the explicitly vectorized tier in ml/kernels_simd.cpp (columns vectorized,
-// k-chains untouched, no FMA); kScalar is the blocked tier in this TU.
+// What the kernel translation unit was built for (DESIGN.md §10). There is
+// one body per op, register tiles of GNU vector types compiled with this
+// TU's flags, so the ISA is a build fact, not a run-time choice. The tier
+// names are the host fingerprint's spellings.
 enum class SimdTier { kScalar = 0, kAvx2 = 1 };
 
-// Fastest tier the executing CPU supports (cached CPUID probe).
+// kAvx2 when the executing CPU supports AVX2 (cached CPUID probe).
 SimdTier supported_tier();
-// Tier the next kernel dispatch will actually use:
-// min(KernelConfig::simd ceiling, NETSHARE_SIMD env cap, supported_tier()).
+// kAvx2 when the kernel TU was compiled with AVX2 (__AVX2__). On a host
+// where supported_tier() says kAvx2 and this does not, the kernels run on a
+// build that cannot use the host's vector unit.
 SimdTier active_tier();
-// Re-reads the NETSHARE_SIMD environment variable (cached on first use;
-// tests that setenv() at runtime call this to make the change visible).
-// Recognized "off" spellings: "off", "scalar", "0".
-void reload_simd_env();
+// The widest ISA the kernel TU was compiled for, from its predefined
+// macros: "avx512f", "avx2" or "baseline".
+const char* kernel_isa();
+// The kernel TU's compile flags, space-separated (src/CMakeLists.txt).
+const char* kernel_flags();
 
-// Process-wide kernel settings, each held in an atomic (no lock). `threads`
+// Process-wide kernel settings, held in an atomic (no lock). `threads`
 // is the thread budget of the current phase: the width of the row-sliced
 // stages of a DoppelGANger training iteration (DESIGN.md §5). The stages
 // run on the shared executor, the calling thread taking part, so the budget
@@ -52,10 +56,6 @@ void reload_simd_env();
 // and then to std::thread::hardware_concurrency().
 struct KernelConfig {
   std::size_t threads = 0;
-  // Requested tier ceiling: the dispatcher never exceeds it, and drops to
-  // kScalar when the CPU or NETSHARE_SIMD says so. Identical results either
-  // way (the property suite in tests/test_simd.cpp enforces this).
-  SimdTier simd = SimdTier::kAvx2;
 };
 
 // Reads / replaces the process-wide config. A new value applies from the
@@ -126,13 +126,12 @@ void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias,
 void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 
 // Fused GRU gate: out = act(x·wx + h·wh + bias), written into caller-owned
-// buffers (out and a scratch, reshaped to out's shape, for the second
-// product) with no temporaries. On the SIMD tier both products stay
-// register-resident and `scratch` only gets its shape; its contents are
-// unspecified after the call on every tier. Bitwise contract: the two products run through the blocked
-// matmul kernels above (ascending-k reduction, one rounding per partial
-// product); the epilogue then applies, per element, exactly the rounding
-// sequence of the unfused composition
+// buffers with no temporaries: x·wx's sums are parked in out's rows and
+// h·wh's chains finish them; `scratch` is reshaped to out's shape and
+// otherwise left alone (its contents are unspecified after the call). Bitwise contract: each product
+// is an ascending-k reduction with one rounding per partial product, as in
+// the matmul kernels above; the epilogue then applies, per element, exactly
+// the rounding sequence of the unfused composition
 //   sigmoid/tanh(add_row_broadcast(matmul(x,wx) + matmul(h,wh), bias))
 // — one add of the two products, one bias add, then sigmoid_into /
 // tanh_into below over each finished row block — so the fused gate is
@@ -177,16 +176,15 @@ void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
                              std::size_t r0, std::size_t r1,
                              std::size_t acc_row0 = 0);
-// `scratch` must have out's shape (the scalar tier parks x·wx's partner
-// product h·wh in its rows; the SIMD tier leaves it untouched); so must a
-// `seed`, of which rows [r0, r1) are read.
+// `scratch` must have out's shape (it is not written); so must a `seed`, of
+// which rows [r0, r1) are read.
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
                    Matrix& scratch, Matrix& out, std::size_t r0,
                    std::size_t r1, const Matrix* seed = nullptr);
 
 // Elementwise maps (DESIGN.md §10, *Transcendentals*): y[i] = f(x[i]) for
-// i < n, y may equal x. One body per function on every tier, a flat loop
+// i < n, y may equal x. One body per function, a flat loop
 // the compiler vectorizes; a value never depends on the call's length or
 // on its position in it. The transcendentals run one repo-owned exp
 // (Cody–Waite reduction, a fixed Horner polynomial, no FMA), with
@@ -219,8 +217,8 @@ void tanh_grad_into(const double* y, const double* g, double* out,
 // One Adam update of n elements in place, per element exactly
 //   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
 //   w -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
-// with every operation rounded on its own (this TU contracts nothing), so
-// the vectorized tier and the scalar loop agree bitwise.
+// with every operation rounded on its own (this TU contracts nothing): a
+// flat loop the compiler vectorizes without changing a bit.
 struct AdamCoeffs {
   double beta1, beta2, lr, eps, bc1, bc2;
 };

@@ -174,8 +174,7 @@ TEST(GradCheck, MixedHeadAllSegmentKinds) {
 // per-segment calls made it before, on the attribute and feature layouts
 // of the caida (bit-encoded ports) and ugr16 (IP2Vec ports) presets, tanh
 // runs, softmax widths 1/2/3/12, identity, empty and wider-than-scratch
-// segments, over ragged row ranges, on both kernel tiers; so must the
-// backward pass.
+// segments, over ragged row ranges; so must the backward pass.
 TEST(MixedHead, BlockActivationMatchesPerRowSegments) {
   using K = OutputSegment::Kind;
   const std::vector<std::vector<OutputSegment>> layouts = {
@@ -249,33 +248,25 @@ TEST(MixedHead, BlockActivationMatchesPerRowSegments) {
                 0)
           << what;
     };
-    for (const auto tier :
-         {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2}) {
-      kernels::KernelConfig cfg;
-      cfg.simd = tier;
-      kernels::ConfigOverride guard(cfg);
-      const std::string what = "layout of width " + std::to_string(W) +
-                               ", tier " +
-                               std::to_string(static_cast<int>(tier));
-      same(head.forward(x), want, "forward, " + what);
-      same(head.backward(g), want_g, "backward, " + what);
-      Matrix y;
-      head.forward_into(x, y);
-      same(y, want, "forward_into, " + what);
-      Matrix rows_into(kRows, W);
-      head.prepare_forward(kRows, W);
-      for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
-        head.forward_rows(x, cuts[c], cuts[c + 1]);
-        head.forward_rows_into(x, rows_into, cuts[c], cuts[c + 1]);
-      }
-      same(head.output(), want, "forward_rows, " + what);
-      same(rows_into, want, "forward_rows_into, " + what);
-      head.prepare_backward(true);
-      for (std::size_t c = std::size(cuts) - 1; c > 0; --c) {
-        head.backward_input_rows(g, cuts[c - 1], cuts[c]);
-      }
-      same(head.input_grad(), want_g, "backward_input_rows, " + what);
+    const std::string what = "layout of width " + std::to_string(W);
+    same(head.forward(x), want, "forward, " + what);
+    same(head.backward(g), want_g, "backward, " + what);
+    Matrix y;
+    head.forward_into(x, y);
+    same(y, want, "forward_into, " + what);
+    Matrix rows_into(kRows, W);
+    head.prepare_forward(kRows, W);
+    for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      head.forward_rows(x, cuts[c], cuts[c + 1]);
+      head.forward_rows_into(x, rows_into, cuts[c], cuts[c + 1]);
     }
+    same(head.output(), want, "forward_rows, " + what);
+    same(rows_into, want, "forward_rows_into, " + what);
+    head.prepare_backward(true);
+    for (std::size_t c = std::size(cuts) - 1; c > 0; --c) {
+      head.backward_input_rows(g, cuts[c - 1], cuts[c]);
+    }
+    same(head.input_grad(), want_g, "backward_input_rows, " + what);
   }
 }
 
@@ -840,8 +831,8 @@ void expect_passes(Module& m, const Matrix& x, const Matrix& g,
 }
 
 // Linear at odd shapes (tails of every column tile), each Activation, a
-// MixedHead and a 3-layer Mlp with a MixedHead output, on both kernel
-// tiers, all parameters random (the biases included).
+// MixedHead and a 3-layer Mlp with a MixedHead output, all parameters
+// random (the biases included).
 TEST(Module, PassesMatchReferenceComposition) {
   using K = OutputSegment::Kind;
   const std::vector<OutputSegment> segs = {
@@ -853,82 +844,73 @@ TEST(Module, PassesMatchReferenceComposition) {
       p->value = Matrix::randn(p->value.rows(), p->value.cols(), rng);
     }
   };
-  for (const auto tier :
-       {kernels::SimdTier::kScalar, kernels::SimdTier::kAvx2}) {
-    kernels::KernelConfig cfg;
-    cfg.simd = tier;
-    kernels::ConfigOverride guard(cfg);
-    const std::string tier_name =
-        "tier " + std::to_string(static_cast<int>(tier));
-    Rng rng(71);
+  Rng rng(71);
 
-    const std::pair<std::size_t, std::size_t> shapes[] = {
-        {1, 1}, {7, 17}, {33, 5}, {3, 37}};
-    for (const auto& [in, out] : shapes) {
-      Linear lin(in, out, rng);
-      randomize(lin, rng);
-      const Matrix x = Matrix::randn(B, in, rng);
-      const Matrix g = Matrix::randn(B, out, rng);
-      OraclePasses want;
-      oracle_linear(lin.weight().value, lin.bias().value, x, g, want);
-      expect_passes(lin, x, g, want,
-                    "Linear " + std::to_string(in) + "x" +
-                        std::to_string(out) + ", " + tier_name);
-    }
-
-    for (Activation kind : {Activation::kRelu, Activation::kLeakyRelu,
-                            Activation::kTanh, Activation::kSigmoid,
-                            Activation::kIdentity}) {
-      ActivationLayer act(kind);
-      Matrix x = Matrix::randn(B, 11, rng, 3.0);
-      x(0, 0) = 0.0;  // the relu family's kink
-      const Matrix g = Matrix::randn(B, 11, rng);
-      OraclePasses want;
-      want.y = oracle_activate(kind, x);
-      want.gx = oracle_activation_grad(kind, x, want.y, g);
-      expect_passes(act, x, g, want,
-                    "Activation " + std::to_string(static_cast<int>(kind)) +
-                        ", " + tier_name);
-    }
-
-    MixedHead head(segs);
-    const Matrix hx = Matrix::randn(B, head.width(), rng, 3.0);
-    const Matrix hg = Matrix::randn(B, head.width(), rng);
-    OraclePasses hwant;
-    oracle_head(segs, hx, hg, hwant.y, hwant.gx);
-    expect_passes(head, hx, hg, hwant, "MixedHead, " + tier_name);
-
-    // Linear → leaky relu → Linear → leaky relu → Linear → MixedHead.
-    const std::size_t dims[] = {7, 9, 5, head.width()};
-    Mlp mlp({dims[0], dims[1], dims[2], dims[3]}, Activation::kLeakyRelu,
-            segs, rng);
-    randomize(mlp, rng);
-    const std::vector<Parameter*> p = mlp.parameters();
-    const Matrix x = Matrix::randn(B, dims[0], rng);
-    const Matrix g = Matrix::randn(B, dims[3], rng);
-    Matrix a[3], z[3];  // pre-activations and activations per hidden layer
-    a[0] = oracle_affine(x, p[0]->value, p[1]->value);
-    z[0] = oracle_activate(Activation::kLeakyRelu, a[0]);
-    a[1] = oracle_affine(z[0], p[2]->value, p[3]->value);
-    z[1] = oracle_activate(Activation::kLeakyRelu, a[1]);
-    a[2] = oracle_affine(z[1], p[4]->value, p[5]->value);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {7, 17}, {33, 5}, {3, 37}};
+  for (const auto& [in, out] : shapes) {
+    Linear lin(in, out, rng);
+    randomize(lin, rng);
+    const Matrix x = Matrix::randn(B, in, rng);
+    const Matrix g = Matrix::randn(B, out, rng);
     OraclePasses want;
-    Matrix d2;  // the gradient at the last Linear's output
-    oracle_head(segs, a[2], g, want.y, d2);
-    const Matrix gz1 = reference::matmul_trans_b(d2, p[4]->value);
-    const Matrix d1 =
-        oracle_activation_grad(Activation::kLeakyRelu, a[1], z[1], gz1);
-    const Matrix gz0 = reference::matmul_trans_b(d1, p[2]->value);
-    const Matrix d0 =
-        oracle_activation_grad(Activation::kLeakyRelu, a[0], z[0], gz0);
-    want.gx = reference::matmul_trans_b(d0, p[0]->value);
-    want.grads = {reference::matmul_trans_a(x, d0), oracle_column_sums(d0),
-                  reference::matmul_trans_a(z[0], d1),
-                  oracle_column_sums(d1),
-                  reference::matmul_trans_a(z[1], d2),
-                  oracle_column_sums(d2)};
-    expect_passes(mlp, x, g, want, "Mlp, " + tier_name);
+    oracle_linear(lin.weight().value, lin.bias().value, x, g, want);
+    expect_passes(lin, x, g, want,
+                  "Linear " + std::to_string(in) + "x" +
+                      std::to_string(out));
   }
+
+  for (Activation kind : {Activation::kRelu, Activation::kLeakyRelu,
+                          Activation::kTanh, Activation::kSigmoid,
+                          Activation::kIdentity}) {
+    ActivationLayer act(kind);
+    Matrix x = Matrix::randn(B, 11, rng, 3.0);
+    x(0, 0) = 0.0;  // the relu family's kink
+    const Matrix g = Matrix::randn(B, 11, rng);
+    OraclePasses want;
+    want.y = oracle_activate(kind, x);
+    want.gx = oracle_activation_grad(kind, x, want.y, g);
+    expect_passes(act, x, g, want,
+                  "Activation " + std::to_string(static_cast<int>(kind)));
+  }
+
+  MixedHead head(segs);
+  const Matrix hx = Matrix::randn(B, head.width(), rng, 3.0);
+  const Matrix hg = Matrix::randn(B, head.width(), rng);
+  OraclePasses hwant;
+  oracle_head(segs, hx, hg, hwant.y, hwant.gx);
+  expect_passes(head, hx, hg, hwant, "MixedHead");
+
+  // Linear → leaky relu → Linear → leaky relu → Linear → MixedHead.
+  const std::size_t dims[] = {7, 9, 5, head.width()};
+  Mlp mlp({dims[0], dims[1], dims[2], dims[3]}, Activation::kLeakyRelu,
+          segs, rng);
+  randomize(mlp, rng);
+  const std::vector<Parameter*> p = mlp.parameters();
+  const Matrix x = Matrix::randn(B, dims[0], rng);
+  const Matrix g = Matrix::randn(B, dims[3], rng);
+  Matrix a[3], z[3];  // pre-activations and activations per hidden layer
+  a[0] = oracle_affine(x, p[0]->value, p[1]->value);
+  z[0] = oracle_activate(Activation::kLeakyRelu, a[0]);
+  a[1] = oracle_affine(z[0], p[2]->value, p[3]->value);
+  z[1] = oracle_activate(Activation::kLeakyRelu, a[1]);
+  a[2] = oracle_affine(z[1], p[4]->value, p[5]->value);
+  OraclePasses want;
+  Matrix d2;  // the gradient at the last Linear's output
+  oracle_head(segs, a[2], g, want.y, d2);
+  const Matrix gz1 = reference::matmul_trans_b(d2, p[4]->value);
+  const Matrix d1 =
+      oracle_activation_grad(Activation::kLeakyRelu, a[1], z[1], gz1);
+  const Matrix gz0 = reference::matmul_trans_b(d1, p[2]->value);
+  const Matrix d0 =
+      oracle_activation_grad(Activation::kLeakyRelu, a[0], z[0], gz0);
+  want.gx = reference::matmul_trans_b(d0, p[0]->value);
+  want.grads = {reference::matmul_trans_a(x, d0), oracle_column_sums(d0),
+                reference::matmul_trans_a(z[0], d1),
+                oracle_column_sums(d1),
+                reference::matmul_trans_a(z[1], d2),
+                oracle_column_sums(d2)};
+  expect_passes(mlp, x, g, want, "Mlp");
 }
 
 TEST(Losses, MseGradientMatchesFiniteDifference) {
