@@ -52,12 +52,6 @@ std::vector<std::size_t> clamped_thread_counts() {
   return counts;
 }
 
-ml::kernels::KernelConfig width_cfg(std::size_t threads) {
-  ml::kernels::KernelConfig cfg;
-  cfg.threads = threads;
-  return cfg;
-}
-
 // Repetitions behind every kernel row: each is a best-of window, and a row
 // reports their median with the IQR beside it.
 constexpr int kKernelReps = 5;
@@ -105,13 +99,12 @@ KernelRow bench_op(Op op, std::size_t n) {
       case Op::kTransB: ml::matmul_trans_b(a, b); break;
     }
   };
-  ml::kernels::ConfigOverride guard(width_cfg(1));
   row.kernel = gflops_reps(n, run_kernel);
   return row;
 }
 
 // End-to-end: DoppelGANger iterations/sec on a toy trace at each benched
-// thread count. Training is bitwise identical across every row; only
+// width. Training is bitwise identical across every row; only
 // wall-clock may differ.
 gan::TimeSeriesDataset toy_data(std::size_t n) {
   gan::TimeSeriesSpec spec;
@@ -157,12 +150,11 @@ std::vector<DgResult> bench_dg_rows(const std::vector<std::size_t>& widths,
   std::vector<double> allocs(widths.size(), 0.0);
   for (int r = 0; r < reps; ++r) {
     for (std::size_t w = 0; w < widths.size(); ++w) {
-      ml::kernels::ConfigOverride guard(width_cfg(widths[w]));
       gan::DoppelGanger model(data.spec, dg, 99);
-      model.fit(data, warmup);
+      model.fit(data, warmup, widths[w]);
       ml::alloc_counter::reset();
       Stopwatch sw;
-      model.fit(data, iterations);
+      model.fit(data, iterations, widths[w]);
       ips[w].push_back(iterations / sw.seconds());
       allocs[w] = std::max(
           allocs[w],
@@ -192,7 +184,6 @@ struct GatePairs {
 };
 
 GatePairs bench_gate_pairs() {
-  ml::kernels::ConfigOverride guard(width_cfg(1));
   Rng rng(5);
   const Matrix x = Matrix::randn(64, 12, rng);
   const Matrix wx = Matrix::randn(12, 48, rng);
@@ -347,7 +338,6 @@ std::vector<HeadRow> bench_mixed_heads() {
 // step inputs seeded with the cond projection, hidden 48, gate width 48,
 // one row-range call per gate as Gru::step_into makes it. Gates/s, info.
 MedianIqr bench_seeded_gate(ml::kernels::GateAct act) {
-  ml::kernels::ConfigOverride guard(width_cfg(1));
   Rng rng(11);
   const Matrix x = Matrix::randn(64, 8, rng);
   const Matrix wx = Matrix::randn(8 + 48, 48, rng);
@@ -403,7 +393,6 @@ MedianIqr bench_sparse(bool trans_a) {  // GFLOP/s
     }
   };
   const double gflop = 2.0 * rows * inner * cols / 1e9;
-  ml::kernels::ConfigOverride guard(width_cfg(1));
   return rate_reps(gflop, run, kKernelReps);
 }
 

@@ -8,7 +8,6 @@
 #include "embed/bit_encoding.hpp"
 #include "gan/doppelganger.hpp"
 #include "ml/gru.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "net/checksum.hpp"
 #include "net/ipv4.hpp"
@@ -105,9 +104,9 @@ static void BM_GruForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GruForward);
 
-// Generation path: batched sample_into vs the per-series path (batch 1),
-// each at 1 and 4 kernel threads. The model is trained once and shared —
-// sampling throughput does not depend on convergence.
+// Generation path: batched sample_into vs the per-series path (batch 1).
+// The model is trained once and shared — sampling throughput does not
+// depend on convergence.
 static gan::DoppelGanger& trained_sampler() {
   static gan::DoppelGanger* model = [] {
     gan::TimeSeriesSpec spec;
@@ -139,9 +138,6 @@ static gan::DoppelGanger& trained_sampler() {
 
 static void BM_DoppelGangerSample(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
-  ml::kernels::KernelConfig cfg;
-  cfg.threads = static_cast<std::size_t>(state.range(1));
-  ml::kernels::ConfigOverride guard(cfg);
   const gan::DoppelGanger& model = trained_sampler();
   constexpr std::size_t kSeries = 64;
   gan::SampleScratch scratch;
@@ -160,11 +156,7 @@ static void BM_DoppelGangerSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSeries);
   state.SetLabel(batched ? "batched" : "per-series");
 }
-BENCHMARK(BM_DoppelGangerSample)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4});
+BENCHMARK(BM_DoppelGangerSample)->Arg(0)->Arg(1);
 
 static void BM_IpBitCodec(benchmark::State& state) {
   const net::Ipv4Address ip(192, 168, 10, 20);

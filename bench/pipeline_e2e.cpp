@@ -6,7 +6,7 @@
 // iteration profile, plus a gated comparison, on the same 24x inputs, of
 // the generate stage on the new path (length-adaptive sampling,
 // chunk-parallel on the thread budget) against the serial reference path
-// (full-unroll sampler, one chunk at a time, one kernel thread) — bitwise
+// (full-unroll sampler, one chunk at a time, on the calling thread) — bitwise
 // identical. Emits BENCH_pipeline.json (path overridable via argv[1]),
 // with the host fingerprint of bench/fingerprint.hpp; the committed
 // baseline at the repo root is gated by scripts/check_bench_regression
@@ -44,7 +44,6 @@
 #include "datagen/presets.hpp"
 #include "eval/report.hpp"
 #include "gan/doppelganger.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -185,19 +184,17 @@ int main(int argc, char** argv) {
   }
   const double train_guard_overhead_frac = train_guard_ms / train_iter_ms;
 
-  // Seed-chunk DoppelGanger::fit throughput at kernel budget 1 and at the
-  // core count (informational, not gated): how far the iteration's
-  // row-sliced stages scale with the budget.
+  // Seed-chunk DoppelGanger::fit throughput at width 1 and at the core
+  // count (informational, not gated): how far the iteration's row-sliced
+  // stages scale with the width.
   // Each also leaves its last fit's stage profile behind (informational).
-  const auto fit_iters_per_s = [&](std::size_t threads, std::string& profile) {
-    ml::kernels::KernelConfig kc = config.kernels;
-    kc.threads = threads;
-    ml::kernels::ConfigOverride budget(kc);
+  const auto fit_iters_per_s = [&](std::size_t width, std::string& profile) {
     gan::DoppelGanger model(encoder.spec(), config.dg, config.seed);
-    model.fit(datasets[seed_c], 1);  // warm-up populates pools and caches
+    model.fit(datasets[seed_c], 1, width);  // warm-up populates pools, caches
     const double rate =
-        kProfileIters /
-        time_best([&] { model.fit(datasets[seed_c], kProfileIters); }, 1.2);
+        kProfileIters / time_best([&] {
+          model.fit(datasets[seed_c], kProfileIters, width);
+        }, 1.2);
     profile = stage_profile_json();
     return rate;
   };
@@ -298,9 +295,6 @@ int main(int argc, char** argv) {
   std::vector<gan::GeneratedSeries> ref_series(chunks.size());
   gan::SampleScratch scratch;
   const double serial_gen_sec = median_call([&] {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = 1;
-    ml::kernels::ConfigOverride guard(cfg);
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       trainer.sample_chunk_reference_into(c, timing_counts[c], 1234, 0,
                                           ref_series[c], scratch);
@@ -324,9 +318,6 @@ int main(int argc, char** argv) {
   double batched_sec = 0.0;
   double allocs_per_batch = 0.0;
   {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = 1;
-    ml::kernels::ConfigOverride guard(cfg);
     trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);  // warm-up
     ml::alloc_counter::reset();
     trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);
@@ -335,17 +326,11 @@ int main(int argc, char** argv) {
       trainer.sample_chunk_into(c0, kSampleBatch, 7, 0, buf, scratch);
     });
   }
-  double per_series_sec = 0.0;
-  {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = 1;
-    ml::kernels::ConfigOverride guard(cfg);
-    per_series_sec = time_best([&] {
-      for (std::size_t i = 0; i < kSampleBatch; ++i) {
-        trainer.sample_chunk_into(c0, 1, 7, i, buf, scratch);
-      }
-    });
-  }
+  const double per_series_sec = time_best([&] {
+    for (std::size_t i = 0; i < kSampleBatch; ++i) {
+      trainer.sample_chunk_into(c0, 1, 7, i, buf, scratch);
+    }
+  });
 
   std::printf("preprocess  %.4fs per call (%zu records)\n"
               "train       %.3fs (cpu %.3fs)\n"
@@ -359,7 +344,7 @@ int main(int argc, char** argv) {
               timing_synth.size(), sample_sec, decode_sec, synth.size(),
               postprocess_sec, timing_synth.size(), repair.total_repairs(),
               repair.checksum_failures);
-  std::printf("seed-chunk fit: %.1f iters/s at 1 kernel thread, %.1f at "
+  std::printf("seed-chunk fit: %.1f iters/s at width 1, %.1f at width "
               "%zu (%.2fx)\n",
               dg_fit_iters_per_s_1t, dg_fit_iters_per_s_nt, cores,
               dg_fit_iters_per_s_nt / dg_fit_iters_per_s_1t);

@@ -29,20 +29,21 @@ struct NetShareConfig {
   std::size_t num_chunks = 5;     // M evenly time-spaced chunks
   int seed_iterations = 250;      // chunk-0 training
   int finetune_iterations = 80;   // per later chunk
-  std::size_t threads = 4;        // total thread budget (chunks × kernels)
+  std::size_t threads = 4;        // total thread budget (chunks × widths)
   bool netshare_v0 = false;       // monolithic: single model, no chunking
   bool naive_parallel = false;    // ablation: chunks without warm start
   bool use_flow_tags = true;      // ablation: cross-chunk flow tags
 
-  // --- matmul kernel layer (ml/kernels.hpp) ---
-  // The kernels are serial; kernels.threads is the width of a training
-  // iteration's row-sliced stages. 0 defers to `threads` above during
-  // training: the seed phase gives the whole budget to one model's stages,
-  // the fine-tune phase splits it between chunk workers and per-worker
-  // stage widths (see ChunkedTrainer::fit). Every width is bitwise
-  // identical to width 1. There is no kernel tier to choose: each kernel
-  // has one body, built for the host by the kernel TU's flags (DESIGN.md
-  // §10). Served chunk parts slice at `threads` wide (DESIGN.md §13).
+  // --- stage widths ---
+  // The kernels are serial; a training iteration's row-sliced stages run up
+  // to a width the trainer passes each model (ChunkedTrainer::split): the
+  // seed model gets the whole budget, fine-tune chunks split it between
+  // chunk workers and per-worker widths. kernels.threads, when non-zero, is
+  // the total those widths are cut from in place of `threads`; the worker
+  // count still follows `threads` (the field is part of the perfbench shim,
+  // ml/kernels.hpp). Every width is bitwise identical to width 1.
+  // Generation slices and served chunk parts fan out `threads` wide
+  // (DESIGN.md §7, §13).
   ml::kernels::KernelConfig kernels;
 
   // --- Insight 4: differential privacy ---

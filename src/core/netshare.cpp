@@ -204,11 +204,10 @@ TraceT merge_chunk_parts(std::vector<TraceT>& parts, std::size_t n,
 
 // Fills each target chunk's sub-trace, largest chunk first, with one task
 // per chunk on the shared executor and each chunk's slices fanned out the
-// full phase budget wide (passed down explicitly: inside a chunk task the
-// kernel config's width is the per-chunk split). Slice helpers queue on the
-// same executor, so a core that finishes a small chunk picks up slices of
-// the largest one. Any budget and task order produce bitwise-identical
-// traces (see sample_chunk_part).
+// full phase budget wide. Slice helpers queue on the same executor, so a
+// core that finishes a small chunk picks up slices of the largest one. Any
+// budget and task order produce bitwise-identical traces (see
+// sample_chunk_part).
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
                       const std::vector<std::size_t>& targets, std::size_t n,
@@ -223,10 +222,8 @@ TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
   std::vector<TraceT> parts(chunks.size());
   const std::size_t budget =
       parallel_phase_budget(std::max<std::size_t>(1, config.threads));
-  const PhaseBudget split =
-      split_phase_budget(budget, active.size(), config.kernels);
-  ml::kernels::ConfigOverride guard(split.kernel_cfg);
-  run_parallel_tasks(split.workers, active.size(), [&](std::size_t ai) {
+  const std::size_t workers = std::min(budget, active.size());
+  run_parallel_tasks(workers, active.size(), [&](std::size_t ai) {
     const std::size_t c = active[ai];
     sample_chunk_part(chunks, c, targets[c], seed, config, trainer, records_of,
                       decode, budget, parts[c]);

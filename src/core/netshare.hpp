@@ -35,8 +35,7 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(
 // (src/serve) can coalesce several jobs into shared chunk-part sampling
 // passes while staying on the exact code path generate_flows() uses. Each
 // part is a pure function of (chunk models, config, seed, chunk, target):
-// independent of batching, of job interleaving, and of worker/kernel thread
-// counts.
+// independent of batching, of job interleaving, and of worker counts.
 
 // Per-chunk record targets proportional to the real chunk sizes (sums to ~n).
 std::vector<std::size_t> chunk_record_targets(

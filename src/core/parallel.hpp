@@ -24,11 +24,12 @@ namespace netshare::core {
 // physical cores only add dispatch overhead.
 std::size_t parallel_phase_budget(std::size_t budget);
 
-// Splits `budget` between task-level workers and per-worker kernel threads,
-// mirroring ChunkedTrainer::fit: workers = min(budget, tasks), and the
-// kernel thread count (resolving 0 to `budget` first) is divided by the
-// worker count so workers x kernel_threads ~= budget. Apply `kernel_cfg` via
-// ml::kernels::ConfigOverride for the duration of the phase.
+// Splits `budget` between task-level workers and per-worker widths, as
+// ChunkedTrainer does for its training phases: workers = min(budget, tasks),
+// and the width (base.threads, or `budget` when that is 0) is divided by the
+// worker count so workers x width ~= budget. kernel_cfg.threads is that
+// per-worker width; the KernelConfig types belong to the perfbench shim
+// (ml/kernels.hpp).
 struct PhaseBudget {
   std::size_t workers = 1;
   ml::kernels::KernelConfig kernel_cfg;

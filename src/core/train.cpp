@@ -33,6 +33,11 @@ gan::DgConfig ChunkedTrainer::chunk_config() const {
   return dg;
 }
 
+PhaseBudget ChunkedTrainer::split(std::size_t tasks) const {
+  return split_phase_budget(std::max<std::size_t>(1, config_.threads), tasks,
+                            config_.kernels);
+}
+
 std::string ChunkedTrainer::checkpoint_path(std::size_t c) const {
   return config_.checkpoint_dir + "/chunk_" + std::to_string(c) + ".ckpt";
 }
@@ -94,6 +99,10 @@ void ChunkedTrainer::begin_fit(const std::vector<std::size_t>& chunk_samples) {
   }
   report_.seed_chunk = seed_chunk_;
   report_.chunks[seed_chunk_].is_seed = true;
+  finetune_chunks_ = 0;
+  for (std::size_t c = seed_chunk_ + 1; c < chunk_samples.size(); ++c) {
+    finetune_chunks_ += chunk_samples[c] > 0 ? 1 : 0;
+  }
 
   if (!config_.checkpoint_dir.empty()) {
     std::error_code ec;
@@ -127,7 +136,8 @@ void ChunkedTrainer::train_seed(const gan::TimeSeriesDataset& data) {
                  {"chunk", static_cast<long long>(seed_chunk_)});
       // A seed failure propagates: every other chunk warm-starts from this
       // model, so there is nothing to fall back to.
-      models_[seed_chunk_]->fit(data, config_.seed_iterations);
+      models_[seed_chunk_]->fit(data, config_.seed_iterations,
+                                split(1).kernel_cfg.threads);
     }
     r.status = ChunkTrainReport::Status::kTrained;
     r.rollbacks = models_[seed_chunk_]->health_stats().rollbacks;
@@ -168,7 +178,7 @@ void ChunkedTrainer::train_finetune(std::size_t c,
     models_[c]->restore(*config_.public_snapshot);
   }
   try {
-    models_[c]->fit(data, iters);
+    models_[c]->fit(data, iters, split(finetune_chunks_).kernel_cfg.threads);
     r.status = ChunkTrainReport::Status::kTrained;
     r.rollbacks = models_[c]->health_stats().rollbacks;
     r.attempts = 1 + r.rollbacks;
@@ -242,19 +252,7 @@ void ChunkedTrainer::fit(const std::vector<gan::TimeSeriesDataset>& chunks) {
     sizes[c] = chunks[c].num_samples();
   }
   begin_fit(sizes);
-
-  // Thread budget (see core/config.hpp): while only the seed model trains,
-  // the whole budget goes to kernel-level parallelism; once chunks fine-tune
-  // concurrently it is split so chunk_workers × kernel_threads ≈ budget.
-  // Kernel results are bitwise identical at any thread count, so the split
-  // affects wall-clock only.
-  const std::size_t budget = std::max<std::size_t>(1, config_.threads);
-  {
-    ml::kernels::KernelConfig kernel_cfg = config_.kernels;
-    if (kernel_cfg.threads == 0) kernel_cfg.threads = budget;
-    ml::kernels::ConfigOverride seed_budget(kernel_cfg);
-    train_seed(chunks[seed_chunk_]);
-  }
+  train_seed(chunks[seed_chunk_]);
 
   // Remaining chunks fine-tune in parallel from the seed snapshot
   // (or train from scratch in the naive-parallel ablation).
@@ -264,12 +262,10 @@ void ChunkedTrainer::fit(const std::vector<gan::TimeSeriesDataset>& chunks) {
   }
   if (todo.empty()) return;
 
-  const PhaseBudget split =
-      split_phase_budget(budget, todo.size(), config_.kernels);
-  ml::kernels::ConfigOverride finetune_budget(split.kernel_cfg);
+  const std::size_t workers = split(todo.size()).workers;
   TELEM_SPAN("train.finetune",
              {"chunks", static_cast<long long>(todo.size())});
-  run_parallel_tasks(split.workers, todo.size(), [&](std::size_t i) {
+  run_parallel_tasks(workers, todo.size(), [&](std::size_t i) {
     train_finetune(todo[i], chunks[todo[i]]);
   });
 }
@@ -332,13 +328,11 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
   const std::size_t budget = parallel_phase_budget(
       thread_budget == 0 ? std::max<std::size_t>(1, config_.threads)
                          : thread_budget);
-  const PhaseBudget split =
-      split_phase_budget(budget, slices.size(), config_.kernels);
-  ml::kernels::ConfigOverride guard(split.kernel_cfg);
+  const std::size_t workers = std::min(budget, slices.size());
   {
     TELEM_SPAN("generate.sample_chunks",
                {"chunks", static_cast<long long>(active.size())});
-    run_parallel_tasks(split.workers, slices.size(), [&](std::size_t i) {
+    run_parallel_tasks(workers, slices.size(), [&](std::size_t i) {
       Slice& s = slices[i];
       SliceBuffers& buf = thread_slice_buffers();
       sample_chunk_into(s.c, s.n, seed, s.first, buf.series, buf.scratch);

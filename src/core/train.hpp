@@ -3,11 +3,12 @@
 // remaining chunk in parallel. Also hosts the DP path (Insight 4): restore a
 // public-data snapshot, then run DP-SGD fine-tuning.
 //
-// Thread budgeting: NetShareConfig::threads is the total budget. The seed
-// phase hands it all to the matmul kernel layer (ml/kernels.hpp); the
+// Thread budgeting: NetShareConfig::threads is the total budget, and each
+// phase passes its models their width as an argument. The seed model trains
+// alone and gets the whole budget as the width of its iteration stages; the
 // fine-tune phase splits it between chunk-level workers and per-worker
-// kernel threads. Determinism is unaffected — the kernels are bitwise
-// identical at any thread count.
+// widths (split_phase_budget). Determinism is unaffected — training is
+// bitwise identical at any width.
 //
 // Memory: every DoppelGanger owns its own ml::Workspace allocation arena
 // (DESIGN.md §6), so the chunk models fine-tuning in parallel here never
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/parallel.hpp"
 #include "gan/doppelganger.hpp"
 
 namespace netshare::core {
@@ -86,9 +88,12 @@ class ChunkedTrainer {
   // caller shares one training code path.
   //
   // begin_fit validates the per-chunk sample counts, sizes the run, picks
-  // the seed chunk, and prepares the checkpoint directory. train_seed must
-  // complete before any train_finetune; train_finetune is safe to call
-  // concurrently for distinct chunks (disjoint models_/report_ slots).
+  // the seed chunk, counts the chunks to fine-tune, and prepares the
+  // checkpoint directory. train_seed must complete before any
+  // train_finetune; train_finetune is safe to call concurrently for
+  // distinct chunks (disjoint models_/report_ slots). Each works out its
+  // model's width itself: the whole budget for the seed, the fine-tune
+  // split's per-worker share for a chunk.
   void begin_fit(const std::vector<std::size_t>& chunk_samples);
   std::size_t seed_chunk() const { return seed_chunk_; }
   void train_seed(const gan::TimeSeriesDataset& data);
@@ -116,7 +121,7 @@ class ChunkedTrainer {
   // `first_series + i` of chunk c draws from the counter-based stream
   // (mix_seed(seed, c), first_series + i), so the output is a pure function
   // of (c, seed, series index) — independent of batching, of call
-  // partitioning, and of worker/kernel thread counts. A chunk without a
+  // partitioning, and of worker counts. A chunk without a
   // model (no data) yields an empty series (0 rows). Zero steady-state
   // Matrix allocations after a same-shape warm-up call with the same
   // scratch. Concurrent calls, for one chunk or several, each need their
@@ -145,7 +150,7 @@ class ChunkedTrainer {
   // Samples counts[c] series from every chunk model. Each chunk's range is
   // cut into slice_series() slices, and the slices of all chunks (largest
   // chunk first) run as tasks on ThreadPool::shared(), up to the phase
-  // budget wide (see parallel_phase_budget / split_phase_budget). Chunks
+  // budget wide (see parallel_phase_budget). Chunks
   // without a model (or with counts[c] == 0) yield empty series.
   // `thread_budget` == 0 uses config.threads; any value produces
   // bitwise-identical output.
@@ -170,6 +175,9 @@ class ChunkedTrainer {
   static constexpr std::size_t kSliceBatches = 4;
 
   gan::DgConfig chunk_config() const;
+  // The budget (config.threads) split between `tasks` workers; see
+  // core/config.hpp for how config.kernels.threads enters.
+  PhaseBudget split(std::size_t tasks) const;
   std::string checkpoint_path(std::size_t c) const;
   // Restores chunk c's model from its on-disk checkpoint if one exists and
   // validates (CRC32 + shape); invalid files are diagnosed and ignored.
@@ -192,6 +200,7 @@ class ChunkedTrainer {
   const NetShareConfig config_;
   std::vector<std::unique_ptr<gan::DoppelGanger>> models_;
   std::size_t seed_chunk_ = 0;
+  std::size_t finetune_chunks_ = 0;  // non-empty chunks after the seed
   // Seed-model weights cached by train_seed; train_finetune warm-starts
   // from it (const between the seed phase and the last fine-tune).
   std::vector<double> seed_snapshot_;

@@ -102,8 +102,8 @@ class Ip2Vec {
   // mirroring nearest_if. All scratch comes from `ws` (a fixed number of
   // pooled buffers per call — zero allocations once warm); `ws` is not
   // reset, so callers may hold other pooled buffers across the call.
-  // Output is bitwise identical to nearest_batch_reference at any kernel
-  // thread count (the kernel determinism contract).
+  // Output is bitwise identical to nearest_batch_reference (the kernel
+  // determinism contract).
   void nearest_batch(const ml::Matrix& queries, TokenKind kind,
                      std::span<const std::uint8_t* const> masks,
                      std::span<Token> out, ml::Workspace& ws) const;

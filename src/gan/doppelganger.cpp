@@ -817,6 +817,11 @@ void DoppelGanger::fit(const TimeSeriesDataset& data) {
 }
 
 void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
+  fit(data, iterations, ml::kernels::effective_threads());
+}
+
+void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations,
+                       std::size_t width) {
   if (data.num_samples() == 0) {
     throw std::invalid_argument("DoppelGanger::fit: empty dataset");
   }
@@ -864,14 +869,14 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
     d_opt_->set_lr(config_.lr);
     guard_clock(sw);
   }
+  // A model's first iteration shapes every buffer the stages reuse from then
+  // on; it runs on the calling thread alone, so they come from the owner's
+  // heap arena rather than each helper's. The row slices are cut for the
+  // width either way.
+  slice_width_ = std::max<std::size_t>(1, width);
   int attempt = 0;
   int it = 0;
   while (it < iterations) {
-    // A model's first iteration shapes every buffer the stages reuse from
-    // then on; it runs on the calling thread alone, so they come from the
-    // owner's heap arena rather than each helper's. The row slices are cut
-    // for the budget either way.
-    slice_width_ = std::max<std::size_t>(1, ml::kernels::effective_threads());
     stage_width_ = warmed_ ? slice_width_ : 1;
     iteration(data, it + 1 < iterations);
     warmed_ = true;

@@ -85,13 +85,15 @@ class DoppelGanger {
   DoppelGanger(TimeSeriesSpec spec, DgConfig config, std::uint64_t seed);
 
   // Trains (or, when called on a restored model, fine-tunes) for
-  // config.iterations on `data`. Outside DP mode each iteration runs as a
-  // fixed sequence of row-sliced stages on ThreadPool::shared(),
-  // kernels::effective_threads() wide (DESIGN.md §5): the generator
+  // `iterations` on `data`. Outside DP mode each iteration runs as a fixed
+  // sequence of row-sliced stages on ThreadPool::shared(), up to `width`
+  // threads wide (0 counts as 1; DESIGN.md §5, *Width*): the generator
   // forwards, then each critic step, then the generator step. The weights
   // are bitwise identical at every width.
+  void fit(const TimeSeriesDataset& data, int iterations, std::size_t width);
+  // The perfbench shim's width-less forms (ml/kernels.hpp): config.iterations
+  // or `iterations`, at this thread's ml::kernels::effective_threads().
   void fit(const TimeSeriesDataset& data);
-  // Same, with an explicit iteration count (fine-tuning uses fewer).
   void fit(const TimeSeriesDataset& data, int iterations);
 
   // Samples n synthetic series.
@@ -103,7 +105,7 @@ class DoppelGanger {
   // (stream_seed, first_series + i), and every stage of the generator
   // forward pass is row-wise, so each output row is a pure function of its
   // own stream: results are bitwise independent of the batch size, of how
-  // callers partition [0, n) across calls, and of the kernel thread count.
+  // callers partition [0, n) across calls, and of the calling thread.
   // After a warm-up call with the same n and scratch, repeated calls perform
   // zero Matrix heap allocations (asserted in tests/test_generate.cpp). The
   // sampler reads only the weights and writes only `out` and `scratch`, so
@@ -327,9 +329,9 @@ class DoppelGanger {
   std::vector<std::size_t> rows_, row1_;
   std::vector<ParamPiece> pieces_;
 
-  // Stage width (kernels::effective_threads(), or 1 for a model's first
-  // iteration, which allocates every buffer on the calling thread) and the
-  // budget the row slices are cut for.
+  // Stage width (fit's width, or 1 for a model's first iteration, which
+  // allocates every buffer on the calling thread) and the width the row
+  // slices are cut for.
   std::size_t stage_width_ = 1;
   std::size_t slice_width_ = 1;
   bool warmed_ = false;  // a first iteration has run

@@ -6,11 +6,9 @@
 #include "ml/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -19,20 +17,8 @@
 namespace netshare::ml::kernels {
 namespace {
 
-// KernelConfig::threads, in an atomic: readers never lock, and threads
-// filling slices of one stage never queue on each other.
-std::atomic<std::size_t> g_threads{KernelConfig{}.threads};
-
-std::size_t env_threads() {
-  static const std::size_t cached = [] {
-    const char* s = std::getenv("NETSHARE_KERNEL_THREADS");
-    if (s == nullptr) return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    return end == s ? std::size_t{0} : static_cast<std::size_t>(v);
-  }();
-  return cached;
-}
+// The width this thread's ConfigOverride set (0 = none).
+thread_local std::size_t t_threads = 0;
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
@@ -71,20 +57,14 @@ const char* kernel_isa() {
 
 const char* kernel_flags() { return NETSHARE_KERNEL_FLAGS_STR; }
 
-KernelConfig config() {
-  KernelConfig cfg;
-  cfg.threads = g_threads.load(std::memory_order_relaxed);
-  return cfg;
+ConfigOverride::ConfigOverride(const KernelConfig& cfg) : saved_(t_threads) {
+  t_threads = cfg.threads;
 }
 
-void set_config(const KernelConfig& cfg) {
-  g_threads.store(cfg.threads, std::memory_order_relaxed);
-}
+ConfigOverride::~ConfigOverride() { t_threads = saved_; }
 
 std::size_t effective_threads() {
-  const std::size_t threads = g_threads.load(std::memory_order_relaxed);
-  if (threads > 0) return threads;
-  if (env_threads() > 0) return env_threads();
+  if (t_threads > 0) return t_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

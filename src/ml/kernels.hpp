@@ -46,39 +46,42 @@ const char* kernel_isa();
 // The kernel TU's compile flags, space-separated (src/CMakeLists.txt).
 const char* kernel_flags();
 
-// Process-wide kernel settings, held in an atomic (no lock). `threads`
-// is the thread budget of the current phase: the width of the row-sliced
-// stages of a DoppelGANger training iteration (DESIGN.md §5). The stages
-// run on the shared executor, the calling thread taking part, so the budget
-// caps concurrency but never creates threads; the kernels themselves always
-// run on the calling thread. `threads == 0`
-// resolves, in order, to the NETSHARE_KERNEL_THREADS environment variable
-// and then to std::thread::hardware_concurrency().
+// --- perfbench shim ---------------------------------------------------------
+// Widths are arguments: DoppelGanger::fit(data, iterations, width) takes the
+// width of its row-sliced stages, and ChunkedTrainer works out each phase's
+// share of NetShareConfig::threads (DESIGN.md §5, *Width*). The kernels
+// themselves always run on the calling thread. perfbench/nsbench.cpp, which
+// is pinned, still sets widths by override, so the surface it compiles
+// against stays, documented here and nowhere else:
+//   - KernelConfig, ConfigOverride and effective_threads() below;
+//   - NetShareConfig::kernels (core/config.hpp), whose `threads` the trainer
+//     also reads as the budget it splits, when non-zero;
+//   - PhaseBudget::kernel_cfg and split_phase_budget's KernelConfig argument
+//     (core/parallel.hpp);
+//   - the width-less DoppelGanger::fit(data[, iterations]), the one reader.
+// The override is thread-local: it sets the width of width-less fits on the
+// thread that holds it (0 = hardware concurrency), and no other thread sees
+// it.
 struct KernelConfig {
   std::size_t threads = 0;
 };
 
-// Reads / replaces the process-wide config. A new value applies from the
-// next read on; stages already running keep the width they started with.
-KernelConfig config();
-void set_config(const KernelConfig& cfg);
-
-// Stage width `threads` resolves to right now (>= 1).
-std::size_t effective_threads();
-
-// RAII override of the process-wide config (tests, trainer thread budgeting).
+// Sets this thread's width for the override's lifetime; the destructor puts
+// back the width it replaced.
 class ConfigOverride {
  public:
-  explicit ConfigOverride(const KernelConfig& cfg) : saved_(config()) {
-    set_config(cfg);
-  }
-  ~ConfigOverride() { set_config(saved_); }
+  explicit ConfigOverride(const KernelConfig& cfg);
+  ~ConfigOverride();
   ConfigOverride(const ConfigOverride&) = delete;
   ConfigOverride& operator=(const ConfigOverride&) = delete;
 
  private:
-  KernelConfig saved_;
+  std::size_t saved_;
 };
+
+// The width a width-less fit on this thread runs at (>= 1): the override's
+// threads, else std::thread::hardware_concurrency().
+std::size_t effective_threads();
 
 // Destination-passing kernels. `c` is reshaped to the product shape via
 // Matrix::resize — after a one-iteration warm-up the reshape reuses capacity

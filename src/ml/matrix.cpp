@@ -153,22 +153,6 @@ Matrix transpose(const Matrix& a) {
   return t;
 }
 
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  require(a.rows() == b.rows() && a.cols() == b.cols(), "hadamard: shape mismatch");
-  Matrix c = a;
-  for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] *= b.data()[i];
-  return c;
-}
-
-void hadamard_into(const Matrix& a, const Matrix& b, Matrix& out) {
-  require(a.rows() == b.rows() && a.cols() == b.cols(),
-          "hadamard_into: shape mismatch");
-  out.resize(a.rows(), a.cols());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = a.data()[i] * b.data()[i];
-  }
-}
-
 void copy_rows_into(const Matrix& src, Matrix& dst, std::size_t r0,
                     std::size_t r1) {
   require(src.cols() == dst.cols() && r0 <= r1 && r1 <= src.rows() &&
@@ -255,8 +239,6 @@ void slice_rows_into(const Matrix& a, std::size_t begin, std::size_t end,
     std::copy(arow, arow + a.cols(), out.row_ptr(i - begin));
   }
 }
-
-Matrix take_row(const Matrix& a, std::size_t r) { return slice_rows(a, r, r + 1); }
 
 Matrix stack_rows(const std::vector<Matrix>& rows) {
   Matrix c;

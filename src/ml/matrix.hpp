@@ -124,8 +124,6 @@ Matrix matmul_trans_b(const Matrix& a, const Matrix& b);
 }  // namespace reference
 
 Matrix transpose(const Matrix& a);
-// Elementwise product.
-Matrix hadamard(const Matrix& a, const Matrix& b);
 // Adds a 1×c row vector to every row of a (bias broadcast).
 Matrix add_row_broadcast(const Matrix& a, const Matrix& row);
 // In-place variant — same values, no copy (hot path of Linear/GRU forward).
@@ -138,8 +136,6 @@ Matrix concat_cols(const Matrix& a, const Matrix& b);
 std::pair<Matrix, Matrix> split_cols(const Matrix& a, std::size_t k);
 // Extracts rows [begin, end).
 Matrix slice_rows(const Matrix& a, std::size_t begin, std::size_t end);
-// Extracts a single row as 1×c.
-Matrix take_row(const Matrix& a, std::size_t r);
 // Stacks 1×c rows into an n×c matrix.
 Matrix stack_rows(const std::vector<Matrix>& rows);
 
@@ -147,7 +143,7 @@ Matrix stack_rows(const std::vector<Matrix>& rows);
 // Each writes the same values, in the same element order, as its allocating
 // counterpart above; `out` is reshaped via Matrix::resize (capacity-reusing)
 // and must not alias any input.
-void hadamard_into(const Matrix& a, const Matrix& b, Matrix& out);
+
 // Rows [r0, r1) of src into the same rows of dst, which must already have
 // src's column count and at least r1 rows.
 void copy_rows_into(const Matrix& src, Matrix& dst, std::size_t r0,

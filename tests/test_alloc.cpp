@@ -11,7 +11,6 @@
 
 #include "gan/doppelganger.hpp"
 #include "ml/gru.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/workspace.hpp"
@@ -138,11 +137,7 @@ gan::TimeSeriesDataset tiny_data(std::size_t n) {
   return data;
 }
 
-void expect_zero_steady_state_allocs(std::size_t kernel_threads) {
-  kernels::KernelConfig cfg;
-  cfg.threads = kernel_threads;
-  kernels::ConfigOverride guard(cfg);
-
+void expect_zero_steady_state_allocs(std::size_t width) {
   gan::DgConfig dg;
   dg.attr_noise_dim = 4;
   dg.feat_noise_dim = 4;
@@ -153,12 +148,12 @@ void expect_zero_steady_state_allocs(std::size_t kernel_threads) {
   dg.batch_size = 16;
   gan::DoppelGanger model(tiny_spec(), dg, 4321);
   const gan::TimeSeriesDataset data = tiny_data(64);
-  model.fit(data, 1);  // warm-up iteration populates pools and caches
+  model.fit(data, 1, width);  // warm-up iteration populates pools and caches
   alloc_counter::reset();
-  model.fit(data, 2);  // iterations 2-3: the steady state
+  model.fit(data, 2, width);  // iterations 2-3: the steady state
   EXPECT_EQ(alloc_counter::count(), 0u)
       << "DoppelGanger training allocated Matrix storage in steady state at "
-      << kernel_threads << " kernel thread(s)";
+      << "width " << width;
 }
 
 TEST(DoppelGanger, SteadyStateTrainingAllocatesNothingSerial) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/netshare.hpp"
 #include "core/postprocess.hpp"
@@ -238,6 +242,52 @@ TEST(NetShareEndToEnd, PacketPathProducesPackets) {
   std::size_t multi = 0;
   for (const auto& a : aggs) multi += a.packets > 1;
   EXPECT_GT(multi, 0u);
+}
+
+// Two NetShare objects fitting at once at thread budgets 1 and 4: each
+// passes its own models their widths, so neither fit can change the other's.
+// Each one's seed weights and generated trace equal its solo fit's, bit for
+// bit (the trace reads every chunk model).
+TEST(NetShareEndToEnd, ConcurrentFitsAtDifferentBudgetsMatchSoloFits) {
+  const auto bundle = datagen::make_dataset(datagen::DatasetId::kCidds, 600, 67);
+  struct Fit {
+    std::vector<double> seed_weights;
+    net::FlowTrace trace;
+  };
+  const auto fit = [&](std::size_t threads) {
+    NetShareConfig cfg = tiny_config();
+    cfg.threads = threads;
+    cfg.seed_iterations = 20;
+    cfg.finetune_iterations = 8;
+    NetShare model(cfg, shared_ip2vec());
+    model.fit(bundle.flows);
+    Rng rng(68);
+    return Fit{model.snapshot(), model.generate_flows(300, rng)};
+  };
+  const std::vector<std::size_t> budgets = {1, 4};
+  std::vector<Fit> solo, together(budgets.size());
+  for (const std::size_t threads : budgets) solo.push_back(fit(threads));
+  std::vector<std::string> errors(budgets.size());
+  std::vector<std::thread> fits;
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    fits.emplace_back([&, i] {
+      try {
+        together[i] = fit(budgets[i]);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (auto& t : fits) t.join();
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    SCOPED_TRACE(budgets[i]);
+    ASSERT_EQ(errors[i], "");
+    const std::vector<double>& a = together[i].seed_weights;
+    const std::vector<double>& b = solo[i].seed_weights;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+    EXPECT_EQ(together[i].trace.records, solo[i].trace.records);
+  }
 }
 
 TEST(NetShareEndToEnd, GenerateBeforeFitThrows) {

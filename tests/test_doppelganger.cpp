@@ -13,7 +13,6 @@
 
 #include "common/thread_pool.hpp"
 #include "gan/doppelganger.hpp"
-#include "ml/kernels.hpp"
 
 namespace netshare::gan {
 namespace {
@@ -124,14 +123,6 @@ TEST(DoppelGanger, SnapshotRestoreReproducesSamples) {
   EXPECT_EQ(sa.lengths, sb.lengths);
 }
 
-// Kernel budget for a test scope: the width of a training iteration's
-// stages.
-ml::kernels::KernelConfig width_config(std::size_t width) {
-  ml::kernels::KernelConfig kc;
-  kc.threads = width;
-  return kc;
-}
-
 // Parks every worker of the shared executor until release() (or
 // destruction), so whatever runs meanwhile must make progress on the calling
 // thread alone.
@@ -169,10 +160,9 @@ struct ParkedSharedWorkers {
 };
 
 double fit_cpu_seconds(std::size_t width) {
-  ml::kernels::ConfigOverride budget(width_config(width));
   DoppelGanger gan(toy_spec(), small_config(), 12);
   EXPECT_DOUBLE_EQ(gan.train_cpu_seconds(), 0.0);
-  gan.fit(toy_data(64, 13), 30);
+  gan.fit(toy_data(64, 13), 30, width);
   return gan.train_cpu_seconds();
 }
 
@@ -188,11 +178,10 @@ TEST(DoppelGanger, TrainingTracksCpuTime) {
 std::vector<double> fit_snapshot(std::size_t width, const DgConfig& cfg,
                                  bool park_workers = false,
                                  std::size_t samples = 64) {
-  ml::kernels::ConfigOverride budget(width_config(width));
   std::optional<ParkedSharedWorkers> parked;
   if (park_workers) parked.emplace();
   DoppelGanger gan(toy_spec(), cfg, 31);
-  gan.fit(toy_data(samples, 32), cfg.iterations);
+  gan.fit(toy_data(samples, 32), cfg.iterations, width);
   if (parked) parked->release();
   return gan.snapshot();
 }

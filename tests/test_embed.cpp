@@ -14,7 +14,6 @@
 #include "embed/ip2vec.hpp"
 #include "embed/transforms.hpp"
 #include "embed/vocab.hpp"
-#include "ml/kernels.hpp"
 #include "ml/workspace.hpp"
 
 namespace netshare::embed {
@@ -401,21 +400,16 @@ class NearestBatchTest : public ::testing::Test {
   Ip2Vec model_;
 };
 
-TEST_F(NearestBatchTest, MatchesReferenceAcrossKernelThreadCounts) {
+TEST_F(NearestBatchTest, MatchesReference) {
   const ml::Matrix q = make_queries(777, 31);
   for (TokenKind kind : {TokenKind::kIp, TokenKind::kPort}) {
     std::vector<Token> ref(q.rows());
     model_.nearest_batch_reference(q, kind, {}, ref);
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      ml::kernels::KernelConfig kcfg;
-      kcfg.threads = threads;
-      ml::kernels::ConfigOverride guard(kcfg);
-      ml::Workspace ws;
-      std::vector<Token> got(q.rows());
-      model_.nearest_batch(q, kind, {}, got, ws);
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i], ref[i]) << "threads=" << threads << " row=" << i;
-      }
+    ml::Workspace ws;
+    std::vector<Token> got(q.rows());
+    model_.nearest_batch(q, kind, {}, got, ws);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], ref[i]) << "row=" << i;
     }
   }
 }

@@ -1,6 +1,6 @@
 // Tests of the parallel zero-allocation generation path (DESIGN.md §7):
 // batched sampling must be bitwise identical to per-series sampling, to any
-// partition of the series range, and to any worker / kernel-thread count;
+// partition of the series range, and to any worker count;
 // steady-state batched sampling must perform zero Matrix heap allocations;
 // and the parallel postprocess passes must match their serial results while
 // enforcing the header-validity invariants.
@@ -19,7 +19,6 @@
 #include "core/train.hpp"
 #include "datagen/presets.hpp"
 #include "gan/doppelganger.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 
 namespace netshare {
@@ -146,44 +145,29 @@ TEST(SampleInto, PartitionInvariant) {
   }
 }
 
-TEST(SampleInto, KernelThreadCountInvariant) {
+TEST(SampleInto, WarmScratchRepeatsTheSeries) {
   const gan::DoppelGanger& model = tiny_trained_model();
   gan::SampleScratch scratch;
-  gan::GeneratedSeries serial, parallel;
-  {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = 1;
-    ml::kernels::ConfigOverride guard(cfg);
-    model.sample_into(32, 5, 0, serial, scratch);
-  }
-  {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = 4;
-    ml::kernels::ConfigOverride guard(cfg);
-    model.sample_into(32, 5, 0, parallel, scratch);
-  }
-  EXPECT_TRUE(series_eq(serial, parallel));
+  gan::GeneratedSeries cold, warm;
+  model.sample_into(32, 5, 0, cold, scratch);
+  model.sample_into(32, 5, 0, warm, scratch);
+  EXPECT_TRUE(series_eq(cold, warm));
 }
 
 TEST(SampleInto, ZeroSteadyStateAllocations) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ml::kernels::KernelConfig cfg;
-    cfg.threads = threads;
-    ml::kernels::ConfigOverride guard(cfg);
-    const gan::DoppelGanger& model = tiny_trained_model();
-    // Each scratch warms up on its own; a second, fresh scratch must reach
-    // the same steady state.
-    for (int k = 0; k < 2; ++k) {
-      gan::SampleScratch scratch;
-      gan::GeneratedSeries out;
-      model.sample_into(32, 11, 0, out, scratch);  // warm-up sizes buffers
-      ml::alloc_counter::reset();
-      model.sample_into(32, 11, 0, out, scratch);
-      model.sample_into(32, 12, 0, out, scratch);
-      EXPECT_EQ(ml::alloc_counter::count(), 0u)
-          << "batched sampling allocated Matrix storage in steady state at "
-          << threads << " kernel thread(s), scratch " << k;
-    }
+  const gan::DoppelGanger& model = tiny_trained_model();
+  // Each scratch warms up on its own; a second, fresh scratch must reach
+  // the same steady state.
+  for (int k = 0; k < 2; ++k) {
+    gan::SampleScratch scratch;
+    gan::GeneratedSeries out;
+    model.sample_into(32, 11, 0, out, scratch);  // warm-up sizes buffers
+    ml::alloc_counter::reset();
+    model.sample_into(32, 11, 0, out, scratch);
+    model.sample_into(32, 12, 0, out, scratch);
+    EXPECT_EQ(ml::alloc_counter::count(), 0u)
+        << "batched sampling allocated Matrix storage in steady state, "
+        << "scratch " << k;
   }
 }
 

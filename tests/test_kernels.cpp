@@ -1,18 +1,20 @@
 // Determinism/regression harness for the kernel layer: bitwise
 // equivalence of the register-tiled kernels against the serial reference
 // kernels (ml::reference, built without the kernel TU's -march=native, so
-// every comparison is a vector body against a scalar chain) across shapes
-// and thread counts, the prepacked trans_b and the serial row-range forms
-// against the whole-batch entry points, the fused and seeded gates against
-// the unfused reference composition, Adam's per-parameter update against
-// its serial step, config plumbing, the transcendentals' error against libm
-// and their special values, and a seeded end-to-end check that
-// DoppelGanger training is bit-for-bit unchanged by kernel parallelism.
+// every comparison is a vector body against a scalar chain) across shapes,
+// the prepacked trans_b and the serial row-range forms against the
+// whole-batch entry points, the fused and seeded gates against the unfused
+// reference composition, Adam's per-parameter update against its serial
+// step, the perfbench shim's per-thread width override, the
+// transcendentals' error against libm and their special values, and a
+// seeded end-to-end check that DoppelGanger training is bit-for-bit
+// unchanged by its stage width.
 // The ragged-shape sweep over every tile edge and the transcendentals'
 // vectorized loops against their per-element bodies are in test_simd.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -64,7 +66,7 @@ const Shape kShapes[] = {
     {33, 200, 129, "k-spans-tiles"},
 };
 
-TEST(Kernels, BitwiseIdenticalToReferenceAcrossShapesAndThreads) {
+TEST(Kernels, BitwiseIdenticalToReferenceAcrossShapes) {
   Rng rng(101);
   for (const Shape& s : kShapes) {
     const Matrix a = Matrix::randn(s.rows, s.inner, rng);
@@ -74,20 +76,14 @@ TEST(Kernels, BitwiseIdenticalToReferenceAcrossShapesAndThreads) {
     const Matrix ref = reference::matmul(a, b);
     const Matrix ref_ta = reference::matmul_trans_a(at, b);
     const Matrix ref_tb = reference::matmul_trans_b(a, bt);
-    for (std::size_t threads = 1; threads <= 8; ++threads) {
-      kernels::KernelConfig cfg;
-      cfg.threads = threads;
-      kernels::ConfigOverride guard(cfg);
-      SCOPED_TRACE(std::string(s.label) + " threads=" +
-                   std::to_string(threads));
-      expect_bitwise(matmul(a, b), ref, "matmul");
-      expect_bitwise(matmul_trans_a(at, b), ref_ta, "matmul_trans_a");
-      expect_bitwise(matmul_trans_b(a, bt), ref_tb, "matmul_trans_b");
-    }
+    SCOPED_TRACE(s.label);
+    expect_bitwise(matmul(a, b), ref, "matmul");
+    expect_bitwise(matmul_trans_a(at, b), ref_ta, "matmul_trans_a");
+    expect_bitwise(matmul_trans_b(a, bt), ref_tb, "matmul_trans_b");
   }
 }
 
-TEST(Kernels, IntoVariantsMatchAllocatingAndReferenceAcrossThreads) {
+TEST(Kernels, IntoVariantsMatchAllocatingAndReference) {
   Rng rng(105);
   for (const Shape& s : kShapes) {
     const Matrix a = Matrix::randn(s.rows, s.inner, rng);
@@ -100,24 +96,18 @@ TEST(Kernels, IntoVariantsMatchAllocatingAndReferenceAcrossThreads) {
     // Start from a deliberately wrong-shaped buffer: the into-kernels must
     // reshape it (capacity reuse) and still produce bitwise-identical output.
     Matrix c(3, 7, 42.0);
-    for (std::size_t threads = 1; threads <= 8; ++threads) {
-      kernels::KernelConfig cfg;
-      cfg.threads = threads;
-      kernels::ConfigOverride guard(cfg);
-      SCOPED_TRACE(std::string(s.label) + " threads=" +
-                   std::to_string(threads));
-      kernels::matmul_into(a, b, c);
-      expect_bitwise(c, ref, "matmul_into");
-      expect_bitwise(c, matmul(a, b), "matmul_into vs allocating");
-      kernels::matmul_trans_a_into(at, b, c);
-      expect_bitwise(c, ref_ta, "matmul_trans_a_into");
-      expect_bitwise(c, matmul_trans_a(at, b),
-                     "matmul_trans_a_into vs allocating");
-      kernels::matmul_trans_b_into(a, bt, c);
-      expect_bitwise(c, ref_tb, "matmul_trans_b_into");
-      expect_bitwise(c, matmul_trans_b(a, bt),
-                     "matmul_trans_b_into vs allocating");
-    }
+    SCOPED_TRACE(s.label);
+    kernels::matmul_into(a, b, c);
+    expect_bitwise(c, ref, "matmul_into");
+    expect_bitwise(c, matmul(a, b), "matmul_into vs allocating");
+    kernels::matmul_trans_a_into(at, b, c);
+    expect_bitwise(c, ref_ta, "matmul_trans_a_into");
+    expect_bitwise(c, matmul_trans_a(at, b),
+                   "matmul_trans_a_into vs allocating");
+    kernels::matmul_trans_b_into(a, bt, c);
+    expect_bitwise(c, ref_tb, "matmul_trans_b_into");
+    expect_bitwise(c, matmul_trans_b(a, bt),
+                   "matmul_trans_b_into vs allocating");
   }
 }
 
@@ -126,8 +116,6 @@ TEST(Kernels, ElementwiseIntoHelpersMatchAllocatingCounterparts) {
   const Matrix a = Matrix::randn(37, 23, rng);
   const Matrix b = Matrix::randn(37, 23, rng);
   Matrix out(1, 1);  // wrong shape on purpose
-  hadamard_into(a, b, out);
-  expect_bitwise(out, hadamard(a, b), "hadamard_into");
   sum_rows_into(a, out);
   expect_bitwise(out, sum_rows(a), "sum_rows_into");
   concat_cols_into(a, b, out);
@@ -166,16 +154,16 @@ Matrix reference_gate(const Matrix& x, const Matrix& wx, const Matrix& h,
   return out;
 }
 
-// batch x in -> hid gate shapes: the paper-shaped step (33x29->41) at every
-// width 1-8, then ragged ones at widths 1 and 3 that reach the 16-wide and
-// 4-wide tiles and the one-column tail.
-TEST(Kernels, FusedGruGateMatchesUnfusedCompositionAcrossThreads) {
+// batch x in -> hid gate shapes: the paper-shaped step (33x29->41), then
+// ragged ones that reach the 16-wide and 4-wide tiles and the one-column
+// tail.
+TEST(Kernels, FusedGruGateMatchesUnfusedComposition) {
   struct GateShape {
-    std::size_t batch, in, hid, max_threads;
+    std::size_t batch, in, hid;
   };
-  const GateShape shapes[] = {{33, 29, 41, 8}, {1, 1, 1, 3},   {2, 3, 5, 3},
-                              {17, 13, 17, 3}, {33, 7, 41, 3}, {16, 16, 48, 3},
-                              {5, 11, 19, 3},  {13, 2, 37, 3}};
+  const GateShape shapes[] = {{33, 29, 41}, {1, 1, 1},   {2, 3, 5},
+                              {17, 13, 17}, {33, 7, 41}, {16, 16, 48},
+                              {5, 11, 19},  {13, 2, 37}};
   Rng rng(107);
   for (const GateShape& g : shapes) {
     const Matrix x = randn_with_zeros(g.batch, g.in, rng);
@@ -187,34 +175,45 @@ TEST(Kernels, FusedGruGateMatchesUnfusedCompositionAcrossThreads) {
          {kernels::GateAct::kSigmoid, kernels::GateAct::kTanh}) {
       const Matrix want = reference_gate(x, wx, h, wh, bias, act);
       Matrix scratch, out;
-      for (std::size_t threads = 1; threads <= g.max_threads;
-           threads += g.max_threads == 8 ? 1 : 2) {
-        kernels::KernelConfig cfg;
-        cfg.threads = threads;
-        kernels::ConfigOverride guard(cfg);
-        SCOPED_TRACE(std::string(act == kernels::GateAct::kSigmoid
-                                     ? "sigmoid"
-                                     : "tanh") +
-                     " gate=" + std::to_string(g.batch) + "x" +
-                     std::to_string(g.in) + "x" + std::to_string(g.hid) +
-                     " threads=" + std::to_string(threads));
-        kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
-        expect_bitwise(out, want, "gru_gate_into");
-      }
+      SCOPED_TRACE(std::string(act == kernels::GateAct::kSigmoid ? "sigmoid"
+                                                                 : "tanh") +
+                   " gate=" + std::to_string(g.batch) + "x" +
+                   std::to_string(g.in) + "x" + std::to_string(g.hid));
+      kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
+      expect_bitwise(out, want, "gru_gate_into");
     }
   }
 }
 
-TEST(Kernels, ConfigRoundTripAndOverrideRestore) {
-  const kernels::KernelConfig before = kernels::config();
-  {
-    kernels::KernelConfig cfg;
-    cfg.threads = 6;
-    kernels::ConfigOverride guard(cfg);
-    EXPECT_EQ(kernels::config().threads, 6u);
-    EXPECT_EQ(kernels::effective_threads(), 6u);
+// The perfbench shim's override is the holding thread's alone: two threads
+// whose overrides overlap each read back their own width, and each gets the
+// width it had before once its override ends, in whatever order the two
+// end. A process-wide override fails all of this.
+TEST(Kernels, ConfigOverrideIsPerThread) {
+  std::barrier sync(2);
+  std::vector<std::size_t> inside(2), after(2), before(2);
+  std::vector<std::thread> holders;
+  for (std::size_t t = 0; t < 2; ++t) {
+    holders.emplace_back([t, &sync, &inside, &after, &before] {
+      before[t] = kernels::effective_threads();
+      {
+        kernels::KernelConfig cfg;
+        cfg.threads = t == 0 ? 4 : 1;
+        kernels::ConfigOverride guard(cfg);
+        sync.arrive_and_wait();  // both overrides are live
+        inside[t] = kernels::effective_threads();
+        sync.arrive_and_wait();
+        // Thread 1's override ends first: not the LIFO order of one stack.
+        if (t == 0) sync.arrive_and_wait();
+      }
+      if (t == 1) sync.arrive_and_wait();
+      after[t] = kernels::effective_threads();
+    });
   }
-  EXPECT_EQ(kernels::config().threads, before.threads);
+  for (auto& h : holders) h.join();
+  EXPECT_EQ(inside[0], 4u);
+  EXPECT_EQ(inside[1], 1u);
+  EXPECT_EQ(after, before);
 }
 
 // The build facts a bench fingerprint records: the kernel TU's ISA agrees
@@ -232,12 +231,9 @@ TEST(Kernels, KernelIsaNamesTheBuild) {
 
 TEST(Kernels, ConcurrentCallersShareThePoolSafely) {
   // Several caller threads issuing matmuls at once, each through its own
-  // thread-local scratch and the lock-free config — the situation
-  // ChunkedTrainer creates during parallel chunk fine-tuning. Run under
-  // NETSHARE_SANITIZE=thread this is the central race check.
-  kernels::KernelConfig cfg;
-  cfg.threads = 4;
-  kernels::ConfigOverride guard(cfg);
+  // thread-local scratch — the situation ChunkedTrainer creates during
+  // parallel chunk fine-tuning. Run under NETSHARE_SANITIZE=thread this is
+  // the central race check.
   std::vector<std::thread> callers;
   std::vector<int> ok(4, 0);
   for (int t = 0; t < 4; ++t) {
@@ -716,7 +712,7 @@ TEST(Kernels, IntoKernelsOperateOnAdjacentWorkspaceBuffers) {
   }
 }
 
-// --- end-to-end: GAN training is bitwise independent of kernel threads ----
+// --- end-to-end: GAN training is bitwise independent of its width ---------
 
 gan::TimeSeriesSpec tiny_spec() {
   gan::TimeSeriesSpec spec;
@@ -746,12 +742,8 @@ gan::TimeSeriesDataset tiny_data(std::size_t n) {
   return data;
 }
 
-std::vector<double> train_and_snapshot(std::size_t kernel_threads,
+std::vector<double> train_and_snapshot(std::size_t width,
                                        gan::GeneratedSeries* sampled) {
-  kernels::KernelConfig cfg;
-  cfg.threads = kernel_threads;
-  kernels::ConfigOverride guard(cfg);
-
   gan::DgConfig dg;
   dg.attr_noise_dim = 4;
   dg.feat_noise_dim = 4;
@@ -761,7 +753,7 @@ std::vector<double> train_and_snapshot(std::size_t kernel_threads,
   dg.aux_hidden = {12};
   dg.batch_size = 16;
   gan::DoppelGanger model(tiny_spec(), dg, 1234);
-  model.fit(tiny_data(64), 25);
+  model.fit(tiny_data(64), 25, width);
   Rng sample_rng(55);
   *sampled = model.sample(12, sample_rng);
   return model.snapshot();

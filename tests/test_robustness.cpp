@@ -23,7 +23,6 @@
 #include "gan/doppelganger.hpp"
 #include "gan/tabular_gan.hpp"
 #include "ml/health.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/serialize.hpp"
@@ -258,12 +257,9 @@ TEST(HealthGuard, InjectedNanRollsBackAndRecovers) {
   plan.nan_at_step = 8;  // detected by the step-10 check (check_every = 5)
   std::vector<double> serial;
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    ml::kernels::KernelConfig kc;
-    kc.threads = width;
-    ml::kernels::ConfigOverride budget(kc);
     gan::DoppelGanger m(tiny_spec(), tiny_dg(), 4321);
     ScopedFaultPlan arm(plan);
-    m.fit(tiny_data(64, 78), 20);
+    m.fit(tiny_data(64, 78), 20, width);
     EXPECT_GE(m.health_stats().rollbacks, 1) << "width " << width;
     const std::vector<double> w = m.snapshot();
     if (width == 1) {
@@ -329,17 +325,14 @@ TEST(HealthGuard, HealthyPathBitwiseIdenticalWithGuardsOnOrOff) {
 }
 
 TEST(HealthGuard, SteadyStateTrainingAllocatesNothingWithGuardsOn) {
-  ml::kernels::KernelConfig cfg;
-  cfg.threads = 4;
-  ml::kernels::ConfigOverride guard(cfg);
   gan::DgConfig dg = tiny_dg();
   dg.health.check_every = 1;  // guard + checkpoint on every iteration
   dg.health.checkpoint_every = 1;
   gan::DoppelGanger model(tiny_spec(), dg, 4321);
   const gan::TimeSeriesDataset data = tiny_data(64, 78);
-  model.fit(data, 1);  // warm-up populates pools and the monitor buffer
+  model.fit(data, 1, 4);  // warm-up populates pools and the monitor buffer
   ml::alloc_counter::reset();
-  model.fit(data, 2);
+  model.fit(data, 2, 4);
   EXPECT_EQ(ml::alloc_counter::count(), 0u)
       << "health-guarded training allocated Matrix storage in steady state";
 }

@@ -2,7 +2,7 @@
 // product kernel against the ml::reference oracles (built without the
 // kernel TU's -march=native, so each comparison is a vector body against a
 // scalar chain) over ragged and empty shapes that reach the 16-column and
-// 4-column tiles and the one-column tail, at 1 and 3 threads; and the
+// 4-column tiles and the one-column tail; and the
 // transcendentals' vectorized loops (exp, sigmoid, tanh, softmax) against
 // their per-element bodies on special and ragged inputs.
 #include <gtest/gtest.h>
@@ -85,27 +85,21 @@ TEST(Simd, PropertySweepRaggedAndEmptyShapesMatchReference) {
     const Matrix acc0 = Matrix::randn(m, n, rng);
     Matrix want_acc = acc0;
     want_acc += reference::matmul_trans_a(at, b);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      kernels::KernelConfig cfg;
-      cfg.threads = threads;
-      kernels::ConfigOverride guard(cfg);
-      SCOPED_TRACE("shape=" + std::to_string(m) + "x" + std::to_string(k) +
-                   "x" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      kernels::matmul_into(a, b, c);
-      expect_bitwise(c, reference::matmul(a, b), "matmul_into");
-      kernels::matmul_trans_a_into(at, b, c);
-      expect_bitwise(c, reference::matmul_trans_a(at, b),
-                     "matmul_trans_a_into");
-      kernels::matmul_trans_b_into(a, bt, c);
-      expect_bitwise(c, reference::matmul_trans_b(a, bt),
-                     "matmul_trans_b_into");
-      kernels::matmul_bias_into(a, b, bias, c);
-      expect_bitwise(c, want_bias, "matmul_bias_into");
-      Matrix acc = acc0;
-      kernels::matmul_trans_a_acc_into(at, b, acc);
-      expect_bitwise(acc, want_acc, "matmul_trans_a_acc_into");
-    }
+    SCOPED_TRACE("shape=" + std::to_string(m) + "x" + std::to_string(k) +
+                 "x" + std::to_string(n));
+    kernels::matmul_into(a, b, c);
+    expect_bitwise(c, reference::matmul(a, b), "matmul_into");
+    kernels::matmul_trans_a_into(at, b, c);
+    expect_bitwise(c, reference::matmul_trans_a(at, b),
+                   "matmul_trans_a_into");
+    kernels::matmul_trans_b_into(a, bt, c);
+    expect_bitwise(c, reference::matmul_trans_b(a, bt),
+                   "matmul_trans_b_into");
+    kernels::matmul_bias_into(a, b, bias, c);
+    expect_bitwise(c, want_bias, "matmul_bias_into");
+    Matrix acc = acc0;
+    kernels::matmul_trans_a_acc_into(at, b, acc);
+    expect_bitwise(acc, want_acc, "matmul_trans_a_acc_into");
   }
 }
 
