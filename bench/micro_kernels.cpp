@@ -1,8 +1,8 @@
 // Micro-benchmark of the kernel layer: the serial reference vs the
-// register-tiled kernels, the fused GRU gate against the unfused
-// composition as interleaved pairs, plus end-to-end DoppelGANger training
-// throughput. Every row is the median of several repetitions, with its IQR
-// recorded beside it. The kernels are serial
+// register-tiled kernels (trans_b against its reference, and the fused GRU
+// gate against the unfused composition, as interleaved pairs), plus
+// end-to-end DoppelGANger training throughput. Every row is the median of
+// several repetitions, with its IQR recorded beside it. The kernels are serial
 // leaves (parallelism lives in the callers' row slices), so kernel rows are
 // measured at one width; the DoppelGANger rows sweep the stage width,
 // clamped to hardware_concurrency — widths beyond the machine's cores
@@ -77,7 +77,7 @@ std::vector<double> iqrs(const std::vector<MedianIqr>& v) {
   return out;
 }
 
-enum class Op { kMatmul, kTransA, kTransB };
+enum class Op { kMatmul, kTransA };
 
 KernelRow bench_op(Op op, std::size_t n) {
   Rng rng(op == Op::kMatmul ? 2 : 3);
@@ -88,7 +88,6 @@ KernelRow bench_op(Op op, std::size_t n) {
     switch (op) {
       case Op::kMatmul: ml::reference::matmul(a, b); break;
       case Op::kTransA: ml::reference::matmul_trans_a(a, b); break;
-      case Op::kTransB: ml::reference::matmul_trans_b(a, b); break;
     }
   };
   row.reference = gflops_reps(n, run_ref);
@@ -96,7 +95,6 @@ KernelRow bench_op(Op op, std::size_t n) {
     switch (op) {
       case Op::kMatmul: ml::matmul(a, b); break;
       case Op::kTransA: ml::matmul_trans_a(a, b); break;
-      case Op::kTransB: ml::matmul_trans_b(a, b); break;
     }
   };
   row.kernel = gflops_reps(n, run_kernel);
@@ -168,22 +166,57 @@ std::vector<DgResult> bench_dg_rows(const std::vector<std::size_t>& widths,
   return rows;
 }
 
-// Fused GRU gate vs the unfused matmul + add + bias + activation
-// composition, at the paper-shaped GRU step (batch 64, input 12, hidden
-// 48), timed as kGatePairs interleaved pairs: each pair takes one best-of
-// window of either form, the pair's first form alternating, and gives one
-// fused / unfused throughput ratio. The gated number is the median of those
-// ratios: a host that slows down for a while slows both halves of a pair,
-// so the ratio keeps the fused gate's margin where separate medians of the
+// Two forms of one computation timed as kPairs interleaved pairs: each pair
+// takes one best-of window of either form, the pair's first form
+// alternating, and gives one throughput ratio. A gate reads the median of
+// those ratios: a host that slows down for a while slows both halves of a
+// pair, so the ratio keeps a kernel's margin where separate medians of the
 // two forms, each measured in its own window, let the drift decide.
-constexpr int kGatePairs = 21;
+constexpr int kPairs = 21;
 
-struct GatePairs {
-  MedianIqr fused, unfused;  // gates/s, the medians of each form's windows
-  MedianIqr ratio;           // fused / unfused, per pair
+struct Pairs {
+  MedianIqr fast, slow;  // per_call / s, medians of each form's windows
+  MedianIqr ratio;       // fast / slow, per pair
 };
 
-GatePairs bench_gate_pairs() {
+Pairs interleaved_pairs(double per_call, const std::function<void()>& fast,
+                        const std::function<void()>& slow,
+                        double min_seconds) {
+  std::vector<double> fast_rate, slow_rate, ratio;
+  for (int p = 0; p < kPairs; ++p) {
+    double f = 0.0, s = 0.0;
+    if (p % 2 == 0) {
+      f = per_call / bench::time_best(fast, min_seconds);
+      s = per_call / bench::time_best(slow, min_seconds);
+    } else {
+      s = per_call / bench::time_best(slow, min_seconds);
+      f = per_call / bench::time_best(fast, min_seconds);
+    }
+    fast_rate.push_back(f);
+    slow_rate.push_back(s);
+    ratio.push_back(f / s);
+  }
+  return {bench::median_iqr(fast_rate), bench::median_iqr(slow_rate),
+          bench::median_iqr(ratio)};
+}
+
+// The trans_b kernel against its serial reference at 256³, in GFLOP/s, as
+// interleaved pairs (gated: kernel / reference >= 2, the pair median).
+Pairs bench_trans_b_pairs() {
+  constexpr std::size_t n = 256;
+  Rng rng(3);
+  const Matrix a = Matrix::randn(n, n, rng);
+  const Matrix b = Matrix::randn(n, n, rng);
+  return interleaved_pairs(
+      2.0 * n * n * n / 1e9, [&] { ml::matmul_trans_b(a, b); },
+      [&] { ml::reference::matmul_trans_b(a, b); }, 0.06);
+}
+
+// Fused GRU gate vs the unfused matmul + add + bias + activation
+// composition, at the paper-shaped GRU step (batch 64, input 12, hidden
+// 48), in gates/s, as interleaved pairs (gated: fused / unfused >= 1.15,
+// the pair median).
+Pairs bench_gate_pairs() {
   Rng rng(5);
   const Matrix x = Matrix::randn(64, 12, rng);
   const Matrix wx = Matrix::randn(12, 48, rng);
@@ -200,22 +233,7 @@ GatePairs bench_gate_pairs() {
     ml::add_row_broadcast_inplace(u, bias);
     ml::sigmoid_inplace(u);
   };
-  std::vector<double> fused_rate, unfused_rate, ratio;
-  for (int p = 0; p < kGatePairs; ++p) {
-    double f = 0.0, u = 0.0;
-    if (p % 2 == 0) {
-      f = 1.0 / bench::time_best(fused, 0.03);
-      u = 1.0 / bench::time_best(unfused, 0.03);
-    } else {
-      u = 1.0 / bench::time_best(unfused, 0.03);
-      f = 1.0 / bench::time_best(fused, 0.03);
-    }
-    fused_rate.push_back(f);
-    unfused_rate.push_back(u);
-    ratio.push_back(f / u);
-  }
-  return {bench::median_iqr(fused_rate), bench::median_iqr(unfused_rate),
-          bench::median_iqr(ratio)};
+  return interleaved_pairs(1.0, fused, unfused, 0.03);
 }
 
 // The repo-owned transcendentals, in elements/s
@@ -345,10 +363,9 @@ MedianIqr bench_seeded_gate(ml::kernels::GateAct act) {
   const Matrix wh = Matrix::randn(48, 48, rng);
   const Matrix bias = Matrix::randn(1, 48, rng);
   const Matrix seed = Matrix::randn(64, 48, rng);
-  Matrix scratch(64, 48), out(64, 48);
+  Matrix out(64, 48);
   return rate_reps(1.0, [&] {
-    ml::kernels::gru_gate_rows(x, wx, h, wh, bias, act, scratch, out, 0, 64,
-                               &seed);
+    ml::kernels::gru_gate_rows(x, wx, h, wh, bias, act, out, 0, 64, &seed);
   }, kKernelReps);
 }
 
@@ -456,22 +473,25 @@ int main(int argc, char** argv) {
                 kKernelReps);
   }
   const KernelRow ta = bench_op(Op::kTransA, 256);
-  const KernelRow tb = bench_op(Op::kTransB, 256);
-  for (const auto* row : {&ta, &tb}) {
-    std::printf("%s 256: ref %.2f, kernel %.2f (IQR %.2f) GFLOP/s "
-                "(kernel/ref %.2fx)\n",
-                row == &ta ? "matmul_trans_a" : "matmul_trans_b",
-                row->reference.median, row->kernel.median, row->kernel.iqr,
-                row->kernel.median / row->reference.median);
-  }
+  std::printf("matmul_trans_a 256: ref %.2f, kernel %.2f (IQR %.2f) GFLOP/s "
+              "(kernel/ref %.2fx)\n",
+              ta.reference.median, ta.kernel.median, ta.kernel.iqr,
+              ta.kernel.median / ta.reference.median);
+  const Pairs tb_pairs = bench_trans_b_pairs();
+  const KernelRow tb{tb_pairs.slow, tb_pairs.fast};
+  std::printf("matmul_trans_b 256, %d interleaved pairs: kernel / ref "
+              "%.3fx (IQR %.3f); ref %.2f (IQR %.2f), kernel %.2f (IQR "
+              "%.2f) GFLOP/s\n",
+              kPairs, tb_pairs.ratio.median, tb_pairs.ratio.iqr,
+              tb.reference.median, tb.reference.iqr, tb.kernel.median,
+              tb.kernel.iqr);
 
-  const GatePairs gate = bench_gate_pairs();
+  const Pairs gate = bench_gate_pairs();
   std::printf("gru gate 64x12x48, %d interleaved pairs: fused / unfused "
               "%.3fx (IQR %.3f); unfused %.0f/s (IQR %.0f), fused %.0f/s "
               "(IQR %.0f)\n",
-              kGatePairs, gate.ratio.median, gate.ratio.iqr,
-              gate.unfused.median, gate.unfused.iqr, gate.fused.median,
-              gate.fused.iqr);
+              kPairs, gate.ratio.median, gate.ratio.iqr, gate.slow.median,
+              gate.slow.iqr, gate.fast.median, gate.fast.iqr);
 
   const std::vector<TranscendentalRow> trans = bench_transcendentals();
   for (const TranscendentalRow& r : trans) {
@@ -563,18 +583,21 @@ int main(int argc, char** argv) {
                  kernel_row(mm[i]).c_str(), i + 1 < mm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  for (const auto* row : {&ta, &tb}) {
-    std::fprintf(f, "  \"matmul_trans_%s_256_gflops\": {%s},\n",
-                 row == &ta ? "a" : "b", kernel_row(*row).c_str());
-  }
+  std::fprintf(f, "  \"matmul_trans_a_256_gflops\": {%s},\n",
+               kernel_row(ta).c_str());
+  std::fprintf(f,
+               "  \"matmul_trans_b_256_gflops\": {%s, \"pairs\": %d, "
+               "\"kernel_over_reference\": %.4f, "
+               "\"kernel_over_reference_iqr\": %.4f},\n",
+               kernel_row(tb).c_str(), kPairs, tb_pairs.ratio.median,
+               tb_pairs.ratio.iqr);
   std::fprintf(f,
                "  \"gru_gate_per_sec\": {\"pairs\": %d, "
                "\"fused_over_unfused\": %.4f, "
                "\"fused_over_unfused_iqr\": %.4f, \"unfused\": %.1f, "
                "\"unfused_iqr\": %.1f, \"fused\": %.1f, \"fused_iqr\": %.1f},\n",
-               kGatePairs, gate.ratio.median, gate.ratio.iqr,
-               gate.unfused.median, gate.unfused.iqr, gate.fused.median,
-               gate.fused.iqr);
+               kPairs, gate.ratio.median, gate.ratio.iqr, gate.slow.median,
+               gate.slow.iqr, gate.fast.median, gate.fast.iqr);
   std::fprintf(f,
                "  \"transcendentals_per_sec\": {\"n\": %zu, "
                "\"call_widths\": [1, 3, 48, 4096]",

@@ -218,8 +218,7 @@ void DoppelGanger::generator_forward(const Matrix& za,
     cs.fake_attr.resize(b, A);
     cs.xf.resize(b, A + T * step_dim);
     for (Matrix* m : {&g.h, &g.h_next, &g.gru.z, &g.gru.r, &g.gru.c,
-                      &g.gru.rh, &g.gru.gate, &g.proj.z, &g.proj.r,
-                      &g.proj.c}) {
+                      &g.gru.rh, &g.proj.z, &g.proj.r, &g.proj.c}) {
       m->resize(b, H);
     }
     g.lin.resize(b, step_dim);

@@ -53,7 +53,7 @@ void Gru::prepare_forward(std::size_t T, std::size_t batch) {
     }
   }
   cond_.resize(batch, cond_dim_);
-  for (Matrix* m : {&proj_.z, &proj_.r, &proj_.c, &gate_scratch_}) {
+  for (Matrix* m : {&proj_.z, &proj_.r, &proj_.c}) {
     m->resize(batch, hidden_dim_);
   }
 }
@@ -79,8 +79,7 @@ void Gru::forward_rows(const std::vector<Matrix>& xs, const Matrix& cond,
     } else {
       copy_rows_into(hs_[t - 1], s.h_prev, r0, r1);
     }
-    step_rows(s.x, proj_, s.h_prev, hs_[t], s.z, s.r, s.c, s.rh,
-              gate_scratch_, r0, r1);
+    step_rows(s.x, proj_, s.h_prev, hs_[t], s.z, s.r, s.c, s.rh, r0, r1);
   }
 }
 
@@ -102,23 +101,22 @@ void Gru::project_cond_rows(const Matrix& cond, GateRows& p, std::size_t r0,
 
 void Gru::step_rows(const Matrix& x, const GateRows& p, const Matrix& h_prev,
                     Matrix& h_out, Matrix& z, Matrix& r, Matrix& c,
-                    Matrix& rh, Matrix& gate, std::size_t r0,
-                    std::size_t r1) const {
+                    Matrix& rh, std::size_t r0, std::size_t r1) const {
   // All four products per gate go through the fused gate kernel
   // (ml/kernels.hpp), its x·Wx chain continuing from the cond projection:
   // the rounding sequence of the unfused gate on [cond | x_t] against Wx's
   // rows taken cond-first.
   using kernels::GateAct;
   kernels::gru_gate_rows(x, wxz_.value, h_prev, whz_.value, bz_.value,
-                         GateAct::kSigmoid, gate, z, r0, r1, &p.z);
+                         GateAct::kSigmoid, z, r0, r1, &p.z);
   kernels::gru_gate_rows(x, wxr_.value, h_prev, whr_.value, br_.value,
-                         GateAct::kSigmoid, gate, r, r0, r1, &p.r);
+                         GateAct::kSigmoid, r, r0, r1, &p.r);
   const std::size_t H = hidden_dim_;
   for (std::size_t i = r0 * H; i < r1 * H; ++i) {
     rh.data()[i] = r.data()[i] * h_prev.data()[i];
   }
   kernels::gru_gate_rows(x, wxc_.value, rh, whc_.value, bc_.value,
-                         GateAct::kTanh, gate, c, r0, r1, &p.c);
+                         GateAct::kTanh, c, r0, r1, &p.c);
   // h_t = (1-z) ⊙ h_prev + z ⊙ c
   for (std::size_t i = r0 * H; i < r1 * H; ++i) {
     h_out.data()[i] = (1.0 - z.data()[i]) * h_prev.data()[i] +
@@ -134,16 +132,16 @@ void Gru::step_into(const Matrix& x, const GateRows& p, const Matrix& h_prev,
   if (h_prev.rows() != x.rows() || h_prev.cols() != hidden_dim_) {
     throw std::invalid_argument("Gru::step_into: hidden shape mismatch");
   }
-  for (Matrix* m : {&s.z, &s.r, &s.c, &s.rh, &s.gate, &h_out}) {
+  for (Matrix* m : {&s.z, &s.r, &s.c, &s.rh, &h_out}) {
     m->resize(x.rows(), hidden_dim_);
   }
-  step_rows(x, p, h_prev, h_out, s.z, s.r, s.c, s.rh, s.gate, 0, x.rows());
+  step_rows(x, p, h_prev, h_out, s.z, s.r, s.c, s.rh, 0, x.rows());
 }
 
 void Gru::step_rows_into(const Matrix& x, const GateRows& p,
                          const Matrix& h_prev, Matrix& h_out, StepScratch& s,
                          std::size_t r0, std::size_t r1) const {
-  step_rows(x, p, h_prev, h_out, s.z, s.r, s.c, s.rh, s.gate, r0, r1);
+  step_rows(x, p, h_prev, h_out, s.z, s.r, s.c, s.rh, r0, r1);
 }
 
 const Matrix& Gru::backward(const std::vector<Matrix>& grad_hs) {

@@ -28,10 +28,10 @@ namespace netshare::ml {
 // the whole BPTT pass performs no heap allocation after the first call.
 class Gru {
  public:
-  // Caller-owned scratch of one forward-only step (gate activations, r ⊙ h
-  // and the fused gate's second-product buffer).
+  // Caller-owned scratch of one forward-only step: gate activations and
+  // r ⊙ h.
   struct StepScratch {
-    Matrix z, r, c, rh, gate;
+    Matrix z, r, c, rh;
   };
   // Per gate, one value per batch row and hidden unit: the cond projections
   // P_g that seed the gates, or backward's gate gradients summed over t.
@@ -122,7 +122,7 @@ class Gru {
   // fused gates, r ⊙ h_prev and the state update.
   void step_rows(const Matrix& x, const GateRows& p, const Matrix& h_prev,
                  Matrix& h_out, Matrix& z, Matrix& r, Matrix& c, Matrix& rh,
-                 Matrix& gate, std::size_t r0, std::size_t r1) const;
+                 std::size_t r0, std::size_t r1) const;
 
   std::size_t step_dim_;
   std::size_t cond_dim_;
@@ -139,7 +139,6 @@ class Gru {
   std::vector<Matrix> hs_;  // returned hidden states h_1..h_T
   Matrix cond_;             // the batch's cond rows
   GateRows proj_;           // their projections P_g
-  Matrix gate_scratch_;     // second-product scratch for gru_gate_rows
   // Backward buffers: the recurrence scratch (dh ping-pongs between dhb_[0]
   // and dhb_[1] by step parity, so no slice swaps a shared matrix), the gate
   // gradients summed over t, the packed transposes of Wh and of Wx's cond

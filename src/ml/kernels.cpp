@@ -73,14 +73,19 @@ namespace {
 
 // --- register tiles (DESIGN.md §10) ----------------------------------------
 //
-// Four doubles in a GNU vector: lane-wise IEEE mul and add, each rounded on
-// its own (no contraction in this TU), so every lane computes bit for bit
-// the scalar chain of its column. Loads and stores go through memcpy, so
-// rows need no alignment. A tile of NV such vectors, or of one double for
-// the column tail, holds its accumulators in registers. The type fixes the
-// 32-byte geometry; plain double arrays would leave the vector width to
-// the compiler's SLP pass (DESIGN.md §10 has the measurement).
+// Doubles in GNU vectors: lane-wise IEEE mul and add, each rounded on its
+// own (no contraction in this TU), so every lane computes bit for bit the
+// scalar chain of its column. Loads and stores go through memcpy, so rows
+// need no alignment. A tile of NV such vectors, or of one double for the
+// column tail, holds its accumulators in registers. The types fix the
+// geometry at the build ISA's full width: 64-byte Vec8 where the TU is
+// built for AVX-512, 32-byte Vec4 otherwise; plain double arrays would
+// leave the vector width to the compiler's SLP pass (DESIGN.md §10 has the
+// measurement).
 typedef double Vec4 __attribute__((vector_size(32), aligned(8)));
+#if defined(__AVX512F__)
+typedef double Vec8 __attribute__((vector_size(64), aligned(8)));
+#endif
 
 template <typename V>
 constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
@@ -97,8 +102,10 @@ inline void store(double* p, const V& v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-// Columns [0, C) in tiles: 16 wide (four vectors), then 4 wide (one), then
-// one column at a time. tile.template operator()<V, NV>(j) fills the
+// Columns [0, C) in tiles. Built for AVX-512: Vec8 tiles 48 wide (six
+// vectors) while they fit, then at most one each of 32, 16 and 8 wide, then
+// one Vec4, then one column at a time. Otherwise: Vec4 tiles 16 wide, then
+// 4 wide, then one column. tile.template operator()<V, NV>(j) fills the
 // NV·kLanes<V> columns from j. Tiling splits work between elements only,
 // never the k-chain of one element. Inlined into its caller, so the tile's
 // captured operands stay in registers across rows instead of being
@@ -107,8 +114,28 @@ template <typename Tile>
 __attribute__((always_inline)) inline void column_tiles(std::size_t C,
                                                         const Tile& tile) {
   std::size_t j = 0;
+#if defined(__AVX512F__)
+  for (; j + 48 <= C; j += 48) tile.template operator()<Vec8, 6>(j);
+  if (j + 32 <= C) {
+    tile.template operator()<Vec8, 4>(j);
+    j += 32;
+  }
+  if (j + 16 <= C) {
+    tile.template operator()<Vec8, 2>(j);
+    j += 16;
+  }
+  if (j + 8 <= C) {
+    tile.template operator()<Vec8, 1>(j);
+    j += 8;
+  }
+  if (j + 4 <= C) {
+    tile.template operator()<Vec4, 1>(j);
+    j += 4;
+  }
+#else
   for (; j + 16 <= C; j += 16) tile.template operator()<Vec4, 4>(j);
   for (; j + 4 <= C; j += 4) tile.template operator()<Vec4, 1>(j);
+#endif
   for (; j < C; ++j) tile.template operator()<double, 1>(j);
 }
 
@@ -131,40 +158,62 @@ inline void chain(V (&acc)[NV], const double* a, std::size_t ak,
 // them into the existing value, then add bias[j] (two roundings).
 enum class Epilogue { kStore, kBias, kAccumulate, kGate };
 
+// The k-block of the store and bias epilogues: a 48-column tile's B panel
+// over 64 k is 24 KiB, so it stays in L1 while the tile walks the rows
+// (the critics' K = 96 and 185 and the cond projection's K = 105 do not
+// fit whole).
+constexpr std::size_t kKBlock = 64;
+
 // Rows [r0, r1) of C = A·B. Element (i, k) of A is a[i·ai + k·ak] (row-major
 // A, or with ai = 1 and ak = lda the transpose of a K×R matrix); B is K×C
 // with row stride ldb. With `init` (C's shape and stride) each element's
 // chain starts from init(i, j) instead of zero.
+//
+// The store and bias epilogues walk k in blocks of kKBlock, all rows per
+// block: between blocks each chain parks its partial sum in C, stored and
+// reloaded as the double it is, so the chain and its value are unchanged.
+// The gate and accumulate epilogues read C's existing value, so C cannot
+// park a partial there; they run unblocked, which costs nothing at the
+// workload shapes, where their K is at most 64 (h·W_h's 48, and the batch
+// of 64 that weight gradients reduce over).
 template <Epilogue E>
 void product_rows(const double* a, std::size_t ai, std::size_t ak,
                   const double* b, std::size_t ldb, const double* bias,
                   const double* init, double* c, std::size_t ldc,
                   std::size_t K, std::size_t C, std::size_t r0,
                   std::size_t r1) {
+  constexpr bool kBlocked = E == Epilogue::kStore || E == Epilogue::kBias;
   column_tiles(C, [=]<typename V, int NV>(std::size_t j) {
     constexpr std::size_t L = kLanes<V>;
-    for (std::size_t i = r0; i < r1; ++i) {
-      V acc[NV] = {};
-      if (init != nullptr) {
+    std::size_t k0 = 0;
+    do {
+      const std::size_t k1 = kBlocked ? std::min(K, k0 + kKBlock) : K;
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* cp = c + i * ldc + j;
+        V acc[NV] = {};
+        if (k0 > 0) {
+          for (int v = 0; v < NV; ++v) acc[v] = load<V>(cp + v * L);
+        } else if (init != nullptr) {
+          for (int v = 0; v < NV; ++v) {
+            acc[v] = load<V>(init + i * ldc + j + v * L);
+          }
+        }
+        chain(acc, a + i * ai + k0 * ak, ak, b + k0 * ldb + j, ldb, k1 - k0);
         for (int v = 0; v < NV; ++v) {
-          acc[v] = load<V>(init + i * ldc + j + v * L);
+          if (k1 < K || E == Epilogue::kStore) {
+            store(cp + v * L, acc[v]);
+          } else if constexpr (E == Epilogue::kBias) {
+            store(cp + v * L, acc[v] + load<V>(bias + j + v * L));
+          } else if constexpr (E == Epilogue::kAccumulate) {
+            store(cp + v * L, load<V>(cp + v * L) + acc[v]);
+          } else {
+            store(cp + v * L, (load<V>(cp + v * L) + acc[v]) +
+                                  load<V>(bias + j + v * L));
+          }
         }
       }
-      chain(acc, a + i * ai, ak, b + j, ldb, K);
-      double* cp = c + i * ldc + j;
-      for (int v = 0; v < NV; ++v) {
-        if constexpr (E == Epilogue::kStore) {
-          store(cp + v * L, acc[v]);
-        } else if constexpr (E == Epilogue::kBias) {
-          store(cp + v * L, acc[v] + load<V>(bias + j + v * L));
-        } else if constexpr (E == Epilogue::kAccumulate) {
-          store(cp + v * L, load<V>(cp + v * L) + acc[v]);
-        } else {
-          store(cp + v * L, (load<V>(cp + v * L) + acc[v]) +
-                                load<V>(bias + j + v * L));
-        }
-      }
-    }
+      k0 = k1;
+    } while (k0 < K);
   });
 }
 
@@ -450,9 +499,16 @@ void sigmoid_grad_into(const double* y, const double* g, double* out,
   for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (y[i] * (1.0 - y[i]));
 }
 
+// When both factors are NaN, which payload a product keeps is up to the
+// compiler's operand order; the select fixes it to the (1 − y·y) factor's,
+// so a build without -march=native, which orders the mul the other way,
+// gives the same bits.
 void tanh_grad_into(const double* y, const double* g, double* out,
                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = 1.0 - y[i] * y[i];
+    out[i] = t != t ? t : g[i] * t;
+  }
 }
 
 namespace {
@@ -487,11 +543,10 @@ void activate_block(GateAct act, Matrix& out, std::size_t r0,
 
 void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
-                   Matrix& scratch, Matrix& out, const Matrix* seed) {
+                   Matrix& /*scratch*/, Matrix& out, const Matrix* seed) {
   require_gate(x, wx, h, wh, bias, seed);
   out.resize(x.rows(), wx.cols());
-  scratch.resize(x.rows(), wx.cols());
-  gru_gate_rows(x, wx, h, wh, bias, act, scratch, out, 0, x.rows(), seed);
+  gru_gate_rows(x, wx, h, wh, bias, act, out, 0, x.rows(), seed);
 }
 
 namespace {
@@ -562,13 +617,11 @@ void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
 // activated.
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
-                   Matrix& scratch, Matrix& out, std::size_t r0,
-                   std::size_t r1, const Matrix* seed) {
+                   Matrix& out, std::size_t r0, std::size_t r1,
+                   const Matrix* seed) {
   require_gate(x, wx, h, wh, bias, seed);
   require_rows(x, out, wx.cols(), r0, r1,
                "kernels::gru_gate_rows: output not shaped or bad range");
-  require(scratch.rows() == out.rows() && scratch.cols() == out.cols(),
-          "kernels::gru_gate_rows: scratch must have out's shape");
   const std::size_t G = wx.cols();
   if (r1 <= r0 || G == 0) return;
   const double* sp = seed != nullptr ? seed->row_ptr(0) : nullptr;

@@ -1,9 +1,10 @@
 // Serial matmul kernels — the leaves under every GAN training step (GRU
 // BPTT, MLP discriminators, baselines). Parallelism lives above them:
 // callers cut a batch into row ranges and run each range on one thread.
-// Each op has one body: register tiles of 16, then 4 output columns, then
-// a one-column tail, built for the host by the kernel TU's flags
-// (DESIGN.md §10).
+// Each op has one body: register tiles at the build ISA's vector width (48,
+// 32, 16 and 8 output columns of 64-byte vectors where the kernel TU is
+// built for AVX-512, 16 columns of 32-byte vectors otherwise), then 4
+// columns, then a one-column tail (DESIGN.md §10).
 //
 // Determinism contract (see DESIGN.md §5): for every output element the
 // reduction over the inner dimension runs in ascending-k order with one
@@ -58,7 +59,8 @@ const char* kernel_flags();
 //     also reads as the budget it splits, when non-zero;
 //   - PhaseBudget::kernel_cfg and split_phase_budget's KernelConfig argument
 //     (core/parallel.hpp);
-//   - the width-less DoppelGanger::fit(data[, iterations]), the one reader.
+//   - the width-less DoppelGanger::fit(data[, iterations]), the one reader;
+//   - gru_gate_into's `scratch` argument, which the gate ignores.
 // The override is thread-local: it sets the width of width-less fits on the
 // thread that holds it (0 = hardware concurrency), and no other thread sees
 // it.
@@ -130,10 +132,10 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc);
 
 // Fused GRU gate: out = act(x·wx + h·wh + bias), written into caller-owned
 // buffers with no temporaries: x·wx's sums are parked in out's rows and
-// h·wh's chains finish them; `scratch` is reshaped to out's shape and
-// otherwise left alone (its contents are unspecified after the call). Bitwise contract: each product
-// is an ascending-k reduction with one rounding per partial product, as in
-// the matmul kernels above; the epilogue then applies, per element, exactly
+// h·wh's chains finish them. `scratch` is ignored (it stays for the
+// perfbench shim above). Bitwise contract: each product is an ascending-k
+// reduction with one rounding per partial product, as in the matmul
+// kernels above; the epilogue then applies, per element, exactly
 // the rounding sequence of the unfused composition
 //   sigmoid/tanh(add_row_broadcast(matmul(x,wx) + matmul(h,wh), bias))
 // — one add of the two products, one bias add, then sigmoid_into /
@@ -158,9 +160,10 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
 
 // Row-range forms (DESIGN.md §5, *Row-sliced stages*): rows [r0, r1) of
 // exactly the product the entry point of the same name computes, into an
-// output the caller has already shaped to the whole batch. Each call reads only rows [r0, r1) of the row operands and
-// writes only rows [r0, r1) of `c` / `out` / `scratch`, so several threads
-// may fill disjoint row ranges of one output at once. A row's value never
+// output the caller has already shaped to the whole batch. Each call reads
+// only rows [r0, r1) of the row operands and writes only rows [r0, r1) of
+// `c` / `out`, so several threads may fill disjoint row ranges of one
+// output at once. A row's value never
 // depends on the range it was computed in, which is why slicing a batch
 // keeps every result bitwise identical to the whole-batch entry point.
 void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias,
@@ -179,12 +182,11 @@ void matmul_trans_b_rows(const Matrix& a, const PackedTransB& b, Matrix& c,
 void matmul_trans_a_acc_rows(const Matrix& a, const Matrix& b, Matrix& acc,
                              std::size_t r0, std::size_t r1,
                              std::size_t acc_row0 = 0);
-// `scratch` must have out's shape (it is not written); so must a `seed`, of
-// which rows [r0, r1) are read.
+// A `seed` must have out's shape; rows [r0, r1) of it are read.
 void gru_gate_rows(const Matrix& x, const Matrix& wx, const Matrix& h,
                    const Matrix& wh, const Matrix& bias, GateAct act,
-                   Matrix& scratch, Matrix& out, std::size_t r0,
-                   std::size_t r1, const Matrix* seed = nullptr);
+                   Matrix& out, std::size_t r0, std::size_t r1,
+                   const Matrix* seed = nullptr);
 
 // Elementwise maps (DESIGN.md §10, *Transcendentals*): y[i] = f(x[i]) for
 // i < n, y may equal x. One body per function, a flat loop

@@ -317,10 +317,9 @@ TEST(Kernels, RowFormsMatchWholeBatchEntryPoints) {
     for (const auto act : {kernels::GateAct::kSigmoid,
                            kernels::GateAct::kTanh}) {
       kernels::gru_gate_into(a, w, h, wh, bias, act, scratch, want);
-      Matrix gate(s.rows, s.cols), gate_scratch(s.rows, s.cols);
+      Matrix gate(s.rows, s.cols);
       for (const auto& [r0, r1] : ragged_slices(s.rows)) {
-        kernels::gru_gate_rows(a, w, h, wh, bias, act, gate_scratch, gate,
-                               r0, r1);
+        kernels::gru_gate_rows(a, w, h, wh, bias, act, gate, r0, r1);
       }
       expect_bitwise(gate, want, "gru_gate_rows");
     }
@@ -395,17 +394,16 @@ TEST(Kernels, SeededGateMatchesFusedGateOnCondFirstConcat) {
       if (R == 64) {
         EXPECT_TRUE(std::isnan(got(0, 0)));
       }
-      Matrix rows(R, G), rows_scratch(R, G);
+      Matrix rows(R, G);
       for (const auto& [r0, r1] : ragged_slices(R)) {
-        kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows_scratch, rows,
-                               r0, r1, &seed);
+        kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows, r0, r1, &seed);
       }
       expect_bitwise(rows, want, "seeded gru_gate_rows");
     }
-    Matrix bad_seed(R, G + 1), out(R, G), scratch(R, G);
+    Matrix bad_seed(R, G + 1), out(R, G);
     EXPECT_THROW(kernels::gru_gate_rows(x, wx, h, wh, bias,
-                                        kernels::GateAct::kTanh, scratch,
-                                        out, 0, R, &bad_seed),
+                                        kernels::GateAct::kTanh, out, 0, R,
+                                        &bad_seed),
                  std::invalid_argument);
   }
 }
@@ -553,15 +551,15 @@ TEST(Kernels, ZeroMultiplicandsGiveTheSameBitsOnEveryPath) {
       expect_bitwise(got, want, "gru_gate_into");
       for (const auto& [r0, r1] : ragged_slices(R)) {
         kernels::gru_gate_rows(a, row_block(wx, 0, K), h, wh, bias, act,
-                               scratch, rows, r0, r1);
+                               rows, r0, r1);
       }
       expect_bitwise(rows, want, "gru_gate_rows");
       const Matrix want_seeded = reference_gate(xc, wx_cf, h, wh, bias, act);
       kernels::gru_gate_into(a, wx, h, wh, bias, act, scratch, got, &seed);
       expect_bitwise(got, want_seeded, "seeded gru_gate_into");
       for (const auto& [r0, r1] : ragged_slices(R)) {
-        kernels::gru_gate_rows(a, wx, h, wh, bias, act, scratch, rows, r0,
-                               r1, &seed);
+        kernels::gru_gate_rows(a, wx, h, wh, bias, act, rows, r0, r1,
+                               &seed);
       }
       expect_bitwise(rows, want_seeded, "seeded gru_gate_rows");
     }
@@ -604,8 +602,7 @@ TEST(Kernels, NegativeZeroSeedGivesTheSameBitsOnEveryPath) {
     kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, got, &seed);
     expect_bitwise(got, want, "-0.0-seeded gru_gate_into");
     for (const auto& [r0, r1] : ragged_slices(R)) {
-      kernels::gru_gate_rows(x, wx, h, wh, bias, act, scratch, rows, r0, r1,
-                             &seed);
+      kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows, r0, r1, &seed);
     }
     expect_bitwise(rows, want, "-0.0-seeded gru_gate_rows");
   }

@@ -1,10 +1,12 @@
 // Sweeps of the vector bodies (DESIGN.md §10): the register tiles of every
 // product kernel against the ml::reference oracles (built without the
 // kernel TU's -march=native, so each comparison is a vector body against a
-// scalar chain) over ragged and empty shapes that reach the 16-column and
-// 4-column tiles and the one-column tail; and the
-// transcendentals' vectorized loops (exp, sigmoid, tanh, softmax) against
-// their per-element bodies on special and ragged inputs.
+// scalar chain) over ragged and empty shapes that reach every column tile
+// of either build geometry (48, 32, 16 and 8 columns of 64-byte vectors,
+// or 16 of 32-byte ones; then 4 columns and the one-column tail) and both
+// sides of each 64-long k-block; and the transcendentals' vectorized loops
+// (exp, sigmoid, tanh, softmax) against their per-element bodies on
+// special and ragged inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,9 +41,19 @@ void expect_bitwise(const Matrix& got, const Matrix& want, const char* what) {
 
 // --- property sweep: ragged + empty shapes vs reference --------------------
 
-// m x k x n shapes: empty ones, ragged tails 1..17, primes, the edges of the
-// 16-column and 4-column tiles and the one-column tail, then randomized
-// ragged sizes 0-40 and 1-70.
+// Output widths at the edges of every column tile: 111 = 48+48+8+4+3,
+// 127 = 48+48+16+8+4+3 and 47 = 32+8+4+3 between them reach each tile of
+// the 64-byte geometry; the rest sit on a tile edge or one column either
+// side of it, and 96, 144 and 185 are critic widths.
+constexpr std::size_t kEdgeWidths[] = {7,  8,  9,  15, 16, 17,  31,  32,  33,
+                                       47, 48, 49, 96, 97, 111, 127, 144, 185};
+// Inner lengths either side of one and two 64-long k-blocks, and the
+// critic input layer's 185.
+constexpr std::size_t kEdgeInner[] = {63, 64, 65, 128, 129, 185};
+
+// m x k x n shapes: empty ones, ragged tails 1..17, primes, every edge
+// width against every edge inner length, then randomized ragged sizes
+// 0-40 and 1-70.
 std::vector<std::array<std::size_t, 3>> ragged_shapes() {
   std::vector<std::array<std::size_t, 3>> shapes = {
       {0, 4, 6},   {4, 0, 6},   {4, 6, 0},    {0, 0, 0},    {1, 1, 1},
@@ -50,6 +62,10 @@ std::vector<std::array<std::size_t, 3>> ragged_shapes() {
       {9, 16, 33}, {5, 8, 32},  {6, 64, 8},   {11, 5, 16},  {4, 7, 41},
       {23, 13, 64}, {8, 31, 24},
   };
+  for (const std::size_t n : kEdgeWidths) {
+    for (const std::size_t k : kEdgeInner) shapes.push_back({3, k, n});
+    shapes.push_back({2, 5, n});
+  }
   Rng rng(606);
   for (int i = 0; i < 30; ++i) {
     shapes.push_back({static_cast<std::size_t>(rng.uniform_int(0, 40)),
@@ -100,6 +116,66 @@ TEST(Simd, PropertySweepRaggedAndEmptyShapesMatchReference) {
     Matrix acc = acc0;
     kernels::matmul_trans_a_acc_into(at, b, acc);
     expect_bitwise(acc, want_acc, "matmul_trans_a_acc_into");
+  }
+}
+
+// The conditioned GRU's products past one k-block: the cond projection
+// P = cond·Wx[cond rows] (matmul_rows from row b_row0 > 0, K = 105 as the
+// ugr16 cond) and the gate seeded with it, whose x·Wx chain of 70 or 129
+// step columns crosses block edges, against the unseeded unfused gate on
+// [cond | x] on the reference kernels, whole-batch and in row ranges.
+TEST(Simd, SeededGateAndRowBlockProductAcrossKBlocks) {
+  struct GateShape {
+    std::size_t rows, step, cond, hidden, gate;
+  };
+  const GateShape shapes[] = {{7, 70, 105, 48, 48},
+                              {5, 129, 105, 65, 111},
+                              {9, 65, 66, 33, 17}};
+  Rng rng(1185);
+  for (const GateShape& g : shapes) {
+    const std::size_t R = g.rows, S = g.step, A = g.cond, G = g.gate;
+    SCOPED_TRACE("gate rows=" + std::to_string(R) + " step=" +
+                 std::to_string(S) + " cond=" + std::to_string(A) +
+                 " hidden=" + std::to_string(g.hidden) +
+                 " width=" + std::to_string(G));
+    const Matrix x = Matrix::randn(R, S, rng);
+    const Matrix cond = Matrix::randn(R, A, rng);
+    const Matrix wx = Matrix::randn(S + A, G, rng);  // step rows first
+    const Matrix h = Matrix::randn(R, g.hidden, rng);
+    const Matrix wh = Matrix::randn(g.hidden, G, rng);
+    const Matrix bias = Matrix::randn(1, G, rng);
+    Matrix xc(R, A + S), wx_cf(A + S, G), wx_cond(A, G);
+    for (std::size_t i = 0; i < R; ++i) {
+      std::copy(cond.row_ptr(i), cond.row_ptr(i) + A, xc.row_ptr(i));
+      std::copy(x.row_ptr(i), x.row_ptr(i) + S, xc.row_ptr(i) + A);
+    }
+    std::copy(wx.row_ptr(S), wx.row_ptr(S + A), wx_cf.row_ptr(0));
+    std::copy(wx.row_ptr(0), wx.row_ptr(S), wx_cf.row_ptr(A));
+    std::copy(wx.row_ptr(S), wx.row_ptr(S + A), wx_cond.row_ptr(0));
+
+    Matrix seed(R, G);
+    kernels::matmul_rows(cond, wx, S, seed, 0, 2);
+    kernels::matmul_rows(cond, wx, S, seed, 2, R);
+    expect_bitwise(seed, reference::matmul(cond, wx_cond),
+                   "matmul_rows from b_row0 > 0");
+    for (const auto act : {kernels::GateAct::kSigmoid,
+                           kernels::GateAct::kTanh}) {
+      Matrix want = reference::matmul(xc, wx_cf);
+      want += reference::matmul(h, wh);
+      add_row_broadcast_inplace(want, bias);
+      if (act == kernels::GateAct::kSigmoid) {
+        sigmoid_inplace(want);
+      } else {
+        tanh_inplace(want);
+      }
+      Matrix scratch, got;
+      kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, got, &seed);
+      expect_bitwise(got, want, "seeded gru_gate_into");
+      Matrix rows(R, G);
+      kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows, 0, 3, &seed);
+      kernels::gru_gate_rows(x, wx, h, wh, bias, act, rows, 3, R, &seed);
+      expect_bitwise(rows, want, "seeded gru_gate_rows");
+    }
   }
 }
 
