@@ -354,7 +354,8 @@ std::vector<HeadRow> bench_mixed_heads() {
 
 // The conditioned GRU's seeded gate at the sampler's shape: 64 series, 8
 // step inputs seeded with the cond projection, hidden 48, gate width 48,
-// one row-range call per gate as Gru::step_into makes it. Gates/s, info.
+// one row-range call per gate as Gru::step_into makes it. Gates/s; the
+// checker gates tanh >= 0.6x sigmoid (activations inlined in the gate).
 MedianIqr bench_seeded_gate(ml::kernels::GateAct act) {
   Rng rng(11);
   const Matrix x = Matrix::randn(64, 8, rng);

@@ -54,11 +54,13 @@ void sample_flow_chunk_part(const std::vector<ChunkInfo>& chunks,
                             const FlowEncoder& encoder, std::size_t width,
                             net::FlowTrace& out);
 
-// Orders a chunk's sub-trace and trims the deficit-loop overshoot.
+// Orders a chunk's sub-trace and trims the deficit-loop overshoot: a stable
+// merge of its time-sorted slices that stops at `target` records.
 void export_flow_chunk_part(std::size_t target, net::FlowTrace& part);
 
 // Concatenates per-chunk sub-traces in chunk order, orders globally, trims
-// to n — the final merge both the offline path and the serving client run.
+// to n — the final merge both the offline path and the serving client run,
+// done as a stable merge of the parts' sorted runs (FlowTrace::merge).
 net::FlowTrace merge_flow_chunk_parts(std::vector<net::FlowTrace>& parts,
                                       std::size_t n);
 

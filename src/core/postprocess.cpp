@@ -1,8 +1,9 @@
 #include "core/postprocess.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -12,10 +13,76 @@ namespace netshare::core {
 
 namespace {
 
+// Open-addressing set/map of IPv4 addresses: linear probing over a
+// power-of-two slot array kept at most half full, Fibonacci-hashed. A slot
+// whose value is kEmpty is free; stored values are subnet offsets, below
+// the subnet size (at most 2^31), so every address is a valid key.
+class FlatIpTable {
+ public:
+  explicit FlatIpTable(std::size_t expected = 0) { rehash(2 * expected); }
+
+  // Stores ip -> value unless ip is present; true when it was inserted.
+  bool insert(std::uint32_t ip, std::uint32_t value) {
+    if (2 * (size_ + 1) > slots_.size()) rehash(2 * slots_.size());
+    Slot& s = slots_[slot_of(ip)];
+    if (s.value != kEmpty) return false;
+    s = {ip, value};
+    ++size_;
+    return true;
+  }
+
+  // The value stored for ip, which must be present.
+  std::uint32_t at(std::uint32_t ip) const { return slots_[slot_of(ip)].value; }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+
+  struct Slot {
+    std::uint32_t key;
+    std::uint32_t value;
+  };
+
+  // ip's slot, or the free slot where it would go.
+  std::size_t slot_of(std::uint32_t ip) const {
+    std::size_t i = (ip * 0x9e3779b97f4a7c15ULL) >> shift_;
+    while (slots_[i].value != kEmpty && slots_[i].key != ip) {
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return i;
+  }
+
+  void rehash(std::size_t want) {
+    std::size_t n = 16;
+    while (n < want) n *= 2;
+    std::vector<Slot> old(n, Slot{0, kEmpty});
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(n);
+    for (const Slot& s : old) {
+      if (s.value != kEmpty) slots_[slot_of(s.key)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64;
+  std::size_t size_ = 0;
+};
+
+// The distinct addresses of one range of records, in first-seen order.
+struct FirstSeen {
+  FlatIpTable seen;
+  std::vector<std::uint32_t> order;
+
+  void add(net::Ipv4Address ip) {
+    if (seen.insert(ip.value(), 0)) order.push_back(ip.value());
+  }
+};
+
 // Assigns each distinct input address the next offset in the target subnet,
-// in first-seen order (preserves the rank structure of address popularity).
-// Build the table serially with map(), then apply concurrently with the
-// const lookup() — the table is immutable during the apply phase.
+// in first-seen order (preserves the rank structure of address popularity);
+// offsets start at 1 (skipping the network address) and wrap modulo the
+// subnet size. Built from the ranges' first-seen lists in range order — an
+// address's first occurrence lies in the earliest range that holds it — so
+// the ranks equal one serial scan's; lookups are const and run concurrently.
 class SubnetMapper {
  public:
   SubnetMapper(net::Ipv4Address base, int prefix_len) : base_(base.value()) {
@@ -26,37 +93,51 @@ class SubnetMapper {
     base_ &= ~(capacity_ - 1);
   }
 
-  net::Ipv4Address map(net::Ipv4Address ip) {
-    auto [it, inserted] = table_.try_emplace(ip.value(), next_);
-    if (inserted) next_ = (next_ + 1) % capacity_;
-    return net::Ipv4Address(base_ + (it->second % capacity_));
+  void build(const std::vector<FirstSeen>& ranges) {
+    std::size_t distinct = 0;
+    for (const FirstSeen& r : ranges) distinct += r.order.size();
+    table_ = FlatIpTable(distinct);
+    std::uint32_t next = 1;  // skip .0 (network address)
+    for (const FirstSeen& r : ranges) {
+      for (const std::uint32_t ip : r.order) {
+        if (table_.insert(ip, next)) next = (next + 1) % capacity_;
+      }
+    }
   }
 
   net::Ipv4Address lookup(net::Ipv4Address ip) const {
-    return net::Ipv4Address(base_ + (table_.at(ip.value()) % capacity_));
+    return net::Ipv4Address(base_ + table_.at(ip.value()));
   }
 
  private:
   std::uint32_t base_;
   std::uint32_t capacity_;
-  std::uint32_t next_ = 1;  // skip .0 (network address)
-  std::unordered_map<std::uint32_t, std::uint32_t> table_;
+  FlatIpTable table_;
 };
 
-// Two-phase remap shared by both trace types: phase 1 enumerates addresses
-// in record order (order-sensitive, serial); phase 2 rewrites keys through
-// the now-const tables across `threads` disjoint ranges.
+// Two-phase remap shared by both trace types: phase 1 collects each range's
+// distinct addresses in first-seen order across `threads` disjoint ranges
+// and ranks them serially in range order; phase 2 rewrites keys through the
+// now-const tables over the same ranges.
 template <typename RecordVec>
 void remap_records(RecordVec& records, const IpRemapConfig& cfg,
                    std::size_t threads) {
   SubnetMapper src(cfg.src_base, cfg.src_prefix_len);
   SubnetMapper dst(cfg.dst_base, cfg.dst_prefix_len);
-  for (const auto& r : records) {
-    src.map(r.key.src_ip);
-    dst.map(r.key.dst_ip);
-  }
-  parallel_ranges(parallel_phase_budget(std::max<std::size_t>(1, threads)),
-                  records.size(),
+  const std::size_t workers =
+      parallel_phase_budget(std::max<std::size_t>(1, threads));
+  const std::size_t ranges = num_ranges(workers, records.size());
+  std::vector<FirstSeen> src_seen(ranges), dst_seen(ranges);
+  parallel_ranges(workers, records.size(),
+                  [&](std::size_t range, std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      src_seen[range].add(records[i].key.src_ip);
+                      dst_seen[range].add(records[i].key.dst_ip);
+                    }
+                  });
+  src.build(src_seen);
+  dst.build(dst_seen);
+  parallel_ranges(workers, records.size(),
                   [&](std::size_t, std::size_t lo, std::size_t hi) {
                     for (std::size_t i = lo; i < hi; ++i) {
                       records[i].key.src_ip = src.lookup(records[i].key.src_ip);

@@ -10,7 +10,8 @@
 // Every function here is deterministic and thread-invariant: passing any
 // `threads` value (including from different machines) produces bitwise
 // identical traces. Parallel passes only touch per-record state; the one
-// order-sensitive step (first-seen IP enumeration) runs serially.
+// order-sensitive step (first-seen IP enumeration) collects each range's
+// first-seen addresses in parallel and ranks them serially in range order.
 #pragma once
 
 #include <cstddef>

@@ -302,6 +302,10 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
 // vectorizes under this TU's -O3 -march=native. Vectorizing keeps each
 // element's IEEE op sequence (no contraction, no reassociation), so a value
 // never depends on where in a call it sits or how long the call is.
+// The element bodies are always_inline: gru_gate_rows's epilogue loops
+// vectorize only with them inlined, and left to the inliner's budget an
+// unrelated function added to this TU once put tanh_elem out of line (15
+// calls inside the gate, the seeded tanh gate 2.5x slower).
 namespace {
 
 namespace expc {  // the constants of the repo-owned exp
@@ -340,7 +344,9 @@ double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 // expm1(r) rounded; `lo` gets what the roundings of r and of the final add
 // dropped (two exact two-sums), so a caller adding the result to a larger
 // term rounds about once. k lands in `k`, two's complement in a uint64.
-double expm1_reduced(double x, std::uint64_t& k, double& lo) {
+__attribute__((always_inline)) inline double expm1_reduced(double x,
+                                                          std::uint64_t& k,
+                                                          double& lo) {
   const double t = x * expc::kLog2e + expc::kShifter;
   const double kd = t - expc::kShifter;
   k = bits(t) - bits(expc::kShifter);
@@ -359,9 +365,9 @@ double expm1_reduced(double x, std::uint64_t& k, double& lo) {
 }
 
 // 2^k for k in the normal exponent range.
-double pow2(std::uint64_t k) { return from_bits((k + 1023) << 52); }
+__attribute__((always_inline)) inline double pow2(std::uint64_t k) { return from_bits((k + 1023) << 52); }
 
-double exp_elem(double x) {
+__attribute__((always_inline)) inline double exp_elem(double x) {
   if (x != x) return x + x;
   const double xc =
       x > expc::kHi ? expc::kHi : (x < expc::kLo ? expc::kLo : x);
@@ -379,7 +385,7 @@ double exp_elem(double x) {
 // sigmoid(x) = 1/d, d = 1 + exp(−x) = (1 + 2^k) + 2^k·expm1(r), the last
 // add an exact two-sum so d rounds about once. The main path, for
 // |x| <= kSigmoidHi.
-double sigmoid_main(double x) {
+__attribute__((always_inline)) inline double sigmoid_main(double x) {
   std::uint64_t k;
   double lo;
   const double p = expm1_reduced(-x, k, lo);
@@ -392,7 +398,7 @@ double sigmoid_main(double x) {
 
 // The tails: past |x| = kSigmoidHi, exp(−|x|) = E < 2^-51, and sigmoid is
 // 1 − E above and E − E² below (which also gives the subnormal tail).
-double sigmoid_elem(double x) {
+__attribute__((always_inline)) inline double sigmoid_elem(double x) {
   if (x != x) return x + x;
   if (x < -expc::kSigmoidHi) {
     const double e = exp_elem(x);
@@ -409,7 +415,7 @@ double sigmoid_elem(double x) {
 // correction is a few ULP of q, so 1/dh (dh in (1, 2]) is taken as the
 // chord 1.5 − dh/2, within 12%. x's sign is put on the magnitude, so
 // tanh(−0) = −0.
-double tanh_elem(double x) {
+__attribute__((always_inline)) inline double tanh_elem(double x) {
   if (x != x) return x + x;
   constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
   double a = from_bits(bits(x) & ~kSign);
