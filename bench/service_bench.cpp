@@ -1,8 +1,11 @@
 // Generation-service trajectory (DESIGN.md §13, §14): per-tenant latency
 // percentiles and throughput under a 1 / 4 / 16-tenant mix at nominal load,
 // the admission-control shed rate at 2x overload, and the rate-limiter shed
-// rate for a tenant bursting far above its configured class. Emits
-// BENCH_service.json (path overridable via argv[1]); the `service` kind in
+// rate for a tenant bursting far above its configured class. Each sweep row
+// is run kSweepReps times, in rounds that visit every tenant mix in turn,
+// and recorded as medians with IQRs beside them. Emits BENCH_service.json
+// (path overridable via argv[1]) with the host fingerprint; the `service`
+// kind in
 // scripts/check_bench_regression gates p99 growth, zero-shed-at-nominal
 // (the nominal sweep runs with the resilience layer at its defaults, so a
 // rate-limiter or deadline check leaking latency into the nominal path
@@ -13,9 +16,11 @@
 // 3 chunks) trained once into a temp snapshot dir — the bench measures the
 // serving layer (queueing, coalescing, DRR, streaming merge), not GAN
 // training.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,9 +28,11 @@
 
 #include <unistd.h>
 
+#include "bench_util.hpp"
 #include "common/stopwatch.hpp"
 #include "core/netshare.hpp"
 #include "datagen/presets.hpp"
+#include "fingerprint.hpp"
 #include "serve/client.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
@@ -63,8 +70,8 @@ struct SweepRow {
   double p99_ms = 0.0;
   double mean_ms = 0.0;
   double shed_rate = 0.0;
-  std::uint64_t batches = 0;
-  std::uint64_t coalesced_jobs = 0;
+  double batches = 0.0;
+  double coalesced_jobs = 0.0;
 };
 
 // Aggregates every tenant's latency histogram into one.
@@ -86,6 +93,72 @@ double mean_latency_ms(const serve::ServiceStatsSnapshot& s) {
     n += t.latency_count;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+// Fixed total work per row (jobs x records) so rows compare the tenant
+// mix, not the workload size. Sized so each row's wall clock clears the
+// gate's 0.2 s throughput noise floor on a 4-core host (96 jobs ran in
+// about 65 ms there).
+constexpr std::size_t kTotalJobs = 384;
+constexpr std::size_t kRecordsPerJob = 800;
+constexpr int kSweepReps = 5;
+
+// One tenant-sweep row at nominal load on a fresh registry and service.
+SweepRow sweep_row(const serve::ModelSpec& spec, const std::string& snap_dir,
+                   std::size_t tenants) {
+  serve::ModelRegistry registry;
+  registry.define("m", spec);
+  registry.publish("m", snap_dir);
+  serve::ServiceConfig scfg;
+  scfg.workers = 2;
+  scfg.queue_capacity = kTotalJobs + 8;  // nominal: nothing sheds
+  scfg.tenant_inflight_cap = kTotalJobs;
+  serve::Service service(registry, scfg);
+  serve::ServeClient client(service);
+
+  Stopwatch sw;
+  std::vector<std::shared_ptr<serve::ServeClient::PendingJob>> jobs;
+  jobs.reserve(kTotalJobs);
+  for (std::size_t i = 0; i < kTotalJobs; ++i) {
+    const std::string tenant = "tenant" + std::to_string(i % tenants);
+    jobs.push_back(client.submit("m", tenant, kRecordsPerJob, 1000 + i));
+  }
+  std::size_t ok = 0;
+  for (auto& job : jobs) ok += job->wait().ok ? 1 : 0;
+  service.drain();  // settle the stats counters
+  const double wall = sw.seconds();
+  const serve::ServiceStatsSnapshot stats = service.stats();
+
+  SweepRow row;
+  row.tenants = tenants;
+  row.jobs = kTotalJobs;
+  row.records_per_job = kRecordsPerJob;
+  row.wall_sec = wall;
+  row.jobs_per_sec = static_cast<double>(kTotalJobs) / wall;
+  row.records_per_sec = static_cast<double>(kTotalJobs * kRecordsPerJob) / wall;
+  const std::vector<std::uint64_t> hist = merged_hist(stats);
+  row.p50_ms = serve::latency_percentile_ms(hist, 0.5);
+  row.p99_ms = serve::latency_percentile_ms(hist, 0.99);
+  row.mean_ms = mean_latency_ms(stats);
+  row.shed_rate =
+      static_cast<double>(stats.shed_overloaded + stats.shed_draining) /
+      static_cast<double>(kTotalJobs);
+  row.batches = static_cast<double>(stats.batches);
+  row.coalesced_jobs = static_cast<double>(stats.coalesced_jobs);
+  std::printf(
+      "tenants=%2zu: %.3fs wall, %.1f jobs/s, %.0f rec/s, "
+      "p50=%.0fms p99=%.0fms, %.0f batches (%.0f coalesced), ok=%zu/%zu\n",
+      tenants, wall, row.jobs_per_sec, row.records_per_sec, row.p50_ms,
+      row.p99_ms, row.batches, row.coalesced_jobs, ok, kTotalJobs);
+  return row;
+}
+
+// Median and IQR of one field across a row's repetitions.
+bench::MedianIqr across(const std::vector<SweepRow>& reps,
+                        double SweepRow::*field) {
+  std::vector<double> v;
+  for (const SweepRow& r : reps) v.push_back(r.*field);
+  return bench::median_iqr(v);
 }
 
 }  // namespace
@@ -115,64 +188,25 @@ int main(int argc, char** argv) {
   spec.reference = reference;
 
   // --- tenant sweep at nominal load -------------------------------------
-  // Fixed total work per row (jobs x records) so rows compare the tenant
-  // mix, not the workload size.
-  // Sized so each row's wall clock clears the gate's noise floor on a
-  // shared 1-core box (sub-100ms walls make 20% tolerances meaningless).
-  constexpr std::size_t kTotalJobs = 96;
-  constexpr std::size_t kRecordsPerJob = 800;
-  std::vector<SweepRow> sweep;
-  for (std::size_t tenants : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    serve::ModelRegistry registry;
-    registry.define("m", spec);
-    registry.publish("m", snap_dir);
-    serve::ServiceConfig scfg;
-    scfg.workers = 2;
-    scfg.queue_capacity = kTotalJobs + 8;  // nominal: nothing sheds
-    scfg.tenant_inflight_cap = kTotalJobs;
-    serve::Service service(registry, scfg);
-    serve::ServeClient client(service);
-
-    Stopwatch sw;
-    std::vector<std::shared_ptr<serve::ServeClient::PendingJob>> jobs;
-    jobs.reserve(kTotalJobs);
-    for (std::size_t i = 0; i < kTotalJobs; ++i) {
-      const std::string tenant = "tenant" + std::to_string(i % tenants);
-      jobs.push_back(client.submit("m", tenant, kRecordsPerJob, 1000 + i));
+  // Rounds visit every tenant mix in turn, so a disturbed window costs each
+  // row one rep rather than one row all of them.
+  const std::size_t kTenantMixes[] = {1, 4, 16};
+  std::vector<std::vector<SweepRow>> reps(std::size(kTenantMixes));
+  for (int rep = 0; rep < kSweepReps; ++rep) {
+    for (std::size_t k = 0; k < reps.size(); ++k) {
+      reps[k].push_back(sweep_row(spec, snap_dir, kTenantMixes[k]));
     }
-    std::size_t ok = 0;
-    for (auto& job : jobs) ok += job->wait().ok ? 1 : 0;
-    service.drain();  // settle the stats counters
-    const double wall = sw.seconds();
-    const serve::ServiceStatsSnapshot stats = service.stats();
-
-    SweepRow row;
-    row.tenants = tenants;
-    row.jobs = kTotalJobs;
-    row.records_per_job = kRecordsPerJob;
-    row.wall_sec = wall;
-    row.jobs_per_sec = static_cast<double>(kTotalJobs) / wall;
-    row.records_per_sec =
-        static_cast<double>(kTotalJobs * kRecordsPerJob) / wall;
-    const std::vector<std::uint64_t> hist = merged_hist(stats);
-    row.p50_ms = serve::latency_percentile_ms(hist, 0.5);
-    row.p99_ms = serve::latency_percentile_ms(hist, 0.99);
-    row.mean_ms = mean_latency_ms(stats);
-    row.shed_rate =
-        static_cast<double>(stats.shed_overloaded + stats.shed_draining) /
-        static_cast<double>(kTotalJobs);
-    row.batches = stats.batches;
-    row.coalesced_jobs = stats.coalesced_jobs;
-    sweep.push_back(row);
-    std::printf(
-        "tenants=%2zu: %.3fs wall, %.1f jobs/s, %.0f rec/s, "
-        "p50=%.0fms p99=%.0fms, %llu batches (%llu coalesced), ok=%zu/%zu\n",
-        tenants, wall, row.jobs_per_sec, row.records_per_sec, row.p50_ms,
-        row.p99_ms, static_cast<unsigned long long>(row.batches),
-        static_cast<unsigned long long>(row.coalesced_jobs), ok, kTotalJobs);
+  }
+  // Nominal load must shed nothing in any rep: a row's shed rate is its
+  // worst rep's.
+  std::vector<double> row_shed(reps.size(), 0.0);
+  for (std::size_t k = 0; k < reps.size(); ++k) {
+    for (const SweepRow& r : reps[k]) {
+      row_shed[k] = std::max(row_shed[k], r.shed_rate);
+    }
   }
   const double shed_rate_nominal =
-      (sweep[0].shed_rate + sweep[1].shed_rate + sweep[2].shed_rate) / 3.0;
+      (row_shed[0] + row_shed[1] + row_shed[2]) / 3.0;
 
   // --- shed rate at 2x overload -----------------------------------------
   // Capacity bounds sized so the offered burst is twice what admission can
@@ -291,21 +325,36 @@ int main(int argc, char** argv) {
     std::fprintf(f, "%s%.0f", i ? ", " : "", serve::kLatencyEdgesMs[i]);
   }
   std::fprintf(f, "],\n");
+  std::fprintf(f, "  \"fingerprint\": %s,\n",
+               bench::fingerprint_json(std::thread::hardware_concurrency())
+                   .c_str());
+  std::fprintf(f, "  \"sweep_reps\": %d,\n", kSweepReps);
+  // Each row's timings are medians over its reps with an "_iqr" beside each.
   std::fprintf(f, "  \"tenant_sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& r = sweep[i];
+  for (std::size_t k = 0; k < reps.size(); ++k) {
+    const std::vector<SweepRow>& rr = reps[k];
+    const auto wall = across(rr, &SweepRow::wall_sec);
+    const auto jps = across(rr, &SweepRow::jobs_per_sec);
+    const auto rps = across(rr, &SweepRow::records_per_sec);
+    const auto p50 = across(rr, &SweepRow::p50_ms);
+    const auto p99 = across(rr, &SweepRow::p99_ms);
+    const auto mean = across(rr, &SweepRow::mean_ms);
     std::fprintf(
         f,
         "    {\"tenants\": %zu, \"jobs\": %zu, \"records_per_job\": %zu, "
-        "\"wall_sec\": %.4f, \"jobs_per_sec\": %.2f, "
-        "\"records_per_sec\": %.1f, \"p50_ms\": %.1f, \"p99_ms\": %.1f, "
-        "\"mean_ms\": %.2f, \"shed_rate\": %.4f, \"batches\": %llu, "
-        "\"coalesced_jobs\": %llu}%s\n",
-        r.tenants, r.jobs, r.records_per_job, r.wall_sec, r.jobs_per_sec,
-        r.records_per_sec, r.p50_ms, r.p99_ms, r.mean_ms, r.shed_rate,
-        static_cast<unsigned long long>(r.batches),
-        static_cast<unsigned long long>(r.coalesced_jobs),
-        i + 1 < sweep.size() ? "," : "");
+        "\"wall_sec\": %.4f, \"wall_sec_iqr\": %.4f, "
+        "\"jobs_per_sec\": %.2f, \"jobs_per_sec_iqr\": %.2f, "
+        "\"records_per_sec\": %.1f, \"records_per_sec_iqr\": %.1f, "
+        "\"p50_ms\": %.1f, \"p50_ms_iqr\": %.1f, "
+        "\"p99_ms\": %.1f, \"p99_ms_iqr\": %.1f, "
+        "\"mean_ms\": %.2f, \"mean_ms_iqr\": %.2f, \"shed_rate\": %.4f, "
+        "\"batches\": %.0f, \"coalesced_jobs\": %.0f}%s\n",
+        kTenantMixes[k], rr[0].jobs, rr[0].records_per_job, wall.median,
+        wall.iqr, jps.median, jps.iqr, rps.median, rps.iqr, p50.median,
+        p50.iqr, p99.median, p99.iqr, mean.median, mean.iqr, row_shed[k],
+        across(rr, &SweepRow::batches).median,
+        across(rr, &SweepRow::coalesced_jobs).median,
+        k + 1 < reps.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"shed_rate_nominal\": %.4f,\n", shed_rate_nominal);

@@ -249,43 +249,16 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> fut = packaged.get_future();
+void ThreadPool::submit(std::function<void()> task) {
   std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(packaged));
+    tasks_.push(std::move(task));
     depth = tasks_.size();
   }
   TELEM_COUNT("threadpool.tasks_submitted");
   TELEM_GAUGE_SET("threadpool.queue_depth", depth);
   cv_.notify_one();
-  return fut;
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  TELEM_SPAN("threadpool.parallel_for",
-             {"tasks", static_cast<long long>(n)});
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  }
-  // Every queued task holds a reference to fn (caller stack state), so all
-  // futures must be waited on even when one throws; only then is the first
-  // exception rethrown.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 void ThreadPool::parallel_for(std::size_t n,
@@ -318,7 +291,7 @@ void ThreadPool::parallel_for(std::size_t n,
 void ThreadPool::worker_loop() {
   tl_pool_worker = true;
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     std::size_t depth;
     {
       std::unique_lock<std::mutex> lock(mutex_);

@@ -3,19 +3,18 @@
 // fine-tuning and sampling (NetShare Insight 3), the stages of a
 // DoppelGANger training iteration, the generation slices of offline and
 // served chunk parts, the parallel postprocess ranges, and the per-chunk
-// fan-out of served batches. Only the service's batch workers still own a
-// separate pool.
+// fan-out of served batches.
 //
-// Exception semantics: a throwing task never kills its worker — the
-// exception is captured in the task's future and rethrown from get().
-// Destruction semantics: the destructor drains the queue (all already
-// submitted tasks run) before joining the workers.
+// Tasks are fire-and-forget: submit() returns nothing, and a task must not
+// throw (parallel_for and Region catch every exception of the work they
+// run and rethrow it on the calling thread). Destruction semantics: the
+// destructor drains the queue (all already submitted tasks run) before
+// joining the workers.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -32,14 +31,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueue a task; the returned future resolves when it completes (or
-  // rethrows from get() if the task threw).
-  std::future<void> submit(std::function<void()> task);
-
-  // Run fn(i) for i in [0, n) across the pool and wait for completion. If
-  // any invocation throws, every task still runs to completion (they share
-  // caller stack state) and the first exception is rethrown afterwards.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  // Enqueues a task that must not throw.
+  void submit(std::function<void()> task);
 
   // Runs fn(i) for i in [0, n) with at most `max_parallel` indices in flight
   // (0 is read as 1): the calling thread claims indices in ascending order
@@ -49,8 +42,9 @@ class ThreadPool {
   // call from a worker) the caller simply runs every index itself. A helper
   // dequeued after the loop has finished finds no index left and touches
   // only ref-counted state. While it runs indices beside helpers the caller
-  // counts as a worker for on_worker_thread(). Exceptions as above: all n
-  // indices run, then the first exception is rethrown.
+  // counts as a worker for on_worker_thread(). If any invocation throws,
+  // every index still runs (they share caller stack state), then the first
+  // exception is rethrown.
   //
   // An index may block waiting for a *lower* index of the same call (a task
   // graph whose edges point downwards): indices are claimed in ascending
@@ -108,7 +102,7 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

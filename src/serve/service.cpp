@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/clock.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/chaos.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -29,6 +30,21 @@ ServiceConfig sanitize(ServiceConfig cfg) {
     cfg.max_frame_bytes = std::max<std::size_t>(512, cfg.max_frame_bytes);
   }
   return cfg;
+}
+
+// Runs a job's final callback. A throw is reported and goes no further:
+// the job then settles exactly as if the callback had returned, since its
+// one verdict is already given and the service's accounting must still land.
+template <typename Fn, typename... Args>
+void final_callback(const Fn& fn, const Args&... args) {
+  if (!fn) return;
+  try {
+    fn(args...);
+  } catch (...) {
+    TELEM_DIAG(::netshare::telemetry::Severity::kWarn, "serve.callback_threw",
+               "a job's on_done/on_error threw; the job settles as if it "
+               "had returned");
+  }
 }
 
 std::size_t latency_bucket(double ms) {
@@ -118,8 +134,10 @@ Service::Service(ModelRegistry& registry, ServiceConfig config)
       config_(sanitize(config)),
       rate_limiter_(config_.rate_limit) {
   watchdog_progress_ms_ = mono_now_ms();
-  pool_ = std::make_unique<ThreadPool>(config_.workers);
-  scheduler_ = std::thread([this] { scheduler_loop(); });
+  workers_.reserve(config_.workers);
+  for (std::size_t w = 0; w < config_.workers; ++w) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   if (config_.watchdog_stall_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -134,9 +152,8 @@ Service::~Service() {
   }
   work_cv_.notify_all();
   watchdog_cv_.notify_all();
-  scheduler_.join();
+  for (std::thread& w : workers_) w.join();
   if (watchdog_.joinable()) watchdog_.join();
-  pool_.reset();  // joins sampling workers (queue already empty after drain)
 }
 
 SubmitResult Service::submit(GenerateJob job, JobCallbacks callbacks) {
@@ -247,34 +264,12 @@ void Service::drain() {
   drain_cv_.wait(lock, [&] { return queued_ == 0 && running_ == 0; });
 }
 
-void Service::scheduler_loop() {
+void Service::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (stopping_) return;
+  while (!stopping_) {
     // Deadline enforcement at dequeue: expired queued jobs never reach a
-    // worker. Callbacks fire outside mu_ (the contract for all delivery),
-    // then accounting settles under it.
-    std::vector<PendingPtr> expired = reap_expired_locked(mono_now_ms());
-    if (!expired.empty()) {
-      // Counted as running until settled, so drain() cannot return while
-      // their callbacks fire and before their accounting lands.
-      running_ += expired.size();
-      lock.unlock();
-      for (const PendingPtr& p : expired) {
-        if (p->callbacks.on_error) {
-          p->callbacks.on_error(ErrorCode::kDeadlineExceeded,
-                                "deadline expired while queued");
-        }
-      }
-      lock.lock();
-      for (const PendingPtr& p : expired) {
-        finish_job_locked(*p, ErrorCode::kDeadlineExceeded, false, 0);
-      }
-      running_ -= expired.size();
-      progress_seq_.fetch_add(1, std::memory_order_relaxed);
-      drain_cv_.notify_all();
-      continue;  // state changed; re-scan before blocking
-    }
+    // batch.
+    if (settle_expired(lock)) continue;  // state changed; re-scan
     std::vector<PendingPtr> batch = next_batch_locked();
     if (batch.empty()) {
       work_cv_.wait(lock);
@@ -287,18 +282,17 @@ void Service::scheduler_loop() {
     if (batch.size() > 1) coalesced_jobs_ += batch.size();
     TELEM_GAUGE_SET("serve.queue_depth", queued_);
     TELEM_HIST("serve.batch_jobs", batch.size(), 1, 2, 4, 8, 16);
+    // Taking these heads may have exposed one on an idle model; pass the
+    // look on to an idle worker.
+    if (queued_ > 0) work_cv_.notify_one();
     lock.unlock();
-    // std::function is copyable, PendingPtr is not: park the batch in a
-    // shared_ptr for the trip through the pool queue.
-    auto boxed =
-        std::make_shared<std::vector<PendingPtr>>(std::move(batch));
-    pool_->submit([this, boxed] { run_batch(std::move(*boxed)); });
+    run_batch(std::move(batch));
     lock.lock();
   }
 }
 
-std::vector<Service::PendingPtr> Service::reap_expired_locked(
-    std::uint64_t now_ms) {
+bool Service::settle_expired(std::unique_lock<std::mutex>& lock) {
+  const std::uint64_t now_ms = mono_now_ms();
   std::vector<PendingPtr> expired;
   for (auto& [name, t] : tenants_) {
     for (auto it = t.queue.begin(); it != t.queue.end();) {
@@ -306,14 +300,31 @@ std::vector<Service::PendingPtr> Service::reap_expired_locked(
       if (p.deadline_at_ms != 0 && now_ms >= p.deadline_at_ms) {
         expired.push_back(std::move(*it));
         it = t.queue.erase(it);
-        --queued_;
       } else {
         ++it;
       }
     }
   }
-  if (!expired.empty()) TELEM_GAUGE_SET("serve.queue_depth", queued_);
-  return expired;
+  if (expired.empty()) return false;
+  // Counted as running until settled, so drain() cannot return while their
+  // callbacks fire and before their accounting lands.
+  queued_ -= expired.size();
+  running_ += expired.size();
+  TELEM_GAUGE_SET("serve.queue_depth", queued_);
+  lock.unlock();
+  for (const PendingPtr& p : expired) {
+    final_callback(p->callbacks.on_error, ErrorCode::kDeadlineExceeded,
+                   std::string("deadline expired while queued"));
+  }
+  lock.lock();
+  for (const PendingPtr& p : expired) {
+    finish_job_locked(*p, ErrorCode::kDeadlineExceeded, false, 0);
+  }
+  running_ -= expired.size();
+  progress_seq_.fetch_add(1, std::memory_order_relaxed);
+  work_cv_.notify_all();  // a reaped head may have uncovered runnable work
+  drain_cv_.notify_all();
+  return true;
 }
 
 std::vector<Service::PendingPtr> Service::next_batch_locked() {
@@ -530,9 +541,9 @@ void Service::run_batch(std::vector<PendingPtr> batch) {
     const JobCallbacks& cb = batch[i]->callbacks;
     const JobRun& r = runs[i];
     if (r.fail_at != JobRun::kNone) {
-      if (cb.on_error) cb.on_error(r.code, r.message);
-    } else if (cb.on_done) {
-      cb.on_done(r.records, model.version());
+      final_callback(cb.on_error, r.code, r.message);
+    } else {
+      final_callback(cb.on_done, r.records, model.version());
     }
   }
   progress_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -544,7 +555,7 @@ void Service::run_batch(std::vector<PendingPtr> batch) {
   }
   busy_models_.erase(&model);
   running_ -= batch.size();
-  work_cv_.notify_all();   // the model is free; same-model work may dispatch
+  // The model is free; this worker takes its queued work next.
   drain_cv_.notify_all();
 }
 
@@ -605,9 +616,9 @@ void Service::watchdog_loop() {
                  static_cast<unsigned long long>(progress_age_ms_), queued_,
                  running_);
     }
-    // Nudge the scheduler so queued jobs whose deadline has passed get
-    // reaped even when no submit/finish would otherwise wake it.
-    work_cv_.notify_all();
+    // Reap here too: with every worker stuck in a batch, no dequeue would
+    // fail a queued job whose deadline has passed.
+    settle_expired(lock);
   }
 }
 

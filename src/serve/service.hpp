@@ -10,6 +10,10 @@
 //    when it cannot afford its head job, so credit stays bounded) and jobs
 //    charge their n_flows against it. Record-weighted fair shares, not
 //    job-count shares.
+//  - Self-scheduling workers: `workers` threads each take the service lock,
+//    reap expired queued jobs, form the next batch and run it themselves,
+//    so `workers` bounds the batches in flight with no scheduler thread
+//    between submit and sampling.
 //  - Coalescing: compatible queued jobs (same LoadedModel instance, i.e.
 //    same model_id + version + config hash) dispatch as one batch. The
 //    batch fans out one task per chunk on the shared executor
@@ -43,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
 #include "serve/rate_limiter.hpp"
@@ -72,10 +75,10 @@ struct ServiceConfig {
   // Per-tenant token buckets consulted at admission, ahead of the DRR
   // scheduler (kRateLimited + retry-after hint on shed).
   RateLimitConfig rate_limit;
-  // Scheduler watchdog: reports a stall when jobs are queued or running but
-  // no chunk part has been exported for watchdog_stall_ms (0 disables). Each
-  // poll also nudges the scheduler so queued expired jobs get reaped even
-  // with no new traffic.
+  // Watchdog: reports a stall when jobs are queued or running but no chunk
+  // part has been exported for watchdog_stall_ms (0 disables). Each poll
+  // also reaps queued expired jobs itself, so they fail typed even while
+  // every worker is stuck in a batch.
   std::uint64_t watchdog_poll_ms = 200;
   std::uint64_t watchdog_stall_ms = 10000;
   // SO_SNDTIMEO on accepted daemon connections: a reply write blocked this
@@ -96,14 +99,16 @@ struct GenerateJob {
   std::uint64_t deadline_ms = 0;
 };
 
-// Per-job result delivery, invoked from worker and executor threads (never
-// under the service lock, never from inside submit()). on_chunk streams one
+// Per-job result delivery, invoked from worker, watchdog and executor
+// threads (never under the service lock, never from inside submit()). on_chunk streams one
 // non-empty chunk part; one job's on_chunk calls come in ascending chunk
 // index and never overlap, though different jobs' calls may run
 // concurrently. A part is delivered once it and every lower chunk's part are
 // exported; a part that fails or passes the deadline drops the job's higher
 // chunks. Then, after all of the job's chunk tasks have finished, exactly one
-// of on_done/on_error.
+// of on_done/on_error. A callback that throws is caught: a throwing on_chunk
+// fails the job at that chunk, and a throwing on_done/on_error settles the
+// job as if it had returned.
 struct JobCallbacks {
   std::function<void(std::size_t chunk_index, net::FlowTrace part)> on_chunk;
   std::function<void(std::uint64_t records, std::uint64_t model_version)>
@@ -226,12 +231,14 @@ class Service {
     std::uint64_t latency_count = 0;
   };
 
-  void scheduler_loop();
+  // One batch thread: reaps, forms a batch, runs it, and loops until stop.
+  void worker_loop();
   void watchdog_loop();
-  // Removes every queued job whose deadline has passed (deadline enforcement
-  // at dequeue). Callbacks fire outside the lock; the caller then settles
-  // accounting via finish_job_locked.
-  std::vector<PendingPtr> reap_expired_locked(std::uint64_t now_ms);
+  // Deadline enforcement for queued jobs: removes every one whose deadline
+  // has passed and settles it typed kDeadlineExceeded. Called with `lock`
+  // held on mu_; drops it around the on_error callbacks. True when any job
+  // was reaped.
+  bool settle_expired(std::unique_lock<std::mutex>& lock);
   // Forms one batch under the lock; empty only when nothing is dispatchable
   // (queues empty, or every queued model is busy). A queued job on an idle
   // model that merely lacks DRR credit never yields an empty batch: the
@@ -246,7 +253,7 @@ class Service {
   const ServiceConfig config_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // scheduler: new work / model freed
+  std::condition_variable work_cv_;   // idle workers: dispatchable work
   std::condition_variable drain_cv_;  // drain(): all jobs settled
   std::condition_variable watchdog_cv_;  // watchdog: poll pacing / stop
   bool draining_ = false;
@@ -282,11 +289,8 @@ class Service {
   std::uint64_t progress_age_ms_ = 0;
   bool stalled_ = false;
 
-  // Workers before scheduler in declaration order is irrelevant for
-  // construction but destruction runs ~Service explicitly (stop + join)
-  // before members die, so order here is not load-bearing.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread scheduler_;
+  // ~Service stops and joins these before any member dies.
+  std::vector<std::thread> workers_;
   std::thread watchdog_;
 };
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -125,7 +124,7 @@ TEST(DoppelGanger, SnapshotRestoreReproducesSamples) {
 
 // Parks every worker of the shared executor until release() (or
 // destruction), so whatever runs meanwhile must make progress on the calling
-// thread alone.
+// thread alone. release() returns once every parked task has left.
 struct ParkedSharedWorkers {
   ParkedSharedWorkers(const ParkedSharedWorkers&) = delete;
   ParkedSharedWorkers& operator=(const ParkedSharedWorkers&) = delete;
@@ -133,30 +132,28 @@ struct ParkedSharedWorkers {
   ParkedSharedWorkers() {
     ThreadPool& pool = ThreadPool::shared();
     for (std::size_t w = 0; w < pool.size(); ++w) {
-      done.push_back(pool.submit([this] {
+      pool.submit([this] {
         std::unique_lock<std::mutex> lock(mu);
         ++parked;
         cv.notify_all();
         cv.wait(lock, [this] { return released; });
-      }));
+        --parked;
+        cv.notify_all();
+      });
     }
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return parked == ThreadPool::shared().size(); });
   }
   void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (released) return;
-      released = true;
-    }
+    std::unique_lock<std::mutex> lock(mu);
+    released = true;
     cv.notify_all();
-    for (auto& f : done) f.get();
+    cv.wait(lock, [this] { return parked == 0; });
   }
   std::mutex mu;
   std::condition_variable cv;
   std::size_t parked = 0;
   bool released = false;
-  std::vector<std::future<void>> done;
 };
 
 double fit_cpu_seconds(std::size_t width) {

@@ -631,9 +631,8 @@ TEST(ParallelPhaseBudget, ClampsToOneInsideWorkerThread) {
   EXPECT_EQ(core::parallel_phase_budget(4), expected);
   ThreadPool pool(2);
   std::vector<std::size_t> got(2, 0);
-  pool.parallel_for(2, [&](std::size_t i) {
-    got[i] = core::parallel_phase_budget(4);
-  });
+  pool.parallel_for(
+      2, [&](std::size_t i) { got[i] = core::parallel_phase_budget(4); }, 2);
   EXPECT_EQ(got[0], 1u);
   EXPECT_EQ(got[1], 1u);
 }

@@ -42,24 +42,16 @@ core::NetShareConfig quick_config() {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  pool.parallel_for(64, [&](std::size_t) { counter.fetch_add(1); });
+  pool.parallel_for(64, [&](std::size_t) { counter.fetch_add(1); }, 4);
   EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, SubmitReturnsWaitableFuture) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  auto fut = pool.submit([&] { ran = true; });
-  fut.get();
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, ParallelResultsMatchSerial) {
   ThreadPool pool(4);
   std::vector<double> out(100, 0.0);
-  pool.parallel_for(out.size(), [&](std::size_t i) {
-    out[i] = static_cast<double>(i) * 2.0;
-  });
+  pool.parallel_for(
+      out.size(), [&](std::size_t i) { out[i] = static_cast<double>(i) * 2.0; },
+      5);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out[i], i * 2.0);
   }

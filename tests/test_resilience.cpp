@@ -178,7 +178,7 @@ TEST(Resilience, QueuedJobPastDeadlineIsReapedTyped) {
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.max_coalesce = 1;       // the second job must queue, not coalesce
-  cfg.watchdog_poll_ms = 20;  // the nudge is what reaps with no traffic
+  cfg.watchdog_poll_ms = 20;  // the poll reaps while the worker is stuck
   WorkerGate gate;
   ScopedChaosPlan chaos(gate_plan(gate));
   ServiceHarness h(cfg);
@@ -186,8 +186,8 @@ TEST(Resilience, QueuedJobPastDeadlineIsReapedTyped) {
   // Job 1 occupies the model, stuck inside the gate.
   auto job1 = h.client->submit("m", "t", 40, 1);
   gate.await_entered();
-  // Job 2 queues behind it with a 500 ms budget, which then expires with no
-  // submit/finish traffic — only the watchdog nudge wakes the scheduler.
+  // Job 2 queues behind it with a 500 ms budget, which then expires while
+  // the only worker is stuck: the watchdog's poll reaps it.
   auto job2 = h.client->submit("m", "t", 40, 2, /*deadline_ms=*/500);
   mc.clock().advance_ms(1000);
 

@@ -12,10 +12,12 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "ml/serialize.hpp"
 #include "serve/protocol.hpp"
 #include "serve_test_util.hpp"
@@ -811,6 +813,114 @@ TEST(ServeService, DrainCompletesInFlightAndShedsNewWithTyped) {
   EXPECT_EQ(stats.shed_draining, 1u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.running, 0u);
+}
+
+// Polls until `done` holds, for at most ten seconds.
+template <typename Done>
+bool eventually(const Done& done) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+TEST(ServeService, ThrowingDoneOrErrorCallbackStillSettles) {
+  // A final callback that throws settles its job exactly as if it had
+  // returned: the model is freed, the counters land, drain() returns and
+  // the service keeps serving.
+  ScopedManualClock mc;
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.max_coalesce = 1;
+  cfg.watchdog_poll_ms = 20;
+  WorkerGate gate;
+  ScopedChaosPlan chaos(gate_plan(gate));
+  ServiceHarness h(cfg);
+  std::atomic<int> threw{0};
+  const auto throwing = [&] {
+    JobCallbacks cbs;
+    cbs.on_done = [&](std::uint64_t, std::uint64_t) {
+      ++threw;
+      throw std::runtime_error("on_done");
+    };
+    cbs.on_error = [&](ErrorCode, const std::string&) {
+      ++threw;
+      throw std::runtime_error("on_error");
+    };
+    return cbs;
+  };
+
+  // Queued expiry: the job waits behind a held batch, its deadline passes,
+  // and its on_error throws.
+  auto held = h.client->submit("m", "t", 40, 1);
+  gate.await_entered();
+  ASSERT_TRUE(h.service->submit({"m", "t", 40, 2, /*deadline_ms=*/500},
+                                throwing())
+                  .accepted);
+  mc.clock().advance_ms(1000);
+  EXPECT_TRUE(eventually([&] { return threw.load() == 1; }));
+  gate.release();
+  EXPECT_TRUE(held->wait().ok);
+
+  // A throwing on_done, then a job whose on_chunk throws, which fails it
+  // mid-batch into a throwing on_error.
+  ASSERT_TRUE(h.service->submit({"m", "t", 40, 3}, throwing()).accepted);
+  JobCallbacks failing = throwing();
+  failing.on_chunk = [](std::size_t, net::FlowTrace) {
+    throw std::runtime_error("on_chunk");
+  };
+  ASSERT_TRUE(h.service->submit({"m", "t", 40, 4}, std::move(failing)).accepted);
+  EXPECT_TRUE(eventually([&] {
+    const ServiceStatsSnapshot s = h.service->stats();
+    return s.queue_depth == 0 && s.running == 0;
+  })) << "a throwing callback left its job unsettled";
+  EXPECT_EQ(threw.load(), 3);
+
+  EXPECT_TRUE(h.client->generate("m", "t", 40, 5).ok);
+  h.service->drain();
+  const ServiceStatsSnapshot s = h.service->stats();
+  EXPECT_EQ(s.deadline_exceeded, 1u);
+  EXPECT_EQ(s.errors, 1u);
+  EXPECT_EQ(s.completed, 3u);  // held, the throwing on_done, the last job
+}
+
+TEST(ServeService, WorkersBoundBatchesInFlight) {
+  // The hook holds the first sampled part of the first batch (model "m").
+  // A job on a second model then needs a second worker: with one it stays
+  // queued until the hold ends, with two it completes meanwhile.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    WorkerGate gate;
+    std::atomic<bool> first{true};
+    ChaosPlan plan;
+    plan.worker_hook = [&](std::size_t c, std::size_t j) {
+      if (first.exchange(false)) gate.hook(c, j);
+    };
+    ScopedChaosPlan chaos(plan);
+    ServiceHarness h(cfg);
+    h.registry.define("m2", spec_for(snapshot_b()));
+    h.registry.publish("m2", snapshot_b().dir);
+
+    auto held = h.client->submit("m", "t", 40, 1);
+    gate.await_entered();
+    auto other = h.client->submit("m2", "u", 40, 2);
+    if (workers == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      const ServiceStatsSnapshot s = h.service->stats();
+      EXPECT_EQ(s.queue_depth, 1u) << "a second batch ran with one worker";
+      EXPECT_EQ(s.completed, 0u);
+    } else {
+      EXPECT_TRUE(eventually([&] { return h.service->stats().completed == 1; }))
+          << "the second model's job waited for the held batch";
+    }
+    gate.release();
+    EXPECT_TRUE(held->wait().ok);
+    EXPECT_TRUE(other->wait().ok);
+  }
 }
 
 TEST(ServeService, StatsJsonCarriesTheOpsSurface) {

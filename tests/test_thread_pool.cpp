@@ -1,16 +1,16 @@
-// ThreadPool hardening tests: exception propagation through submit and
-// parallel_for, zero-task and fewer-tasks-than-threads edge cases, worker
-// survival after a throwing task, destruction with queued work, and the
-// caller-participating parallel_for of the shared executor (nesting while
-// every worker is blocked, tasks waiting on lower indices, the max_parallel
-// cap, exception order, helper CPU accounting), and the stage region.
+// ThreadPool hardening tests: exception propagation through parallel_for,
+// zero-task and fewer-tasks-than-threads edge cases, destruction with
+// queued work, the caller-participating parallel_for of the shared executor
+// (nesting while every worker is blocked, tasks waiting on lower indices,
+// the max_parallel cap, exception order, helper CPU accounting), and the
+// stage region.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <future>
+#include <latch>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -26,37 +26,19 @@
 namespace netshare {
 namespace {
 
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, WorkerSurvivesThrowingTask) {
-  ThreadPool pool(1);  // single worker: it must outlive the throwing task
-  auto bad = pool.submit([] { throw std::logic_error("boom"); });
-  EXPECT_THROW(bad.get(), std::logic_error);
-
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForPropagatesExceptionAfterAllTasksRan) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   // Every task references `ran` (caller stack state), so parallel_for must
   // not return — not even by throwing — until all of them have finished.
   EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&ran](std::size_t i) {
-                          ran.fetch_add(1);
-                          if (i % 7 == 3) throw std::runtime_error("bad index");
-                        }),
+      pool.parallel_for(
+          64,
+          [&ran](std::size_t i) {
+            ran.fetch_add(1);
+            if (i % 7 == 3) throw std::runtime_error("bad index");
+          },
+          5),
       std::runtime_error);
   EXPECT_EQ(ran.load(), 64);
 }
@@ -64,28 +46,29 @@ TEST(ThreadPool, ParallelForPropagatesExceptionAfterAllTasksRan) {
 TEST(ThreadPool, ParallelForAllTasksThrowingStillTerminates) {
   ThreadPool pool(3);
   EXPECT_THROW(
-      pool.parallel_for(16, [](std::size_t) { throw std::out_of_range("x"); }),
+      pool.parallel_for(
+          16, [](std::size_t) { throw std::out_of_range("x"); }, 4),
       std::out_of_range);
 }
 
 TEST(ThreadPool, ParallelForZeroTasksReturnsImmediately) {
   ThreadPool pool(4);
   bool touched = false;
-  pool.parallel_for(0, [&touched](std::size_t) { touched = true; });
+  pool.parallel_for(0, [&touched](std::size_t) { touched = true; }, 5);
   EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, ParallelForFewerTasksThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> ran{0};
-  pool.parallel_for(3, [&ran](std::size_t) { ran.fetch_add(1); });
+  pool.parallel_for(3, [&ran](std::size_t) { ran.fetch_add(1); }, 9);
   EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(ThreadPool, ParallelForManyMoreTasksThanThreads) {
   ThreadPool pool(2);
   std::atomic<std::size_t> sum{0};
-  pool.parallel_for(500, [&sum](std::size_t i) { sum.fetch_add(i + 1); });
+  pool.parallel_for(500, [&sum](std::size_t i) { sum.fetch_add(i + 1); }, 3);
   EXPECT_EQ(sum.load(), 500u * 501u / 2u);
 }
 
@@ -108,7 +91,7 @@ TEST(ThreadPool, ZeroRequestedThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   std::atomic<int> ran{0};
-  pool.parallel_for(4, [&ran](std::size_t) { ran.fetch_add(1); });
+  pool.parallel_for(4, [&ran](std::size_t) { ran.fetch_add(1); }, 2);
   EXPECT_EQ(ran.load(), 4);
 }
 
@@ -124,9 +107,12 @@ TEST(ThreadPool, OversubscriptionClampIsCountedOnDiagChannel) {
 
   ThreadPool pool(2);
   std::atomic<std::size_t> clamped_budget{0};
-  pool.parallel_for(1, [&](std::size_t) {
+  std::latch done(1);
+  pool.submit([&] {
     clamped_budget.store(core::parallel_phase_budget(4));
+    done.count_down();
   });
+  done.wait();
   EXPECT_EQ(clamped_budget.load(), 1u);
   EXPECT_EQ(telemetry::diag_count("core.parallel.oversubscribed"), before + 1);
 
@@ -136,33 +122,33 @@ TEST(ThreadPool, OversubscriptionClampIsCountedOnDiagChannel) {
   EXPECT_EQ(telemetry::diag_count("core.parallel.oversubscribed"), before + 1);
 }
 
-// Parks every worker of `pool` inside a task until release().
+// Parks every worker of `pool` inside a task until release(), which returns
+// once every parked task has left.
 struct BlockedWorkers {
   explicit BlockedWorkers(ThreadPool& pool) {
     for (std::size_t w = 0; w < pool.size(); ++w) {
-      done.push_back(pool.submit([this] {
+      pool.submit([this] {
         std::unique_lock<std::mutex> lock(mu);
         ++parked;
         cv.notify_all();
         cv.wait(lock, [this] { return released; });
-      }));
+        --parked;
+        cv.notify_all();
+      });
     }
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return parked == pool.size(); });
   }
   void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      released = true;
-    }
+    std::unique_lock<std::mutex> lock(mu);
+    released = true;
     cv.notify_all();
-    for (auto& f : done) f.get();
+    cv.wait(lock, [this] { return parked == 0; });
   }
   std::mutex mu;
   std::condition_variable cv;
   std::size_t parked = 0;
   bool released = false;
-  std::vector<std::future<void>> done;
 };
 
 TEST(ThreadPool, TaskWaitingOnALowerIndexCompletesAtEveryWidth) {
@@ -242,16 +228,7 @@ TEST(ThreadPool, RegionRunsEveryIndexOfEveryStageOnce) {
 
 TEST(ThreadPool, RegionCompletesWithEveryWorkerBusyAndRethrows) {
   ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::vector<std::future<void>> blockers;
-  for (int w = 0; w < 2; ++w) {
-    blockers.push_back(pool.submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
-    }));
-  }
+  BlockedWorkers blocked(pool);
   {
     // No helper can join: the caller runs every index itself.
     ThreadPool::Region region(pool, 3);
@@ -269,12 +246,7 @@ TEST(ThreadPool, RegionCompletesWithEveryWorkerBusyAndRethrows) {
     region.run(2, [&](std::size_t) { total.fetch_add(1); });
     EXPECT_EQ(total.load(), 22);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  for (auto& f : blockers) f.get();
+  blocked.release();
 }
 
 TEST(ThreadPool, RegionCreditsHelperCpuToTheCaller) {
